@@ -27,13 +27,11 @@ The running board is published as an **environment service**
 (``env.services``, name :data:`BOARD_SERVICE`): ``ForumMessagePolicy``
 resolves the board through the environment owning the channel being checked,
 so N boards serving concurrently in one interpreter never observe each
-other.  The old module global survives only as a ``DeprecationWarning``
-shim (``phpbb.CURRENT_BOARD``).
+other.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Optional
 
 from ..channels.httpout import HTTPOutputChannel
@@ -52,27 +50,6 @@ from ..web.sanitize import html_escape, sql_quote
 
 #: Service name under which a board registers itself on its environment.
 BOARD_SERVICE = "phpbb.board"
-
-#: Backing store for the deprecated ``CURRENT_BOARD`` module attribute: the
-#: most recently constructed board, whatever its environment.  Nothing in
-#: the runtime consults it — it exists only so legacy code reading
-#: ``phpbb.CURRENT_BOARD`` keeps limping along (with a warning) until it
-#: migrates to ``env.services``.
-_LAST_BOARD: Optional["PhpBB"] = None
-
-
-def __getattr__(name: str):
-    if name == "CURRENT_BOARD":
-        warnings.warn(
-            "phpbb.CURRENT_BOARD is deprecated: the board is an environment "
-            "service now — resolve it with current_board(env=...) or "
-            "env.services.get(BOARD_SERVICE)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _LAST_BOARD
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 def current_board(env: Optional[Environment] = None) -> Optional["PhpBB"]:
     """The board serving ``env`` (or the active request's environment).
@@ -127,7 +104,6 @@ class PhpBB:
         use_read_assertion: bool = True,
         use_xss_assertion: bool = True,
     ):
-        global _LAST_BOARD
         self.env = env if env is not None else Environment()
         self.resin = Resin(self.env)
         self.use_read_assertion = use_read_assertion
@@ -135,7 +111,6 @@ class PhpBB:
         self._setup_schema()
         self.env.services.register(BOARD_SERVICE, self)
         self.web = self._build_web()
-        _LAST_BOARD = self
 
     def _build_web(self):
         """The board's routed HTTP front end.

@@ -18,7 +18,6 @@ application-supplied SQL-injection filter interposes (Section 5.3).
 from __future__ import annotations
 import contextlib
 import json
-import warnings
 from typing import Any, Callable, Dict, FrozenSet, List, Optional
 from ..core.context import FilterContext
 from ..core.exceptions import SQLError
@@ -252,15 +251,6 @@ class Database:
         parameters are bound after the chain, into the parsed statement.
         """
         return PreparedQuery(self, sql, params)
-
-    def execute(self, sql) -> "PreparedQuery":
-        """Deprecated alias for :meth:`query` (the pre-plan-API entry
-        point).  Use ``db.query(sql)`` instead."""
-        warnings.warn(
-            "Database.execute() is deprecated; use Database.query(), which "
-            "returns a prepared, re-runnable plan handle",
-            DeprecationWarning, stacklevel=2)
-        return self.query(sql)
 
     def execute_unchecked(self, sql) -> Result:
         """Execute a statement bypassing stacked filters (still persisting

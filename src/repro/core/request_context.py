@@ -30,13 +30,14 @@ safe to serve from many threads at once (see
 from __future__ import annotations
 
 import contextvars
-from typing import Any, Dict, List, Optional, Tuple
+from contextlib import nullcontext
+from typing import Any, ContextManager, Dict, List, Optional, Tuple
 
 from .context import FilterContext
 from .filter import Filter
 
-__all__ = ["RequestContext", "current_request", "request_scoped_context",
-           "stamp_request_id"]
+__all__ = ["RequestContext", "current_request", "enter_request",
+           "request_scoped_context", "stamp_request_id"]
 
 #: The request bound to the running thread/task.  ``None`` means "no request
 #: in flight" — the substrates then fall back to their instance attributes,
@@ -53,12 +54,11 @@ def current_request() -> Optional["RequestContext"]:
 def stamp_request_id(env, request=None) -> Optional[int]:
     """The stable id for ``request``, assigned on first stamp.
 
-    Every front end calls this when it binds a :class:`RequestContext`;
-    the first caller draws the next id from ``env.next_request_id()`` and
-    writes it onto ``request.id``, later (nested) bindings for the same
-    request — e.g. the socket server's connection-level context around the
-    async dispatcher's own — reuse it, so one request carries exactly one
-    id end to end.  Returns ``None`` when ``env`` has no id source.
+    Called by :func:`enter_request` for web requests and by
+    ``Resin.request`` (which has no ``Request``).  The first stamp draws the
+    next id from ``env.next_request_id()`` and writes it onto
+    ``request.id``; a request served again keeps the id it already carries.
+    Returns ``None`` when ``env`` has no id source.
     """
     if request is not None:
         rid = getattr(request, "id", None)
@@ -69,6 +69,26 @@ def stamp_request_id(env, request=None) -> Optional[int]:
     if request is not None and rid is not None:
         request.id = rid
     return rid
+
+
+def enter_request(env, request) -> ContextManager["RequestContext"]:
+    """The request entry every web front end shares.
+
+    ``with enter_request(env, request) as rctx:`` yields the
+    :class:`RequestContext` already bound on this thread/task for this very
+    ``request`` in ``env`` (an outer front end entered it first — the socket
+    connection around the dispatcher and the application), or binds a
+    fresh, stamped one for the block.  A web request therefore has exactly
+    one context from its first parsed byte to its last streamed chunk: the
+    user middleware resolved, the HTTP channel and the database filters the
+    handler installed are what a deferred stream still sees while it is
+    drained.
+    """
+    rctx = _current.get()
+    if rctx is not None and rctx.request is request and rctx.env is env:
+        return nullcontext(rctx)
+    return RequestContext(env=env, user=request.user, request=request,
+                          request_id=stamp_request_id(env, request))
 
 
 def request_scoped_context(context) -> FilterContext:
@@ -111,8 +131,8 @@ class RequestContext:
     Use as a context manager (``with RequestContext(env=env, user=u): ...``)
     — entering binds it to the calling thread's context, exiting restores
     whatever was bound before, so request scopes nest naturally.  Enter and
-    exit must happen on the same thread; a dispatcher gives each worker its
-    own :class:`contextvars.Context` copy and binds inside it.
+    exit must happen on the same thread.  Web front ends do not construct
+    one directly: they go through :func:`enter_request`.
     """
 
     def __init__(self, env=None, user: Optional[str] = None, *,
@@ -123,12 +143,12 @@ class RequestContext:
         #: The authenticated principal, or None for anonymous requests.
         self.user = user
         self.priv_chair = bool(priv_chair)
-        #: Environment-unique monotonic id stamped at dispatch time (all
-        #: front ends).  Correlates log lines, audit events and violations
-        #: for one request; ``None`` for unstamped ad-hoc contexts.
+        #: Environment-unique monotonic id stamped on entry (all front
+        #: ends).  Correlates log lines, audit events and violations for
+        #: one request; ``None`` for unstamped ad-hoc contexts.
         self.request_id = request_id
-        #: The web Request being served, if any (set by WebApplication /
-        #: Dispatcher so nested handle() calls recognise their own context).
+        #: The web Request being served, if any (set by
+        #: :func:`enter_request` so nested entries recognise their context).
         self.request = request
         #: The matched route's name and converted path parameters, filled in
         #: by :class:`~repro.web.app.WebApplication` once routing resolves

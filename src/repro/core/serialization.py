@@ -133,11 +133,6 @@ def decode_field(value: Any, *, tolerant: bool = False) -> Any:
     return value
 
 
-# Backwards-compatible private aliases (pre-storage-engine names).
-_encode_field = encode_field
-_decode_field = decode_field
-
-
 class UnknownPolicy(Policy):
     """Placeholder for a stored policy whose class cannot be resolved.
 

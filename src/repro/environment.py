@@ -57,10 +57,11 @@ class Environment:
     def next_request_id(self) -> int:
         """The next environment-unique request id.
 
-        Stamped into :class:`~repro.core.request_context.RequestContext` at
-        dispatch time by every front end (thread pool, asyncio, socket
-        server) and onto the web ``Request`` itself, so middleware log
-        lines, audit events and policy violations all correlate on one
+        Stamped into :class:`~repro.core.request_context.RequestContext`
+        when a request enters (every front end goes through
+        :func:`~repro.core.request_context.enter_request`; ``Resin.request``
+        stamps its own) and onto the web ``Request`` itself, so middleware
+        log lines, audit events and policy violations all correlate on one
         number.  ``itertools.count`` advances atomically under the GIL, so
         concurrent dispatchers never hand out duplicates.
         """

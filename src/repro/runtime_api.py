@@ -551,7 +551,7 @@ class Resin:
         ``app`` (a :class:`~repro.web.app.WebApplication`) from this
         environment with ``workers`` threads."""
         from .server.dispatcher import Dispatcher
-        return Dispatcher(app, workers=workers, resin=self)
+        return Dispatcher(app, workers=workers)
 
     def async_dispatcher(self, app, workers: int = 4,
                          max_in_flight: Optional[int] = None):
@@ -561,7 +561,7 @@ class Resin:
         requests (backpressure)."""
         from .server.async_dispatcher import AsyncDispatcher
         return AsyncDispatcher(app, workers=workers,
-                               max_in_flight=max_in_flight, resin=self)
+                               max_in_flight=max_in_flight)
 
     def serve_async(self, app, host: str = "127.0.0.1", port: int = 0,
                     durable: Optional[str] = None, **options: Any):
@@ -578,7 +578,6 @@ class Resin:
         app on ``Resin.open(path)`` instead for full control."""
         self._ensure_durable(durable)
         from .server.http import HTTPServer
-        options.setdefault("resin", self)
         return HTTPServer(app, host=host, port=port, **options)
 
     def serve(self, app, host: str = "127.0.0.1", port: int = 0,

@@ -44,7 +44,8 @@ def mark_request_untrusted(request: Request, source: str = "http-param") -> None
     """Annotate every request parameter and uploaded file as untrusted.
 
     This is step 2 of the SQL-injection/XSS assertions of Section 5.3;
-    applications call it from a ``before_request`` hook.
+    applications run it as request middleware
+    (:class:`~repro.web.routing.UntrustedInputMiddleware`).
     """
     request.mark_params(UntrustedData(source))
 

@@ -8,7 +8,9 @@ Two front ends over the same per-request machinery:
   asyncio event loop (bounded in-flight requests, cancellation, graceful
   shutdown), running handlers on an executor.
 
-Both bind each request to its own
+Neither binds anything itself: each hands the request to ``app.handle`` /
+``app.handle_async``, whose entry
+(:func:`~repro.core.request_context.enter_request`) binds the request's own
 :class:`~repro.core.request_context.RequestContext` over the shared
 environment.  The :mod:`~repro.server.http` package puts a real HTTP/1.1
 socket listener (:class:`~repro.server.http.HTTPServer`) in front of the

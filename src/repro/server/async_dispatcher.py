@@ -3,17 +3,18 @@
 ``AsyncDispatcher`` is the event-loop twin of
 :class:`~repro.server.dispatcher.Dispatcher`: it serves a
 :class:`~repro.web.app.WebApplication` from a shared
-:class:`~repro.environment.Environment`, binding every request to its own
-:class:`~repro.core.request_context.RequestContext`.  The execution
-substrate is chosen **per route**:
+:class:`~repro.environment.Environment`.  Like the thread dispatcher it
+binds nothing itself — ``app.handle`` / ``app.handle_async`` enter each
+request into its own :class:`~repro.core.request_context.RequestContext`.
+The execution substrate is chosen **per route**:
 
 * a request that resolves to an ``async def`` handler is served *natively*
-  on the event loop — the dispatcher binds the ``RequestContext`` in the
-  serving task's own :mod:`contextvars` context and awaits
-  ``app.handle_async(request)`` directly, with no executor hop;
-* everything else (sync handlers, static files, unrouted paths) runs on an
-  executor thread via ``loop.run_in_executor`` inside a contextvars
-  snapshot of the submitting task, exactly as before.
+  on the event loop — ``app.handle_async(request)`` is awaited in the
+  serving task, binding the context in that task's own :mod:`contextvars`
+  context, with no executor hop;
+* everything else (sync handlers, static files, unrouted paths) runs
+  ``app.handle`` on an executor thread via ``loop.run_in_executor`` inside
+  a contextvars snapshot of the submitting task.
 
 Either way the per-request state (user, HTTP channel, filesystem context,
 database filter overlay) composes with asyncio tasks the same way it does
@@ -51,7 +52,6 @@ import contextvars
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, List, Optional
 
-from ..core.request_context import RequestContext, stamp_request_id
 from ..web.request import Request
 
 __all__ = ["AsyncDispatcher"]
@@ -63,10 +63,8 @@ class AsyncDispatcher:
     ``workers`` sizes the executor actually running handlers;
     ``max_in_flight`` bounds the number of admitted requests (defaults to
     ``2 * workers``, so a full pool plus one queued batch — raise it for
-    I/O-heavy handlers, lower it to shed load earlier).  ``resin``
-    (optional) is the shared facade requests derive their context from — by
-    default a fresh :class:`~repro.runtime_api.Resin` over the application's
-    own environment.
+    I/O-heavy handlers, lower it to shed load earlier).  Requests are served
+    from the application's own environment (``app.env``).
 
     One dispatcher serves one event loop at a time: the admission gate
     re-binds to the current loop whenever no requests are in flight, so
@@ -78,7 +76,6 @@ class AsyncDispatcher:
         app,
         workers: int = 4,
         max_in_flight: Optional[int] = None,
-        resin=None,
     ):
         if int(workers) < 1:
             raise ValueError("workers must be >= 1")
@@ -86,10 +83,7 @@ class AsyncDispatcher:
             max_in_flight = 2 * int(workers)
         if int(max_in_flight) < 1:
             raise ValueError("max_in_flight must be >= 1")
-        from ..runtime_api import Resin
-
         self.app = app
-        self.resin = resin if resin is not None else Resin(app.env)
         self.workers = int(workers)
         self.max_in_flight = int(max_in_flight)
         self._executor = ThreadPoolExecutor(
@@ -108,10 +102,13 @@ class AsyncDispatcher:
     async def dispatch(self, request: Request):
         """Serve ``request`` and return its response channel.
 
-        Waits on the admission semaphore (the backpressure bound), then runs
-        the handler on an executor thread inside a snapshot of the calling
-        task's :class:`contextvars.Context`.  Raises whatever escaped the
-        handler; cancelling the awaiting task abandons the request.
+        Waits on the admission semaphore (the backpressure bound), then
+        awaits ``app.handle_async`` on the loop (``async def`` routes) or
+        runs ``app.handle`` on an executor thread inside a snapshot of the
+        calling task's :class:`contextvars.Context` — a context the caller
+        bound for this request (the socket connection does) is the one the
+        handler sees.  Raises whatever escaped the handler; cancelling the
+        awaiting task abandons the request.
         """
         self._check_open()
         return await self._dispatch_admitted(request)
@@ -126,20 +123,14 @@ class AsyncDispatcher:
             try:
                 if self._is_native_async(request):
                     # Loop-native path: the coroutine handler is awaited
-                    # right here, inside this task's contextvars binding of
-                    # the RequestContext — no executor hop, and cancelling
-                    # the task unwinds context and overlays on the loop.
-                    async with RequestContext(
-                        env=self.resin.env,
-                        user=request.user,
-                        request=request,
-                        request_id=stamp_request_id(self.resin.env, request),
-                    ):
-                        return await self.app.handle_async(request)
+                    # right here, in this task's contextvars binding of the
+                    # RequestContext — no executor hop, and cancelling the
+                    # task unwinds context and overlays on the loop.
+                    return await self.app.handle_async(request)
                 loop = asyncio.get_running_loop()
                 snapshot = contextvars.copy_context()
                 return await loop.run_in_executor(
-                    self._executor, snapshot.run, self._serve, request
+                    self._executor, snapshot.run, self.app.handle, request
                 )
             finally:
                 self._admitted -= 1
@@ -176,16 +167,6 @@ class AsyncDispatcher:
         Table 4 harness).  Must not be called while a loop is running.
         """
         return asyncio.run(self.dispatch_all(requests, return_exceptions))
-
-    def _serve(self, request: Request):
-        env = self.resin.env
-        with RequestContext(
-            env=env,
-            user=request.user,
-            request=request,
-            request_id=stamp_request_id(env, request),
-        ):
-            return self.app.handle(request)
 
     def _is_native_async(self, request: Request) -> bool:
         is_native = getattr(self.app, "is_native_async", None)

@@ -3,13 +3,13 @@
 ``Dispatcher`` is the piece that turns the single-request runtime into a
 server: it wraps a :class:`~repro.web.app.WebApplication` and a thread pool,
 and hands every incoming :class:`~repro.web.request.Request` to a worker
-thread that serves it inside its own
-:class:`~repro.core.request_context.RequestContext` (derived from a shared
-:class:`~repro.runtime_api.Resin`).  Because all "current request" state —
-the authenticated user, the HTTP output buffer, the filesystem request
-context, the per-request database filter overlay — lives in the context (a
-:mod:`contextvars` variable), N concurrent requests share one environment
-with zero taint or policy leakage between them, and a
+thread that calls ``app.handle(request)``.  The dispatcher binds nothing:
+the application's request entry binds the request's own
+:class:`~repro.core.request_context.RequestContext`.  Because all "current
+request" state — the authenticated user, the HTTP output buffer, the
+filesystem request context, the per-request database filter overlay —
+lives in the context (a :mod:`contextvars` variable), N concurrent requests
+share one environment with zero taint or policy leakage between them, and a
 :class:`~repro.core.exceptions.PolicyViolation` raised while serving one
 request surfaces only through that request's future.
 
@@ -35,7 +35,6 @@ import contextvars
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Iterable, List
 
-from ..core.request_context import RequestContext, stamp_request_id
 from ..web.request import Request
 
 __all__ = ["Dispatcher"]
@@ -44,19 +43,14 @@ __all__ = ["Dispatcher"]
 class Dispatcher:
     """Serves a :class:`~repro.web.app.WebApplication` concurrently.
 
-    ``workers`` bounds the number of requests in flight; ``resin`` (optional)
-    is the shared facade requests derive their context from — by default a
-    fresh :class:`~repro.runtime_api.Resin` over the application's own
-    environment.
+    ``workers`` bounds the number of requests in flight.  Requests are served
+    from the application's own environment (``app.env``).
     """
 
-    def __init__(self, app, workers: int = 4, resin=None):
+    def __init__(self, app, workers: int = 4):
         if int(workers) < 1:
             raise ValueError("workers must be >= 1")
-        from ..runtime_api import Resin
-
         self.app = app
-        self.resin = resin if resin is not None else Resin(app.env)
         self.workers = int(workers)
         self._executor = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="resin-dispatch"
@@ -69,23 +63,15 @@ class Dispatcher:
         """Queue ``request`` and return a future for its response channel.
 
         The future raises whatever escaped the handler (e.g. a
-        ``PolicyViolation`` when ``app.catch_violations`` is off); failures
-        are confined to their own future and never affect other requests.
+        ``PolicyViolation`` when no
+        :class:`~repro.web.routing.CatchViolationsMiddleware` maps it to a
+        403); failures are confined to their own future and never affect
+        other requests.
         """
         if self._closed:
             raise RuntimeError("dispatcher has been shut down")
         snapshot = contextvars.copy_context()
-        return self._executor.submit(snapshot.run, self._serve, request)
-
-    def _serve(self, request: Request):
-        env = self.resin.env
-        with RequestContext(
-            env=env,
-            user=request.user,
-            request=request,
-            request_id=stamp_request_id(env, request),
-        ):
-            return self.app.handle(request)
+        return self._executor.submit(snapshot.run, self.app.handle, request)
 
     def dispatch(self, request: Request):
         """Serve one request synchronously (through the pool)."""

@@ -34,7 +34,7 @@ from http import HTTPStatus
 from typing import List, Optional, Tuple
 
 from ...core.exceptions import PolicyViolation
-from ...core.request_context import RequestContext, stamp_request_id
+from ...core.request_context import enter_request
 from ...web.response import is_stream
 from .parser import KNOWN_METHODS, ParsedRequest, ParseError, RequestParser
 
@@ -178,6 +178,16 @@ class HTTPConnection:
     # -- serving -----------------------------------------------------------------
 
     async def _serve_one(self, parsed: ParsedRequest) -> bool:
+        """Answer one parsed request; ``False`` means close the connection.
+
+        The request enters the runtime here, before dispatch, through
+        :func:`~repro.core.request_context.enter_request`.  The
+        application's own entry (``app.handle`` / ``app.handle_async``)
+        reuses that :class:`~repro.core.request_context.RequestContext`, so
+        a deferred stream drained after the handler returned still runs
+        under the user, HTTP channel and database filters the handler left
+        on it.
+        """
         keep_alive = parsed.keep_alive and not self.server.draining
         if parsed.method not in KNOWN_METHODS:
             await self._send_simple(
@@ -186,15 +196,7 @@ class HTTPConnection:
             return keep_alive
         request = self.server.build_request(parsed, self.remote_addr)
         try:
-            # The connection-level context outlives the dispatcher's own
-            # (nested) binding so that deferred stream generators still see
-            # the request's user and environment while they are drained.
-            async with RequestContext(
-                env=self.server.env,
-                user=request.user,
-                request=request,
-                request_id=stamp_request_id(self.server.env, request),
-            ):
+            with enter_request(self.server.env, request):
                 channel = await self.server.dispatcher.dispatch(request)
                 return await self._write_response(parsed, channel, keep_alive)
         except PolicyViolation as exc:

@@ -3,7 +3,7 @@
 :class:`HTTPServer` is the network face of the runtime: it binds a real
 listening socket, speaks HTTP/1.1 with keep-alive and pipelining (via
 :class:`~repro.server.http.connection.HTTPConnection`), and funnels every
-parsed request through the shared
+parsed request through its own
 :class:`~repro.server.async_dispatcher.AsyncDispatcher` — so the
 dispatcher's bounded in-flight semaphore is the *same* backpressure that
 stops a connection from being read while its request is queued.  Concurrent
@@ -61,8 +61,6 @@ class HTTPServer:
         max_connections: int = 128,
         backlog: int = 100,
         user_header: Optional[str] = None,
-        resin=None,
-        dispatcher=None,
     ):
         from ..async_dispatcher import AsyncDispatcher
 
@@ -77,14 +75,9 @@ class HTTPServer:
         self.max_connections = int(max_connections)
         self.backlog = int(backlog)
         self.user_header = user_header.lower() if user_header else None
-        if dispatcher is not None:
-            self.dispatcher = dispatcher
-            self._owns_dispatcher = False
-        else:
-            self.dispatcher = AsyncDispatcher(
-                app, workers=workers, max_in_flight=max_in_flight, resin=resin
-            )
-            self._owns_dispatcher = True
+        self.dispatcher = AsyncDispatcher(
+            app, workers=workers, max_in_flight=max_in_flight
+        )
         self.draining = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_gate: Optional[asyncio.Semaphore] = None
@@ -123,7 +116,7 @@ class HTTPServer:
 
     async def aclose(self) -> None:
         """Graceful drain: stop accepting, finish in-flight responses,
-        close idle keep-alive connections, shut the owned dispatcher."""
+        close idle keep-alive connections, shut the dispatcher."""
         self.draining = True
         if self._server is not None:
             self._server.close()
@@ -135,8 +128,7 @@ class HTTPServer:
             connection.close_if_idle()
         if self._conn_tasks:
             await asyncio.gather(*list(self._conn_tasks), return_exceptions=True)
-        if self._owns_dispatcher:
-            await self.dispatcher.aclose()
+        await self.dispatcher.aclose()
 
     async def __aenter__(self) -> "HTTPServer":
         return await self.bind()

@@ -10,22 +10,12 @@ layer up, in :class:`repro.channels.sqlchan.Database`.
 from __future__ import annotations
 
 import contextlib
-import warnings
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.exceptions import SQLError
 from ..core.locking import OrderedLockRegistry
 from . import nodes
-from .executor import (
-    Executor,
-    coerce_pair,
-    evaluate,
-    evaluate_aggregate,
-    sort_key,
-    sql_equal,
-    sql_like,
-    stored_value,
-)
+from .executor import Executor, evaluate, evaluate_aggregate, sort_key, stored_value
 from .indexes import SecondaryIndex
 from .parser import parse
 from .planner import Planner
@@ -236,14 +226,6 @@ class Engine:
         self._commit_durable()
         return result
 
-    def execute(self, statement) -> Result:
-        """Deprecated alias of :meth:`run` (the pre-plan-API entry point)."""
-        warnings.warn(
-            "Engine.execute() is deprecated; use Engine.run() (or "
-            "Database.query() for filtered, policy-persisting access)",
-            DeprecationWarning, stacklevel=2)
-        return self.run(statement)
-
     def plan(self, statement):
         """The plan :meth:`run` would execute for ``statement`` (parsed on
         demand; callers wanting a stable snapshot of index choices should
@@ -432,7 +414,7 @@ class Engine:
         for row_exprs in stmt.rows:
             row = {name: None for name in table.column_names}
             for column, expr in zip(stmt.columns, row_exprs):
-                row[column] = _stored_value(self._evaluate(expr, None, table))
+                row[column] = stored_value(self._evaluate(expr, None, table))
             table.rows.append(row)
             new_rows.append(row)
         self._maintain_on_insert(table, len(table.rows) - len(new_rows), new_rows)
@@ -474,9 +456,9 @@ class Engine:
         for ordering in reversed(stmt.order_by):
             matching = sorted(
                 matching,
-                key=lambda row: _sort_key(
-                    self._evaluate(ordering.expr, row, table)),
-                reverse=ordering.descending)
+                key=lambda row: sort_key(self._evaluate(ordering.expr, row, table)),
+                reverse=ordering.descending,
+            )
 
         if stmt.offset:
             matching = matching[stmt.offset:]
@@ -522,8 +504,7 @@ class Engine:
         touched: List[int] = []
         for position, row in matches:
             for column, expr in stmt.assignments:
-                row[column] = _stored_value(
-                    self._evaluate(expr, row, table))
+                row[column] = stored_value(self._evaluate(expr, row, table))
             touched.append(position)
         if touched:
             self._maintain_on_update(table, (column for column, _ in stmt.assignments))
@@ -559,8 +540,7 @@ class Engine:
         for index, row in enumerate(table.rows):
             if self._matches(stmt.where, row, table):
                 for column, expr in stmt.assignments:
-                    row[column] = _stored_value(
-                        self._evaluate(expr, row, table))
+                    row[column] = stored_value(self._evaluate(expr, row, table))
                 touched.append(index)
         if touched:
             self._maintain_on_update(table, (column for column, _ in stmt.assignments))
@@ -641,12 +621,3 @@ class Engine:
         self, expr: nodes.Expr, row: Optional[Dict[str, Any]], table: Optional[Table]
     ) -> Any:
         return evaluate(expr, row, table)
-
-
-# Back-compat aliases: the canonical comparison/evaluation helpers moved to
-# :mod:`repro.sql.executor` with the parser → planner → executor split.
-_stored_value = stored_value
-_coerce_pair = coerce_pair
-_sql_equal = sql_equal
-_sql_like = sql_like
-_sort_key = sort_key

@@ -7,7 +7,7 @@ clause against each candidate row.  That split keeps the correctness
 argument local — the only property an index must uphold is *completeness*
 (no false negatives); false positives cost a predicate re-evaluation and
 nothing else.  Completeness is subtle because the engine's comparison
-semantics (:func:`repro.sql.executor._coerce_pair`) are not transitive:
+semantics (:func:`repro.sql.executor.coerce_pair`) are not transitive:
 
 * numeric cell vs numeric probe compares exactly (``2 == 2.0``);
 * numeric vs string tries ``float`` on both, falling back to ``str`` on
@@ -68,7 +68,7 @@ def _float_key(value: Any) -> Optional[float]:
 
 
 def _parse_float(text: str) -> Optional[float]:
-    """The float a string coerces to under ``_coerce_pair``, or ``None``
+    """The float a string coerces to under ``coerce_pair``, or ``None``
     when it does not parse (or parses to NaN, which matches nothing)."""
     try:
         key = float(text)

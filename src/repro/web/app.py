@@ -20,28 +20,28 @@ front end runs them to completion on a private event loop, while
 natively on its own loop via :meth:`WebApplication.handle_async` — no
 executor hop.
 
-The pre-routing surface survives one release as shims: assigning into
-``app.routes``, appending to ``app.before_request`` and setting
-``app.catch_violations`` all still work but emit ``DeprecationWarning``
-and delegate to the router / middleware pipeline.
+:meth:`WebApplication.handle` and :meth:`WebApplication.handle_async` enter
+each request through :func:`~repro.core.request_context.enter_request`.
+The dispatchers call them and bind nothing themselves; the socket server
+enters the request before dispatch and the application reuses that
+:class:`~repro.core.request_context.RequestContext`, so every front end
+serves a request under exactly one context.
 """
 
 from __future__ import annotations
 
 import asyncio
 import copy
-import warnings
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..channels.httpout import HTTPOutputChannel
 from ..core.exceptions import HTTPError
 from ..core.filter import Filter
-from ..core.request_context import RequestContext, current_request, stamp_request_id
+from ..core.request_context import RequestContext, enter_request
 from ..fs import path as fspath
 from .request import Request
 from .response import Response
 from .routing import (
-    CatchViolationsMiddleware,
     FunctionMiddleware,
     MethodNotAllowed,
     Middleware,
@@ -54,83 +54,6 @@ Handler = Callable[..., Any]
 
 #: Sentinel: the request phase ran every middleware without short-circuiting.
 _CONTINUE = object()
-
-
-class _LegacyRoutes:
-    """Deprecated dict-shaped view over the router.
-
-    ``app.routes[path] = handler`` and ``app.routes.get(path)`` keep
-    working for one release; both warn and delegate to
-    :class:`~repro.web.routing.Router` (registration accepts any method,
-    which is what the flat dict did).
-    """
-
-    def __init__(self, app: "WebApplication"):
-        self._app = app
-
-    def _warn(self) -> None:
-        warnings.warn(
-            "WebApplication.routes is deprecated: register handlers with "
-            "app.route(pattern, methods=[...]) and look them up through "
-            "app.router",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __setitem__(self, pattern: str, handler: Handler) -> None:
-        self._warn()
-        self._app.router.add(pattern, handler, methods=None)
-
-    def get(self, pattern: str, default: Any = None) -> Any:
-        self._warn()
-        route = self._app.router.literal(pattern)
-        return route.handler if route is not None else default
-
-    def __getitem__(self, pattern: str) -> Handler:
-        handler = self.get(pattern)
-        if handler is None:
-            raise KeyError(pattern)
-        return handler
-
-    def __contains__(self, pattern: str) -> bool:
-        self._warn()
-        return self._app.router.literal(pattern) is not None
-
-    def __len__(self) -> int:
-        return len(self._app.router)
-
-    def __repr__(self) -> str:
-        return f"_LegacyRoutes({[r.pattern for r in self._app.router]!r})"
-
-
-class _LegacyHooks:
-    """Deprecated list-shaped view over the request-phase middlewares.
-
-    ``app.before_request.append(hook)`` warns and registers the hook as a
-    :class:`~repro.web.routing.FunctionMiddleware`.
-    """
-
-    def __init__(self, app: "WebApplication"):
-        self._app = app
-
-    def append(self, hook: Callable[..., Any]) -> None:
-        warnings.warn(
-            "WebApplication.before_request is deprecated: register the hook "
-            "with app.middleware(hook) (request phase)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._app.middleware(hook)
-
-    def __len__(self) -> int:
-        return sum(
-            1
-            for mw in self._app.middlewares
-            if isinstance(mw, FunctionMiddleware) and mw.phase == "request"
-        )
-
-    def __repr__(self) -> str:
-        return f"_LegacyHooks(n={len(self)})"
 
 
 class WebApplication:
@@ -150,8 +73,6 @@ class WebApplication:
         self.response_filters: List[Filter] = []
         #: The middleware pipeline, in registration order.
         self.middlewares: List[Middleware] = []
-        self._legacy_routes = _LegacyRoutes(self)
-        self._legacy_hooks = _LegacyHooks(self)
 
     # -- configuration ------------------------------------------------------------
 
@@ -215,80 +136,23 @@ class WebApplication:
         """
         self.response_filters.append(flt)
 
-    # -- deprecated pre-routing surface -------------------------------------------
-
-    @property
-    def routes(self) -> _LegacyRoutes:
-        """Deprecated dict view of the route table (warns on use)."""
-        return self._legacy_routes
-
-    @routes.setter
-    def routes(self, mapping) -> None:
-        # Wholesale reassignment was legal on the old plain attribute; keep
-        # it limping along by registering every entry (the per-item shim
-        # emits the DeprecationWarning).
-        for pattern, handler in dict(mapping).items():
-            self._legacy_routes[pattern] = handler
-
-    @property
-    def before_request(self) -> _LegacyHooks:
-        """Deprecated hook list (warns on append; use :meth:`middleware`)."""
-        return self._legacy_hooks
-
-    @before_request.setter
-    def before_request(self, hooks) -> None:
-        for hook in hooks:
-            self._legacy_hooks.append(hook)
-
-    @property
-    def catch_violations(self) -> bool:
-        """Deprecated flag; the behaviour is
-        :class:`~repro.web.routing.CatchViolationsMiddleware` now."""
-        return any(
-            isinstance(mw, CatchViolationsMiddleware) for mw in self.middlewares
-        )
-
-    @catch_violations.setter
-    def catch_violations(self, value: bool) -> None:
-        warnings.warn(
-            "WebApplication.catch_violations is deprecated: add "
-            "app.middleware(CatchViolationsMiddleware()) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if value and not self.catch_violations:
-            self.middleware(CatchViolationsMiddleware())
-        elif not value:
-            self.middlewares = [
-                mw
-                for mw in self.middlewares
-                if not isinstance(mw, CatchViolationsMiddleware)
-            ]
-
     # -- request handling ---------------------------------------------------------
 
     def handle(self, request: Request) -> HTTPOutputChannel:
         """Process one request and return the response channel.
 
-        The request runs inside a
-        :class:`~repro.core.request_context.RequestContext`: either the one a
-        :class:`~repro.server.dispatcher.Dispatcher` already bound for this
-        very request, or a fresh one nested inside whatever scope the caller
+        The request runs inside the
+        :class:`~repro.core.request_context.RequestContext` that
+        :func:`~repro.core.request_context.enter_request` yields: the one a
+        front end (the socket connection) already bound for this very
+        request, or a fresh one nested inside whatever scope the caller
         holds (``Resin.request`` blocks hand their user back on return).
         ``async def`` handlers run to completion on a private event loop —
         use :meth:`handle_async` (or
         :class:`~repro.server.async_dispatcher.AsyncDispatcher`) to await
         them on a shared loop instead.
         """
-        rctx = current_request()
-        if rctx is not None and rctx.request is request and rctx.env is self.env:
-            return self._handle(request, rctx)
-        with RequestContext(
-            env=self.env,
-            user=request.user,
-            request=request,
-            request_id=stamp_request_id(self.env, request),
-        ) as rctx:
+        with enter_request(self.env, request) as rctx:
             return self._handle(request, rctx)
 
     async def handle_async(self, request: Request) -> HTTPOutputChannel:
@@ -303,15 +167,7 @@ class WebApplication:
         :class:`~repro.server.async_dispatcher.AsyncDispatcher` does) when
         they might block the loop.
         """
-        rctx = current_request()
-        if rctx is not None and rctx.request is request and rctx.env is self.env:
-            return await self._handle_async(request, rctx)
-        async with RequestContext(
-            env=self.env,
-            user=request.user,
-            request=request,
-            request_id=stamp_request_id(self.env, request),
-        ) as rctx:
+        with enter_request(self.env, request) as rctx:
             return await self._handle_async(request, rctx)
 
     def is_native_async(self, request: Request) -> bool:

@@ -41,10 +41,10 @@ class Request:
         #: directly by tests.
         self.user = user
         self.remote_addr = remote_addr
-        #: Environment-unique monotonic request id, stamped by the first
-        #: front end / request scope that serves this request (see
-        #: :func:`repro.core.request_context.stamp_request_id`).  ``None``
-        #: until dispatched.
+        #: Environment-unique monotonic request id, stamped when the request
+        #: first enters the runtime (see
+        #: :func:`repro.core.request_context.enter_request`).  ``None``
+        #: until then.
         self.id: Optional[int] = None
         #: The server-side session resolved for this request, if any (set by
         #: :class:`~repro.web.routing.SessionMiddleware`).

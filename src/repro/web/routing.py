@@ -244,8 +244,8 @@ class Router:
         return None
 
     def literal(self, pattern: str) -> Optional[Route]:
-        """The first route registered under exactly ``pattern`` (legacy
-        ``routes[...]`` lookups), or ``None``."""
+        """The first route registered under exactly ``pattern``, or
+        ``None``."""
         for route in self._routes:
             if route.pattern == str(pattern):
                 return route
@@ -309,8 +309,7 @@ class Middleware:
 
 class FunctionMiddleware(Middleware):
     """Adapts a plain ``fn(request)`` / ``fn(request, response)`` callable to
-    one middleware phase — what ``@app.middleware`` builds for you, and what
-    the deprecated ``before_request`` list wraps its hooks in."""
+    one middleware phase — what ``@app.middleware`` builds for you."""
 
     def __init__(self, fn: Callable[..., Any], phase: str = "request"):
         if phase not in ("request", "response"):

@@ -83,11 +83,53 @@ class TestServing:
             response.write(f"pong {request.user}")
 
         server = resin.async_dispatcher(app, workers=2, max_in_flight=3)
-        assert server.resin is resin
+        assert server.app.env is resin.env
         assert server.max_in_flight == 3
         with server:
             [response] = server.run([Request("/ping", user="alice")])
         assert "pong alice" in response.body()
+
+
+class TestRequestEntry:
+    def test_every_request_enters_through_the_application(self, monkeypatch):
+        """The dispatcher binds nothing of its own: a sync route hops to the
+        executor through ``app.handle`` and an ``async def`` route is awaited
+        through ``app.handle_async``, both looked up per request, so methods
+        patched onto the class after the dispatcher was built still see
+        every request."""
+        env = Environment()
+        app = WebApplication(env, "async-entry")
+
+        @app.route("/sync")
+        def sync_page(request, response):
+            response.write(f"sync {request.user}")
+
+        @app.route("/native")
+        async def native_page(request, response):
+            response.write(f"native {request.user}")
+
+        calls = []
+        handle = WebApplication.handle
+        handle_async = WebApplication.handle_async
+
+        def traced_handle(self, request):
+            calls.append(("handle", request.path))
+            return handle(self, request)
+
+        async def traced_handle_async(self, request):
+            calls.append(("handle_async", request.path))
+            return await handle_async(self, request)
+
+        server = AsyncDispatcher(app, workers=2)
+        monkeypatch.setattr(WebApplication, "handle", traced_handle)
+        monkeypatch.setattr(WebApplication, "handle_async",
+                            traced_handle_async)
+        with server:
+            pages = server.run([Request("/sync", user="a"),
+                                Request("/native", user="b")])
+        assert [page.body() for page in pages] == ["sync a", "native b"]
+        assert sorted(calls) == [("handle", "/sync"),
+                                 ("handle_async", "/native")]
 
 
 class TestCancellation:

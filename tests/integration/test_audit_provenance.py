@@ -58,7 +58,7 @@ class TestProvenanceChain:
             ("/comment", "bob"),      # request 5: other taint, allowed
             ("/public", "carol"),     # request 6: no policies
         ]
-        with Dispatcher(app, workers=1, resin=resin) as server:
+        with Dispatcher(app, workers=1) as server:
             for path, user in plan:
                 try:
                     server.dispatch(Request(path, user=user))

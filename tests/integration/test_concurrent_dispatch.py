@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.core.exceptions import AccessDenied, PolicyViolation
+from repro.core.request_context import current_request
 from repro.environment import Environment
 from repro.evaluation import table4
 from repro.server.dispatcher import Dispatcher
@@ -146,6 +147,39 @@ class TestRequestIsolation:
         assert len(pages) == 12
         assert all("fine" in page.body() for page in pages)
         assert sorted(started) == sorted(f"u{i}" for i in range(12))
+
+
+class TestRequestEntry:
+    def test_workers_look_up_app_handle_per_request(self, monkeypatch):
+        """The dispatcher binds nothing of its own: each request runs
+        ``app.handle``, looked up when the request is submitted, so a method
+        patched onto the class after the pool started (what a tracer does)
+        sees every later request, and the handler runs in the context the
+        application's entry bound for that very request."""
+        env = Environment()
+        app = WebApplication(env, "entry-app")
+
+        @app.route("/whoami")
+        def whoami(request, response):
+            rctx = current_request()
+            response.write(f"user={request.user};"
+                           f"own={rctx.request is request}")
+
+        seen = []
+        original = WebApplication.handle
+
+        def traced(self, request):
+            seen.append(request.user)
+            return original(self, request)
+
+        with Dispatcher(app, workers=2) as server:
+            server.dispatch(Request("/whoami", user="before"))
+            monkeypatch.setattr(WebApplication, "handle", traced)
+            pages = server.dispatch_all(
+                [Request("/whoami", user=user) for user in ("a", "b")])
+        assert sorted(seen) == ["a", "b"]
+        assert [page.body() for page in pages] == [
+            "user=a;own=True", "user=b;own=True"]
 
 
 class TestTable4Concurrent:

@@ -16,12 +16,16 @@ import time
 import pytest
 
 from repro.core.api import policy_add
+from repro.core.exceptions import InjectionViolation
+from repro.core.filter import Filter
+from repro.core.request_context import current_request
 from repro.environment import Environment
 from repro.policies import PasswordPolicy
 from repro.runtime_api import Resin
 from repro.server.http import HTTPServer, ServerHandle
 from repro.web.app import WebApplication
 from repro.web.response import Response
+from repro.web.routing import SessionMiddleware
 
 
 def build_app(env=None):
@@ -263,6 +267,63 @@ class TestStreaming:
             assert b"never-reached" not in raw
             assert not raw.endswith(b"0\r\n\r\n")  # truncated, not completed
 
+    @pytest.mark.parametrize("route", ["/drain-sync", "/drain-async"])
+    def test_stream_drain_runs_in_the_handlers_request_context(self, route):
+        """A deferred body is drained after the handler returned, under the
+        handler's own request context: the session user the middleware
+        resolved, and the query filter the handler stacked, still apply."""
+        env = Environment()
+        env.db.execute_unchecked("CREATE TABLE notes (body TEXT)")
+        app = build_app(env)
+        app.middleware(SessionMiddleware())
+        session = env.sessions.create(user="alice@example.org")
+        seen = {}
+
+        class RefuseEveryQuery(Filter):
+            def filter_func(self, func, args, kwargs):
+                raise InjectionViolation("query refused")
+
+        def drain_piece():
+            rctx = current_request()
+            seen["drain_ctx"] = rctx
+            seen["drain_user"] = rctx.user if rctx is not None else None
+            try:
+                env.db.query("SELECT body FROM notes")
+                seen["query"] = "allowed"
+            except InjectionViolation:
+                seen["query"] = "refused"
+            return "drained;"
+
+        @app.route("/drain-sync")
+        def drain_sync(request, response):
+            env.db.add_filter(RefuseEveryQuery())
+            seen["handler_ctx"] = current_request()
+
+            def body():
+                yield drain_piece()
+            return Response().stream(body())
+
+        @app.route("/drain-async")
+        async def drain_async(request, response):
+            env.db.add_filter(RefuseEveryQuery())
+            seen["handler_ctx"] = current_request()
+
+            async def body():
+                yield drain_piece()
+            return Response().stream(body())
+
+        with serve(app) as handle:
+            raw = raw_exchange(
+                handle.port,
+                b"GET " + route.encode() + b" HTTP/1.1\r\nHost: h\r\n"
+                b"Cookie: sid=" + session.sid.encode() + b"\r\n"
+                b"Connection: close\r\n\r\n")
+        assert b"drained;" in raw
+        assert raw.endswith(b"0\r\n\r\n")
+        assert seen["drain_user"] == "alice@example.org"
+        assert seen["query"] == "refused"
+        assert seen["drain_ctx"] is seen["handler_ctx"]
+
     def test_head_on_streaming_route_never_drains_the_stream(self):
         with serve(build_app()) as handle:
             raw = raw_exchange(
@@ -394,6 +455,33 @@ class TestEntryPoints:
                              b"GET " + target + b" HTTP/1.1\r\n"
                              b"Host: h\r\n\r\n")
         assert seen == ["/admin/panel"]
+
+    def test_each_socket_request_draws_one_request_id(self):
+        """The connection enters each request once; the dispatcher and the
+        application reuse that context, so ids advance by one per request
+        and the handler's context is the request's own."""
+        env = Environment()
+        app = build_app(env)
+
+        @app.route("/rid")
+        def rid(request, response):
+            rctx = current_request()
+            return Response(f"id={request.id};ctx={rctx.request_id};"
+                            f"own={rctx.request is request}")
+
+        with serve(app) as handle:
+            conn = http.client.HTTPConnection("127.0.0.1", handle.port,
+                                              timeout=5)
+            try:
+                bodies = []
+                for _ in range(3):
+                    conn.request("GET", "/rid")
+                    bodies.append(conn.getresponse().read())
+            finally:
+                conn.close()
+        assert bodies == [f"id={i};ctx={i};own=True".encode()
+                          for i in (1, 2, 3)]
+        assert env.next_request_id() == 4
 
     def test_serve_async_context_manager_on_a_loop(self):
         import asyncio

@@ -43,7 +43,7 @@ def test_native_handler_runs_on_the_loop_thread(resin):
 
     async def main():
         loop_thread = threading.current_thread()
-        async with AsyncDispatcher(app, workers=2, resin=resin) as server:
+        async with AsyncDispatcher(app, workers=2) as server:
             native_response, sync_response = await server.dispatch_all(
                 [Request("/native"), Request("/sync")])
         assert native_response.body() == "native done"
@@ -67,7 +67,7 @@ def test_native_handler_sees_its_request_context(resin):
         return f"{rctx.user}:{rctx.route_params['n']}"
 
     async def main():
-        async with AsyncDispatcher(app, workers=2, resin=resin) as server:
+        async with AsyncDispatcher(app, workers=2) as server:
             requests = [Request(f"/whoami/{i}", user=f"user-{i}")
                         for i in range(12)]
             responses = await server.dispatch_all(requests)
@@ -94,8 +94,8 @@ def test_native_handlers_interleave_without_executor_threads(resin):
         return "ok"
 
     async def main():
-        async with AsyncDispatcher(app, workers=1, max_in_flight=16,
-                                   resin=resin) as server:
+        async with AsyncDispatcher(app, workers=1,
+                                   max_in_flight=16) as server:
             responses = await server.dispatch_all(
                 [Request("/io") for _ in range(16)])
         assert all(r.body() == "ok" for r in responses)
@@ -128,7 +128,7 @@ def test_cancelling_native_handler_unwinds_context_and_overlay(resin):
 
     async def main():
         state["started"] = asyncio.Event()
-        async with AsyncDispatcher(app, workers=1, resin=resin) as server:
+        async with AsyncDispatcher(app, workers=1) as server:
             task = server.submit(Request("/slow", user="alice"))
             await asyncio.wait_for(state["started"].wait(), timeout=5)
             task.cancel()
@@ -165,7 +165,7 @@ def test_mixed_native_and_executor_violations_stay_per_request(resin):
         return Response("fine")
 
     async def main():
-        async with AsyncDispatcher(app, workers=2, resin=resin) as server:
+        async with AsyncDispatcher(app, workers=2) as server:
             results = await server.dispatch_all(
                 [Request("/leak-async", user="mallory"),
                  Request("/ok-sync", user="alice")],
@@ -187,7 +187,7 @@ def test_method_and_params_through_the_async_front_end(resin):
         return f"paper {pid}"
 
     async def main():
-        async with AsyncDispatcher(app, workers=2, resin=resin) as server:
+        async with AsyncDispatcher(app, workers=2) as server:
             ok, bad_method, bad_param, missing = await server.dispatch_all(
                 [Request("/paper/9"),
                  Request("/paper/9", method="DELETE"),

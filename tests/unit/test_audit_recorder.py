@@ -257,7 +257,7 @@ class TestRequestIdStamping:
             response.write(f"id={request.id}")
 
         requests = [Request("/whoami", user=f"u{i}") for i in range(4)]
-        with Dispatcher(app, workers=4, resin=resin) as server:
+        with Dispatcher(app, workers=4) as server:
             results = server.dispatch_all(requests)
         bodies = sorted(channel.body() for channel in results)
         assert bodies == [f"id={i}" for i in range(1, 5)]

@@ -1,20 +1,16 @@
 """Unit tests for the query-plan pipeline: planner shapes, the stable
 ``explain()`` contract, index DDL parsing, parameter binding, the
-``PreparedQuery`` handle, the deprecation shims, and property tests for the
-semantics helpers (``sql_like``, ``sort_key``) and the index candidate
-generator."""
+``PreparedQuery`` handle, and property tests for the semantics helpers
+(``sql_like``, ``sort_key``) and the index candidate generator."""
 
 import math
-import re
 import string
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.channels.sqlchan import Database, PreparedQuery
 from repro.core.exceptions import SQLError
-from repro.sql import nodes
 from repro.sql.engine import Engine
 from repro.sql.executor import sort_key, sql_like
 from repro.sql.indexes import SecondaryIndex
@@ -224,26 +220,6 @@ class TestPreparedQuery:
         via_handle = db.query("SELECT name FROM t WHERE id = 1") \
             .explain().splitlines()
         assert via_sql == via_handle
-
-
-class TestDeprecationShims:
-    def test_database_execute_warns_and_works(self):
-        db = Database()
-        db.execute_unchecked("CREATE TABLE t (id INTEGER)")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            db.execute("INSERT INTO t (id) VALUES (7)")
-            result = db.execute("SELECT id FROM t")
-        assert result.scalar() == 7
-        assert {w.category for w in caught} == {DeprecationWarning}
-
-    def test_engine_execute_warns_and_works(self):
-        engine = Engine()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            engine.execute("CREATE TABLE t (id INTEGER)")
-        assert "t" in engine.tables
-        assert {w.category for w in caught} == {DeprecationWarning}
 
 
 # -- semantics helpers ---------------------------------------------------------

@@ -7,11 +7,13 @@ import pytest
 
 from repro.core.exceptions import InjectionViolation
 from repro.core.request_context import (RequestContext, current_request,
-                                        request_scoped_context)
+                                        enter_request, request_scoped_context)
+from repro.environment import Environment
 from repro.policies.untrusted import UntrustedData
 from repro.runtime_api import Resin
 from repro.security.assertions import SQLGuardFilter, mark_untrusted
 from repro.tracking.propagation import concat
+from repro.web.request import Request
 
 
 class TestBinding:
@@ -59,6 +61,60 @@ class TestBinding:
             merged = request_scoped_context(base)
             assert merged["user"] == "alice"
             assert base == {"type": "sql"}   # shared context not mutated
+
+
+class TestEnterRequest:
+    def test_binds_a_fresh_stamped_context(self):
+        env = Environment()
+        request = Request("/x", user="alice")
+        with enter_request(env, request) as rctx:
+            assert current_request() is rctx
+            assert rctx.env is env
+            assert rctx.request is request
+            assert rctx.user == "alice"
+            assert rctx.request_id == request.id == 1
+        assert not rctx.active
+        assert current_request() is None
+
+    def test_nested_entry_for_the_same_request_shares_the_context(self):
+        """An outer front end (the socket connection) entered first: the
+        application's entry reuses its context, draws no second id, and
+        leaves the outer binding in place when it exits."""
+        env = Environment()
+        request = Request("/x", user="alice")
+        with enter_request(env, request) as outer:
+            with enter_request(env, request) as inner:
+                assert inner is outer
+                assert current_request() is outer
+            assert current_request() is outer
+            assert outer.active
+        assert request.id == 1
+        assert env.next_request_id() == 2
+
+    def test_other_request_or_environment_binds_its_own_context(self):
+        env, other_env = Environment(), Environment()
+        first, second = Request("/a", user="alice"), Request("/b", user="bob")
+        with enter_request(env, first) as outer:
+            with enter_request(env, second) as sibling:
+                assert sibling is not outer
+                assert sibling.user == "bob"
+                assert sibling.request_id == 2
+            with enter_request(other_env, first) as foreign:
+                assert foreign is not outer
+                assert foreign.env is other_env
+                # The request keeps the id its first entry stamped.
+                assert foreign.request_id == 1
+            assert current_request() is outer
+
+    def test_reentry_after_exit_keeps_the_request_id(self):
+        env = Environment()
+        request = Request("/x")
+        with enter_request(env, request) as first:
+            pass
+        with enter_request(env, request) as again:
+            assert again is not first
+            assert again.request_id == first.request_id == 1
+        assert env.next_request_id() == 2
 
 
 class TestResinRequestScope:

@@ -343,63 +343,6 @@ class TestMiddleware:
         assert app.handle(Request("/bad")).status == 400
 
 
-class TestDeprecatedSurface:
-    def test_routes_dict_assignment_warns_and_registers(self, env):
-        app = WebApplication(env)
-        with pytest.warns(DeprecationWarning):
-            app.routes["/legacy"] = lambda req, resp: resp.write("old")
-        # legacy registrations serve any method, like the flat dict did
-        assert app.handle(Request("/legacy", method="PUT")).body() == "old"
-        with pytest.warns(DeprecationWarning):
-            assert app.routes.get("/legacy") is not None
-        with pytest.warns(DeprecationWarning):
-            assert "/legacy" in app.routes
-
-    def test_wholesale_reassignment_of_the_old_attributes(self, env):
-        """`app.routes = {...}` and `app.before_request = [...]` were plain
-        attribute writes before the redesign; they keep working (warning per
-        entry) instead of raising AttributeError."""
-        from repro.security.assertions import mark_request_untrusted
-        app = WebApplication(env)
-        with pytest.warns(DeprecationWarning):
-            app.routes = {"/old": lambda req, resp: resp.write("old style")}
-        with pytest.warns(DeprecationWarning):
-            app.before_request = [mark_request_untrusted]
-        assert app.handle(Request("/old", method="POST")).body() == "old style"
-        assert len(app.before_request) == 1
-
-    def test_before_request_append_warns_and_becomes_middleware(self, env):
-        from repro.security.assertions import mark_request_untrusted
-        app = WebApplication(env)
-        with pytest.warns(DeprecationWarning):
-            app.before_request.append(mark_request_untrusted)
-        assert len(app.before_request) == 1
-
-        @app.route("/echo")
-        def echo(request, response):
-            assert policy_get(request.params["q"]).has_type(UntrustedData)
-            response.write("ok")
-
-        assert app.handle(Request("/echo", params={"q": "x"})).body() == "ok"
-
-    def test_catch_violations_flag_warns_and_toggles_middleware(self, env):
-        app = WebApplication(env)
-        assert app.catch_violations is False
-        with pytest.warns(DeprecationWarning):
-            app.catch_violations = True
-        assert app.catch_violations is True
-        secret = policy_add("pw", PasswordPolicy("owner@example.org"))
-
-        @app.route("/leak")
-        def leak(request, response):
-            response.write(secret)
-
-        assert app.handle(Request("/leak", user="mallory")).status == 403
-        with pytest.warns(DeprecationWarning):
-            app.catch_violations = False
-        assert app.catch_violations is False
-
-
 class TestStaticTraversal:
     def test_crafted_dotdot_url_cannot_escape_the_mount(self, env):
         env.fs.mkdir("/www/docroot", parents=True)

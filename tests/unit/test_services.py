@@ -1,5 +1,5 @@
 """Environment-scoped application services: the ServiceRegistry, its
-resolution helpers, and the phpBB CURRENT_BOARD migration."""
+resolution helpers, and the phpBB board as an environment service."""
 
 import threading
 
@@ -111,18 +111,12 @@ class TestPhpBBBoardService:
         with RequestContext(env=board.env, user="admin"):
             assert phpbb.current_board() is board
 
-    def test_current_board_module_global_shim_warns(self):
-        from repro.apps import phpbb
-        board = self._board()
-        with pytest.warns(DeprecationWarning, match="CURRENT_BOARD is deprecated"):
-            assert phpbb.CURRENT_BOARD is board
-
     def test_no_module_global_board_beyond_the_shim(self):
-        """The contextvar and the writable module global are gone; the only
-        module-level spelling left is the warning shim."""
+        """The contextvar, the module global and its deprecation shim are
+        all gone: the board is reachable only as an environment service."""
         from repro.apps import phpbb
         assert "_BOARD_VAR" not in vars(phpbb)
-        assert "CURRENT_BOARD" not in vars(phpbb)   # only via __getattr__
+        assert "CURRENT_BOARD" not in vars(phpbb)
 
     def test_forum_policy_enforced_at_email_boundary(self):
         """The mail transport forwards its environment to every per-message
