@@ -16,8 +16,7 @@ def workloads():
     return hotcrp_perf.build_workloads()
 
 
-@pytest.mark.parametrize("configuration",
-                         ["unmodified", "resin", "resin-enforce"])
+@pytest.mark.parametrize("configuration", ["unmodified", "resin"])
 def test_hotcrp_page_generation(benchmark, workloads, configuration):
     workload = workloads[configuration]
     benchmark.group = "hotcrp-paper-page"

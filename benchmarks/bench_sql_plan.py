@@ -9,9 +9,9 @@ against both, at 1/4/16 concurrent workers:
 * ``range`` — ``WHERE id >= a AND id < b`` over ~1 % of the table;
 * ``bulk``  — ``WHERE grp = <g>`` fetching ~2 % of the rows.
 
-A fourth group measures the HotCRP paper page (population 150) in observe
-and enforce policy modes, with and without the schema's indexes — the
-page-load before/after column for this change.
+A fourth group measures the HotCRP paper page (population 150) with and
+without the schema's indexes — the page-load before/after column for the
+planner.
 
 Acceptance bars (standalone tests, no ``--benchmark-only`` needed):
 
@@ -106,20 +106,16 @@ def test_sql_plan_lookup(benchmark, databases, shape, workers, indexed):
     benchmark.extra_info["queries_per_sec"] = round(workers * QUERIES / seconds, 1)
 
 
-@pytest.mark.parametrize("policy_mode", ["observe", "enforce"])
 @pytest.mark.parametrize("indexed", [False, True])
-def test_hotcrp_page_with_plans(benchmark, policy_mode, indexed):
+def test_hotcrp_page_with_plans(benchmark, indexed):
     """The HotCRP page-load before/after column: the same populated site
-    with the seed's full-scan behaviour (indexes dropped) and with this
-    change's indexes, in both policy modes."""
-    workload = HotCRPPageWorkload(
-        use_resin=True, policy_mode=policy_mode, population=150
-    )
+    with the seed's full-scan behaviour (indexes dropped) and with the
+    schema's indexes."""
+    workload = HotCRPPageWorkload(use_resin=True, population=150)
     if not indexed:
         for table in workload.site.env.db.engine.tables.values():
             table.indexes.clear()
     benchmark.group = "hotcrp-page-plans"
-    benchmark.extra_info["policy_mode"] = policy_mode
     benchmark.extra_info["mode"] = "indexed" if indexed else "seqscan"
     body = benchmark(workload.generate_page)
     assert "Improving Application Security" in body

@@ -77,14 +77,6 @@ class PaperPolicy(Policy):
             context=context,
         )
 
-    def scan_predicate(self, context):
-        # Pure principal ACL: decidable once per query plan (enforce mode).
-        try:
-            self.export_check(context)
-        except PolicyViolation:
-            return False
-        return True
-
 
 class AuthorListPolicy(Policy):
     """The author list of an anonymous submission may not flow to PC members
@@ -114,14 +106,6 @@ class AuthorListPolicy(Policy):
             context=context,
         )
 
-    def scan_predicate(self, context):
-        # Pure principal ACL: decidable once per query plan (enforce mode).
-        try:
-            self.export_check(context)
-        except PolicyViolation:
-            return False
-        return True
-
 
 class ReviewPolicy(Policy):
     """Reviews may be read only by PC members (and by authors once reviews
@@ -147,14 +131,6 @@ class ReviewPolicy(Policy):
             policy=self,
             context=context,
         )
-
-    def scan_predicate(self, context):
-        # Pure principal ACL: decidable once per query plan (enforce mode).
-        try:
-            self.export_check(context)
-        except PolicyViolation:
-            return False
-        return True
 
 
 class HotCRP:

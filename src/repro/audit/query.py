@@ -67,8 +67,8 @@ def events(
     ``request`` match the attributed user / request id exactly; ``since``
     is a wall-clock lower bound (``event["ts"] >= since``); ``kind`` /
     ``verdict`` match the event kind (``"export"``, ``"declassify"``,
-    ``"sql.scan"``, ``"fs.deny"``, ``"policy_dropped"``) and decision
-    (``"allow"`` / ``"deny"``).
+    ``"fs.deny"``, ``"policy_dropped"``, or any other kind an older ledger
+    holds) and decision (``"allow"`` / ``"deny"``).
     """
     match_policy = policy_matcher(policy)
     for event in ledger.iter_events(since_seq=since_seq):
@@ -91,7 +91,7 @@ def events(
 #: boundary": allowed exports and explicit declassifications.  Denied
 #: exports are *attempts* — they show up in ``events(verdict="deny")`` but
 #: not in a provenance chain.
-_EXPORT_KINDS = ("export", "declassify", "sql.scan")
+_EXPORT_KINDS = ("export", "declassify")
 
 
 def provenance_of(ledger: Any, policy: Any) -> List[Dict[str, Any]]:

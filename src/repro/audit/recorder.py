@@ -3,8 +3,8 @@
 :class:`AuditRecorder` is an opt-in service on ``Environment.services``
 (name :data:`SERVICE_NAME`).  Instrumented boundaries —
 :class:`~repro.core.filter.DefaultFilter` export checks,
-``resin.declassify()``, enforce-mode SQL scan decisions, filesystem
-xattr-policy denials, ``TaintedStr.__format__`` policy drops — call
+``resin.declassify()``, filesystem xattr-policy denials,
+``TaintedStr.__format__`` policy drops — call
 :meth:`record` with the raw decision; everything expensive (policy and
 range-map serialization, framing, disk I/O) happens on a single background
 writer thread, so the caller pays only a queue append.
@@ -66,9 +66,8 @@ _DEFAULT_AUDIT: Optional["AuditRecorder"] = None
 def default_audit(recorder: "AuditRecorder"):
     """Make ``recorder`` the process-wide fallback within the scope.
 
-    Mirrors :func:`repro.channels.sqlchan.default_policy_mode`: a module
-    global with restore-on-exit, for harness code that cannot thread a
-    recorder into every internally-constructed environment.
+    A module global with restore-on-exit, for harness code that cannot
+    thread a recorder into every internally-constructed environment.
     """
     global _DEFAULT_AUDIT
     previous = _DEFAULT_AUDIT

@@ -5,9 +5,11 @@ queries, and uses it to rewrite queries and results (Figure 4):
 
 * ``CREATE TABLE`` gains one extra ``__policy_<col>`` column per data column;
 * writes (``INSERT`` / ``UPDATE``) store the serialized policies of each cell
-  value into the corresponding policy column;
+  value into the corresponding policy column (a literal's own policies, or a
+  bare column copy's source policies; a computed expression stores none);
 * reads (``SELECT``) also fetch the policy columns and re-attach the
-  de-serialized policies to each cell of the result.
+  de-serialized policies to each cell of the result, decoding each distinct
+  stored blob once.
 
 ``Database`` below is the application-facing handle.  Queries are issued as
 (possibly tainted) SQL text; the query text itself flows through the
@@ -18,66 +20,43 @@ application-supplied SQL-injection filter interposes (Section 5.3).
 from __future__ import annotations
 import contextlib
 import json
-from typing import Any, Callable, Dict, FrozenSet, List, Optional
+import threading
+from typing import Any, Dict, FrozenSet, List, Optional, Union
 from ..core.context import FilterContext
 from ..core.exceptions import SQLError
 from ..core.filter import Filter, FilterChain
 from ..core.registry import resolve_registry
 from ..core.request_context import current_request
-from ..core.serialization import (deserialize_policy, deserialize_policyset,
-                                  deserialize_rangemap, serialize_policyset,
-                                  serialize_rangemap)
+from ..core.policyset import PolicySet
+from ..core.serialization import (deserialize_policyset, deserialize_rangemap,
+                                  serialize_policyset, serialize_rangemap)
 from ..sql import nodes
 from ..sql.engine import Engine, Result, Row
 from ..sql.parser import parse
 from ..sql.planner import bind_parameters, collect_params
 from ..sql.tokenizer import PARAM, tokenize
 from ..tracking.propagation import policies_of
+from ..tracking.ranges import RangeMap
 from ..tracking.tainted_number import TaintedFloat, TaintedInt
 from ..tracking.tainted_str import TaintedStr
 
 #: Prefix of the hidden policy columns.
 POLICY_COLUMN_PREFIX = "__policy_"
 
-#: Valid policy enforcement modes: ``observe`` re-attaches policies to every
-#: result cell and pays the export check per value (the paper's behaviour);
-#: ``enforce`` additionally asks each policy for a plan-level verdict once
-#: per distinct stored policy blob and skips attachment when the requesting
-#: principal clears every policy — falling back to per-value checks whenever
-#: a policy cannot decide ahead of export.
-POLICY_MODES = ("observe", "enforce")
-
-_DEFAULT_POLICY_MODE = "observe"
-
-
-def get_default_policy_mode() -> str:
-    """The mode newly-constructed :class:`Database` handles start in."""
-    return _DEFAULT_POLICY_MODE
-
-
-@contextlib.contextmanager
-def default_policy_mode(mode: str):
-    """Run a block with a different default mode for new ``Database``
-    handles (used by the evaluation harnesses, whose scenarios build their
-    own environments internally).  A plain process-wide default, not a
-    context variable: the concurrent harnesses run one mode per pass and
-    restore it around the whole run."""
-    if mode not in POLICY_MODES:
-        raise ValueError(f"unknown policy mode {mode!r} (use {POLICY_MODES})")
-    global _DEFAULT_POLICY_MODE
-    previous = _DEFAULT_POLICY_MODE
-    _DEFAULT_POLICY_MODE = mode
-    try:
-        yield
-    finally:
-        _DEFAULT_POLICY_MODE = previous
-
-
-#: Bound on the per-database deserialized-blob cache (cleared, not evicted,
-#: when full: the blob population is small and repetitive in practice).
+#: Bound on the decoded-blob memo (cleared, not evicted, when full: the
+#: blob population is small and repetitive in practice).
 _BLOB_CACHE_LIMIT = 1024
 
-_CACHE_MISS = object()
+# Strictly decoded policy blobs, keyed by the stored blob string, so each
+# distinct blob is decoded once rather than once per result cell.
+# Process-wide like the merge memo in ``tracking/merge.py``: policy sets are
+# already interned process-wide, so sharing decodes across environments
+# shares nothing new.  Only successful strict decodes are stored: a failed
+# decode raises again on the next read, and a tolerant decode's
+# ``UnknownPolicy`` placeholders never outlive their class becoming
+# importable.  Reads take no lock; a miss takes it to bound the size.
+_blob_cache: Dict[str, Union[RangeMap, PolicySet]] = {}
+_blob_cache_lock = threading.Lock()
 
 
 def policy_column(column: str) -> str:
@@ -116,17 +95,25 @@ def apply_cell_policies(value: Any, serialized: Optional[str], *,
     ``tolerant=True`` (set on databases recovered by a tolerant durability
     open) loads policies whose class is unknown as deny-by-default
     :class:`~repro.core.serialization.UnknownPolicy` placeholders instead of
-    raising, so one stale record cannot make a whole table unreadable."""
+    raising, so one stale record cannot make a whole table unreadable.
+    Strict decodes are memoized per distinct blob (see ``_blob_cache``)."""
     if not serialized or value is None:
         return value
-    record = json.loads(serialized)
-    if record.get("kind") == "rangemap" and isinstance(value, str):
-        rangemap = deserialize_rangemap(record["map"], tolerant=tolerant)
-        if rangemap.length != len(value):
-            rangemap = rangemap.spread(len(value)).with_length(len(value))
-        return TaintedStr(str(value), rangemap)
-    policies = deserialize_policyset(record.get("policies", []),
-                                     tolerant=tolerant)
+    decoded = None if tolerant else _blob_cache.get(serialized)
+    if decoded is None:
+        decoded = _decode_blob(serialized, tolerant)
+        if not tolerant:
+            with _blob_cache_lock:
+                if len(_blob_cache) >= _BLOB_CACHE_LIMIT:
+                    _blob_cache.clear()
+                _blob_cache[serialized] = decoded
+    if isinstance(decoded, RangeMap):
+        if not isinstance(value, str):
+            return value
+        if decoded.length != len(value):
+            decoded = decoded.spread(len(value)).with_length(len(value))
+        return TaintedStr(str(value), decoded)
+    policies = decoded
     if isinstance(value, str):
         result = TaintedStr(str(value))
         for policy in policies:
@@ -137,6 +124,14 @@ def apply_cell_policies(value: Any, serialized: Optional[str], *,
     if isinstance(value, float):
         return TaintedFloat(value, policies)
     return value
+
+
+def _decode_blob(serialized: str, tolerant: bool) -> Union[RangeMap, PolicySet]:
+    record = json.loads(serialized)
+    if record.get("kind") == "rangemap":
+        return deserialize_rangemap(record["map"], tolerant=tolerant)
+    return deserialize_policyset(record.get("policies", []),
+                                 tolerant=tolerant)
 
 
 def _rangemap_record(rangemap) -> dict:
@@ -168,24 +163,6 @@ class Database:
         #: classes in stored policy columns load as deny-by-default
         #: ``UnknownPolicy`` placeholders instead of failing the read.
         self.tolerant_policies = False
-        #: ``observe`` or ``enforce`` — see :data:`POLICY_MODES`.
-        self.policy_mode = _DEFAULT_POLICY_MODE
-        # Deserialized-policy cache for enforce-mode clearance, keyed by the
-        # stored blob string (deserialization is deterministic, so entries
-        # never go stale).  Verdicts are NOT cached here — they depend on
-        # the requesting context and are memoized per execution instead.
-        self._blob_cache: Dict[str, Optional[List]] = {}
-
-    def set_policy_mode(self, mode: str) -> None:
-        """Switch this handle between ``observe`` and ``enforce``.
-
-        Both modes produce identical export verdicts; ``enforce`` pays
-        decidable policy checks once per query plan instead of once per
-        result cell (see ``docs/API.md``)."""
-        if mode not in POLICY_MODES:
-            raise ValueError(
-                f"unknown policy mode {mode!r} (use {POLICY_MODES})")
-        self.policy_mode = mode
 
     # -- filter management ---------------------------------------------------------
 
@@ -321,8 +298,8 @@ class Database:
         if isinstance(statement, nodes.Explain):
             # Planned over the application's statement: the policy-column
             # augmentation is an execution detail and is elided from plans.
-            return Result(["plan"],
-                          [[line] for line in self._explain(statement.statement)])
+            lines = self.engine.explain_lines(statement.statement)
+            return Result(["plan"], [[line] for line in lines])
         if not self.persist_policies:
             return self.engine.run(statement)
         if isinstance(statement, nodes.CreateTable):
@@ -334,12 +311,6 @@ class Database:
         if isinstance(statement, nodes.Select):
             return self._select(statement)
         return self.engine.run(statement)
-
-    def _explain(self, statement) -> List[str]:
-        """Stable plan text: a ``PolicyMode`` header line, then the engine
-        plan (one node per line, two-space indent per level)."""
-        return ([f"PolicyMode {self.policy_mode}"]
-                + self.engine.explain_lines(statement))
 
     def _create(self, stmt: nodes.CreateTable) -> Result:
         augmented_columns: List[nodes.ColumnDef] = []
@@ -377,17 +348,26 @@ class Database:
 
     def _update(self, stmt: nodes.Update) -> Result:
         assignments = list(stmt.assignments)
+        table = self.engine.tables.get(stmt.table)
         for column, expr in stmt.assignments:
             if is_policy_column(column):
                 continue
-            serialized = None
-            if isinstance(expr, nodes.Literal):
-                serialized = serialize_cell_policies(expr.value)
-            table = self.engine.tables.get(stmt.table)
             if table is not None and not table.has_column(policy_column(column)):
                 table.add_column(nodes.ColumnDef(policy_column(column), "TEXT"))
-            assignments.append((policy_column(column),
-                                nodes.Literal(serialized)))
+            if (isinstance(expr, nodes.ColumnRef) and table is not None
+                    and table.has_column(policy_column(expr.name))):
+                # A column-to-column copy carries the source cell's stored
+                # policies.  The engine applies assignments in order, and
+                # the policy assignments repeat the data assignments' order
+                # after them, so each copy reads its source's policy at the
+                # same point in the sequence as its source's value.
+                policy = nodes.ColumnRef(policy_column(expr.name), expr.table)
+            else:
+                serialized = None
+                if isinstance(expr, nodes.Literal):
+                    serialized = serialize_cell_policies(expr.value)
+                policy = nodes.Literal(serialized)
+            assignments.append((policy_column(column), policy))
         return self.engine.run(
             nodes.Update(stmt.table, assignments, stmt.where))
 
@@ -424,7 +404,6 @@ class Database:
                 item.output_name for item in stmt.items
                 if not isinstance(item.expr, nodes.Star)]
 
-        cleared = self._plan_clearance()
         out_rows: List[Row] = []
         for row in raw.rows:
             values = {}
@@ -432,114 +411,11 @@ class Database:
                 values[column] = row[column] if column in row else None
             for data_name, policy_name in annotate:
                 if policy_name and policy_name in row:
-                    serialized = row[policy_name]
-                    if cleared is not None and cleared(serialized):
-                        # Enforce mode: every policy in this blob allowed the
-                        # requesting principal at plan level — the value
-                        # flows out plain, skipping per-cell attachment.
-                        continue
                     values[data_name] = apply_cell_policies(
-                        values.get(data_name), serialized,
+                        values.get(data_name), row[policy_name],
                         tolerant=self.tolerant_policies)
             out_rows.append(Row(requested, [values[c] for c in requested]))
         return Result(requested, out_rows)
-
-    # -- enforce-mode plan-level clearance -----------------------------------------------
-
-    def _plan_clearance(self) -> Optional[Callable[[Optional[str]], bool]]:
-        """In enforce mode, a per-execution predicate deciding — once per
-        distinct stored policy blob — whether the requesting principal
-        clears *every* policy in the blob via
-        :meth:`~repro.core.policy.Policy.scan_predicate`.
-
-        Returns ``None`` (observe behaviour) when the mode is ``observe``
-        or when no request context is bound to this database's environment
-        — without a requesting principal there is nothing to clear against.
-        Any blob that fails to deserialize, or contains a policy answering
-        ``False``/``None``, falls back to per-cell attachment, so verdicts
-        are identical to observe mode by construction."""
-        if self.policy_mode != "enforce":
-            return None
-        context = self._enforcement_context()
-        if context is None:
-            return None
-        memo: Dict[str, bool] = {}
-
-        def cleared(serialized: Optional[str]) -> bool:
-            if not serialized:
-                return False
-            verdict = memo.get(serialized)
-            if verdict is None:
-                memo[serialized] = verdict = self._blob_cleared(
-                    serialized, context)
-            return verdict
-
-        return cleared
-
-    def _enforcement_context(self) -> Optional[FilterContext]:
-        """The export context the current request would present at its HTTP
-        boundary.  Clearance is scoped to the requesting principal: a value
-        cleared here and then re-exported through a *different* channel in
-        the same request is over-approximated as allowed (documented
-        enforce-mode caveat; use observe mode for such flows)."""
-        rctx = self._request()
-        if rctx is None:
-            return None
-        http = getattr(rctx, "http", None)
-        if http is not None and getattr(http, "context", None) is not None:
-            return http.context
-        context = FilterContext(type="http", user=rctx.user)
-        if rctx.priv_chair:
-            context["priv_chair"] = True
-        for key, value in rctx.extra.items():
-            context.setdefault(key, value)
-        context.env = self.env
-        return context
-
-    def _blob_cleared(self, serialized: str, context: FilterContext) -> bool:
-        policies = self._blob_cache.get(serialized, _CACHE_MISS)
-        if policies is _CACHE_MISS:
-            try:
-                policies = self._blob_policies(json.loads(serialized))
-            except Exception:
-                policies = None
-            if len(self._blob_cache) >= _BLOB_CACHE_LIMIT:
-                self._blob_cache.clear()
-            self._blob_cache[serialized] = policies
-        if policies is None:
-            self._record_scan(False, None, context)
-            return False
-        for policy in policies:
-            if policy.scan_predicate(context) is not True:
-                self._record_scan(False, policies, context)
-                return False
-        self._record_scan(True, policies, context)
-        return True
-
-    def _record_scan(self, cleared: bool, policies, context) -> None:
-        """Audit one enforce-mode scan decision (per distinct blob — the
-        per-execution memo in ``_plan_clearance`` already dedupes).  A
-        not-cleared blob is not a violation: the plan falls back to the
-        observe path for it, so the verdict is what the recorder reports."""
-        from ..audit.recorder import recorder_for
-        recorder = recorder_for(self.env)
-        if recorder is not None:
-            recorder.record("sql.scan",
-                            verdict="allow" if cleared else "deny",
-                            context=context, policies=policies,
-                            channel="sql")
-
-    def _blob_policies(self, record) -> Optional[List]:
-        tolerant = self.tolerant_policies
-        kind = record.get("kind")
-        if kind == "rangemap":
-            segments = record.get("map", {}).get("segments", [])
-            return [deserialize_policy(item, tolerant=tolerant)
-                    for _start, _stop, items in segments for item in items]
-        if kind == "policyset":
-            return list(deserialize_policyset(record.get("policies", []),
-                                              tolerant=tolerant))
-        return None
 
     def _add_policy_item(self, items: List[nodes.SelectItem], table,
                          column: str, alias_base: Optional[str] = None):
@@ -583,9 +459,9 @@ class PreparedQuery:
       execution re-enters the channel's filter chain with the *original*
       query text, so injection filters and request overlays apply every
       time;
-    * ``explain()`` — the plan as stable text (``PolicyMode`` header, then
-      one node per line, two-space indent per level) without executing;
-      unbound parameters appear as ``:name`` in plan predicates.
+    * ``explain()`` — the plan as stable text (one node per line, two-space
+      indent per level) without executing; unbound parameters appear as
+      ``:name`` in plan predicates.
     """
 
     def __init__(self, db: Database, sql,
@@ -623,7 +499,7 @@ class PreparedQuery:
             statement = statement.statement
         if self._params:
             statement = bind_parameters(statement, self._params)
-        return "\n".join(self._db._explain(statement))
+        return "\n".join(self._db.engine.explain_lines(statement))
 
     # -- Result delegation ---------------------------------------------------------
 

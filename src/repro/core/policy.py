@@ -57,24 +57,6 @@ class Policy:
         a pure tracking marker.
         """
 
-    def scan_predicate(self, context: Mapping[str, Any]):
-        """Can this policy's verdict for ``context`` be decided *once per
-        query plan* instead of once per exported value?
-
-        The enforce mode of :class:`repro.channels.sqlchan.Database` calls
-        this while rewriting a query's plan.  Return ``True`` only when the
-        policy is a pure principal check — the verdict for the requesting
-        context is *allow*, and it would be allow for every channel this
-        request can export the value through.  Return ``False`` when the
-        verdict is a definite deny (the caller then falls back to attaching
-        the policy so the per-row export check raises exactly as in observe
-        mode).  Return ``None`` — the base default — when the verdict
-        cannot be decided ahead of export (recipient-dependent policies
-        like password dispatch, state the check reads at export time, …);
-        ``None`` always falls back to per-row checking.
-        """
-        return None
-
     def merge(self, other_policies: "PolicySetLike") -> Iterable["Policy"]:
         """Return the policies that should apply to data merged from this
         datum and a datum carrying ``other_policies``.

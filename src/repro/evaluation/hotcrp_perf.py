@@ -7,7 +7,9 @@ RESIN (88 ms), a 33 % CPU overhead.
 
 ``HotCRPPageWorkload`` builds the two configurations of the same site and
 exposes ``generate_page()`` as the timed unit of work; the benchmark reports
-the measured overhead ratio next to the paper's 1.33×.
+the measured overhead ratio next to the paper's 1.33×.  The RESIN
+configuration re-attaches every stored policy on each read, so the page pays
+policy persistence, propagation and export checks, as in the paper.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 
 from ..apps.hotcrp import HotCRP
-from ..core.request_context import RequestContext
 from ..environment import Environment
 
 #: Overhead the paper reports for this workload (88 ms / 66 ms).
@@ -26,20 +27,16 @@ class HotCRPPageWorkload:
     """One configuration (with or without RESIN) of the Section 7.1 page."""
 
     def __init__(self, use_resin: bool, paper_id: int = 1,
-                 pc_member: str = "pc@example.org",
-                 policy_mode: str = "observe", population: int = 0):
+                 pc_member: str = "pc@example.org", population: int = 0):
         self.use_resin = use_resin
         self.paper_id = paper_id
         self.pc_member = pc_member
-        self.policy_mode = policy_mode
         #: Extra accounts/papers/reviews seeded around the measured paper —
         #: at 0 the site matches the paper's minimal configuration; larger
         #: populations exercise the planner's index lookups on the page's
         #: hot queries (users by email, papers by id, reviews by paper).
         self.population = population
         self.site = self._build_site()
-        if use_resin:
-            self.site.env.db.set_policy_mode(policy_mode)
 
     def _build_site(self) -> HotCRP:
         # The unmodified configuration runs on a substrate without policy
@@ -74,14 +71,6 @@ class HotCRPPageWorkload:
 
     def generate_page(self) -> str:
         """The timed unit of work: one paper-view page for the PC member."""
-        if self.policy_mode == "enforce":
-            # Enforce-mode plan clearance is scoped to a requesting
-            # principal; bind the PC member's request context around the
-            # page, as the web front end does per request.
-            with RequestContext(env=self.site.env, user=self.pc_member,
-                                is_pc=True):
-                return self.site.paper_page(self.paper_id,
-                                            self.pc_member).body()
         response = self.site.paper_page(self.paper_id, self.pc_member)
         return response.body()
 
@@ -90,12 +79,9 @@ class HotCRPPageWorkload:
 
 
 def build_workloads() -> dict:
-    """The paper's two configurations plus the enforce-mode variant, which
-    pays decidable policy checks once per query plan instead of once per
-    result cell; all three render byte-identical pages."""
+    """The paper's two configurations, which render byte-identical
+    pages."""
     return {
         "unmodified": HotCRPPageWorkload(use_resin=False),
         "resin": HotCRPPageWorkload(use_resin=True),
-        "resin-enforce": HotCRPPageWorkload(use_resin=True,
-                                            policy_mode="enforce"),
     }

@@ -445,26 +445,18 @@ SCENARIOS: List[Scenario] = [
 ]
 
 
-def run_scenario(scenario: Scenario, use_resin: bool,
-                 policy_mode: str = "observe") -> RowResult:
+def run_scenario(scenario: Scenario, use_resin: bool) -> RowResult:
     # Every scenario builds its own Environment (and thus its own filter
-    # registry), so scenarios are isolated without global teardown.  The
-    # policy mode is applied as the construction-time default so the
-    # scenario's internally-built databases inherit it; verdicts must be
-    # identical in both modes (enforce only moves *where* decidable
-    # checks run, never their outcome).
-    from ..channels.sqlchan import default_policy_mode
-    with default_policy_mode(policy_mode):
-        return scenario.runner(use_resin)
+    # registry), so scenarios are isolated without global teardown.
+    return scenario.runner(use_resin)
 
 
-def run_all(use_resin: bool, policy_mode: str = "observe") -> List[RowResult]:
-    return [run_scenario(s, use_resin, policy_mode) for s in SCENARIOS]
+def run_all(use_resin: bool) -> List[RowResult]:
+    return [run_scenario(s, use_resin) for s in SCENARIOS]
 
 
 def run_all_concurrent(use_resin: bool, workers: int = 16,
-                       front_end: str = "threads",
-                       policy_mode: str = "observe") -> List[RowResult]:
+                       front_end: str = "threads") -> List[RowResult]:
     """Run every Table 4 scenario concurrently.
 
     Both front ends serve the suite through the same miniature evaluation
@@ -492,29 +484,24 @@ def run_all_concurrent(use_resin: bool, workers: int = 16,
     """
     if front_end not in ("threads", "async", "socket"):
         raise ValueError(f"unknown front_end {front_end!r}")
-    from ..channels.sqlchan import default_policy_mode
     from ..server.async_dispatcher import AsyncDispatcher
     from ..server.dispatcher import Dispatcher
     from ..web.request import Request
 
-    # The default-mode override is a process-wide setting (worker threads
-    # build scenario environments mid-run and must see it), held for the
-    # whole pass and restored afterwards.
-    with default_policy_mode(policy_mode):
-        app, results = _build_harness_app(use_resin)
-        if front_end == "socket":
-            _run_scenarios_over_socket(app, workers)
-            return [results[index] for index in range(len(SCENARIOS))]
-        requests = [Request(f"/scenario/{index}", method="POST",
-                            user="evaluator")
-                    for index in range(len(SCENARIOS))]
-        if front_end == "async":
-            with AsyncDispatcher(app, workers=workers) as server:
-                server.run(requests)
-        else:
-            with Dispatcher(app, workers=workers) as server:
-                server.dispatch_all(requests)
+    app, results = _build_harness_app(use_resin)
+    if front_end == "socket":
+        _run_scenarios_over_socket(app, workers)
         return [results[index] for index in range(len(SCENARIOS))]
+    requests = [Request(f"/scenario/{index}", method="POST",
+                        user="evaluator")
+                for index in range(len(SCENARIOS))]
+    if front_end == "async":
+        with AsyncDispatcher(app, workers=workers) as server:
+            server.run(requests)
+    else:
+        with Dispatcher(app, workers=workers) as server:
+            server.dispatch_all(requests)
+    return [results[index] for index in range(len(SCENARIOS))]
 
 
 def _run_scenarios_over_socket(app, workers: int) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Mapping, Optional, Set
 
-from ..core.exceptions import AccessDenied, PolicyViolation
+from ..core.exceptions import AccessDenied
 from ..core.policy import Policy
 
 #: Wildcard principal meaning "every user, including anonymous".
@@ -130,15 +130,6 @@ class PagePolicy(Policy):
             f"user {user!r} may not read page {self.page_name!r}",
             policy=self, context=context)
 
-    def scan_predicate(self, context: Mapping[str, Any]):
-        # Pure principal ACL: the verdict for the requesting context is
-        # decidable once per query plan.
-        try:
-            self.export_check(context)
-        except PolicyViolation:
-            return False
-        return True
-
 
 class ReadAccessPolicy(Policy):
     """Generic "only these users may receive this datum" policy.
@@ -167,11 +158,3 @@ class ReadAccessPolicy(Policy):
         raise AccessDenied(
             f"user {user!r} lacks read access to {self.label or 'data'}",
             policy=self, context=context)
-
-    def scan_predicate(self, context: Mapping[str, Any]):
-        # Pure principal ACL: decidable once per query plan.
-        try:
-            self.export_check(context)
-        except PolicyViolation:
-            return False
-        return True

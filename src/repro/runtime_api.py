@@ -402,13 +402,6 @@ class Resin:
         definition and rebuild the index on recovery."""
         return self.env.db.create_index(table, column, kind, name)
 
-    def set_policy_mode(self, mode: str) -> "Resin":
-        """Switch the database between ``observe`` and ``enforce`` policy
-        modes (see :data:`repro.channels.sqlchan.POLICY_MODES`); returns
-        ``self`` for chaining."""
-        self.env.db.set_policy_mode(mode)
-        return self
-
     # -- taint / policy primitives (Table 3) ------------------------------------
 
     def taint(self, data: Any, *policies: Policy) -> Any:

@@ -198,7 +198,7 @@ class Engine:
 
     @staticmethod
     def _encode_cell(value: Any) -> Any:
-        from ..storage.wal import encode_value
+        from ..storage.framing import encode_value
         return encode_value(value)
 
     def _log_rows(self, op: str, table: Table, payload: Dict[str, Any]) -> None:

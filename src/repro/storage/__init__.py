@@ -28,7 +28,8 @@ from .snapshot import (
     serialize_filter,
     write_snapshot,
 )
-from .wal import WriteAheadLog, decode_records, encode_record
+from .framing import decode_records, encode_record
+from .wal import WriteAheadLog
 
 __all__ = [
     "Durability",

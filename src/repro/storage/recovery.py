@@ -9,7 +9,7 @@ described, independent of expression evaluation or filter behaviour.
 
 Torn final records are tolerated by construction: the WAL reader stops at
 the first frame whose length/CRC/JSON does not validate
-(:func:`repro.storage.wal.decode_records`), so a crash mid-append simply
+(:func:`repro.storage.framing.decode_records`), so a crash mid-append simply
 recovers the state as of the last complete record.
 
 Replay bypasses the RESIN-aware layers (``Database``/``ResinFS``) and their
@@ -32,7 +32,7 @@ from ..sql import nodes
 from ..sql.engine import Engine, Table
 from ..sql.indexes import SecondaryIndex
 from .snapshot import deserialize_filter
-from .wal import decode_value
+from .framing import decode_value
 
 __all__ = ["apply_record", "replay"]
 

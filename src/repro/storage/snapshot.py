@@ -35,7 +35,7 @@ from ..fs.filesystem import FileSystem, Inode
 from ..sql import nodes
 from ..sql.engine import Engine, Table
 from ..sql.indexes import SecondaryIndex
-from .wal import decode_records, decode_value, encode_record, encode_value
+from .framing import decode_records, decode_value, encode_record, encode_value
 
 __all__ = [
     "build_snapshot",

@@ -34,51 +34,14 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
-from . import framing
-from .framing import SEGMENT_PREFIX, decode_value, encode_value
+from .framing import decode_records, encode_record, parse_segment_id, segment_name
 
-__all__ = ["WriteAheadLog", "encode_record", "decode_records",
-           "encode_value", "decode_value", "SEGMENT_PREFIX"]
+__all__ = ["WriteAheadLog"]
 
 #: WAL segment files are ``seg-<id>.wal`` inside the log directory.
 _SEGMENT_SUFFIX = ".wal"
-
-#: Hard upper bound on one record's payload (see
-#: :data:`repro.storage.framing.MAX_RECORD_BYTES`).  Kept as a module
-#: attribute here so existing callers — and tests that shrink it — keep
-#: working: the wrappers below resolve it at call time.
-MAX_RECORD_BYTES = framing.MAX_RECORD_BYTES
-
-#: Sentinel meaning "use the module's MAX_RECORD_BYTES at call time".
-_DEFAULT_LIMIT = object()
-
-
-def encode_record(record: Dict[str, Any], *, max_bytes=_DEFAULT_LIMIT) -> bytes:
-    """One framed record (see :func:`repro.storage.framing.encode_record`),
-    with the size limit defaulting to this module's ``MAX_RECORD_BYTES``."""
-    limit = MAX_RECORD_BYTES if max_bytes is _DEFAULT_LIMIT else max_bytes
-    return framing.encode_record(record, max_bytes=limit)
-
-
-def decode_records(data: bytes, *,
-                   max_record_bytes=_DEFAULT_LIMIT
-                   ) -> Tuple[List[Dict[str, Any]], int]:
-    """Decode every complete, valid record from ``data`` (see
-    :func:`repro.storage.framing.decode_records`), with the size limit
-    defaulting to this module's ``MAX_RECORD_BYTES``."""
-    limit = (MAX_RECORD_BYTES if max_record_bytes is _DEFAULT_LIMIT
-             else max_record_bytes)
-    return framing.decode_records(data, max_record_bytes=limit)
-
-
-def _segment_name(segment_id: int) -> str:
-    return framing.segment_name(segment_id, _SEGMENT_SUFFIX)
-
-
-def _parse_segment_id(name: str) -> Optional[int]:
-    return framing.parse_segment_id(name, _SEGMENT_SUFFIX)
 
 
 class WriteAheadLog:
@@ -130,12 +93,13 @@ class WriteAheadLog:
     # -- segment management -------------------------------------------------
 
     def segment_path(self, segment_id: int) -> str:
-        return os.path.join(self.directory, _segment_name(segment_id))
+        return os.path.join(self.directory,
+                            segment_name(segment_id, _SEGMENT_SUFFIX))
 
     def segment_ids(self) -> List[int]:
         ids = []
         for name in os.listdir(self.directory):
-            segment_id = _parse_segment_id(name)
+            segment_id = parse_segment_id(name, _SEGMENT_SUFFIX)
             if segment_id is not None:
                 ids.append(segment_id)
         return sorted(ids)

@@ -283,7 +283,7 @@ class TestKillAnywhere:
         segment = _single_segment(store)
         with open(segment, "rb") as handle:
             data = handle.read()
-        from repro.storage.wal import decode_records
+        from repro.storage.framing import decode_records
         records, valid = decode_records(data)
         assert valid == len(data)
         # Offset of the final frame: decoding any strict prefix stops there.
@@ -307,7 +307,7 @@ class TestKillAnywhere:
         segment = _single_segment(store)
         with open(segment, "rb") as handle:
             data = handle.read()
-        from repro.storage.wal import decode_records
+        from repro.storage.framing import decode_records
         final_start = decode_records(data[:-1])[1]
 
         for index in range(final_start, len(data)):
@@ -598,7 +598,7 @@ class TestSnapshotIntegrity:
         # Snapshot frames are uncapped: a store whose full image is larger
         # than one WAL record must survive a checkpoint + reopen cycle
         # (each mutation stays under the cap; their sum does not).
-        monkeypatch.setattr("repro.storage.wal.MAX_RECORD_BYTES", 2048)
+        monkeypatch.setattr("repro.storage.framing.MAX_RECORD_BYTES", 2048)
         store = str(tmp_path / "store")
         resin = Resin.open(store)
         resin.db.query("CREATE TABLE t (k TEXT)")
@@ -615,7 +615,7 @@ class TestSnapshotIntegrity:
         # A single record over the WAL frame cap must raise at write time —
         # never be acknowledged durable and then dropped as a torn tail on
         # replay.
-        monkeypatch.setattr("repro.storage.wal.MAX_RECORD_BYTES", 4096)
+        monkeypatch.setattr("repro.storage.framing.MAX_RECORD_BYTES", 4096)
         store = str(tmp_path / "store")
         resin = Resin.open(store)
         with pytest.raises(SerializationError):

@@ -7,8 +7,6 @@
   identical result rows and identical table state.
 * **Concurrent index maintenance**: writer threads mutate an indexed table
   under ``db.transaction`` while the indexes must stay complete.
-* **Policy-mode parity**: Table 4 attack verdicts are identical in observe
-  and enforce modes, serially and through a concurrent front end.
 * **Index durability**: index definitions survive a durable close/reopen,
   via WAL replay and via snapshot restore.
 """
@@ -18,7 +16,6 @@ import threading
 import pytest
 
 from repro.channels.sqlchan import Database
-from repro.evaluation import table4
 from repro.runtime_api import Resin
 from repro.sql.engine import Engine
 
@@ -195,28 +192,6 @@ class TestConcurrentIndexMaintenance:
                 f"SELECT count(*) FROM ledger WHERE owner = 'w{worker}'"
             ).scalar()
             assert via_sql == len(expected)
-
-
-class TestPolicyModeParity:
-    def test_serial_verdicts_identical_across_modes(self):
-        observe = table4.verdicts(table4.run_all(True, policy_mode="observe"))
-        enforce = table4.verdicts(table4.run_all(True, policy_mode="enforce"))
-        assert observe == enforce
-
-    def test_threaded_verdicts_identical_across_modes(self):
-        observe = table4.verdicts(table4.run_all_concurrent(
-            True, workers=8, front_end="threads", policy_mode="observe"))
-        enforce = table4.verdicts(table4.run_all_concurrent(
-            True, workers=8, front_end="threads", policy_mode="enforce"))
-        assert observe == enforce
-
-    def test_enforce_preserves_hotcrp_page(self):
-        from repro.evaluation.hotcrp_perf import HotCRPPageWorkload
-        observe = HotCRPPageWorkload(use_resin=True).generate_page()
-        enforce = HotCRPPageWorkload(use_resin=True,
-                                     policy_mode="enforce").generate_page()
-        assert observe == enforce
-        assert "Anonymous" in enforce
 
 
 class TestIndexDurability:

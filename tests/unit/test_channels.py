@@ -1,18 +1,25 @@
 """Unit tests for the I/O channels and the SQL policy-persistence channel."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.channels import (CodeChannel, Database, EmailChannel,
                             HTTPOutputChannel, MailTransport, PipeChannel,
                             SocketChannel, is_policy_column, policy_column)
+from repro.channels import sqlchan
 from repro.channels.sqlchan import (apply_cell_policies,
                                     serialize_cell_policies)
 from repro.core.exceptions import (ChannelError, DisclosureViolation,
-                                   PolicyViolation)
+                                   PolicyViolation, SerializationError)
 from repro.core.filter import Filter
 from repro.core.policyset import PolicySet
 from repro.core.api import policy_add, policy_get
-from repro.policies import PasswordPolicy, UntrustedData
+from repro.core.policy import Policy
+from repro.core.request_context import RequestContext
+from repro.core.serialization import UnknownPolicy
+from repro.policies import PasswordPolicy, ReadAccessPolicy, UntrustedData
 from repro.security.assertions import UntrustedInputFilter
 from repro.sql.engine import Engine
 from repro.tracking.propagation import concat
@@ -222,6 +229,121 @@ class TestDatabaseChannel:
         db.query("UPDATE t SET secret = 'plain' WHERE name = 'a'")
         stored = db.query("SELECT secret FROM t").rows[0]["secret"]
         assert policy_get(stored) == PolicySet.empty()
+
+    @pytest.mark.parametrize("overwrite_first", [False, True],
+                             ids=["copy-then-overwrite", "overwrite-then-copy"])
+    def test_update_column_copy_carries_policies(self, db, overwrite_first):
+        # Assignments apply in order: the copy takes the source's old value
+        # and old policy, or its new value and new policy.
+        reader = ReadAccessPolicy(["alice"], label="update-copy")
+        db.query(concat("INSERT INTO t (name, secret, n) VALUES ('",
+                        policy_add("s3cret", reader), "', 'old', 1)"))
+        overwrite = concat("name = '", policy_add("x", U), "'")
+        assignments = ((overwrite, ", secret = name") if overwrite_first
+                       else ("secret = name, ", overwrite))
+        db.query(concat("UPDATE t SET ", *assignments))
+        row = db.query("SELECT name, secret FROM t").rows[0]
+        expected = ("x", U) if overwrite_first else ("s3cret", reader)
+        assert row["secret"] == expected[0]
+        assert policy_get(row["secret"]) == PolicySet.of(expected[1])
+        assert policy_get(row["name"]) == PolicySet.of(U)
+
+    def test_each_distinct_blob_decodes_once(self, db, monkeypatch):
+        # A label no other test uses: the decode memo is process-wide, so
+        # this blob must be new to it.
+        shared = ReadAccessPolicy(["alice"], label="decode-once")
+        rows = 25
+        for i in range(rows):
+            db.query(concat("INSERT INTO t (name, secret, n) VALUES ('r', '",
+                            policy_add("v", shared), f"', {i})"))
+        decodes = []
+        for name in ("deserialize_policyset", "deserialize_rangemap"):
+            original = getattr(sqlchan, name)
+
+            def counting(*args, _original=original, **kwargs):
+                decodes.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(sqlchan, name, counting)
+        for _ in range(2):
+            cells = [row["secret"]
+                     for row in db.query("SELECT secret FROM t").rows]
+            assert len(cells) == rows
+            assert all(policy_get(cell) == PolicySet.of(shared)
+                       for cell in cells)
+        assert len(decodes) == 1
+
+    def test_decode_memo_under_concurrent_reads(self, db, monkeypatch):
+        # More readers than cores and more distinct blobs than a shrunken
+        # bound, so memo inserts race with clears: every cell must still
+        # carry its own row's policy.
+        monkeypatch.setattr(sqlchan, "_BLOB_CACHE_LIMIT", 3)
+        owners = [f"concurrent-{i}" for i in range(8)]
+        for i, owner in enumerate(owners):
+            policy = ReadAccessPolicy([owner], label=owner)
+            db.query(concat("INSERT INTO t (name, secret, n) VALUES ('",
+                            owner, "', '", policy_add("v", policy),
+                            f"', {i})"))
+        errors = []
+
+        def reader():
+            try:
+                for _ in range(20):
+                    for row in db.query("SELECT name, secret FROM t").rows:
+                        (policy,) = policy_get(row["secret"])
+                        assert policy.allowed_users == {str(row["name"])}
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader) for _ in owners]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(sqlchan._blob_cache) <= 3
+
+    def test_cell_keeps_policy_for_a_reader_it_allows(self, db):
+        alice_only = ReadAccessPolicy(["alice"], label="reader-allowed")
+        db.query(concat("INSERT INTO t (name, secret, n) VALUES ('a', '",
+                        policy_add("for alice", alice_only), "', 1)"))
+        mail = MailTransport()
+        with RequestContext(user="alice"):
+            cell = db.query("SELECT secret FROM t").rows[0]["secret"]
+            assert policy_get(cell) == PolicySet.of(alice_only)
+            with pytest.raises(PolicyViolation):
+                mail.send("bob@example.org", "fwd", cell)
+        assert not mail.outbox
+
+    def test_failed_decodes_are_not_memoized(self, db):
+        missing = "tests.late_arrival.LatePolicy"
+        blob = ('{"kind": "policyset", "policies": '
+                f'[{{"class": "{missing}", "fields": {{}}}}]}}')
+        db.query("INSERT INTO t (name, secret, n) VALUES ('a', 'kept', 1)")
+        db.query(f"UPDATE t SET {policy_column('secret')} = '{blob}'")
+        for _ in range(2):
+            with pytest.raises(SerializationError):
+                db.query("SELECT secret FROM t")
+        db.tolerant_policies = True
+        cell = db.query("SELECT secret FROM t").rows[0]["secret"]
+        assert cell == "kept"
+        (placeholder,) = policy_get(cell)
+        assert isinstance(placeholder, UnknownPolicy)
+        assert placeholder.class_name == missing
+        # Once the class is importable, neither a tolerant nor a strict read
+        # may still see the placeholder.
+        late = type("LatePolicy", (Policy,),
+                    {"__module__": "tests.late_arrival"})
+        for tolerant in (True, False):
+            db.tolerant_policies = tolerant
+            cell = db.query("SELECT secret FROM t").rows[0]["secret"]
+            assert [type(p) for p in policy_get(cell)] == [late]
 
     def test_delete_and_aggregate_pass_through(self, db):
         db.query("INSERT INTO t (name, secret, n) VALUES ('a', 'x', 1)")

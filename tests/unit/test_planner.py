@@ -201,12 +201,11 @@ class TestPreparedQuery:
         db.query("INSERT INTO t (id, name) VALUES (3, 'c')")
         assert q.run().scalar() == 3
 
-    def test_explain_has_policy_mode_header(self):
+    def test_explain_starts_at_plan_root(self):
         db = self.make_db()
         text = db.query("SELECT name FROM t WHERE id = 1").explain()
         lines = text.splitlines()
-        assert lines[0] == "PolicyMode observe"
-        assert lines[1].startswith("Project")
+        assert lines[0].startswith("Project")
 
     def test_explain_shows_unbound_params(self):
         db = self.make_db()

@@ -13,13 +13,13 @@ import pytest
 
 from repro.core.exceptions import SerializationError
 from repro.core.locking import SharedExclusiveGate
-from repro.storage.wal import (
-    WriteAheadLog,
+from repro.storage.framing import (
     decode_records,
     decode_value,
     encode_record,
     encode_value,
 )
+from repro.storage.wal import WriteAheadLog
 
 
 class TestFrameCodec:
@@ -86,7 +86,7 @@ class TestRecordSizeLimit:
         assert valid == len(frame)
 
     def test_uncapped_mode_for_snapshot_frames(self, monkeypatch):
-        monkeypatch.setattr("repro.storage.wal.MAX_RECORD_BYTES", 64)
+        monkeypatch.setattr("repro.storage.framing.MAX_RECORD_BYTES", 64)
         doc = {"op": "snapshot", "data": "x" * 500}
         frame = encode_record(doc, max_bytes=None)
         decoded, valid = decode_records(frame, max_record_bytes=None)
@@ -98,7 +98,7 @@ class TestRecordSizeLimit:
         assert decode_records(frame) == ([], 0)
 
     def test_append_rejects_oversized_record(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("repro.storage.wal.MAX_RECORD_BYTES", 64)
+        monkeypatch.setattr("repro.storage.framing.MAX_RECORD_BYTES", 64)
         wal = WriteAheadLog(str(tmp_path))
         wal.log({"op": "small"})
         with pytest.raises(SerializationError):
