@@ -1,9 +1,9 @@
 """Append-only audit ledger: framed segments, rotation, retention.
 
-The ledger is the durable half of the audit subsystem.  It reuses the
-write-ahead log's wire format (:mod:`repro.storage.framing`): each event is
-one length-prefixed + CRC framed JSON record appended to the tail of the
-current ``seg-<id>.audit`` segment.  When a segment grows past
+The ledger is the durable half of the audit subsystem.  It shares the
+write-ahead log's framing and segment files (:mod:`repro.storage.framing`):
+each event is one length-prefixed + CRC framed JSON record appended to the
+tail of the current ``seg-<id>.audit`` segment.  When a segment grows past
 ``segment_bytes`` it is sealed and the next one started; when more than
 ``retain_segments`` sealed segments exist the oldest are purged — audit
 data ages out instead of growing without bound (the retention contract is
@@ -54,8 +54,7 @@ class AuditLedger:
         retain_segments: int = DEFAULT_RETAIN_SEGMENTS,
         sync: str = "flush",
     ):
-        if sync not in ("fsync", "flush", "none"):
-            raise ValueError(f"unknown sync mode {sync!r}")
+        framing.check_sync_mode(sync)
         if segment_bytes <= 0:
             raise ValueError("segment_bytes must be positive")
         if retain_segments < 1:
@@ -75,7 +74,7 @@ class AuditLedger:
         existing = self.segment_ids()
         self._segment_id = existing[-1] if existing else 1
         self._next_seq = self._recover_next_seq(existing)
-        self._file = self._open_segment(self._segment_id)
+        self._file = framing.open_segment(self.segment_path(self._segment_id))
 
     # -- segments -----------------------------------------------------------
 
@@ -85,24 +84,14 @@ class AuditLedger:
         )
 
     def segment_ids(self) -> List[int]:
-        ids = []
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return []
-        for name in names:
-            segment_id = framing.parse_segment_id(name, SEGMENT_SUFFIX)
-            if segment_id is not None:
-                ids.append(segment_id)
-        return sorted(ids)
+        return framing.segment_ids(self.directory, SEGMENT_SUFFIX)
 
     def _read_segment(self, segment_id: int) -> List[Dict[str, Any]]:
+        # Retention may delete a sealed segment while a reader iterates.
         try:
-            with open(self.segment_path(segment_id), "rb") as handle:
-                data = handle.read()
+            records, _ = framing.read_segment(self.segment_path(segment_id))
         except OSError:
             return []
-        records, _ = framing.decode_records(data)
         return records
 
     def _recover_next_seq(self, existing: List[int]) -> int:
@@ -128,22 +117,10 @@ class AuditLedger:
                     break
         return highest + 1
 
-    def _open_segment(self, segment_id: int):
-        """Open a segment for append, truncating any torn tail first."""
-        path = self.segment_path(segment_id)
-        if os.path.exists(path):
-            with open(path, "rb") as handle:
-                data = handle.read()
-            _, valid = framing.decode_records(data)
-            if valid != len(data):
-                with open(path, "r+b") as handle:
-                    handle.truncate(valid)
-        return open(path, "ab")
-
     def _rotate_locked(self) -> None:
         self._file.close()
         self._segment_id += 1
-        self._file = self._open_segment(self._segment_id)
+        self._file = framing.open_segment(self.segment_path(self._segment_id))
         self._purge_locked()
 
     def _purge_locked(self) -> None:
@@ -171,23 +148,20 @@ class AuditLedger:
             seq = self._next_seq
             self._next_seq += 1
             event["seq"] = seq
-            frame = framing.encode_record(event)
-            self._file.write(frame)
-            if self.sync != "none":
-                self._file.flush()
-                if self.sync == "fsync":
-                    os.fsync(self._file.fileno())
+            self._file.write(framing.encode_record(event))
+            framing.sync_file(self._file, self.sync)
             self.events_written += 1
             if self._file.tell() >= self.segment_bytes:
                 self._rotate_locked()
             return seq
 
     def flush(self) -> None:
+        """Flush to the OS (and fsync under ``"fsync"``), even if ``"none"``."""
         with self._lock:
             if not self._closed:
-                self._file.flush()
-                if self.sync == "fsync":
-                    os.fsync(self._file.fileno())
+                framing.sync_file(
+                    self._file, "fsync" if self.sync == "fsync" else "flush"
+                )
 
     # -- read ---------------------------------------------------------------
 

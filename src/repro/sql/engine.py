@@ -15,7 +15,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 from ..core.exceptions import SQLError
 from ..core.locking import OrderedLockRegistry
 from . import nodes
-from .executor import Executor, evaluate, evaluate_aggregate, sort_key, stored_value
+from .executor import Executor, evaluate, stored_value
 from .indexes import SecondaryIndex
 from .parser import parse
 from .planner import Planner
@@ -90,6 +90,40 @@ class Table:
         self.column_names.append(column.name)
         for row in self.rows:
             row.setdefault(column.name, None)
+
+    # -- WAL records -------------------------------------------------------------
+    # Logged by the engine as it mutates, and by a checkpoint for the table.
+
+    def create_record(self) -> Dict[str, Any]:
+        """The ``sql.create`` record of this table's schema."""
+        columns = [[c.name, c.type, list(c.constraints)] for c in self.columns]
+        return {"op": "sql.create", "table": self.name, "columns": columns}
+
+    def rows_record(self, op: str, **payload: Any) -> Dict[str, Any]:
+        """A row-level record carrying the table's full column list of this
+        moment, so replay materializes lazily-added policy columns exactly
+        as the live path did."""
+        columns = list(self.column_names)
+        return {"op": op, "table": self.name, "columns": columns, **payload}
+
+    def encode_rows(self, rows: Iterable[Dict[str, Any]]) -> List[List[Any]]:
+        """Each row's cells in column order, encoded for the log."""
+        # Imported per call, not per row: repro.storage imports this module.
+        from ..storage.framing import encode_value
+
+        names = self.column_names
+        return [[encode_value(row[name]) for name in names] for row in rows]
+
+    def index_record(self, index: SecondaryIndex) -> Dict[str, Any]:
+        """The ``sql.create_index`` record of ``index``: its definition only,
+        since recovery rebuilds the contents from the replayed rows."""
+        return {
+            "op": "sql.create_index",
+            "table": self.name,
+            "index": index.name,
+            "column": index.column,
+            "kind": index.kind,
+        }
 
 
 class Engine:
@@ -196,19 +230,6 @@ class Engine:
         if sink is not None:
             sink.commit()
 
-    @staticmethod
-    def _encode_cell(value: Any) -> Any:
-        from ..storage.framing import encode_value
-        return encode_value(value)
-
-    def _log_rows(self, op: str, table: Table, payload: Dict[str, Any]) -> None:
-        """Log a row-level mutation record carrying the table's full column
-        list of this moment, so replay materializes lazily-added policy
-        columns exactly as the live path did."""
-        record = {"op": op, "table": table.name, "columns": list(table.column_names)}
-        record.update(payload)
-        self._log(record)
-
     # -- public API -------------------------------------------------------------
 
     def run(self, statement) -> Result:
@@ -296,15 +317,7 @@ class Engine:
             raise SQLError(f"table {stmt.table} already exists")
         table = Table(stmt.table, stmt.columns)
         self.tables[stmt.table] = table
-        self._log(
-            {
-                "op": "sql.create",
-                "table": table.name,
-                "columns": [
-                    [c.name, c.type, list(c.constraints)] for c in table.columns
-                ],
-            }
-        )
+        self._log(table.create_record())
         return Result()
 
     def _drop(self, stmt: nodes.DropTable) -> Result:
@@ -344,17 +357,7 @@ class Engine:
         index = SecondaryIndex(stmt.name, table.name, stmt.column, stmt.kind)
         index.rebuild(table.rows)
         table.indexes[stmt.name] = index
-        # Definition only: recovery rebuilds the index from the replayed
-        # rows, so the WAL never carries index payloads.
-        self._log(
-            {
-                "op": "sql.create_index",
-                "table": table.name,
-                "index": index.name,
-                "column": index.column,
-                "kind": index.kind,
-            }
-        )
+        self._log(table.index_record(index))
         return Result()
 
     def _drop_index(self, stmt: nodes.DropIndex) -> Result:
@@ -414,80 +417,18 @@ class Engine:
         for row_exprs in stmt.rows:
             row = {name: None for name in table.column_names}
             for column, expr in zip(stmt.columns, row_exprs):
-                row[column] = stored_value(self._evaluate(expr, None, table))
+                row[column] = stored_value(evaluate(expr, None, table))
             table.rows.append(row)
             new_rows.append(row)
         self._maintain_on_insert(table, len(table.rows) - len(new_rows), new_rows)
         if new_rows and self.durability is not None:
-            self._log_rows("sql.insert", table, {"rows": [
-                [self._encode_cell(row[name]) for name in table.column_names]
-                for row in new_rows]})
+            rows = table.encode_rows(new_rows)
+            self._log(table.rows_record("sql.insert", rows=rows))
         return Result(rowcount=len(new_rows))
 
     def _select(self, stmt: nodes.Select) -> Result:
         """Plan and execute a SELECT (caller holds the table's lock)."""
         return self.executor.execute(self.planner.plan_select(stmt))
-
-    def _select_reference(self, stmt: nodes.Select) -> Result:
-        """The retained naive full-scan SELECT path.
-
-        Kept verbatim from the pre-planner engine as the oracle for the
-        plan-vs-naive differential tests: it shares every comparison and
-        evaluation helper with the executor, so any row-set divergence is a
-        planner/index bug by construction.  Not used on the hot path.
-        """
-        if stmt.table is None:
-            # SELECT without FROM: evaluate items against an empty row.
-            columns = [item.output_name for item in stmt.items]
-            values = [self._evaluate(item.expr, {}, None) for item in stmt.items]
-            return Result(columns, [values])
-
-        table = self.table(stmt.table)
-        matching = [row for row in table.rows if self._matches(stmt.where, row, table)]
-
-        if self._is_aggregate_select(stmt):
-            columns = [item.output_name for item in stmt.items]
-            values = [
-                self._evaluate_aggregate(item.expr, matching, table)
-                for item in stmt.items
-            ]
-            return Result(columns, [values])
-
-        for ordering in reversed(stmt.order_by):
-            matching = sorted(
-                matching,
-                key=lambda row: sort_key(self._evaluate(ordering.expr, row, table)),
-                reverse=ordering.descending,
-            )
-
-        if stmt.offset:
-            matching = matching[stmt.offset:]
-        if stmt.limit is not None:
-            matching = matching[:stmt.limit]
-
-        columns: List[str] = []
-        for item in stmt.items:
-            if isinstance(item.expr, nodes.Star):
-                columns.extend(table.column_names)
-            else:
-                columns.append(item.output_name)
-
-        result_rows: List[List[Any]] = []
-        seen = set()
-        for row in matching:
-            values: List[Any] = []
-            for item in stmt.items:
-                if isinstance(item.expr, nodes.Star):
-                    values.extend(row[name] for name in table.column_names)
-                else:
-                    values.append(self._evaluate(item.expr, row, table))
-            if stmt.distinct:
-                key = tuple(str(v) for v in values)
-                if key in seen:
-                    continue
-                seen.add(key)
-            result_rows.append(values)
-        return Result(columns, result_rows)
 
     def _update(self, stmt: nodes.Update) -> Result:
         table = self.table(stmt.table)
@@ -498,69 +439,22 @@ class Engine:
         # Collect matching positions through the planned (possibly
         # index-driven) scan, then mutate.  Each row's match depends only
         # on its own pre-update values, so collect-then-mutate is
-        # equivalent to the reference path's mutate-as-you-scan.
+        # equivalent to mutating as the scan goes.
         source = self.planner.plan(stmt).source
         matches = list(self.executor.scan(source))
         touched: List[int] = []
         for position, row in matches:
             for column, expr in stmt.assignments:
-                row[column] = stored_value(self._evaluate(expr, row, table))
+                row[column] = stored_value(evaluate(expr, row, table))
             touched.append(position)
         if touched:
             self._maintain_on_update(table, (column for column, _ in stmt.assignments))
         if touched and self.durability is not None:
             # Full row images, not expressions: replay is exact regardless
             # of what the SET expressions computed from.
-            self._log_rows(
-                "sql.update",
-                table,
-                {
-                    "updates": [
-                        [
-                            index,
-                            [
-                                self._encode_cell(table.rows[index][name])
-                                for name in table.column_names
-                            ],
-                        ]
-                        for index in touched
-                    ]
-                },
-            )
-        return Result(rowcount=len(touched))
-
-    def _update_reference(self, stmt: nodes.Update) -> Result:
-        """The retained naive full-scan UPDATE (differential oracle)."""
-        table = self.table(stmt.table)
-        for column, _ in stmt.assignments:
-            if not table.has_column(column):
-                raise SQLError(
-                    f"table {table.name} has no column {column!r}")
-        touched: List[int] = []
-        for index, row in enumerate(table.rows):
-            if self._matches(stmt.where, row, table):
-                for column, expr in stmt.assignments:
-                    row[column] = stored_value(self._evaluate(expr, row, table))
-                touched.append(index)
-        if touched:
-            self._maintain_on_update(table, (column for column, _ in stmt.assignments))
-        if touched and self.durability is not None:
-            self._log_rows(
-                "sql.update",
-                table,
-                {
-                    "updates": [
-                        [
-                            index,
-                            [
-                                self._encode_cell(table.rows[index][name])
-                                for name in table.column_names
-                            ],
-                        ]
-                        for index in touched
-                    ]
-                },
-            )
+            rows = table.encode_rows(table.rows[index] for index in touched)
+            updates = [[index, row] for index, row in zip(touched, rows)]
+            self._log(table.rows_record("sql.update", updates=updates))
         return Result(rowcount=len(touched))
 
     def _delete(self, stmt: nodes.Delete) -> Result:
@@ -576,48 +470,5 @@ class Engine:
             ]
             self._maintain_on_delete(table)
         if doomed and self.durability is not None:
-            self._log_rows("sql.delete", table, {"indices": doomed})
+            self._log(table.rows_record("sql.delete", indices=doomed))
         return Result(rowcount=len(doomed))
-
-    def _delete_reference(self, stmt: nodes.Delete) -> Result:
-        """The retained naive full-scan DELETE (differential oracle)."""
-        table = self.table(stmt.table)
-        keep: List[Dict[str, Any]] = []
-        doomed: List[int] = []
-        for index, row in enumerate(table.rows):
-            if self._matches(stmt.where, row, table):
-                doomed.append(index)
-            else:
-                keep.append(row)
-        table.rows = keep
-        if doomed:
-            self._maintain_on_delete(table)
-        if doomed and self.durability is not None:
-            self._log_rows("sql.delete", table, {"indices": doomed})
-        return Result(rowcount=len(doomed))
-
-    # -- expression evaluation ----------------------------------------------
-
-    def _matches(
-        self, where: Optional[nodes.Expr], row: Dict[str, Any], table: Table
-    ) -> bool:
-        if where is None:
-            return True
-        return bool(self._evaluate(where, row, table))
-
-    def _is_aggregate_select(self, stmt: nodes.Select) -> bool:
-        return any(
-            isinstance(item.expr, nodes.FuncCall)
-            and item.expr.name in ("count", "min", "max", "sum", "avg")
-            for item in stmt.items
-        )
-
-    def _evaluate_aggregate(
-        self, expr: nodes.Expr, rows: List[Dict[str, Any]], table: Table
-    ) -> Any:
-        return evaluate_aggregate(expr, rows, table)
-
-    def _evaluate(
-        self, expr: nodes.Expr, row: Optional[Dict[str, Any]], table: Optional[Table]
-    ) -> Any:
-        return evaluate(expr, row, table)

@@ -2,10 +2,10 @@
 
 This module owns the *semantics* of the SQL dialect: comparison coercion,
 LIKE matching, NULL handling, sort keys, scalar and aggregate functions.
-The executor walks plan trees from :mod:`repro.sql.planner`; the engine's
-retained reference scan path calls the very same helpers, which is what
-makes the plan-vs-naive differential tests meaningful — the two paths can
-only differ in *which rows they visit*, never in how a visited row is
+The executor walks plan trees from :mod:`repro.sql.planner`; the naive
+full-scan oracle of the plan-vs-naive differential tests calls the very
+same helpers, which is what makes those tests meaningful — the two paths
+can only differ in *which rows they visit*, never in how a visited row is
 judged.
 
 Row streams are ``(position, row)`` pairs in ascending position order, so

@@ -12,8 +12,9 @@ engine and ResinFS talk to:
   their commit point together;
 * :meth:`checkpoint` (and the size-triggered opportunistic flavour inside
   :meth:`commit`) takes the exclusive side, drains the log, rotates to a
-  fresh segment, writes a snapshot covering everything before it, and
-  retires the WAL segments + snapshots the new snapshot supersedes.
+  fresh segment, writes a snapshot covering everything before it (the
+  store as WAL records), and retires the WAL segments + snapshots the new
+  snapshot supersedes.
 
 Lifecycle::
 
@@ -39,15 +40,16 @@ shared entries.  The opportunistic checkpoint uses the non-blocking
 
 from __future__ import annotations
 
+import itertools
 import os
 from typing import Any, Dict, Optional
 
 from ..core.locking import SharedExclusiveGate
+from ..fs.filesystem import Inode
 from .recovery import replay
 from .snapshot import (
     build_snapshot,
     load_latest_snapshot,
-    restore_snapshot,
     retire_snapshots_except,
     write_snapshot,
 )
@@ -115,7 +117,7 @@ class Durability:
 
     def recover(self, env) -> int:
         """Rebuild ``env``'s tables and filesystem from snapshot + WAL tail;
-        returns the number of log records replayed.
+        returns the number of records replayed (the snapshot's included).
 
         Must run before :meth:`attach` (replay applies physical effects
         directly and must not re-log), on an environment nothing else is
@@ -123,14 +125,15 @@ class Durability:
         """
         engine = env.db.engine
         raw = env.fs.raw
-        start_segment = 0
+        records = self.wal.replay()
         doc = load_latest_snapshot(self.directory)
         if doc is not None:
-            restore_snapshot(doc, engine, raw, tolerant=self.tolerant)
-            start_segment = doc["wal_start"]
-        return replay(
-            self.wal.replay(start_segment), engine, raw, tolerant=self.tolerant
-        )
+            # The snapshot's records rebuild the whole store from empty.
+            engine.tables.clear()
+            raw.root = Inode("dir", "/")
+            tail = self.wal.replay(doc["wal_start"])
+            records = itertools.chain(doc["records"], tail)
+        return replay(records, engine, raw, tolerant=self.tolerant)
 
     def attach(self, env) -> None:
         """Start logging ``env``'s mutations through this store."""

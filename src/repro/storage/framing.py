@@ -1,8 +1,9 @@
-"""Shared record framing for append-only logs.
+"""Shared record framing and segment files for the durable store.
 
-Both the write-ahead log (:mod:`repro.storage.wal`) and the audit ledger
-(:mod:`repro.audit.ledger`) store streams of records in segment files with
-the same wire format — each record length-prefixed and checksummed::
+The write-ahead log (:mod:`repro.storage.wal`), the audit ledger
+(:mod:`repro.audit.ledger`) and the snapshot files store records in
+numbered segment files with one wire format — each record length-prefixed
+and checksummed::
 
     +----------------+----------------+----------------------+
     | length (4B BE) | crc32 (4B BE)  | payload (JSON, UTF-8) |
@@ -11,13 +12,14 @@ the same wire format — each record length-prefixed and checksummed::
 A reader accepts a record only if the full frame is present *and* the CRC
 matches; anything else is a **torn tail** — the crash left a partial final
 record — and decoding stops exactly there, yielding the committed prefix.
-Openers truncate the torn tail before appending, so a log never contains
-garbage between valid records.
+:func:`open_segment` truncates the torn tail before appending, so a log
+never contains garbage between valid records.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from typing import Any, Dict, List, Optional, Tuple
@@ -28,12 +30,19 @@ __all__ = [
     "HEADER",
     "MAX_RECORD_BYTES",
     "SEGMENT_PREFIX",
+    "SYNC_MODES",
+    "check_sync_mode",
     "decode_records",
     "decode_value",
     "encode_record",
     "encode_value",
+    "fsync_directory",
+    "open_segment",
     "parse_segment_id",
+    "read_segment",
+    "segment_ids",
     "segment_name",
+    "sync_file",
 ]
 
 HEADER = struct.Struct(">II")
@@ -42,6 +51,9 @@ HEADER = struct.Struct(">II")
 #: suffix distinguishes the owning subsystem (``.wal`` for the write-ahead
 #: log, ``.audit`` for the provenance ledger).
 SEGMENT_PREFIX = "seg-"
+
+#: Durability barriers: survive an OS crash, a process crash, or neither.
+SYNC_MODES = ("fsync", "flush", "none")
 
 #: Hard upper bound on one record's payload.  Enforced symmetrically: the
 #: *writer* refuses to encode a larger record (:func:`encode_record` raises,
@@ -135,15 +147,78 @@ def decode_records(
     return records, offset
 
 
-def segment_name(segment_id: int, suffix: str) -> str:
-    return f"{SEGMENT_PREFIX}{segment_id:08d}{suffix}"
+def segment_name(segment_id: int, suffix: str, prefix: str = SEGMENT_PREFIX) -> str:
+    return f"{prefix}{segment_id:08d}{suffix}"
 
 
-def parse_segment_id(name: str, suffix: str) -> Optional[int]:
-    if not (name.startswith(SEGMENT_PREFIX) and name.endswith(suffix)):
+def parse_segment_id(
+    name: str, suffix: str, prefix: str = SEGMENT_PREFIX
+) -> Optional[int]:
+    if not (name.startswith(prefix) and name.endswith(suffix)):
         return None
-    middle = name[len(SEGMENT_PREFIX) : -len(suffix)]
     try:
-        return int(middle)
+        return int(name[len(prefix) : -len(suffix)])
     except ValueError:
         return None
+
+
+def segment_ids(directory: str, suffix: str, prefix: str = SEGMENT_PREFIX) -> List[int]:
+    """The ids of the ``<prefix><id><suffix>`` files in ``directory``,
+    ascending (empty when the directory does not exist)."""
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return []
+    ids = (parse_segment_id(name, suffix, prefix) for name in names)
+    return sorted(segment_id for segment_id in ids if segment_id is not None)
+
+
+def read_segment(
+    path: str, *, max_record_bytes=_DEFAULT_LIMIT
+) -> Tuple[List[Dict[str, Any]], bool]:
+    """The valid records of the file at ``path``, and whether the whole
+    file decoded (``False``: a torn or corrupt frame follows them)."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    records, valid = decode_records(data, max_record_bytes=max_record_bytes)
+    return records, valid == len(data)
+
+
+def open_segment(path: str):
+    """Open the segment at ``path`` for append (creating it), first
+    truncating a torn tail so a new frame never follows garbage."""
+    with open(path, "a+b") as handle:
+        handle.seek(0)
+        data = handle.read()
+        _, valid = decode_records(data)
+        if valid != len(data):
+            handle.truncate(valid)
+    return open(path, "ab")
+
+
+def check_sync_mode(sync: str) -> str:
+    if sync not in SYNC_MODES:
+        raise ValueError(f"unknown sync mode {sync!r}")
+    return sync
+
+
+def sync_file(handle, sync: str) -> None:
+    """Push ``handle``'s buffered writes as far as ``sync`` asks: to the OS
+    (``"flush"``), to the disk (``"fsync"``) or nowhere (``"none"``)."""
+    if sync != "none":
+        handle.flush()
+        if sync == "fsync":
+            os.fsync(handle.fileno())
+
+
+def fsync_directory(directory: str) -> None:
+    """Make file creations, renames and deletions in ``directory`` durable
+    (skipped where a directory cannot be opened)."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

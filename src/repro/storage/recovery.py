@@ -1,11 +1,12 @@
-"""Crash recovery: replay the WAL tail over the latest snapshot.
+"""Crash recovery: replay the latest snapshot's records, then the WAL tail.
 
-Recovery is a pure fold: start from the newest valid snapshot (or empty
-state), then apply every WAL record from segment ``wal_start`` onwards in
-log order.  Replay applies *physical* effects — the records the engine and
-filesystem logged are row images and byte images, not statements — so the
-recovered state is byte-identical to what the committed prefix of the log
-described, independent of expression evaluation or filter behaviour.
+Recovery is a pure fold from empty state: apply the newest valid snapshot's
+records (the store written as WAL records), then every WAL record from
+segment ``wal_start`` onwards, in log order.  Replay applies *physical*
+effects — the records the engine and filesystem logged are row images and
+byte images, not statements — so the recovered state is byte-identical to
+what the committed prefix of the log described, independent of expression
+evaluation or filter behaviour.
 
 Torn final records are tolerated by construction: the WAL reader stops at
 the first frame whose length/CRC/JSON does not validate

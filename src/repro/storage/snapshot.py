@@ -1,11 +1,11 @@
 """Snapshot writer/loader for the durable storage engine.
 
-A snapshot is a full, point-in-time serialization of one environment's SQL
-tables and filesystem tree, written while the durability gate is held
+A snapshot is one environment's SQL tables and filesystem tree written as
+the WAL's own ``sql.*``/``fs.*`` records, while the durability gate is held
 exclusively (no mutation in flight).  It records ``wal_start`` — the id of
-the WAL segment opened at the same instant — so recovery knows exactly which
-log suffix still applies: *snapshot state + replay of segments >=
-``wal_start``* reproduces the live state.
+the WAL segment opened at the same instant — so recovery is one replay:
+*the snapshot's records, then segments >= ``wal_start``* reproduce the
+live state.  Only what the WAL logs is in a snapshot.
 
 Policies ride along intact.  Table cells are plain values (the policy
 columns the SQL channel maintains are ordinary ``TEXT`` cells and serialize
@@ -15,7 +15,7 @@ are serialized class-name + data fields via the same codec the policies use
 (:func:`repro.core.serialization.encode_field`) — never code.  That is what
 makes taint survive a restart (Section 3.4.1 of the paper).
 
-On disk a snapshot is a single WAL-style frame (length + CRC32 + JSON) in a
+On disk a snapshot is a single uncapped frame (length + CRC32 + JSON) in a
 file named ``snap-<wal_start>.snap``, written to a temp file and renamed
 into place — a torn snapshot write leaves only an invalid temp file, and
 :func:`load_latest_snapshot` simply falls back to the previous snapshot.
@@ -24,22 +24,26 @@ into place — a torn snapshot write leaves only an invalid temp file, and
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Optional
 
 from ..core.context import as_context
 from ..core.exceptions import PolicyViolation, RecoveryError, SerializationError
 from ..core.filter import Filter
 from ..core.serialization import decode_field, encode_field, qualified_name
-from ..fs import path as fspath
-from ..fs.filesystem import FileSystem, Inode
-from ..sql import nodes
-from ..sql.engine import Engine, Table
-from ..sql.indexes import SecondaryIndex
-from .framing import decode_records, decode_value, encode_record, encode_value
+from ..fs.filesystem import FileSystem
+from ..fs.resinfs import FILTER_XATTR, POLICY_XATTR
+from ..sql.engine import Engine
+from .framing import (
+    encode_record,
+    fsync_directory,
+    read_segment,
+    segment_ids,
+    segment_name,
+    sync_file,
+)
 
 __all__ = [
     "build_snapshot",
-    "restore_snapshot",
     "write_snapshot",
     "load_latest_snapshot",
     "snapshot_ids",
@@ -53,7 +57,8 @@ __all__ = [
 SNAPSHOT_PREFIX = "snap-"
 _SNAPSHOT_SUFFIX = ".snap"
 
-SNAPSHOT_VERSION = 1
+#: ``{"version", "wal_start", "records"}``; version 1 documents are refused.
+SNAPSHOT_VERSION = 2
 
 
 # -- persistent filter codec --------------------------------------------------
@@ -162,151 +167,61 @@ def deserialize_filter(record: Dict[str, Any], *, tolerant: bool = False) -> Fil
 # -- snapshot document --------------------------------------------------------
 
 
-def _snapshot_table(table: Table) -> Dict[str, Any]:
-    columns = [[c.name, c.type, list(c.constraints)] for c in table.columns]
-    names = list(table.column_names)
-    rows = [[encode_value(row.get(name)) for name in names] for row in table.rows]
-    doc = {"name": table.name, "columns": columns, "rows": rows}
-    if table.indexes:
-        # Definitions only — index contents are derived state, rebuilt from
-        # the restored rows (matching the WAL's create_index records).
-        doc["indexes"] = [
-            [index.name, index.column, index.kind]
-            for index in sorted(table.indexes.values(), key=lambda i: i.name)
-        ]
-    return doc
-
-
-def _snapshot_xattrs(inode: Inode) -> Dict[str, Any]:
-    xattrs: Dict[str, Any] = {}
-    for name, value in sorted(inode.xattrs.items()):
-        if isinstance(value, Filter):
-            try:
-                xattrs[name] = {"__filter__": serialize_filter(value)}
-            except SerializationError:
-                # Code-carrying filter (callable predicate): not durable by
-                # design; the application re-attaches it at start-up.
-                continue
-        else:
-            try:
-                xattrs[name] = encode_value(value)
-            except SerializationError:
-                continue
-    return xattrs
-
-
 def build_snapshot(engine: Engine, fs: FileSystem, wal_start: int) -> Dict[str, Any]:
-    """The snapshot document for the current state of ``engine`` + ``fs``.
+    """The snapshot document for the current state of ``engine`` + ``fs``:
+    the WAL records that rebuild it from empty.  Index records follow their
+    table's rows, so replay builds each index once.
 
     Must be called with the durability gate held exclusively: the builder
     reads the table dicts and the inode tree lock-free, which is only safe
     because every mutation runs under the shared side of the gate.
     """
-    tables = [
-        _snapshot_table(engine.tables[name]) for name in sorted(engine.tables)
-    ]
-    tree: List[Dict[str, Any]] = []
+    records: List[Dict[str, Any]] = []
+    for name in sorted(engine.tables):
+        table = engine.tables[name]
+        records.append(table.create_record())
+        if table.rows:
+            rows = table.encode_rows(table.rows)
+            records.append(table.rows_record("sql.insert", rows=rows))
+        for index_name in sorted(table.indexes):
+            records.append(table.index_record(table.indexes[index_name]))
     for path in fs.walk("/"):
         node = fs._lookup(path)
         if node is None:
             continue
-        entry: Dict[str, Any] = {"path": path, "kind": node.kind}
         if node.is_file:
-            entry["data"] = node.data.hex()
-        xattrs = _snapshot_xattrs(node)
-        if xattrs:
-            entry["xattrs"] = xattrs
-        tree.append(entry)
+            policies = node.xattrs.get(POLICY_XATTR)
+            data = node.data.hex()
+            records.append(
+                {"op": "fs.write", "path": path, "data": data, "policies": policies}
+            )
+        elif path != "/":
+            records.append({"op": "fs.mkdir", "path": path})
+        flt = node.xattrs.get(FILTER_XATTR)
+        if isinstance(flt, Filter):
+            try:
+                record = serialize_filter(flt)
+            except SerializationError:
+                # Code-carrying filter (callable predicate): not durable by
+                # design; the application re-attaches it at start-up.
+                continue
+            records.append({"op": "fs.filter", "path": path, "filter": record})
     return {
         "version": SNAPSHOT_VERSION,
         "wal_start": int(wal_start),
-        "tables": tables,
-        "fs": tree,
+        "records": records,
     }
-
-
-def restore_snapshot(
-    doc: Dict[str, Any], engine: Engine, fs: FileSystem, *, tolerant: bool = False
-) -> None:
-    """Load a snapshot document into ``engine`` and ``fs`` (replacing their
-    contents).  Runs before the environment serves anything, so it touches
-    the structures directly."""
-    engine.tables.clear()
-    for spec in doc.get("tables", []):
-        columns = [
-            nodes.ColumnDef(name, type, tuple(constraints))
-            for name, type, constraints in spec["columns"]
-        ]
-        table = Table(spec["name"], columns)
-        names = table.column_names
-        table.rows = [
-            {name: decode_value(value) for name, value in zip(names, row)}
-            for row in spec["rows"]
-        ]
-        for index_name, column, kind in spec.get("indexes", []):
-            index = SecondaryIndex(index_name, table.name, column, kind)
-            index.rebuild(table.rows)
-            table.indexes[index_name] = index
-        engine.tables[table.name] = table
-
-    fs.root = Inode("dir", "/")
-    for entry in doc.get("fs", []):
-        path = entry["path"]
-        node = _materialize(fs, path, entry["kind"])
-        if entry["kind"] == "file":
-            node.data = bytes.fromhex(entry.get("data", ""))
-        for name, value in entry.get("xattrs", {}).items():
-            node.xattrs[name] = _restore_xattr(value, tolerant=tolerant)
-
-
-def _materialize(fs: FileSystem, path: str, kind: str) -> Inode:
-    if path == "/":
-        return fs.root
-    parent = fs.root
-    parts = fspath.parts(path)
-    for part in parts[:-1]:
-        child = parent.entries.get(part)
-        if child is None:
-            child = Inode("dir", part)
-            parent.entries[part] = child
-        parent = child
-    name = parts[-1]
-    node = parent.entries.get(name)
-    if node is None or node.kind != kind:
-        node = Inode(kind, name)
-        parent.entries[name] = node
-    return node
-
-
-def _restore_xattr(value: Any, *, tolerant: bool) -> Any:
-    if isinstance(value, Mapping) and "__filter__" in value:
-        return deserialize_filter(value["__filter__"], tolerant=tolerant)
-    return decode_value(value)
 
 
 # -- snapshot files -----------------------------------------------------------
 
 
 def _snapshot_name(wal_start: int) -> str:
-    return f"{SNAPSHOT_PREFIX}{wal_start:08d}{_SNAPSHOT_SUFFIX}"
-
-
-def _parse_snapshot_id(name: str) -> Optional[int]:
-    if not (name.startswith(SNAPSHOT_PREFIX) and name.endswith(_SNAPSHOT_SUFFIX)):
-        return None
-    try:
-        return int(name[len(SNAPSHOT_PREFIX) : -len(_SNAPSHOT_SUFFIX)])
-    except ValueError:
-        return None
+    return segment_name(wal_start, _SNAPSHOT_SUFFIX, SNAPSHOT_PREFIX)
 
 
 def snapshot_ids(directory: str) -> List[int]:
-    ids = []
-    for name in os.listdir(directory):
-        wal_start = _parse_snapshot_id(name)
-        if wal_start is not None:
-            ids.append(wal_start)
-    return sorted(ids)
+    return segment_ids(directory, _SNAPSHOT_SUFFIX, SNAPSHOT_PREFIX)
 
 
 def write_snapshot(directory: str, doc: Dict[str, Any], *, sync: bool = True) -> str:
@@ -320,29 +235,11 @@ def write_snapshot(directory: str, doc: Dict[str, Any], *, sync: bool = True) ->
     frame = encode_record(doc, max_bytes=None)
     with open(tmp, "wb") as handle:
         handle.write(frame)
-        if sync:
-            handle.flush()
-            os.fsync(handle.fileno())
+        sync_file(handle, "fsync" if sync else "none")
     os.replace(tmp, path)
     if sync:
-        _fsync_directory(directory)
+        fsync_directory(directory)
     return path
-
-
-def load_snapshot(directory: str, wal_start: int) -> Optional[Dict[str, Any]]:
-    path = os.path.join(directory, _snapshot_name(wal_start))
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError:
-        return None
-    records, valid = decode_records(data, max_record_bytes=None)
-    if len(records) != 1 or valid != len(data):
-        return None
-    doc = records[0]
-    if doc.get("version") != SNAPSHOT_VERSION or "wal_start" not in doc:
-        return None
-    return doc
 
 
 def load_latest_snapshot(directory: str) -> Optional[Dict[str, Any]]:
@@ -355,11 +252,25 @@ def load_latest_snapshot(directory: str) -> Optional[Dict[str, Any]]:
     validates (corruption/bitrot), there is no state to fall back to —
     compaction already deleted the WAL prefix they covered — so this raises
     :class:`~repro.core.exceptions.RecoveryError` rather than letting
-    recovery silently present an empty store as success."""
+    recovery silently present an empty store as success.  So does a valid
+    snapshot of another format version, which this build cannot read."""
     ids = snapshot_ids(directory)
     for wal_start in reversed(ids):
-        doc = load_snapshot(directory, wal_start)
-        if doc is not None:
+        path = os.path.join(directory, _snapshot_name(wal_start))
+        try:
+            records, clean = read_segment(path, max_record_bytes=None)
+        except OSError:
+            continue
+        if len(records) != 1 or not clean:
+            continue
+        doc = records[0]
+        if doc.get("version") != SNAPSHOT_VERSION:
+            raise RecoveryError(
+                f"snapshot {path!r} has format version {doc.get('version')!r}, "
+                f"but this build reads only version {SNAPSHOT_VERSION}; open "
+                "the store with the build that wrote it"
+            )
+        if "wal_start" in doc and isinstance(doc.get("records"), list):
             return doc
     if ids:
         names = ", ".join(_snapshot_name(wal_start) for wal_start in ids)
@@ -380,14 +291,3 @@ def retire_snapshots_except(directory: str, keep_wal_start: int) -> List[int]:
             os.unlink(os.path.join(directory, _snapshot_name(wal_start)))
             retired.append(wal_start)
     return retired
-
-
-def _fsync_directory(directory: str) -> None:
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)

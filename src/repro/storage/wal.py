@@ -7,7 +7,8 @@ sequential append — never a random update — and the random-access state
 lives only in memory, rebuilt on recovery from snapshot + log tail.
 
 Wire format — each record is length-prefixed and checksummed (the framing
-lives in :mod:`repro.storage.framing`, shared with the audit ledger)::
+and the segment files live in :mod:`repro.storage.framing`, shared with the
+audit ledger and the snapshot files)::
 
     +----------------+----------------+----------------------+
     | length (4B BE) | crc32 (4B BE)  | payload (JSON, UTF-8) |
@@ -16,8 +17,9 @@ lives in :mod:`repro.storage.framing`, shared with the audit ledger)::
 A reader accepts a record only if the full frame is present *and* the CRC
 matches; anything else is a **torn tail** — the crash left a partial final
 record — and replay stops exactly there, yielding the committed prefix.
-:meth:`WriteAheadLog.open` truncates a torn tail before appending, so the
-log never contains garbage between valid records.
+Opening a segment truncates a torn tail before appending
+(:func:`repro.storage.framing.open_segment`), so the log never contains
+garbage between valid records.
 
 Group commit (the one-fsync-absorbs-a-batch design): :meth:`append` only
 buffers the encoded frame under the log mutex and hands back an LSN;
@@ -36,7 +38,7 @@ import os
 import threading
 from typing import Any, Dict, Iterator, List, Optional
 
-from .framing import decode_records, encode_record, parse_segment_id, segment_name
+from . import framing
 
 __all__ = ["WriteAheadLog"]
 
@@ -62,10 +64,8 @@ class WriteAheadLog:
 
     def __init__(self, directory: str, *, sync: str = "fsync",
                  group_commit: bool = True):
-        if sync not in ("fsync", "flush", "none"):
-            raise ValueError(f"unknown sync mode {sync!r}")
         self.directory = directory
-        self.sync = sync
+        self.sync = framing.check_sync_mode(sync)
         self.group_commit = group_commit
         os.makedirs(directory, exist_ok=True)
 
@@ -88,33 +88,16 @@ class WriteAheadLog:
 
         existing = self.segment_ids()
         self._segment_id = existing[-1] if existing else 1
-        self._file = self._open_segment(self._segment_id)
+        self._file = framing.open_segment(self.segment_path(self._segment_id))
 
     # -- segment management -------------------------------------------------
 
     def segment_path(self, segment_id: int) -> str:
         return os.path.join(self.directory,
-                            segment_name(segment_id, _SEGMENT_SUFFIX))
+                            framing.segment_name(segment_id, _SEGMENT_SUFFIX))
 
     def segment_ids(self) -> List[int]:
-        ids = []
-        for name in os.listdir(self.directory):
-            segment_id = parse_segment_id(name, _SEGMENT_SUFFIX)
-            if segment_id is not None:
-                ids.append(segment_id)
-        return sorted(ids)
-
-    def _open_segment(self, segment_id: int):
-        """Open a segment for append, truncating any torn tail first."""
-        path = self.segment_path(segment_id)
-        if os.path.exists(path):
-            with open(path, "rb") as handle:
-                data = handle.read()
-            _, valid = decode_records(data)
-            if valid != len(data):
-                with open(path, "r+b") as handle:
-                    handle.truncate(valid)
-        return open(path, "ab")
+        return framing.segment_ids(self.directory, _SEGMENT_SUFFIX)
 
     def rotate(self) -> int:
         """Seal the current segment and start the next; returns the new id.
@@ -130,7 +113,7 @@ class WriteAheadLog:
                                    "commit() first")
             self._file.close()
             self._segment_id += 1
-            self._file = self._open_segment(self._segment_id)
+            self._file = framing.open_segment(self.segment_path(self._segment_id))
             self._sync_directory()
             return self._segment_id
 
@@ -147,22 +130,14 @@ class WriteAheadLog:
         return retired
 
     def _sync_directory(self) -> None:
-        if self.sync != "fsync":
-            return
-        try:
-            fd = os.open(self.directory, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        if self.sync == "fsync":
+            framing.fsync_directory(self.directory)
 
     # -- append / commit ----------------------------------------------------
 
     def append(self, record: Dict[str, Any]) -> int:
         """Buffer one record; returns its LSN (not yet durable)."""
-        frame = encode_record(record)
+        frame = framing.encode_record(record)
         with self._cond:
             if self._closed:
                 raise RuntimeError("append() on a closed WAL")
@@ -239,10 +214,7 @@ class WriteAheadLog:
             data = b"".join(frames)
             self._file.write(data)
             self.bytes_written += len(data)
-        if self.sync != "none":
-            self._file.flush()
-            if self.sync == "fsync":
-                os.fsync(self._file.fileno())
+        framing.sync_file(self._file, self.sync)
         self.syncs += 1
 
     @property
@@ -260,11 +232,9 @@ class WriteAheadLog:
         for segment_id in self.segment_ids():
             if segment_id < start_segment:
                 continue
-            with open(self.segment_path(segment_id), "rb") as handle:
-                data = handle.read()
-            records, valid = decode_records(data)
+            records, clean = framing.read_segment(self.segment_path(segment_id))
             yield from records
-            if valid != len(data):
+            if not clean:
                 return
 
     # -- lifecycle ----------------------------------------------------------

@@ -11,7 +11,9 @@ cycle — log, crash, recover — including:
   write-ACL row produce identical verdicts before and after a durable
   close/reopen cycle;
 * tolerant recovery: records referencing unknown policy/filter classes load
-  as deny-by-default placeholders instead of failing the whole store.
+  as deny-by-default placeholders instead of failing the whole store;
+* checkpoint invariance: a checkpoint after any step of a script that logs
+  every record type never changes what a reopen recovers.
 """
 
 import json
@@ -27,12 +29,13 @@ from repro.core.exceptions import (
     RecoveryError,
     SerializationError,
 )
+from repro.core.filter import Filter
 from repro.core.serialization import UnknownPolicy
 from repro.fs.resinfs import FILTER_XATTR, POLICY_XATTR
 from repro.policies import ACL, UntrustedData
 from repro.runtime_api import Resin
 from repro.security.assertions import WriteAccessFilter
-from repro.storage import UnknownFilter
+from repro.storage import UnknownFilter, serialize_filter
 from repro.storage.wal import WriteAheadLog
 from repro.tracking.propagation import concat
 from repro.tracking.tainted_str import taint_str
@@ -274,6 +277,96 @@ def _single_segment(directory):
     wal.close()
     assert len(ids) == 1
     return os.path.join(directory, f"seg-{ids[0]:08d}.wal")
+
+
+def durable_fingerprint(resin):
+    """:func:`fingerprint` plus each table's index definitions and every
+    xattr of every node (filters by their serialized form)."""
+    indexes = {
+        name: sorted((i.name, i.column, i.kind) for i in table.indexes.values())
+        for name, table in sorted(resin.db.engine.tables.items())
+    }
+    raw = resin.fs.raw
+    xattrs = {
+        path: {
+            name: serialize_filter(value) if isinstance(value, Filter) else value
+            for name, value in sorted(raw._lookup(path).xattrs.items())
+        }
+        for path in raw.walk("/")
+    }
+    return fingerprint(resin), indexes, xattrs
+
+
+# One script that logs every record type the engine and ResinFS write:
+# sql.create/insert/update/delete/create_index/drop_index/drop and
+# fs.mkdir/write/rename/unlink/filter/unfilter.
+EVERY_RECORD_SCRIPT = [
+    lambda r: r.db.query("CREATE TABLE notes (id INT, a TEXT, b TEXT)"),
+    lambda r: r.db.query(concat(
+        "INSERT INTO notes (id, a, b) VALUES (1, 'x', '",
+        taint_str("secret", UntrustedData("form")), "'), (2, 'y', 'z')")),
+    lambda r: r.db.create_index("notes", "id", kind="hash"),
+    lambda r: r.db.create_index("notes", "a"),
+    lambda r: r.db.query("UPDATE notes SET a = b"),
+    lambda r: r.db.query("DELETE FROM notes WHERE id = 2"),
+    lambda r: r.db.engine.run("DROP INDEX idx_notes_a"),
+    lambda r: (r.db.query("CREATE TABLE doomed (x INT)"),
+               r.db.query("DROP TABLE doomed")),
+    lambda r: (r.fs.mkdir("/wiki"), r.fs.set_persistent_filter(
+        "/wiki", WriteAccessFilter(acl=ACL.parse("alice:read,write")))),
+    lambda r: r.fs.write_text(
+        "/wiki/page", taint_str("plans", UntrustedData("upload"))),
+    lambda r: (r.fs.mkdir("/tmp"), r.fs.write_text("/tmp/draft", "draft")),
+    # Set on the raw filesystem: never logged, so never recovered.
+    lambda r: r.fs.raw.set_xattr("/tmp/draft", "user.note", "x"),
+    lambda r: r.fs.rename("/tmp/draft", "/tmp/final"),
+    lambda r: r.fs.add_file_policy("/tmp/final", UntrustedData("import")),
+    lambda r: (r.fs.set_persistent_filter(
+        "/tmp/final", WriteAccessFilter(acl=ACL.parse("bob:write"))),
+        r.fs.remove_persistent_filter("/tmp/final")),
+    lambda r: (r.fs.write_text("/tmp/gone", "x"), r.fs.unlink("/tmp/gone")),
+]
+
+
+def run_every_record_script(store, checkpoint_after=None):
+    """Run the script on a fresh store (checkpointing after step
+    ``checkpoint_after``, if given) and return the reopened state."""
+    resin = Resin.open(store, sync="flush")
+    resin.fs.set_request_context(user="alice")
+    for step, action in enumerate(EVERY_RECORD_SCRIPT):
+        action(resin)
+        if step == checkpoint_after:
+            resin.durability.checkpoint()
+    resin.durability.close()
+    reopened = Resin.open(store, sync="flush")
+    try:
+        return durable_fingerprint(reopened)
+    finally:
+        reopened.durability.close()
+
+
+class TestCheckpointInvariance:
+    """A checkpoint never changes what a reopen recovers: the snapshot is
+    the store written as the WAL's own records, so replaying it plus the
+    tail rebuilds exactly what replaying the whole log does."""
+
+    @pytest.fixture(scope="class")
+    def without_checkpoint(self, tmp_path_factory):
+        return run_every_record_script(
+            str(tmp_path_factory.mktemp("no-checkpoint") / "store"))
+
+    @pytest.mark.parametrize("step", range(len(EVERY_RECORD_SCRIPT)))
+    def test_checkpoint_after_any_step_recovers_same_state(
+            self, tmp_path, without_checkpoint, step):
+        store = str(tmp_path / "store")
+        recovered = run_every_record_script(store, checkpoint_after=step)
+        assert recovered == without_checkpoint
+        _, indexes, xattrs = recovered
+        assert indexes["notes"] == [("idx_notes_id", "id", "hash")]
+        assert xattrs["/wiki"][FILTER_XATTR]["fields"]
+        assert POLICY_XATTR in xattrs["/tmp/final"]
+        assert FILTER_XATTR not in xattrs["/tmp/final"]
+        assert "user.note" not in xattrs["/tmp/final"]
 
 
 class TestKillAnywhere:
@@ -578,8 +671,8 @@ class TestSnapshotIntegrity:
         )
         directory = str(tmp_path / "snaps")
         os.makedirs(directory)
-        older = {"version": 1, "wal_start": 2, "tables": [], "fs": []}
-        newer = {"version": 1, "wal_start": 5, "tables": [], "fs": []}
+        older = {"version": 2, "wal_start": 2, "records": []}
+        newer = {"version": 2, "wal_start": 5, "records": []}
         write_snapshot(directory, older, sync=False)
         path = write_snapshot(directory, newer, sync=False)
         with open(path, "r+b") as handle:
@@ -588,6 +681,17 @@ class TestSnapshotIntegrity:
         # The WAL segments the newer snapshot would have retired still
         # exist, so falling back to the older one keeps recovery exact.
         assert load_latest_snapshot(directory) == older
+
+    def test_old_format_snapshot_is_refused(self, tmp_path):
+        # A version-1 snapshot (a tables/fs state document) is no longer
+        # read; recovery must refuse it loudly instead of starting empty.
+        from repro.storage.snapshot import write_snapshot
+        store = str(tmp_path / "store")
+        os.makedirs(store)
+        write_snapshot(store, {"version": 1, "wal_start": 1, "tables": [],
+                               "fs": []}, sync=False)
+        with pytest.raises(RecoveryError):
+            Resin.open(store)
 
     def test_no_snapshots_means_fresh_store(self, tmp_path):
         from repro.storage.snapshot import load_latest_snapshot

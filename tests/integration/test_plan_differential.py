@@ -1,9 +1,9 @@
 """Integration tests for the query-plan pipeline.
 
 * **Differential harness**: every SELECT / UPDATE / DELETE in the corpus
-  runs through both the planned executor and the retained reference scan
-  path (``_select_reference`` / ``_update_reference`` /
-  ``_delete_reference``), on indexed and unindexed engines, asserting
+  runs through both the planned executor and the naive full-scan oracle
+  below (``select_reference`` / ``update_reference`` /
+  ``delete_reference``), on indexed and unindexed engines, asserting
   identical result rows and identical table state.
 * **Concurrent index maintenance**: writer threads mutate an indexed table
   under ``db.transaction`` while the indexes must stay complete.
@@ -16,8 +16,11 @@ import threading
 import pytest
 
 from repro.channels.sqlchan import Database
+from repro.core.exceptions import SQLError
 from repro.runtime_api import Resin
-from repro.sql.engine import Engine
+from repro.sql import nodes
+from repro.sql.engine import Engine, Result
+from repro.sql.executor import evaluate, evaluate_aggregate, sort_key, stored_value
 
 # One fixture table with mixed-type cells: the engine's comparison
 # semantics (numeric/string coercion, NULLs, case-insensitive LIKE) are
@@ -82,6 +85,102 @@ MUTATION_CORPUS = [
 ]
 
 
+# -- the naive full-scan oracle -----------------------------------------------
+# The pre-planner engine's statement paths, kept as the reference the planned
+# executor must agree with.  They share every comparison and evaluation
+# helper with the executor, so any row-set divergence is a planner/index bug
+# by construction.  The UPDATE/DELETE oracles run only on unindexed,
+# non-durable engines, so they neither log to a WAL nor maintain indexes.
+
+
+def _matches(where, row, table) -> bool:
+    return where is None or bool(evaluate(where, row, table))
+
+
+def _is_aggregate_select(stmt) -> bool:
+    return any(
+        isinstance(item.expr, nodes.FuncCall)
+        and item.expr.name in ("count", "min", "max", "sum", "avg")
+        for item in stmt.items
+    )
+
+
+def select_reference(engine: Engine, stmt) -> Result:
+    if stmt.table is None:
+        # SELECT without FROM: evaluate items against an empty row.
+        columns = [item.output_name for item in stmt.items]
+        values = [evaluate(item.expr, {}, None) for item in stmt.items]
+        return Result(columns, [values])
+
+    table = engine.table(stmt.table)
+    matching = [row for row in table.rows if _matches(stmt.where, row, table)]
+
+    if _is_aggregate_select(stmt):
+        columns = [item.output_name for item in stmt.items]
+        values = [
+            evaluate_aggregate(item.expr, matching, table) for item in stmt.items
+        ]
+        return Result(columns, [values])
+
+    for ordering in reversed(stmt.order_by):
+        matching = sorted(
+            matching,
+            key=lambda row: sort_key(evaluate(ordering.expr, row, table)),
+            reverse=ordering.descending,
+        )
+
+    if stmt.offset:
+        matching = matching[stmt.offset:]
+    if stmt.limit is not None:
+        matching = matching[:stmt.limit]
+
+    columns = []
+    for item in stmt.items:
+        if isinstance(item.expr, nodes.Star):
+            columns.extend(table.column_names)
+        else:
+            columns.append(item.output_name)
+
+    result_rows = []
+    seen = set()
+    for row in matching:
+        values = []
+        for item in stmt.items:
+            if isinstance(item.expr, nodes.Star):
+                values.extend(row[name] for name in table.column_names)
+            else:
+                values.append(evaluate(item.expr, row, table))
+        if stmt.distinct:
+            key = tuple(str(v) for v in values)
+            if key in seen:
+                continue
+            seen.add(key)
+        result_rows.append(values)
+    return Result(columns, result_rows)
+
+
+def update_reference(engine: Engine, stmt) -> Result:
+    table = engine.table(stmt.table)
+    for column, _ in stmt.assignments:
+        if not table.has_column(column):
+            raise SQLError(f"table {table.name} has no column {column!r}")
+    touched = 0
+    for row in table.rows:
+        if _matches(stmt.where, row, table):
+            for column, expr in stmt.assignments:
+                row[column] = stored_value(evaluate(expr, row, table))
+            touched += 1
+    return Result(rowcount=touched)
+
+
+def delete_reference(engine: Engine, stmt) -> Result:
+    table = engine.table(stmt.table)
+    keep = [row for row in table.rows if not _matches(stmt.where, row, table)]
+    doomed = len(table.rows) - len(keep)
+    table.rows = keep
+    return Result(rowcount=doomed)
+
+
 def build_engine(indexed: bool) -> Engine:
     engine = Engine()
     for sql in FIXTURE:
@@ -109,7 +208,7 @@ class TestSelectDifferential:
         from repro.sql.parser import parse
         stmt = parse(sql)
         planned = engine.run(sql)
-        reference = engine._select_reference(stmt)
+        reference = select_reference(engine, stmt)
         assert result_rows(planned) == result_rows(reference)
         assert planned.columns == reference.columns
 
@@ -129,9 +228,9 @@ class TestMutationDifferential:
             stmt = parse(sql)
             a = planned.run(sql)
             if stmt.__class__.__name__ == "Update":
-                b = reference._update_reference(stmt)
+                b = update_reference(reference, stmt)
             else:
-                b = reference._delete_reference(stmt)
+                b = delete_reference(reference, stmt)
             assert a.rowcount == b.rowcount, sql
             assert table_state(planned) == table_state(reference), sql
         # After the whole corpus the indexes are still exact.
