@@ -12,8 +12,7 @@ Acceptance bars (standalone tests, no ``--benchmark-only`` needed):
 * at 16 workers, durable throughput is within 3x of in-memory
   (``test_durable_within_3x_of_memory_at_16_workers``);
 * at 16 workers, group commit batches — strictly fewer fsyncs than
-  records — and disabling it pays one sync per record
-  (``test_group_commit_batches_syncs``).
+  records (``test_group_commit_batches_syncs``).
 
 Run with::
 
@@ -134,8 +133,7 @@ def test_durable_within_3x_of_memory_at_16_workers():
 
 
 def test_group_commit_batches_syncs():
-    """At 16 workers one leader fsync absorbs whole batches of records;
-    with batching disabled every record pays its own sync."""
+    """At 16 workers one leader fsync absorbs whole batches of records."""
     store = tempfile.mkdtemp(prefix="bench-wal-")
     resin = Resin.open(store)
     try:
@@ -145,17 +143,6 @@ def test_group_commit_batches_syncs():
         assert wal.syncs < wal.records, (
             f"expected group commit to batch: {wal.syncs} syncs for "
             f"{wal.records} records")
-    finally:
-        resin.durability.close()
-        shutil.rmtree(store, ignore_errors=True)
-
-    store = tempfile.mkdtemp(prefix="bench-wal-")
-    resin = Resin.open(store, group_commit=False)
-    try:
-        _create_tables(resin.db, 16)
-        _run_batch(resin.db, 16)
-        wal = resin.durability.wal
-        assert wal.syncs >= wal.records
     finally:
         resin.durability.close()
         shutil.rmtree(store, ignore_errors=True)

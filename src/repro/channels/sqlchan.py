@@ -18,13 +18,13 @@ application-supplied SQL-injection filter interposes (Section 5.3).
 """
 
 from __future__ import annotations
-import contextlib
 import json
 import threading
 from typing import Any, Dict, FrozenSet, List, Optional, Union
 from ..core.context import FilterContext
 from ..core.exceptions import SQLError
 from ..core.filter import Filter, FilterChain
+from ..core.locking import durable
 from ..core.registry import resolve_registry
 from ..core.request_context import current_request
 from ..core.policyset import PolicySet
@@ -273,26 +273,15 @@ class Database:
         # locks of exactly the tables this statement touches across the
         # whole sequence, so concurrent requests see consistent schemas
         # while statements on independent tables run in parallel.  On a
-        # durable engine the whole mutating sequence additionally runs
-        # under the durability gate (taken before the table locks, the
-        # required order), so the lazy ``add_column`` calls below stay
-        # atomic with respect to checkpoints; the engine's nested gate
-        # entries are reentrant and its nested commits defer to ours.
+        # durable engine a mutating sequence additionally runs in one
+        # durable scope, so the lazy ``add_column`` calls below stay atomic
+        # with respect to checkpoints; the engine's nested scope is
+        # reentrant and its commit defers to this one's.
         mutates = not isinstance(statement, (nodes.Select, nodes.Explain))
-        with self._durable_scope(mutates):
-            with self.engine.locked(*self.engine.statement_tables(statement)):
-                result = self._dispatch(statement)
-        if mutates:
-            sink = self.engine.durability
-            if sink is not None:
-                sink.commit()
-        return result
-
-    def _durable_scope(self, mutates: bool):
-        sink = self.engine.durability
-        if sink is None or not mutates:
-            return contextlib.nullcontext()
-        return sink.mutation()
+        sink = self.engine.durability if mutates else None
+        tables = self.engine.statement_tables(statement)
+        with durable(sink), self.engine.locked(*tables):
+            return self._dispatch(statement)
 
     def _dispatch(self, statement) -> Result:
         if isinstance(statement, nodes.Explain):

@@ -11,6 +11,9 @@ lock, the filesystem's dentry lock) guards the directory structure itself
 and is always innermost.  :class:`OrderedLockRegistry` is that machinery,
 shared; the substrates keep only their naming (tables vs. subtree paths)
 and their exception type.
+
+:func:`durable` is the one scope every logged mutation of the durable store
+runs under, beside the :class:`SharedExclusiveGate` it enters.
 """
 
 from __future__ import annotations
@@ -203,3 +206,25 @@ class SharedExclusiveGate:
                     self._cond.notify_all()
 
         return _release()
+
+
+def durable(sink) -> contextlib.AbstractContextManager:
+    """The scope one mutate-and-log sequence runs under.
+
+    With a :class:`repro.storage.durability.Durability` ``sink``, the block
+    runs inside ``sink.mutation()`` and ``sink.commit()`` follows it (not
+    after a block that raised); a nested scope defers to the outermost
+    commit.  Written first, ``with durable(sink), <table or subtree
+    locks>:`` takes the gate before the locks and fsyncs after releasing
+    them.  Without a sink it is a bare ``nullcontext``.
+    """
+    if sink is None:
+        return contextlib.nullcontext()
+    return _gate_then_commit(sink)
+
+
+@contextlib.contextmanager
+def _gate_then_commit(sink) -> Iterator[None]:
+    with sink.mutation():
+        yield
+    sink.commit()

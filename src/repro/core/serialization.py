@@ -10,15 +10,18 @@ The wire format is JSON: a policy is ``{"class": "<qualified name>",
 "fields": {...}}`` and a byte/character range map is a list of
 ``[start, stop, [policy, ...]]`` segments.
 
+Persistent filter objects (Section 3.2.3) use the same codec: class name
+plus data fields, restored without ``__init__``.
+
 Two deserialization modes exist.  The strict default raises
-:class:`~repro.core.exceptions.SerializationError` on an unknown policy
-class.  The *tolerant* mode — used by the durable storage engine
+:class:`~repro.core.exceptions.SerializationError` on an unknown policy or
+filter class.  The *tolerant* mode — used by the durable storage engine
 (:mod:`repro.storage`) when recovering a store written by a different
-deployment — loads the record as an opaque :class:`UnknownPolicy`
-placeholder instead: the data stays readable inside the runtime, the
-original record is preserved verbatim for re-serialization, and any attempt
-to *export* the data is denied (an unknown assertion must fail closed, not
-vanish).
+deployment — loads the record as an opaque :class:`UnknownPolicy` or
+:class:`UnknownFilter` placeholder instead: the data stays readable inside
+the runtime, the original record is preserved verbatim for
+re-serialization, and any attempt to *export* the data (or write under the
+filter) is denied (an unknown assertion must fail closed, not vanish).
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Type
 
+from .context import as_context
 from .exceptions import PolicyViolation, SerializationError
+from .filter import Filter
 from .policy import Policy
 from .policyset import PolicySet, as_policyset
 from ..tracking.ranges import RangeMap
@@ -39,9 +44,12 @@ __all__ = [
     "dumps_policyset", "loads_policyset",
     "dumps_rangemap", "loads_rangemap",
     "encode_field", "decode_field", "UnknownPolicy",
+    "serialize_filter", "deserialize_filter", "UnknownFilter",
 ]
 
-_REGISTRY: Dict[str, Type[Policy]] = {}
+#: Resolved class names, policy and filter classes alike (a hit is checked
+#: against the base class the caller asked for).
+_REGISTRY: Dict[str, type] = {}
 
 
 def qualified_name(cls: type) -> str:
@@ -69,15 +77,21 @@ def _scan_subclasses(base: type) -> Iterable[type]:
         yield from _scan_subclasses(sub)
 
 
-def find_policy_class(name: str) -> Type[Policy]:
-    """Resolve a serialized class name back to a policy class."""
-    if name in _REGISTRY:
-        return _REGISTRY[name]
-    for cls in _scan_subclasses(Policy):
+def _find_class(base: type, name: str) -> type:
+    """Resolve a serialized class name back to a subclass of ``base``."""
+    cls = _REGISTRY.get(name)
+    if cls is not None and issubclass(cls, base):
+        return cls
+    for cls in _scan_subclasses(base):
         if qualified_name(cls) == name or cls.__qualname__ == name:
             _REGISTRY[name] = cls
             return cls
-    raise SerializationError(f"unknown policy class {name!r}")
+    raise SerializationError(f"unknown {base.__name__.lower()} class {name!r}")
+
+
+def find_policy_class(name: str) -> Type[Policy]:
+    """Resolve a serialized class name back to a policy class."""
+    return _find_class(Policy, name)
 
 
 def _stable_sort_key(encoded: Any) -> str:
@@ -158,18 +172,89 @@ class UnknownPolicy(Policy):
         return f"UnknownPolicy({self.class_name!r})"
 
 
-def serialize_policy(policy: Policy) -> Dict[str, Any]:
-    """Serialize one policy to a JSON-able dict (class name + fields)."""
-    if isinstance(policy, UnknownPolicy):
+class UnknownFilter(Filter):
+    """Placeholder for a stored filter whose class cannot be resolved.
+
+    The filter counterpart of :class:`UnknownPolicy`: tolerant recovery must
+    not drop an access-control boundary just because this deployment does
+    not ship its class, so the placeholder stays attached and denies every
+    write and namespace mutation (fail closed); reads pass through, matching
+    :class:`~repro.security.assertions.WriteAccessFilter`'s shape.
+    """
+
+    def __init__(self, class_name: str, record: Optional[dict] = None):
+        super().__init__()
+        self.class_name = str(class_name)
+        self.record = record if record is not None else {}
+
+    def _deny(self, operation: str, path: str, context) -> None:
+        raise PolicyViolation(
+            f"path {path!r} is guarded by unknown filter class "
+            f"{self.class_name!r}; denying {operation} (deny-by-default "
+            "for unresolvable assertions)",
+            context=context)
+
+    def filter_write(self, data: Any, offset: int = 0) -> Any:
+        self._deny("write", self.context.get("path", ""), self.context)
+
+    def check_mutation(self, operation: str, path: str, context) -> None:
+        self._deny(operation, path, context)
+
+    def __repr__(self) -> str:
+        return f"UnknownFilter({self.class_name!r})"
+
+
+_PLACEHOLDERS = (UnknownPolicy, UnknownFilter)
+
+
+def _serialize_object(obj) -> Dict[str, Any]:
+    """Class name + encoded ``serializable_fields()`` of a policy or filter."""
+    if isinstance(obj, _PLACEHOLDERS):
         # Round-trip the original record: the placeholder never rewrites
         # what some other deployment stored.
-        return {"class": policy.class_name,
-                "fields": dict(policy.record.get("fields", {}))}
+        return {"class": obj.class_name,
+                "fields": dict(obj.record.get("fields", {}))}
+    fields = getattr(obj, "serializable_fields", None)
+    if not callable(fields):
+        raise SerializationError(
+            f"{type(obj).__name__} does not support persistence "
+            "(no serializable_fields)")
     return {
-        "class": qualified_name(type(policy)),
+        "class": qualified_name(type(obj)),
         "fields": {key: encode_field(value)
-                   for key, value in policy.serializable_fields().items()},
+                   for key, value in fields().items()},
     }
+
+
+def _restore(base: type, placeholder: type, record: Dict[str, Any],
+             tolerant: bool):
+    """Re-create a ``base`` subclass instance from its serialized form.
+
+    The object is created without invoking ``__init__`` and exactly the
+    fields that were stored are restored.  An unknown class raises, or with
+    ``tolerant=True`` yields ``placeholder`` holding the record verbatim.
+    """
+    try:
+        name = record["class"]
+    except KeyError as exc:
+        raise SerializationError(
+            f"malformed {base.__name__.lower()} record: {record!r}") from exc
+    try:
+        cls = _find_class(base, name)
+    except SerializationError:
+        if not tolerant:
+            raise
+        return placeholder(name, {"class": name,
+                                  "fields": dict(record.get("fields", {}))})
+    obj = cls.__new__(cls)
+    for key, value in record.get("fields", {}).items():
+        setattr(obj, key, decode_field(value, tolerant=tolerant))
+    return obj
+
+
+def serialize_policy(policy: Policy) -> Dict[str, Any]:
+    """Serialize one policy to a JSON-able dict (class name + fields)."""
+    return _serialize_object(policy)
 
 
 def deserialize_policy(record: Dict[str, Any], *,
@@ -184,21 +269,33 @@ def deserialize_policy(record: Dict[str, Any], *,
     :class:`UnknownPolicy` placeholder instead of raising, so one stale
     record cannot make a whole store unrecoverable.
     """
-    try:
-        name = record["class"]
-    except KeyError as exc:
-        raise SerializationError(f"malformed policy record: {record!r}") from exc
-    try:
-        cls = find_policy_class(name)
-    except SerializationError:
-        if not tolerant:
-            raise
-        return UnknownPolicy(name, {"class": name,
-                                    "fields": dict(record.get("fields", {}))})
-    policy = cls.__new__(cls)
-    for key, value in record.get("fields", {}).items():
-        setattr(policy, key, decode_field(value, tolerant=tolerant))
-    return policy
+    return _restore(Policy, UnknownPolicy, record, tolerant)
+
+
+def serialize_filter(flt: Filter) -> Dict[str, Any]:
+    """Serialize a persistent filter object (class name + data fields).
+
+    Follows the policy protocol exactly: the filter must expose
+    ``serializable_fields()`` and contain only data.  Filters that carry
+    code (callable predicates) raise
+    :class:`~repro.core.exceptions.SerializationError` — the durability
+    layer skips those with the caveat that they must be re-attached at
+    application start-up.
+    """
+    return _serialize_object(flt)
+
+
+def deserialize_filter(record: Dict[str, Any], *,
+                       tolerant: bool = False) -> Filter:
+    """Re-create a persistent filter from its serialized form, like
+    :func:`deserialize_policy` (the restored filter starts with an empty
+    context).  With ``tolerant=True`` an unknown class yields a fail-closed
+    :class:`UnknownFilter` instead of raising.
+    """
+    flt = _restore(Filter, UnknownFilter, record, tolerant)
+    if not hasattr(flt, "context"):
+        flt.context = as_context(None)
+    return flt
 
 
 def serialize_policyset(policies) -> List[Dict[str, Any]]:

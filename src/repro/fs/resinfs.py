@@ -33,26 +33,53 @@ ancestor directory never becomes a hidden channel between concurrent requests.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 from typing import Any, Dict, Iterator, List, Optional
 
 from ..core.context import FilterContext
-from ..core.exceptions import FileSystemError, PolicyViolation
+from ..core.exceptions import FileSystemError, PolicyViolation, SerializationError
 from ..core.filter import Filter
+from ..core.locking import durable
 from ..core.registry import resolve_registry
 from ..core.request_context import current_request
-from ..core.serialization import dumps_rangemap, loads_rangemap
+from ..core.serialization import dumps_rangemap, loads_rangemap, serialize_filter
 from ..tracking.tainted_bytes import TaintedBytes
 from ..tracking.tainted_str import TaintedStr
 from . import path as fspath
-from .filesystem import FileSystem, Stat
+from .filesystem import FileSystem, Inode, Stat
 
 #: Extended attribute holding the serialized policy range map of a file.
 POLICY_XATTR = "user.resin.policies"
 
 #: Extended attribute holding the persistent filter object of a file/directory.
 FILTER_XATTR = "user.resin.filter"
+
+
+# -- WAL records ----------------------------------------------------------------
+# Logged by ResinFS as it mutates, and by a checkpoint for the whole tree.
+
+
+def file_record(path: str, node: Inode) -> Dict[str, Any]:
+    """The ``fs.write`` record of the file ``node`` at ``path``: its bytes
+    and its stored policy range map, so replay restores data and taint in
+    one step."""
+    return {
+        "op": "fs.write",
+        "path": path,
+        "data": node.data.hex(),
+        "policies": node.xattrs.get(POLICY_XATTR),
+    }
+
+
+def filter_record(path: str, flt: Filter) -> Optional[Dict[str, Any]]:
+    """The ``fs.filter`` record attaching ``flt`` to ``path``, or ``None``
+    for a filter that carries code (a callable predicate): such a filter is
+    not durable by design, and the application re-attaches it at start-up."""
+    try:
+        record = serialize_filter(flt)
+    except SerializationError:
+        return None
+    return {"op": "fs.filter", "path": path, "filter": record}
 
 
 class ResinFile:
@@ -144,35 +171,10 @@ class ResinFS:
 
     # -- durability --------------------------------------------------------------
 
-    def _durable(self):
-        """The gate a mutate-and-log pair runs under (no-op when the
-        filesystem is not durable).  Acquired *before* the subtree locks —
-        the ordering the durability gate's deadlock-freedom argument relies
-        on — and reentrant per thread."""
+    def _log(self, record: Optional[Dict[str, Any]]) -> None:
         sink = self.durability
-        return sink.mutation() if sink is not None else contextlib.nullcontext()
-
-    def _log(self, record: Dict[str, Any]) -> None:
-        sink = self.durability
-        if sink is not None:
+        if sink is not None and record is not None:
             sink.log(record)
-
-    def _commit_durable(self) -> None:
-        """Group-commit after the subtree locks are released, so the fsync
-        never extends lock hold time."""
-        sink = self.durability
-        if sink is not None:
-            sink.commit()
-
-    def _log_file_state(self, path: str, data: TaintedBytes) -> None:
-        """Log the file's full post-write image (bytes + serialized policy
-        range map): replay restores data and taint in one step."""
-        if self.durability is None:
-            return
-        serialized = (None if data.rangemap.is_empty()
-                      else dumps_rangemap(data.rangemap))
-        self._log({"op": "fs.write", "path": path,
-                   "data": bytes(data).hex(), "policies": serialized})
 
     # -- locking ---------------------------------------------------------------
 
@@ -271,22 +273,9 @@ class ResinFS:
         if not isinstance(flt, Filter):
             raise FileSystemError("persistent filter must be a Filter")
         path = fspath.normalize(path)
-        with self._durable():
-            with self.raw.locked(self.subtree_of(path)):
-                self.raw.set_xattr(path, FILTER_XATTR, flt)
-                self._log_filter(path, flt)
-        self._commit_durable()
-
-    def _log_filter(self, path: str, flt: Filter) -> None:
-        if self.durability is None:
-            return
-        from ..core.exceptions import SerializationError
-        from ..storage.snapshot import serialize_filter
-        try:
-            record = serialize_filter(flt)
-        except SerializationError:
-            return
-        self._log({"op": "fs.filter", "path": path, "filter": record})
+        with durable(self.durability), self.raw.locked(self.subtree_of(path)):
+            self.raw.set_xattr(path, FILTER_XATTR, flt)
+            self._log(filter_record(path, flt))
 
     def get_persistent_filter(self, path: str) -> Optional[Filter]:
         if not self.raw.exists(path):
@@ -296,11 +285,9 @@ class ResinFS:
 
     def remove_persistent_filter(self, path: str) -> None:
         path = fspath.normalize(path)
-        with self._durable():
-            with self.raw.locked(self.subtree_of(path)):
-                self.raw.remove_xattr(path, FILTER_XATTR)
-                self._log({"op": "fs.unfilter", "path": path})
-        self._commit_durable()
+        with durable(self.durability), self.raw.locked(self.subtree_of(path)):
+            self.raw.remove_xattr(path, FILTER_XATTR)
+            self._log({"op": "fs.unfilter", "path": path})
 
     def _guarding_filters(self, path: str) -> Iterator[Filter]:
         """Yield the persistent filters that guard ``path``: the one attached
@@ -445,20 +432,18 @@ class ResinFS:
             ).encode()
         elif not isinstance(data, TaintedBytes):
             data = TaintedBytes(bytes(data))
-        with self._durable():
-            with self.raw.locked(self.subtree_of(path)):
-                if not self.raw.exists(path):
-                    self._check_directory_mutation("create", path)
-                data = self._default_filter(path).filter_write(data)
-                data = self._invoke_persistent_write(path, data)
-                if append and self.raw.exists(path):
-                    existing = self._load_policies(
-                        path, self.raw.read_raw(path))
-                    data = existing + data
-                self.raw.write_raw(path, bytes(data))
-                self._store_policies(path, data)
-                self._log_file_state(path, data)
-        self._commit_durable()
+        with durable(self.durability), self.raw.locked(self.subtree_of(path)):
+            if not self.raw.exists(path):
+                self._check_directory_mutation("create", path)
+            data = self._default_filter(path).filter_write(data)
+            data = self._invoke_persistent_write(path, data)
+            if append and self.raw.exists(path):
+                existing = self._load_policies(path, self.raw.read_raw(path))
+                data = existing + data
+            self.raw.write_raw(path, bytes(data))
+            self._store_policies(path, data)
+            if self.durability is not None:
+                self._log(file_record(path, self.raw._require(path)))
 
     def write_text(
         self, path: str, text, append: bool = False, encoding: str = "utf-8"
@@ -472,13 +457,12 @@ class ResinFS:
         """Attach ``policy`` to every byte of an existing file (used by
         installers, e.g. ``make_file_executable`` in Figure 6)."""
         path = fspath.normalize(path)
-        with self._durable():
-            with self.raw.locked(self.subtree_of(path)):
-                data = self.read_bytes(path).with_policy(policy)
-                self.raw.write_raw(path, bytes(data))
-                self._store_policies(path, data)
-                self._log_file_state(path, data)
-        self._commit_durable()
+        with durable(self.durability), self.raw.locked(self.subtree_of(path)):
+            data = self.read_bytes(path).with_policy(policy)
+            self.raw.write_raw(path, bytes(data))
+            self._store_policies(path, data)
+            if self.durability is not None:
+                self._log(file_record(path, self.raw._require(path)))
 
     def file_policies(self, path: str):
         """The policy set stored for a file (without reading it through the
@@ -495,33 +479,33 @@ class ResinFS:
         path = fspath.normalize(path)
         if path == "/":
             return
-        with self._durable():
-            with self.raw.plan_locked(self.raw.mkdir_subtrees, path, parents):
-                self._check_directory_mutation("mkdir", path)
-                self.raw._mkdir_locked(path, parents)
-                self._log({"op": "fs.mkdir", "path": path})
-        self._commit_durable()
+        with durable(self.durability), self.raw.plan_locked(
+            self.raw.mkdir_subtrees, path, parents
+        ):
+            self._check_directory_mutation("mkdir", path)
+            self.raw._mkdir_locked(path, parents)
+            self._log({"op": "fs.mkdir", "path": path})
 
     def unlink(self, path: str) -> None:
         path = fspath.normalize(path)
-        with self._durable():
-            with self.raw.plan_locked(self.raw.unlink_subtrees, path):
-                self._check_directory_mutation("unlink", path)
-                self.raw._unlink_locked(path)
-                self._log({"op": "fs.unlink", "path": path})
-        self._commit_durable()
+        with durable(self.durability), self.raw.plan_locked(
+            self.raw.unlink_subtrees, path
+        ):
+            self._check_directory_mutation("unlink", path)
+            self.raw._unlink_locked(path)
+            self._log({"op": "fs.unlink", "path": path})
 
     def rename(self, src: str, dst: str) -> None:
         src = fspath.normalize(src)
         dst = fspath.normalize(dst)
-        with self._durable():
-            with self.raw.plan_locked(self.raw.rename_subtrees, src, dst):
-                self._check_directory_mutation("rename", src)
-                self._check_directory_mutation("rename", dst)
-                # Carry the source's persistent filter and policies along.
-                self.raw._rename_locked(src, dst)
-                self._log({"op": "fs.rename", "src": src, "dst": dst})
-        self._commit_durable()
+        with durable(self.durability), self.raw.plan_locked(
+            self.raw.rename_subtrees, src, dst
+        ):
+            self._check_directory_mutation("rename", src)
+            self._check_directory_mutation("rename", dst)
+            # Carry the source's persistent filter and policies along.
+            self.raw._rename_locked(src, dst)
+            self._log({"op": "fs.rename", "src": src, "dst": dst})
 
     def listdir(self, path: str) -> List[str]:
         return self.raw.listdir(path)

@@ -279,7 +279,7 @@ class Resin:
     # -- durable storage ---------------------------------------------------------
 
     @classmethod
-    def open(cls, path: str, *, sync: str = "fsync", group_commit: bool = True,
+    def open(cls, path: str, *, sync: str = "fsync",
              tolerant: bool = False, checkpoint_bytes: Optional[int] = None,
              audit: Optional[bool] = None,
              **env_kwargs: Any) -> "Resin":
@@ -309,7 +309,7 @@ class Resin:
         if checkpoint_bytes is None:
             checkpoint_bytes = DEFAULT_CHECKPOINT_BYTES
         resin = cls(**env_kwargs)
-        Durability.open(resin.env, path, sync=sync, group_commit=group_commit,
+        Durability.open(resin.env, path, sync=sync,
                         checkpoint_bytes=checkpoint_bytes, tolerant=tolerant)
         audit_dir = os.path.join(path, "audit")
         if audit is True or (audit is None and os.path.isdir(audit_dir)):

@@ -13,7 +13,7 @@ import contextlib
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.exceptions import SQLError
-from ..core.locking import OrderedLockRegistry
+from ..core.locking import OrderedLockRegistry, durable
 from . import nodes
 from .executor import Executor, evaluate, stored_value
 from .indexes import SecondaryIndex
@@ -76,8 +76,8 @@ class Table:
         self.columns = list(columns)
         self.column_names = [c.name for c in self.columns]
         self.rows: List[Dict[str, Any]] = []
-        #: Secondary indexes by name, maintained inside this table's lock
-        #: scope by the engine's mutation paths.
+        #: Secondary indexes by name, kept current by the appliers below
+        #: (inside this table's lock scope on the live path).
         self.indexes: Dict[str, SecondaryIndex] = {}
 
     def has_column(self, name: str) -> bool:
@@ -90,6 +90,45 @@ class Table:
         self.column_names.append(column.name)
         for row in self.rows:
             row.setdefault(column.name, None)
+
+    # -- appliers ----------------------------------------------------------------
+    # The one way rows and indexes change: the engine's statements and WAL
+    # replay both call these.
+
+    def append_rows(self, rows: List[Dict[str, Any]]) -> None:
+        """Append ``rows``; they enter every index incrementally (positions
+        only grow on insert)."""
+        first = len(self.rows)
+        self.rows.extend(rows)
+        for index in self.indexes.values():
+            for offset, row in enumerate(rows):
+                index.add_row(first + offset, row)
+
+    def delete_rows(self, positions: Iterable[int]) -> None:
+        """Delete the rows at ``positions``.  Deleting compacts row
+        positions, so every index renumbers; the rebuild is the same O(n)
+        as the delete itself."""
+        doomed = set(positions)
+        self.rows = [
+            row for position, row in enumerate(self.rows) if position not in doomed
+        ]
+        self.rebuild_indexes()
+
+    def rebuild_indexes(self, columns: Optional[Iterable[str]] = None) -> None:
+        """Rebuild the indexes over ``columns`` (every index when ``None``)
+        after rows changed in place."""
+        wanted = None if columns is None else set(columns)
+        for index in self.indexes.values():
+            if wanted is None or index.column in wanted:
+                index.rebuild(self.rows)
+
+    def add_index(self, name: str, column: str, kind: str) -> SecondaryIndex:
+        """Build the index ``name`` over ``column`` from the current rows and
+        register it."""
+        index = SecondaryIndex(name, self.name, column, kind)
+        index.rebuild(self.rows)
+        self.indexes[name] = index
+        return index
 
     # -- WAL records -------------------------------------------------------------
     # Logged by the engine as it mutates, and by a checkpoint for the table.
@@ -208,27 +247,10 @@ class Engine:
 
     # -- durability hooks --------------------------------------------------------
 
-    def _durable(self):
-        """The gate a mutate-and-log pair runs under (no-op when the engine
-        is not durable).  Acquired *before* the table lock — the ordering
-        the durability gate's deadlock-freedom argument relies on — and
-        reentrant, so the SQL channel's enclosing gate nests harmlessly."""
-        sink = self.durability
-        return sink.mutation() if sink is not None else contextlib.nullcontext()
-
     def _log(self, record: Dict[str, Any]) -> None:
         sink = self.durability
         if sink is not None:
             sink.log(record)
-
-    def _commit_durable(self) -> None:
-        """Group-commit the records this statement logged.  Called after the
-        table lock is released, so the fsync never extends lock hold time;
-        inside an enclosing durable scope (the SQL channel's) it defers to
-        that scope's commit."""
-        sink = self.durability
-        if sink is not None:
-            sink.commit()
 
     # -- public API -------------------------------------------------------------
 
@@ -243,9 +265,9 @@ class Engine:
                 return self._select(statement)
             with self.locked(statement.table):
                 return self._select(statement)
-        result = self._execute_mutation(statement)
-        self._commit_durable()
-        return result
+        # Around the table locks _execute_mutation takes (see durable).
+        with durable(self.durability):
+            return self._execute_mutation(statement)
 
     def plan(self, statement):
         """The plan :meth:`run` would execute for ``statement`` (parsed on
@@ -270,31 +292,25 @@ class Engine:
 
     def _execute_mutation(self, statement) -> Result:
         if isinstance(statement, nodes.CreateIndex):
-            with self._durable():
-                with self.locked(statement.table):
-                    return self._create_index(statement)
+            with self.locked(statement.table):
+                return self._create_index(statement)
         if isinstance(statement, nodes.DropIndex):
             return self._drop_index(statement)
         if isinstance(statement, nodes.CreateTable):
-            with self._durable():
-                with self.locked(statement.table), self.catalog_lock:
-                    return self._create(statement)
+            with self.locked(statement.table), self.catalog_lock:
+                return self._create(statement)
         if isinstance(statement, nodes.DropTable):
-            with self._durable():
-                with self.locked(statement.table), self.catalog_lock:
-                    return self._drop(statement)
+            with self.locked(statement.table), self.catalog_lock:
+                return self._drop(statement)
         if isinstance(statement, nodes.Insert):
-            with self._durable():
-                with self.locked(statement.table):
-                    return self._insert(statement)
+            with self.locked(statement.table):
+                return self._insert(statement)
         if isinstance(statement, nodes.Update):
-            with self._durable():
-                with self.locked(statement.table):
-                    return self._update(statement)
+            with self.locked(statement.table):
+                return self._update(statement)
         if isinstance(statement, nodes.Delete):
-            with self._durable():
-                with self.locked(statement.table):
-                    return self._delete(statement)
+            with self.locked(statement.table):
+                return self._delete(statement)
         raise SQLError(f"cannot execute {type(statement).__name__}")
 
     def table(self, name: str) -> Table:
@@ -354,9 +370,7 @@ class Engine:
         if not table.has_column(stmt.column):
             raise SQLError(
                 f"table {table.name} has no column {stmt.column!r}")
-        index = SecondaryIndex(stmt.name, table.name, stmt.column, stmt.kind)
-        index.rebuild(table.rows)
-        table.indexes[stmt.name] = index
+        index = table.add_index(stmt.name, stmt.column, stmt.kind)
         self._log(table.index_record(index))
         return Result()
 
@@ -366,15 +380,14 @@ class Engine:
             if stmt.if_exists:
                 return Result()
             raise SQLError(f"no such index: {stmt.name}")
-        with self._durable():
-            with self.locked(owner):
-                table = self.tables.get(owner)
-                if table is None or stmt.name not in table.indexes:
-                    if stmt.if_exists:
-                        return Result()
-                    raise SQLError(f"no such index: {stmt.name}")
-                del table.indexes[stmt.name]
-                self._log({"op": "sql.drop_index", "table": owner, "index": stmt.name})
+        with self.locked(owner):
+            table = self.tables.get(owner)
+            if table is None or stmt.name not in table.indexes:
+                if stmt.if_exists:
+                    return Result()
+                raise SQLError(f"no such index: {stmt.name}")
+            del table.indexes[stmt.name]
+            self._log({"op": "sql.drop_index", "table": owner, "index": stmt.name})
         return Result()
 
     def _index_owner(self, name: str) -> Optional[str]:
@@ -382,30 +395,6 @@ class Engine:
             if name in table.indexes:
                 return table.name
         return None
-
-    def _maintain_on_insert(self, table: Table, first_position: int,
-                            new_rows: List[Dict[str, Any]]) -> None:
-        if not table.indexes:
-            return
-        for offset, row in enumerate(new_rows):
-            position = first_position + offset
-            for index in table.indexes.values():
-                index.add_row(position, row)
-
-    def _maintain_on_update(self, table: Table,
-                            assigned: Iterable[str]) -> None:
-        if not table.indexes:
-            return
-        assigned = set(assigned)
-        for index in table.indexes.values():
-            if index.column in assigned:
-                index.rebuild(table.rows)
-
-    def _maintain_on_delete(self, table: Table) -> None:
-        # Deleting compacts row positions, so every index must renumber;
-        # the rebuild is the same O(n) as the delete itself.
-        for index in table.indexes.values():
-            index.rebuild(table.rows)
 
     def _insert(self, stmt: nodes.Insert) -> Result:
         table = self.table(stmt.table)
@@ -418,9 +407,8 @@ class Engine:
             row = {name: None for name in table.column_names}
             for column, expr in zip(stmt.columns, row_exprs):
                 row[column] = stored_value(evaluate(expr, None, table))
-            table.rows.append(row)
             new_rows.append(row)
-        self._maintain_on_insert(table, len(table.rows) - len(new_rows), new_rows)
+        table.append_rows(new_rows)
         if new_rows and self.durability is not None:
             rows = table.encode_rows(new_rows)
             self._log(table.rows_record("sql.insert", rows=rows))
@@ -448,7 +436,7 @@ class Engine:
                 row[column] = stored_value(evaluate(expr, row, table))
             touched.append(position)
         if touched:
-            self._maintain_on_update(table, (column for column, _ in stmt.assignments))
+            table.rebuild_indexes(column for column, _ in stmt.assignments)
         if touched and self.durability is not None:
             # Full row images, not expressions: replay is exact regardless
             # of what the SET expressions computed from.
@@ -462,13 +450,7 @@ class Engine:
         source = self.planner.plan(stmt).source
         doomed = [position for position, _ in self.executor.scan(source)]
         if doomed:
-            doomed_set = set(doomed)
-            table.rows = [
-                row
-                for position, row in enumerate(table.rows)
-                if position not in doomed_set
-            ]
-            self._maintain_on_delete(table)
+            table.delete_rows(doomed)
         if doomed and self.durability is not None:
             self._log(table.rows_record("sql.delete", indices=doomed))
         return Result(rowcount=len(doomed))

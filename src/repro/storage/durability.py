@@ -4,9 +4,11 @@
 :class:`~repro.environment.Environment`, and is the single point the SQL
 engine and ResinFS talk to:
 
-* every mutate-and-log pair runs under :meth:`mutation` (the shared side of
-  a :class:`~repro.core.locking.SharedExclusiveGate`), keeping mutations
-  atomic with respect to checkpoints;
+* every mutate-and-log sequence runs in one
+  :func:`~repro.core.locking.durable` scope: under :meth:`mutation` (the
+  shared side of a :class:`~repro.core.locking.SharedExclusiveGate`),
+  keeping mutations atomic with respect to checkpoints, and followed by
+  :meth:`commit`;
 * :meth:`log` appends the record, :meth:`commit` group-commits — one fsync
   absorbs every record buffered across the concurrent requests that reached
   their commit point together;
@@ -73,7 +75,6 @@ class Durability:
         directory: str,
         *,
         sync: str = "fsync",
-        group_commit: bool = True,
         checkpoint_bytes: Optional[int] = DEFAULT_CHECKPOINT_BYTES,
         tolerant: bool = False,
     ):
@@ -82,7 +83,7 @@ class Durability:
         self.tolerant = tolerant
         self.checkpoint_bytes = checkpoint_bytes
         self.gate = SharedExclusiveGate()
-        self.wal = WriteAheadLog(directory, sync=sync, group_commit=group_commit)
+        self.wal = WriteAheadLog(directory, sync=sync)
         self.env = None
         self.engine = None
         self.fs = None
@@ -98,20 +99,23 @@ class Durability:
         directory: str,
         *,
         sync: str = "fsync",
-        group_commit: bool = True,
         checkpoint_bytes: Optional[int] = DEFAULT_CHECKPOINT_BYTES,
         tolerant: bool = False,
     ) -> "Durability":
         """Open (or create) the store at ``directory`` for ``env``:
-        recover its state, then attach so new mutations are logged."""
+        recover its state, then attach so new mutations are logged.  A
+        recovery that fails closes the WAL it opened and re-raises."""
         store = cls(
             directory,
             sync=sync,
-            group_commit=group_commit,
             checkpoint_bytes=checkpoint_bytes,
             tolerant=tolerant,
         )
-        store.recover(env)
+        try:
+            store.recover(env)
+        except BaseException:
+            store.wal.close()
+            raise
         store.attach(env)
         return store
 
@@ -177,7 +181,8 @@ class Durability:
     # -- the mutation protocol ------------------------------------------------
 
     def mutation(self):
-        """The context a mutate-and-log pair must run under (reentrant)."""
+        """The gate a mutate-and-log sequence runs under (reentrant); see
+        :func:`repro.core.locking.durable`, which also commits after it."""
         return self.gate.shared()
 
     def log(self, record: Dict[str, Any]) -> int:

@@ -16,9 +16,16 @@ recovers the state as of the last complete record.
 Replay bypasses the RESIN-aware layers (``Database``/``ResinFS``) and their
 filters on purpose: the checks already ran when the operation was first
 admitted and logged, and re-running them would need the original request
-context (the authenticated user) which no longer exists.  Nothing re-logs
-either — the durability service only attaches to the environment after
-replay finishes.
+context (the authenticated user) which no longer exists.  Below those
+layers it applies each record with the mutator the live path used —
+``Table.append_rows``/``delete_rows``/``rebuild_indexes``/``add_index`` and
+the raw ``FileSystem`` operations — so rows, indexes and the inode tree
+change the same way in both.  A record those mutators refuse (a write onto
+a directory, an unlink of a missing path or a non-empty directory, ...)
+aborts recovery with their error, in strict and tolerant mode alike: a
+valid log never holds one, because the live path refused the same
+operation before logging it.  Nothing re-logs either — the durability
+service only attaches to the environment after replay finishes.
 """
 
 from __future__ import annotations
@@ -26,13 +33,11 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from ..core.exceptions import SerializationError
-from ..fs.filesystem import FileSystem, Inode
-from ..fs import path as fspath
+from ..core.serialization import deserialize_filter
+from ..fs.filesystem import FileSystem
 from ..fs.resinfs import FILTER_XATTR, POLICY_XATTR
 from ..sql import nodes
 from ..sql.engine import Engine, Table
-from ..sql.indexes import SecondaryIndex
-from .snapshot import deserialize_filter
 from .framing import decode_value
 
 __all__ = ["apply_record", "replay"]
@@ -98,16 +103,12 @@ def _sql_table(record, engine: Engine) -> Table:
 def _sql_insert(record, engine: Engine, fs, tolerant) -> None:
     table = _sql_table(record, engine)
     names = record["columns"]
-    first = len(table.rows)
+    rows = []
     for values in record["rows"]:
         row = {name: None for name in table.column_names}
         row.update(zip(names, (decode_value(v) for v in values)))
-        table.rows.append(row)
-    # Mirror the engine's live maintenance: appended rows enter the
-    # secondary indexes incrementally (positions only grow on insert).
-    for index in table.indexes.values():
-        for position in range(first, len(table.rows)):
-            index.add_row(position, table.rows[position])
+        rows.append(row)
+    table.append_rows(rows)
 
 
 def _sql_update(record, engine: Engine, fs, tolerant) -> None:
@@ -120,27 +121,17 @@ def _sql_update(record, engine: Engine, fs, tolerant) -> None:
                 f"{table.name!r}"
             )
         table.rows[index].update(zip(names, (decode_value(v) for v in values)))
-    _rebuild_indexes(table)
+    table.rebuild_indexes()
 
 
 def _sql_delete(record, engine: Engine, fs, tolerant) -> None:
-    table = _sql_table(record, engine)
-    doomed = set(record["indices"])
-    table.rows = [
-        row for index, row in enumerate(table.rows) if index not in doomed
-    ]
-    _rebuild_indexes(table)
-
-
-def _rebuild_indexes(table: Table) -> None:
-    for index in table.indexes.values():
-        index.rebuild(table.rows)
+    _sql_table(record, engine).delete_rows(record["indices"])
 
 
 def _sql_create_index(record, engine: Engine, fs, tolerant) -> None:
     # The WAL stores only the index *definition*; the contents are derived
-    # state, rebuilt here from the rows recovered so far (and maintained by
-    # the replay handlers above for the records that follow).
+    # state, built here from the rows recovered so far (and maintained by
+    # the appliers for the records that follow).
     table = engine.tables.get(record["table"])
     if table is None:
         if tolerant:
@@ -148,12 +139,7 @@ def _sql_create_index(record, engine: Engine, fs, tolerant) -> None:
         raise SerializationError(
             f"WAL references unknown table {record['table']!r}"
         )
-    name = record["index"]
-    index = SecondaryIndex(
-        name, record["table"], record["column"], record.get("kind", "sorted")
-    )
-    index.rebuild(table.rows)
-    table.indexes[name] = index
+    table.add_index(record["index"], record["column"], record.get("kind", "sorted"))
 
 
 def _sql_drop_index(record, engine: Engine, fs, tolerant) -> None:
@@ -165,76 +151,35 @@ def _sql_drop_index(record, engine: Engine, fs, tolerant) -> None:
 # -- filesystem records -------------------------------------------------------
 
 
-def _fs_node(fs: FileSystem, path: str) -> Inode:
-    node = fs._lookup(path)
-    if node is None:
-        raise SerializationError(f"WAL references unknown path {path!r}")
-    return node
-
-
 def _fs_write(record, engine, fs: FileSystem, tolerant) -> None:
     path = record["path"]
-    data = bytes.fromhex(record["data"])
-    parent = fs._lookup(fspath.dirname(path))
-    if parent is None or not parent.is_dir:
-        raise SerializationError(
-            f"WAL write to {path!r} but its directory does not exist"
-        )
-    name = fspath.basename(path)
-    node = parent.entries.get(name)
-    if node is None or not node.is_file:
-        node = Inode("file", name)
-        parent.entries[name] = node
-    node.data = data
+    fs.write_raw(path, bytes.fromhex(record["data"]))
     policies = record.get("policies")
     if policies is None:
-        node.xattrs.pop(POLICY_XATTR, None)
+        fs.remove_xattr(path, POLICY_XATTR)
     else:
-        node.xattrs[POLICY_XATTR] = policies
+        fs.set_xattr(path, POLICY_XATTR, policies)
 
 
 def _fs_mkdir(record, engine, fs: FileSystem, tolerant) -> None:
-    path = record["path"]
-    parent = fs.root
-    for part in fspath.parts(path):
-        child = parent.entries.get(part)
-        if child is None:
-            child = Inode("dir", part)
-            parent.entries[part] = child
-        elif not child.is_dir:
-            raise SerializationError(
-                f"WAL mkdir {path!r} collides with an existing file"
-            )
-        parent = child
+    fs.mkdir(record["path"], parents=True)
 
 
 def _fs_unlink(record, engine, fs: FileSystem, tolerant) -> None:
-    path = record["path"]
-    parent = fs._lookup(fspath.dirname(path))
-    if parent is not None and parent.is_dir:
-        parent.entries.pop(fspath.basename(path), None)
+    fs.unlink(record["path"])
 
 
 def _fs_rename(record, engine, fs: FileSystem, tolerant) -> None:
-    src, dst = record["src"], record["dst"]
-    node = _fs_node(fs, src)
-    src_parent = _fs_node(fs, fspath.dirname(src))
-    dst_parent = _fs_node(fs, fspath.dirname(dst))
-    del src_parent.entries[fspath.basename(src)]
-    node.name = fspath.basename(dst)
-    dst_parent.entries[node.name] = node
+    fs.rename(record["src"], record["dst"])
 
 
 def _fs_filter(record, engine, fs: FileSystem, tolerant) -> None:
-    node = _fs_node(fs, record["path"])
-    node.xattrs[FILTER_XATTR] = deserialize_filter(
-        record["filter"], tolerant=tolerant
-    )
+    flt = deserialize_filter(record["filter"], tolerant=tolerant)
+    fs.set_xattr(record["path"], FILTER_XATTR, flt)
 
 
 def _fs_unfilter(record, engine, fs: FileSystem, tolerant) -> None:
-    node = _fs_node(fs, record["path"])
-    node.xattrs.pop(FILTER_XATTR, None)
+    fs.remove_xattr(record["path"], FILTER_XATTR)
 
 
 _HANDLERS = {

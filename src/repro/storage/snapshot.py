@@ -11,9 +11,12 @@ Policies ride along intact.  Table cells are plain values (the policy
 columns the SQL channel maintains are ordinary ``TEXT`` cells and serialize
 with the rest of the row), file policy range-maps are already serialized
 strings in the ``user.resin.policies`` xattr, and persistent filter objects
-are serialized class-name + data fields via the same codec the policies use
-(:func:`repro.core.serialization.encode_field`) — never code.  That is what
-makes taint survive a restart (Section 3.4.1 of the paper).
+are serialized class-name + data fields by the policy codec
+(:func:`repro.core.serialization.serialize_filter`) — never code.  That is
+what makes taint survive a restart (Section 3.4.1 of the paper).  Every
+record comes from the builder the live path logs with
+(``Table.create_record``/``rows_record``/``index_record`` and
+:func:`repro.fs.resinfs.file_record`/``filter_record``).
 
 On disk a snapshot is a single uncapped frame (length + CRC32 + JSON) in a
 file named ``snap-<wal_start>.snap``, written to a temp file and renamed
@@ -26,12 +29,10 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, List, Optional
 
-from ..core.context import as_context
-from ..core.exceptions import PolicyViolation, RecoveryError, SerializationError
+from ..core.exceptions import RecoveryError
 from ..core.filter import Filter
-from ..core.serialization import decode_field, encode_field, qualified_name
 from ..fs.filesystem import FileSystem
-from ..fs.resinfs import FILTER_XATTR, POLICY_XATTR
+from ..fs.resinfs import FILTER_XATTR, file_record, filter_record
 from ..sql.engine import Engine
 from .framing import (
     encode_record,
@@ -48,9 +49,6 @@ __all__ = [
     "load_latest_snapshot",
     "snapshot_ids",
     "retire_snapshots_except",
-    "serialize_filter",
-    "deserialize_filter",
-    "UnknownFilter",
     "SNAPSHOT_PREFIX",
 ]
 
@@ -59,109 +57,6 @@ _SNAPSHOT_SUFFIX = ".snap"
 
 #: ``{"version", "wal_start", "records"}``; version 1 documents are refused.
 SNAPSHOT_VERSION = 2
-
-
-# -- persistent filter codec --------------------------------------------------
-
-
-class UnknownFilter(Filter):
-    """Placeholder for a stored filter whose class cannot be resolved.
-
-    The filter counterpart of
-    :class:`~repro.core.serialization.UnknownPolicy`: tolerant recovery must
-    not drop an access-control boundary just because this deployment does
-    not ship its class, so the placeholder stays attached and denies every
-    write and namespace mutation (fail closed); reads pass through, matching
-    :class:`~repro.security.assertions.WriteAccessFilter`'s shape.
-    """
-
-    def __init__(self, class_name: str, record: Optional[dict] = None):
-        super().__init__()
-        self.class_name = str(class_name)
-        self.record = record if record is not None else {}
-
-    def _deny(self, operation: str, path: str, context) -> None:
-        raise PolicyViolation(
-            f"path {path!r} is guarded by unknown filter class "
-            f"{self.class_name!r}; denying {operation} (deny-by-default "
-            "for unresolvable assertions)",
-            context=context,
-        )
-
-    def filter_write(self, data: Any, offset: int = 0) -> Any:
-        self._deny("write", self.context.get("path", ""), self.context)
-
-    def check_mutation(self, operation: str, path: str, context) -> None:
-        self._deny(operation, path, context)
-
-    def __repr__(self) -> str:
-        return f"UnknownFilter({self.class_name!r})"
-
-
-def serialize_filter(flt: Filter) -> Dict[str, Any]:
-    """Serialize a persistent filter object (class name + data fields).
-
-    Follows the policy protocol exactly: the filter must expose
-    ``serializable_fields()`` and contain only data.  Filters that carry
-    code (callable predicates) raise
-    :class:`~repro.core.exceptions.SerializationError` — the durability
-    layer skips those with the caveat that they must be re-attached at
-    application start-up.
-    """
-    if isinstance(flt, UnknownFilter):
-        return {
-            "class": flt.class_name,
-            "fields": dict(flt.record.get("fields", {})),
-        }
-    fields = getattr(flt, "serializable_fields", None)
-    if not callable(fields):
-        raise SerializationError(
-            f"filter {type(flt).__name__} does not support persistence "
-            "(no serializable_fields)"
-        )
-    return {
-        "class": qualified_name(type(flt)),
-        "fields": {key: encode_field(value) for key, value in fields().items()},
-    }
-
-
-def _find_filter_class(name: str) -> type:
-    def scan(base):
-        for sub in base.__subclasses__():
-            yield sub
-            yield from scan(sub)
-
-    for cls in scan(Filter):
-        if qualified_name(cls) == name or cls.__qualname__ == name:
-            return cls
-    raise SerializationError(f"unknown filter class {name!r}")
-
-
-def deserialize_filter(record: Dict[str, Any], *, tolerant: bool = False) -> Filter:
-    """Re-create a persistent filter from its serialized form.
-
-    Mirrors :func:`repro.core.serialization.deserialize_policy`: the object
-    is created without ``__init__`` and exactly the stored fields are
-    restored.  With ``tolerant=True`` an unknown class yields a fail-closed
-    :class:`UnknownFilter` instead of raising.
-    """
-    try:
-        name = record["class"]
-    except KeyError as exc:
-        raise SerializationError(f"malformed filter record: {record!r}") from exc
-    try:
-        cls = _find_filter_class(name)
-    except SerializationError:
-        if not tolerant:
-            raise
-        return UnknownFilter(
-            name, {"class": name, "fields": dict(record.get("fields", {}))}
-        )
-    flt = cls.__new__(cls)
-    flt.context = as_context(None)
-    for key, value in record.get("fields", {}).items():
-        setattr(flt, key, decode_field(value, tolerant=tolerant))
-    return flt
 
 
 # -- snapshot document --------------------------------------------------------
@@ -190,22 +85,13 @@ def build_snapshot(engine: Engine, fs: FileSystem, wal_start: int) -> Dict[str, 
         if node is None:
             continue
         if node.is_file:
-            policies = node.xattrs.get(POLICY_XATTR)
-            data = node.data.hex()
-            records.append(
-                {"op": "fs.write", "path": path, "data": data, "policies": policies}
-            )
+            records.append(file_record(path, node))
         elif path != "/":
             records.append({"op": "fs.mkdir", "path": path})
         flt = node.xattrs.get(FILTER_XATTR)
-        if isinstance(flt, Filter):
-            try:
-                record = serialize_filter(flt)
-            except SerializationError:
-                # Code-carrying filter (callable predicate): not durable by
-                # design; the application re-attaches it at start-up.
-                continue
-            records.append({"op": "fs.filter", "path": path, "filter": record})
+        record = filter_record(path, flt) if isinstance(flt, Filter) else None
+        if record is not None:
+            records.append(record)
     return {
         "version": SNAPSHOT_VERSION,
         "wal_start": int(wal_start),

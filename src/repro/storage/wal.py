@@ -57,16 +57,11 @@ class WriteAheadLog:
     ``sync`` selects the durability barrier per flush: ``"fsync"`` (the
     default — survives OS crash), ``"flush"`` (OS buffer only — survives
     process crash; useful for tests and latency experiments) or ``"none"``.
-    ``group_commit=False`` disables the leader/follower batching so every
-    appended record pays its own sync — kept only so the benchmark can
-    measure what batching buys.
     """
 
-    def __init__(self, directory: str, *, sync: str = "fsync",
-                 group_commit: bool = True):
+    def __init__(self, directory: str, *, sync: str = "fsync"):
         self.directory = directory
         self.sync = framing.check_sync_mode(sync)
-        self.group_commit = group_commit
         os.makedirs(directory, exist_ok=True)
 
         self._cond = threading.Condition()
@@ -145,17 +140,7 @@ class WriteAheadLog:
             lsn = self._next_lsn
             self._next_lsn += 1
             self.records += 1
-            if self.group_commit:
-                self._pending.append(frame)
-            else:
-                # Batching disabled: pay the write+sync per record, under
-                # the mutex (benchmark reference mode).
-                try:
-                    self._write_frames([frame])
-                except BaseException as exc:
-                    self._failure = exc
-                    raise
-                self._durable_lsn = lsn
+            self._pending.append(frame)
         return lsn
 
     def log(self, record: Dict[str, Any]) -> int:

@@ -13,7 +13,11 @@ cycle — log, crash, recover — including:
 * tolerant recovery: records referencing unknown policy/filter classes load
   as deny-by-default placeholders instead of failing the whole store;
 * checkpoint invariance: a checkpoint after any step of a script that logs
-  every record type never changes what a reopen recovers.
+  every record type never changes what a reopen recovers, and a reopen
+  recovers the live state exactly;
+* records that cannot apply (an unlink of a missing path, a write onto a
+  directory, ...) abort recovery loudly, and a failed open leaves no
+  segment file open.
 """
 
 import json
@@ -25,17 +29,23 @@ import pytest
 
 from repro.core.exceptions import (
     AccessDenied,
+    FileSystemError,
     PolicyViolation,
     RecoveryError,
     SerializationError,
 )
 from repro.core.filter import Filter
-from repro.core.serialization import UnknownPolicy
+from repro.core.serialization import (
+    UnknownFilter,
+    UnknownPolicy,
+    serialize_filter,
+)
 from repro.fs.resinfs import FILTER_XATTR, POLICY_XATTR
 from repro.policies import ACL, UntrustedData
 from repro.runtime_api import Resin
 from repro.security.assertions import WriteAccessFilter
-from repro.storage import UnknownFilter, serialize_filter
+from repro.sql.indexes import SecondaryIndex
+from repro.storage import framing
 from repro.storage.wal import WriteAheadLog
 from repro.tracking.propagation import concat
 from repro.tracking.tainted_str import taint_str
@@ -71,6 +81,27 @@ def reopen_fingerprint(directory, **kwargs):
         return fingerprint(resin)
     finally:
         resin.durability.close()
+
+
+@pytest.fixture
+def segment_handles(monkeypatch):
+    """Every segment file handle opened during the test."""
+    handles = []
+    open_segment = framing.open_segment
+
+    def spy(path):
+        handle = open_segment(path)
+        handles.append(handle)
+        return handle
+
+    monkeypatch.setattr(framing, "open_segment", spy)
+    return handles
+
+
+def assert_all_closed(handles):
+    assert handles, "no segment file was opened"
+    still_open = [handle.name for handle in handles if not handle.closed]
+    assert not still_open, f"segment files left open: {still_open}"
 
 
 class TestBasicCycle:
@@ -280,10 +311,13 @@ def _single_segment(directory):
 
 
 def durable_fingerprint(resin):
-    """:func:`fingerprint` plus each table's index definitions and every
-    xattr of every node (filters by their serialized form)."""
+    """:func:`fingerprint` plus each table's indexes (definition and
+    internal arrays, every ``SecondaryIndex`` slot) and every xattr of every
+    node (filters by their serialized form)."""
     indexes = {
-        name: sorted((i.name, i.column, i.kind) for i in table.indexes.values())
+        name: sorted(
+            tuple(getattr(index, slot) for slot in SecondaryIndex.__slots__)
+            for index in table.indexes.values())
         for name, table in sorted(resin.db.engine.tables.items())
     }
     raw = resin.fs.raw
@@ -309,6 +343,11 @@ EVERY_RECORD_SCRIPT = [
     lambda r: r.db.create_index("notes", "a"),
     lambda r: r.db.query("UPDATE notes SET a = b"),
     lambda r: r.db.query("DELETE FROM notes WHERE id = 2"),
+    # Live index maintenance after the indexes exist: an UPDATE of an
+    # indexed column rebuilds that index, an INSERT adds incrementally.
+    lambda r: r.db.query("UPDATE notes SET id = 10 WHERE id = 1"),
+    lambda r: r.db.query(
+        "INSERT INTO notes (id, a, b) VALUES (3, 'w', 'v'), (4, 'c', 'd')"),
     lambda r: r.db.engine.run("DROP INDEX idx_notes_a"),
     lambda r: (r.db.query("CREATE TABLE doomed (x INT)"),
                r.db.query("DROP TABLE doomed")),
@@ -330,17 +369,19 @@ EVERY_RECORD_SCRIPT = [
 
 def run_every_record_script(store, checkpoint_after=None):
     """Run the script on a fresh store (checkpointing after step
-    ``checkpoint_after``, if given) and return the reopened state."""
+    ``checkpoint_after``, if given) and return the live state just before
+    close and the reopened state."""
     resin = Resin.open(store, sync="flush")
     resin.fs.set_request_context(user="alice")
     for step, action in enumerate(EVERY_RECORD_SCRIPT):
         action(resin)
         if step == checkpoint_after:
             resin.durability.checkpoint()
+    live = durable_fingerprint(resin)
     resin.durability.close()
     reopened = Resin.open(store, sync="flush")
     try:
-        return durable_fingerprint(reopened)
+        return live, durable_fingerprint(reopened)
     finally:
         reopened.durability.close()
 
@@ -348,7 +389,9 @@ def run_every_record_script(store, checkpoint_after=None):
 class TestCheckpointInvariance:
     """A checkpoint never changes what a reopen recovers: the snapshot is
     the store written as the WAL's own records, so replaying it plus the
-    tail rebuilds exactly what replaying the whole log does."""
+    tail rebuilds exactly what replaying the whole log does.  And a reopen
+    rebuilds the live state, index contents included, because replay
+    applies each record with the mutators the live path used."""
 
     @pytest.fixture(scope="class")
     def without_checkpoint(self, tmp_path_factory):
@@ -359,14 +402,25 @@ class TestCheckpointInvariance:
     def test_checkpoint_after_any_step_recovers_same_state(
             self, tmp_path, without_checkpoint, step):
         store = str(tmp_path / "store")
-        recovered = run_every_record_script(store, checkpoint_after=step)
-        assert recovered == without_checkpoint
+        _, recovered = run_every_record_script(store, checkpoint_after=step)
+        assert recovered == without_checkpoint[1]
         _, indexes, xattrs = recovered
-        assert indexes["notes"] == [("idx_notes_id", "id", "hash")]
+        assert [index[:4] for index in indexes["notes"]] == [
+            ("idx_notes_id", "notes", "id", "hash")]
         assert xattrs["/wiki"][FILTER_XATTR]["fields"]
         assert POLICY_XATTR in xattrs["/tmp/final"]
         assert FILTER_XATTR not in xattrs["/tmp/final"]
         assert "user.note" not in xattrs["/tmp/final"]
+
+    def test_reopen_recovers_live_state(self, without_checkpoint):
+        live, recovered = without_checkpoint
+        tables, indexes, xattrs = live
+        assert xattrs["/tmp/final"]["user.note"] == "x"
+        # The raw-filesystem xattr is the one mutation never logged.
+        xattrs = {path: {name: value for name, value in attrs.items()
+                         if name != "user.note"}
+                  for path, attrs in xattrs.items()}
+        assert recovered == (tables, indexes, xattrs)
 
 
 class TestKillAnywhere:
@@ -582,7 +636,7 @@ class TestTolerantRecovery:
         assert any(isinstance(p, UnknownPolicy) for p in value.policies())
         tolerant.durability.close()
 
-    def test_unknown_filter_loads_as_deny_all(self, tmp_path):
+    def test_unknown_filter_loads_as_deny_all(self, tmp_path, segment_handles):
         store = str(tmp_path / "store")
         resin = Resin.open(store)
         resin.fs.mkdir("/guarded")
@@ -596,6 +650,7 @@ class TestTolerantRecovery:
 
         with pytest.raises(SerializationError):
             Resin.open(store)
+        assert_all_closed(segment_handles)
 
         tolerant = Resin.open(store, tolerant=True)
         restored = tolerant.fs.get_persistent_filter("/guarded")
@@ -607,7 +662,7 @@ class TestTolerantRecovery:
         assert str(tolerant.fs.read_text("/guarded/f")) == "x"
         tolerant.durability.close()
 
-    def test_unknown_record_type(self, tmp_path):
+    def test_unknown_record_type(self, tmp_path, segment_handles):
         store = str(tmp_path / "store")
         resin = Resin.open(store)
         resin.fs.write_text("/f", "x")
@@ -617,6 +672,7 @@ class TestTolerantRecovery:
         wal.close()
         with pytest.raises(SerializationError):
             Resin.open(store)
+        assert_all_closed(segment_handles)
         tolerant = Resin.open(store, tolerant=True)
         assert str(tolerant.fs.read_text("/f")) == "x"
         tolerant.durability.close()
@@ -644,8 +700,41 @@ class TestTolerantRecovery:
         again.durability.close()
 
 
+# Records the live mutators refuse to perform, so a valid log never holds
+# one; each is planted after a store holding /d/f (a file in a directory).
+UNAPPLIABLE_RECORDS = {
+    "unlink-missing": {"op": "fs.unlink", "path": "/missing"},
+    "unlink-nonempty-dir": {"op": "fs.unlink", "path": "/d"},
+    "write-onto-dir": {"op": "fs.write", "path": "/d", "data": b"x".hex(),
+                       "policies": None},
+    "write-into-missing-dir": {"op": "fs.write", "path": "/missing/f",
+                               "data": b"x".hex(), "policies": None},
+    "rename-missing": {"op": "fs.rename", "src": "/missing", "dst": "/g"},
+    "mkdir-under-file": {"op": "fs.mkdir", "path": "/d/f/sub"},
+    "insert-unknown-table": {"op": "sql.insert", "table": "nope",
+                             "columns": ["x"], "rows": [[1]]},
+}
+
+
+@pytest.mark.parametrize("tolerant", [False, True],
+                         ids=["strict", "tolerant"])
+@pytest.mark.parametrize("name", sorted(UNAPPLIABLE_RECORDS))
+def test_record_that_cannot_apply_aborts_recovery(tmp_path, name, tolerant):
+    store = str(tmp_path / "store")
+    resin = Resin.open(store)
+    resin.fs.mkdir("/d")
+    resin.fs.write_text("/d/f", "x")
+    resin.durability.close()
+    wal = WriteAheadLog(store)
+    wal.log(UNAPPLIABLE_RECORDS[name])
+    wal.close()
+    with pytest.raises((SerializationError, FileSystemError)):
+        Resin.open(store, tolerant=tolerant)
+
+
 class TestSnapshotIntegrity:
-    def test_all_snapshots_corrupt_fails_loudly(self, tmp_path):
+    def test_all_snapshots_corrupt_fails_loudly(self, tmp_path,
+                                                segment_handles):
         # Compaction keeps exactly one snapshot and deletes the WAL prefix
         # it covers — if that snapshot rots, there is no state to fall back
         # to, and recovery must refuse to present an empty store as success.
@@ -663,6 +752,7 @@ class TestSnapshotIntegrity:
             handle.write(bytes([byte ^ 0xFF]))
         with pytest.raises(RecoveryError):
             Resin.open(store)
+        assert_all_closed(segment_handles)
 
     def test_corrupt_newest_falls_back_to_valid_older(self, tmp_path):
         from repro.storage.snapshot import (
@@ -682,7 +772,7 @@ class TestSnapshotIntegrity:
         # exist, so falling back to the older one keeps recovery exact.
         assert load_latest_snapshot(directory) == older
 
-    def test_old_format_snapshot_is_refused(self, tmp_path):
+    def test_old_format_snapshot_is_refused(self, tmp_path, segment_handles):
         # A version-1 snapshot (a tables/fs state document) is no longer
         # read; recovery must refuse it loudly instead of starting empty.
         from repro.storage.snapshot import write_snapshot
@@ -692,6 +782,7 @@ class TestSnapshotIntegrity:
                                "fs": []}, sync=False)
         with pytest.raises(RecoveryError):
             Resin.open(store)
+        assert_all_closed(segment_handles)
 
     def test_no_snapshots_means_fresh_store(self, tmp_path):
         from repro.storage.snapshot import load_latest_snapshot

@@ -142,14 +142,6 @@ class TestWriteAheadLog:
         assert list(wal.replay()) == [{"op": "r", "i": i} for i in range(10)]
         wal.close()
 
-    def test_no_group_commit_pays_per_record(self, tmp_path):
-        wal = WriteAheadLog(str(tmp_path), group_commit=False)
-        for i in range(5):
-            wal.log({"op": "r", "i": i})
-        assert wal.records == 5
-        assert wal.syncs == 5
-        wal.close()
-
     def test_concurrent_commit_all_durable(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))
         barrier = threading.Barrier(8)
