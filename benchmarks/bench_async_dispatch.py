@@ -5,7 +5,9 @@ Two questions, each in its own benchmark group:
 * **Front-end cost** — requests/sec for the same page workload at 1/4/16
   concurrency, served by ``AsyncDispatcher`` (event loop + executor) vs the
   thread-pool ``Dispatcher``.  The async front end must stay in the same
-  throughput regime: the loop adds scheduling, not parallelism.
+  throughput regime: the loop adds scheduling, not parallelism.  The
+  acceptance bar for the thread pool is >2x req/s at 4 workers vs 1
+  (``test_four_workers_double_throughput``, run standalone in CI).
 
 * **Lock granularity** — concurrent write transactions that hold their
   table's lock across a read-modify-write with a simulated storage latency
@@ -157,6 +159,28 @@ def test_thread_dispatch_throughput(benchmark, page_app, concurrency):
     seconds_per_batch = benchmark.stats.stats.mean
     benchmark.extra_info["concurrency"] = concurrency
     benchmark.extra_info["requests_per_sec"] = round(BATCH / seconds_per_batch, 1)
+
+
+def test_four_workers_double_throughput(page_app):
+    """The thread dispatcher's acceptance bar, standalone (no
+    --benchmark-only needed): 4 workers serve >2x the requests/sec of 1
+    worker."""
+    requests = _page_requests()
+
+    def requests_per_sec(workers):
+        with Dispatcher(page_app, workers=workers) as server:
+            server.dispatch_all(requests)  # warm the pool
+            start = time.perf_counter()
+            server.dispatch_all(requests)
+            elapsed = time.perf_counter() - start
+        return BATCH / elapsed
+
+    serial = requests_per_sec(1)
+    parallel = requests_per_sec(4)
+    assert parallel > 2 * serial, (
+        f"expected >2x scaling, got {parallel / serial:.2f}x "
+        f"({serial:.0f} -> {parallel:.0f} req/s)"
+    )
 
 
 @pytest.mark.parametrize("layout", ["disjoint-tables", "single-table"])

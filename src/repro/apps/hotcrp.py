@@ -27,7 +27,6 @@ from typing import List, Optional
 from ..channels.httpout import HTTPOutputChannel
 from ..core.exceptions import AccessDenied, PolicyViolation
 from ..core.policy import Policy
-from ..core.request_context import current_request
 from ..environment import Environment
 from ..policies.password import PasswordPolicy
 from ..runtime_api import Resin
@@ -37,19 +36,6 @@ from ..web.sanitize import sql_quote
 
 #: Service name under which a site registers itself on its environment.
 SITE_SERVICE = "hotcrp.site"
-
-
-def current_site(env: Optional[Environment] = None) -> Optional["HotCRP"]:
-    """The conference site serving ``env`` (or the active request's
-    environment) — the environment-service analogue of HotCRP's global
-    ``$Me``-style state, scoped so concurrent deployments never mix.
-    """
-    if env is not None:
-        return env.services.get(SITE_SERVICE)
-    rctx = current_request()
-    if rctx is not None and rctx.env is not None:
-        return rctx.env.services.get(SITE_SERVICE)
-    return None
 
 
 class PaperPolicy(Policy):

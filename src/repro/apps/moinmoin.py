@@ -33,7 +33,6 @@ from ..core.exceptions import AccessDenied, HTTPError
 from ..environment import Environment
 from ..fs import path as fspath
 from ..policies.acl import ACL, PagePolicy
-from ..core.request_context import current_request
 from ..runtime_api import Resin
 from ..security.assertions import WriteAccessFilter
 from ..tracking.propagation import to_tainted_str
@@ -43,21 +42,6 @@ PAGES_ROOT = "/wiki/pages"
 
 #: Service name under which a wiki registers itself on its environment.
 WIKI_SERVICE = "moinmoin.wiki"
-
-
-def current_wiki(env: Optional[Environment] = None) -> Optional["MoinMoin"]:
-    """The wiki serving ``env`` (or the active request's environment).
-
-    Wikis are environment services, like phpBB boards: each
-    :class:`MoinMoin` registers itself on its own environment, so N wikis
-    serving concurrently in one interpreter resolve independently.
-    """
-    if env is not None:
-        return env.services.get(WIKI_SERVICE)
-    rctx = current_request()
-    if rctx is not None and rctx.env is not None:
-        return rctx.env.services.get(WIKI_SERVICE)
-    return None
 
 _INCLUDE_DIRECTIVE = re.compile(r"\{\{include:([A-Za-z0-9_/-]+)\}\}")
 

@@ -38,7 +38,6 @@ from ..channels.httpout import HTTPOutputChannel
 from ..channels.socketchan import SocketChannel
 from ..core.exceptions import AccessDenied, HTTPError
 from ..core.policy import Policy
-from ..core.request_context import current_request
 from ..core.services import resolve_service
 from ..environment import Environment
 from ..policies.untrusted import UntrustedData
@@ -50,22 +49,6 @@ from ..web.sanitize import html_escape, sql_quote
 
 #: Service name under which a board registers itself on its environment.
 BOARD_SERVICE = "phpbb.board"
-
-def current_board(env: Optional[Environment] = None) -> Optional["PhpBB"]:
-    """The board serving ``env`` (or the active request's environment).
-
-    Boards are environment services: each :class:`PhpBB` registers itself on
-    its own environment, so concurrent deployments resolve independently.
-    With no ``env`` argument the active
-    :class:`~repro.core.request_context.RequestContext` supplies one; outside
-    any request the answer is ``None``.
-    """
-    if env is not None:
-        return env.services.get(BOARD_SERVICE)
-    rctx = current_request()
-    if rctx is not None and rctx.env is not None:
-        return rctx.env.services.get(BOARD_SERVICE)
-    return None
 
 
 class ForumMessagePolicy(Policy):

@@ -221,16 +221,6 @@ class RequestContext:
             _current.reset(token)
         return False
 
-    # contextvars compose with asyncio tasks the same way they do with
-    # threads, so the async form just delegates: ``async with
-    # RequestContext(...)`` binds the context to the running task (and to
-    # nothing else — sibling tasks keep their own bindings).
-    async def __aenter__(self) -> "RequestContext":
-        return self.__enter__()
-
-    async def __aexit__(self, exc_type, exc, tb) -> bool:
-        return self.__exit__(exc_type, exc, tb)
-
     def __repr__(self) -> str:
         state = "active" if self.active else "inactive"
         return (f"RequestContext(user={self.user!r}, {state}, "

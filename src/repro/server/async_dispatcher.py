@@ -121,7 +121,7 @@ class AsyncDispatcher:
         async with gate:
             self._admitted += 1
             try:
-                if self._is_native_async(request):
+                if self.app.is_native_async(request):
                     # Loop-native path: the coroutine handler is awaited
                     # right here, in this task's contextvars binding of the
                     # RequestContext — no executor hop, and cancelling the
@@ -167,10 +167,6 @@ class AsyncDispatcher:
         Table 4 harness).  Must not be called while a loop is running.
         """
         return asyncio.run(self.dispatch_all(requests, return_exceptions))
-
-    def _is_native_async(self, request: Request) -> bool:
-        is_native = getattr(self.app, "is_native_async", None)
-        return bool(is_native(request)) if callable(is_native) else False
 
     def _bind_loop(self) -> asyncio.Semaphore:
         # The admission semaphore belongs to one event loop; re-bind to the

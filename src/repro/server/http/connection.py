@@ -246,7 +246,7 @@ class HTTPConnection:
         # Eager chunks the handler wrote before streaming began.
         sent = self._buffer_new(channel, 0)
         try:
-            for source in pending_sources(channel.pending_stream):
+            for source in channel.pending_stream.chunks:
                 if not is_stream(source):
                     channel.write(source)
                     sent = self._buffer_new(channel, sent)
@@ -357,8 +357,3 @@ class HTTPConnection:
             f"HTTPConnection({self.remote_addr}, served={self.requests_served}, "
             f"busy={self.busy})"
         )
-
-
-def pending_sources(pending) -> List:
-    """The body sources of a deferred streaming response, in order."""
-    return list(pending.chunks)

@@ -14,16 +14,22 @@ Handlers take ``(request, response, **route_params)`` and either write to
 the response channel directly or return a value — ``None`` (already
 written), a string (written through the channel), or a
 :class:`~repro.web.response.Response` (status + headers + body, applied
-through the channel).  ``async def`` handlers are first-class: the thread
-front end runs them to completion on a private event loop, while
+through the channel).  ``async def`` handlers are first-class:
 :class:`~repro.server.async_dispatcher.AsyncDispatcher` awaits them
 natively on its own loop via :meth:`WebApplication.handle_async` — no
-executor hop.
+executor hop — while the thread front end runs them to completion on a
+private event loop.
 
-:meth:`WebApplication.handle` and :meth:`WebApplication.handle_async` enter
-each request through :func:`~repro.core.request_context.enter_request`.
-The dispatchers call them and bind nothing themselves; the socket server
-enters the request before dispatch and the application reuses that
+One coroutine, :meth:`WebApplication._serve`, is the whole request
+pipeline: middleware, routing, the handler, applying its result and mapping
+its exceptions.  :meth:`WebApplication.handle_async` awaits it;
+:meth:`WebApplication.handle` steps it inline on the calling thread and
+starts no event loop of its own — only a coroutine handler or an ``async``
+generator body reaches one, through :func:`~repro.web.response.settle`.
+Both enter each request through
+:func:`~repro.core.request_context.enter_request`.  The dispatchers call
+them and bind nothing themselves; the socket server enters the request
+before dispatch and the application reuses that
 :class:`~repro.core.request_context.RequestContext`, so every front end
 serves a request under exactly one context.
 """
@@ -40,7 +46,7 @@ from ..core.filter import Filter
 from ..core.request_context import RequestContext, enter_request
 from ..fs import path as fspath
 from .request import Request
-from .response import Response
+from .response import Response, settle
 from .routing import (
     FunctionMiddleware,
     MethodNotAllowed,
@@ -147,13 +153,26 @@ class WebApplication:
         front end (the socket connection) already bound for this very
         request, or a fresh one nested inside whatever scope the caller
         holds (``Resin.request`` blocks hand their user back on return).
-        ``async def`` handlers run to completion on a private event loop —
-        use :meth:`handle_async` (or
+
+        The pipeline coroutine is stepped right here, with no event loop:
+        a sync handler never suspends it.  ``async def`` handlers and
+        ``async`` generator bodies run to completion on a private event
+        loop — use :meth:`handle_async` (or
         :class:`~repro.server.async_dispatcher.AsyncDispatcher`) to await
-        them on a shared loop instead.
+        them on a shared loop instead.  On a thread whose loop is running,
+        a request that suspends raises :class:`RuntimeError`.
         """
         with enter_request(self.env, request) as rctx:
-            return self._handle(request, rctx)
+            serving = self._serve(request, rctx)
+            try:
+                serving.send(None)
+            except StopIteration as done:
+                return done.value
+            serving.close()
+            raise RuntimeError(
+                "the request suspended on this thread's running event loop; "
+                "await handle_async() instead"
+            )
 
     async def handle_async(self, request: Request) -> HTTPOutputChannel:
         """Process one request on the running event loop.
@@ -168,7 +187,7 @@ class WebApplication:
         they might block the loop.
         """
         with enter_request(self.env, request) as rctx:
-            return await self._handle_async(request, rctx)
+            return await self._serve(request, rctx)
 
     def is_native_async(self, request: Request) -> bool:
         """True when ``request`` resolves to an ``async def`` handler — the
@@ -187,9 +206,11 @@ class WebApplication:
             request._route_match = (self, request.path, request.method, match)
         return match is not None and match.route.is_coroutine
 
-    # -- the two dispatch flavours ------------------------------------------------
+    # -- the request pipeline -----------------------------------------------------
 
-    def _handle(self, request: Request, rctx: RequestContext) -> HTTPOutputChannel:
+    async def _serve(self, request: Request, rctx: RequestContext) -> HTTPOutputChannel:
+        """Middleware, route, handler, apply, exception hooks: the one
+        request pipeline.  It suspends only inside :func:`settle`."""
         response = self._begin(request, rctx)
         ran: List[Middleware] = []
         try:
@@ -202,36 +223,10 @@ class WebApplication:
                 else:
                     result = match.handler(request, response, **match.params)
                     if asyncio.iscoroutine(result):
-                        # A coroutine handler reached through the sync front
-                        # end (thread dispatcher, direct handle()): run it to
-                        # completion on a private loop.
-                        result = asyncio.run(result)
-            self._apply_result(response, result, request)
+                        result = await settle(result)
+            await self._apply_result(response, result, request)
         except Exception as exc:  # noqa: BLE001 - mapped or re-raised below
-            if not self._handle_exception(request, response, ran, exc):
-                raise
-        self._response_phase(request, response, ran)
-        return response
-
-    async def _handle_async(
-        self, request: Request, rctx: RequestContext
-    ) -> HTTPOutputChannel:
-        response = self._begin(request, rctx)
-        ran: List[Middleware] = []
-        try:
-            result = self._request_phase(request, response, ran, rctx)
-            if result is _CONTINUE:
-                match = self._match(request, rctx)
-                if match is None:
-                    self._serve_static(request, response)
-                    result = None
-                else:
-                    result = match.handler(request, response, **match.params)
-                    if asyncio.iscoroutine(result):
-                        result = await result
-            await self._apply_result_async(response, result, request)
-        except Exception as exc:  # noqa: BLE001 - mapped or re-raised below
-            if not self._handle_exception(request, response, ran, exc):
+            if not await self._handle_exception(request, response, ran, exc):
                 raise
         self._response_phase(request, response, ran)
         return response
@@ -290,11 +285,8 @@ class WebApplication:
             rctx.route_params = dict(match.params)
         return match
 
-    def _apply_result(
-        self,
-        response: HTTPOutputChannel,
-        result: Any,
-        request: Optional[Request] = None,
+    async def _apply_result(
+        self, response: HTTPOutputChannel, result: Any, request: Request
     ) -> None:
         """Emit a handler/middleware result through the channel.
 
@@ -312,42 +304,15 @@ class WebApplication:
         just interleaved with the wire.
         """
         if isinstance(result, Response):
-            if self._defer_stream(response, result, request):
-                return
-            result.apply(response)
+            if request.stream_consumer and result.has_stream():
+                result.apply_headers(response)
+                response.pending_stream = result
+            else:
+                await result.apply(response)
         elif isinstance(result, (str, bytes)):
             response.write(result)
 
-    async def _apply_result_async(
-        self,
-        response: HTTPOutputChannel,
-        result: Any,
-        request: Optional[Request] = None,
-    ) -> None:
-        """:meth:`_apply_result` on the event loop: async stream chunks are
-        awaited in place instead of being bounced to a private loop."""
-        if isinstance(result, Response):
-            if self._defer_stream(response, result, request):
-                return
-            await result.apply_async(response)
-        elif isinstance(result, (str, bytes)):
-            response.write(result)
-
-    @staticmethod
-    def _defer_stream(
-        response: HTTPOutputChannel, result: Response, request: Optional[Request]
-    ) -> bool:
-        if (
-            request is not None
-            and getattr(request, "stream_consumer", False)
-            and result.has_stream()
-        ):
-            result.apply_headers(response)
-            response.pending_stream = result
-            return True
-        return False
-
-    def _handle_exception(
+    async def _handle_exception(
         self,
         request: Request,
         response: HTTPOutputChannel,
@@ -366,7 +331,7 @@ class WebApplication:
         for mw in reversed(ran):
             value = mw.process_exception(request, response, exc)
             if value is not None:
-                self._apply_result(response, value)
+                await self._apply_result(response, value, request)
                 return True
         if isinstance(exc, HTTPError):
             response.set_status(exc.status)

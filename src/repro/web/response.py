@@ -20,14 +20,36 @@ crosses the filter chain on its own** — a ten-thousand-row export is ten
 thousand boundary checks, and the first disallowed row stops the stream
 mid-flight.  Over the socket server a streamed body leaves the process as
 chunked transfer-encoding, piece by piece; in-process front ends drain it
-at apply time.  Headers are an ordered multi-map: repeated names
-(``Set-Cookie``, ``Allow``) stay repeated all the way to the wire.
+in the one ``await Response.apply``.  Headers are an ordered multi-map:
+repeated names (``Set-Cookie``, ``Allow``) stay repeated all the way to the
+wire.
+
+:func:`settle` is where a request may really suspend: an ``async``
+generator body here, and a coroutine handler's result in
+:class:`~repro.web.app.WebApplication`.  On a thread whose event loop is
+running it awaits; on a plain thread it runs the coroutine on a private
+loop, which is the only place the request pipeline starts one.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, AsyncIterator, Iterable, List, Optional, Tuple
+from typing import Any, AsyncIterator, Coroutine, Iterable, List, Optional, Tuple
+
+
+async def settle(coro: Coroutine) -> Any:
+    """``await coro`` when an event loop is running on this thread;
+    otherwise run it to completion with ``asyncio.run`` on a private loop."""
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        return asyncio.run(coro)
+    return await coro
+
+
+async def _drain(channel, source: AsyncIterator) -> None:
+    async for piece in source:
+        channel.write(piece)
 
 
 def is_stream(chunk: Any) -> bool:
@@ -107,43 +129,23 @@ class Response:
         for name, value in self.headers:
             channel.add_header(name, value)
 
-    def apply(self, channel) -> None:
+    async def apply(self, channel) -> None:
         """Emit this response through ``channel`` — the point where status,
         headers and every body chunk actually cross the HTTP boundary.
 
-        Stream chunks are drained here: sync streams piece by piece, async
-        streams on a private event loop (so this method must not be called
-        while an event loop is running on this thread — front ends on a
-        loop use :meth:`apply_async`, the socket server defers the body and
-        drains it at the connection).
+        Stream chunks are drained here, piece by piece; an async stream goes
+        through :func:`settle` (awaited on a running loop, otherwise drained
+        on a private one).
         """
         self.apply_headers(channel)
         for chunk in self.chunks:
             if not is_stream(chunk):
                 channel.write(chunk)
             elif hasattr(chunk, "__aiter__"):
-                asyncio.run(self._drain_async_source(channel, chunk))
+                await settle(_drain(channel, chunk))
             else:
                 for piece in chunk:
                     channel.write(piece)
-
-    async def apply_async(self, channel) -> None:
-        """:meth:`apply`, with async streams awaited on the running loop."""
-        self.apply_headers(channel)
-        for chunk in self.chunks:
-            if not is_stream(chunk):
-                channel.write(chunk)
-            elif hasattr(chunk, "__aiter__"):
-                async for piece in chunk:
-                    channel.write(piece)
-            else:
-                for piece in chunk:
-                    channel.write(piece)
-
-    @staticmethod
-    async def _drain_async_source(channel, source: AsyncIterator) -> None:
-        async for piece in source:
-            channel.write(piece)
 
     def __repr__(self) -> str:
         streams = sum(1 for chunk in self.chunks if is_stream(chunk))

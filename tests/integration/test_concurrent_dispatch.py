@@ -205,7 +205,7 @@ class TestThroughputScaling:
         """Handlers that wait on (simulated) I/O overlap: 8 requests with a
         20ms backend wait finish in well under the 160ms a serial run needs.
         The full >2x-at-4-workers acceptance check lives in
-        benchmarks/bench_dispatch.py (its own CI job)."""
+        benchmarks/bench_async_dispatch.py (its own CI job)."""
         env = Environment()
         app = WebApplication(env, "sleepy")
 

@@ -102,14 +102,13 @@ class TestPhpBBBoardService:
         from repro.apps import phpbb
         board = self._board()
         assert board.env.services.get(phpbb.BOARD_SERVICE) is board
-        assert phpbb.current_board(env=board.env) is board
 
     def test_current_board_resolves_through_request_context(self):
         from repro.apps import phpbb
         board = self._board()
-        assert phpbb.current_board() is None
+        assert resolve_service(phpbb.BOARD_SERVICE) is None
         with RequestContext(env=board.env, user="admin"):
-            assert phpbb.current_board() is board
+            assert resolve_service(phpbb.BOARD_SERVICE) is board
 
     def test_no_module_global_board_beyond_the_shim(self):
         """The contextvar, the module global and its deprecation shim are
@@ -182,23 +181,22 @@ class TestHotCRPSiteService:
         from repro.apps import hotcrp
         site = self._site()
         assert site.env.services.get(hotcrp.SITE_SERVICE) is site
-        assert hotcrp.current_site(env=site.env) is site
         assert resolve_service(hotcrp.SITE_SERVICE,
                                site.env.http_channel().context) is site
 
     def test_current_site_resolves_through_request_context(self):
         from repro.apps import hotcrp
         site = self._site()
-        assert hotcrp.current_site() is None
+        assert resolve_service(hotcrp.SITE_SERVICE) is None
         with RequestContext(env=site.env, user="victim@example.org"):
-            assert hotcrp.current_site() is site
+            assert resolve_service(hotcrp.SITE_SERVICE) is site
 
     def test_two_sites_isolated_across_environments(self):
         from repro.apps import hotcrp
         site_a = self._site()
         site_b = self._site()
-        assert hotcrp.current_site(env=site_a.env) is site_a
-        assert hotcrp.current_site(env=site_b.env) is site_b
+        assert site_a.env.services.get(hotcrp.SITE_SERVICE) is site_a
+        assert site_b.env.services.get(hotcrp.SITE_SERVICE) is site_b
         assert site_a.env.services.get(hotcrp.SITE_SERVICE) is not site_b
 
 
@@ -214,16 +212,15 @@ class TestMoinMoinWikiService:
         from repro.apps import moinmoin
         wiki = self._wiki()
         assert wiki.env.services.get(moinmoin.WIKI_SERVICE) is wiki
-        assert moinmoin.current_wiki(env=wiki.env) is wiki
         assert resolve_service(moinmoin.WIKI_SERVICE,
                                wiki.env.http_channel().context) is wiki
 
     def test_current_wiki_resolves_through_request_context(self):
         from repro.apps import moinmoin
         wiki = self._wiki()
-        assert moinmoin.current_wiki() is None
+        assert resolve_service(moinmoin.WIKI_SERVICE) is None
         with RequestContext(env=wiki.env, user="alice"):
-            assert moinmoin.current_wiki() is wiki
+            assert resolve_service(moinmoin.WIKI_SERVICE) is wiki
 
     def test_two_wikis_isolated_across_environments(self):
         """Same page names, different content and ACLs: each environment's
@@ -235,8 +232,8 @@ class TestMoinMoinWikiService:
         wiki_b.update_body("Front",
                            "#acl bob:read alice:read,write\nB-only text",
                            "alice")
-        assert moinmoin.current_wiki(env=wiki_a.env) is wiki_a
-        assert moinmoin.current_wiki(env=wiki_b.env) is wiki_b
+        assert wiki_a.env.services.get(moinmoin.WIKI_SERVICE) is wiki_a
+        assert wiki_b.env.services.get(moinmoin.WIKI_SERVICE) is wiki_b
         page_a = wiki_a.web.handle(Request("/wiki/Front", user="carol"))
         assert "hello" in page_a.body()
         with pytest.raises(AccessDenied):
