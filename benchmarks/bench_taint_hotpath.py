@@ -13,6 +13,7 @@ Groups:
 * ``taint-page-render``    — real HotCRP and phpBB page renders
 * ``taint-micro:<op>``     — concat / slice / join / merge at 1/4/16 workers
 * ``taint-merge-many``     — regression case for the quadratic merge fold
+* ``taint-sql-text``       — ``sql_quote`` + ``parse`` of the HotCRP users query
 """
 
 import time
@@ -23,6 +24,7 @@ import pytest
 from repro.core.policyset import PolicySet
 from repro.evaluation import hotcrp_perf
 from repro.policies import UntrustedData
+from repro.sql import nodes, parse
 from repro.tracking import (
     TaintedStr,
     clear_merge_cache,
@@ -31,6 +33,8 @@ from repro.tracking import (
     merge_policysets,
     taint_str,
 )
+from repro.tracking.propagation import concat
+from repro.web.sanitize import sql_quote
 
 AUTHOR = UntrustedData("author@example.org")
 SIGNATURE = UntrustedData("signature")
@@ -228,3 +232,32 @@ def test_merge_many_fold_uses_fast_paths():
     # (AUTHOR, SIGNATURE-singleton) and (merged, SIGNATURE-singleton) miss.
     assert info["misses"] <= 2
     assert info["hits"] >= 500
+
+
+# -- SQL text building: quote and parse the HotCRP users query -------------------
+
+
+@pytest.mark.parametrize("literal_length", [32, 512, 4096])
+def test_sql_quote_and_parse(benchmark, literal_length):
+    """The login lookup ``HotCRP._user`` runs on every request, with a
+    tainted e-mail literal of ``literal_length`` characters and one ``''``
+    escape."""
+    email = taint_str("o'" + "x" * (literal_length - 14) + "@example.org", AUTHOR)
+    benchmark.group = "taint-sql-text"
+    benchmark.extra_info["literal_length"] = literal_length
+
+    def quote_and_parse():
+        return parse(
+            concat(
+                "SELECT email, password, is_pc, priv_chair FROM users "
+                "WHERE email = '",
+                sql_quote(email),
+                "'",
+            )
+        )
+
+    statement = benchmark(quote_and_parse)
+    literal = statement.where.right
+    assert isinstance(literal, nodes.Literal)
+    assert str(literal.value) == email
+    assert literal.value.policies() == sql_quote(email).policies()

@@ -161,31 +161,40 @@ class AutoSanitizingSQLFilter(Filter):
         return func(*args, **kwargs)
 
     def _rewrite(self, sql: TaintedStr) -> TaintedStr:
+        """Walk the query as alternating runs of trusted and untrusted
+        characters.  Adjacent untrusted ranges form one run (one
+        ``sql_quote`` call); a trusted run flips the template's quote parity
+        once per ``'`` it contains."""
         from ..web.sanitize import sql_quote
-        rewritten = TaintedStr("")
-        text = str(sql)
-        inside_literal = False      # quote parity of the *trusted* template
-        index = 0
-        while index < len(sql):
-            if sql.policies_at(index).has_type(UntrustedData):
-                run_start = index
-                while (index < len(sql)
-                       and sql.policies_at(index).has_type(UntrustedData)):
-                    index += 1
-                run = sql_quote(sql[run_start:index])
-                if inside_literal:
-                    # The template already supplies the enclosing quotes;
-                    # escaping the run keeps it confined to that literal.
-                    rewritten = rewritten + run
+        runs = []
+        for rng in sql.rangemap.ranges:
+            if rng.policies.has_type(UntrustedData):
+                if runs and runs[-1][1] == rng.start:
+                    runs[-1][1] = rng.stop
                 else:
-                    # Bare untrusted value: confine it in its own literal.
-                    rewritten = rewritten + "'" + run + "'"
-                continue
-            if text[index] == "'":
-                inside_literal = not inside_literal
-            rewritten = rewritten + sql[index:index + 1]
-            index += 1
-        return rewritten
+                    runs.append([rng.start, rng.stop])
+        if not runs:
+            return sql
+        pieces = []
+        inside_literal = False      # quote parity of the *trusted* template
+        cursor = 0
+        for start, stop in runs:
+            if cursor < start:
+                pieces.append(sql[cursor:start])
+                if sql.count("'", cursor, start) % 2:
+                    inside_literal = not inside_literal
+            run = sql_quote(sql[start:stop])
+            if inside_literal:
+                # The template already supplies the enclosing quotes;
+                # escaping the run keeps it confined to that literal.
+                pieces.append(run)
+            else:
+                # Bare untrusted value: confine it in its own literal.
+                pieces.extend(("'", run, "'"))
+            cursor = stop
+        if cursor < len(sql):
+            pieces.append(sql[cursor:])
+        return TaintedStr("").join(pieces)
 
 
 class HTMLStructureGuardFilter(Filter):

@@ -1,11 +1,12 @@
 """SQL tokenizer.
 
 Tokenizes a (possibly tainted) SQL query string while preserving the
-character-level policies of every token: each token keeps the
+character-level policies of every token: each token can cut the
 :class:`~repro.tracking.tainted_str.TaintedStr` slice it was read from, so
 the SQL-injection filter can ask "does any character of the query's
 *structure* carry ``UntrustedData``?" (the second strategy of Section 5.3),
-and the persistence filter can recover the policies of string literals.
+and a string literal's cooked value keeps the policies of its characters,
+so the persistence filter can recover them.
 """
 
 from __future__ import annotations
@@ -41,19 +42,24 @@ _PUNCTUATION = "(),.;*"
 class Token:
     """One lexical token.
 
-    ``text`` is the tainted source slice (including quotes for strings);
-    ``value`` is the cooked value (unescaped string content, int/float for
-    numbers, lower-cased text for keywords).
+    ``text`` is the tainted source slice (including quotes for strings),
+    cut from ``source`` only when asked for; ``value`` is the cooked value
+    (unescaped string content, int/float for numbers, lower-cased text for
+    keywords).
     """
 
-    __slots__ = ("type", "value", "text", "start", "end")
+    __slots__ = ("type", "value", "source", "start", "end")
 
-    def __init__(self, type: str, value, text, start: int, end: int):
+    def __init__(self, type: str, value, source: TaintedStr, start: int, end: int):
         self.type = type
         self.value = value
-        self.text = text
+        self.source = source
         self.start = start
         self.end = end
+
+    @property
+    def text(self) -> TaintedStr:
+        return self.source[self.start : self.end]
 
     def matches(self, type: str, value=None) -> bool:
         if self.type != type:
@@ -117,8 +123,7 @@ def tokenize(sql) -> List[Token]:
             if index == start + 1:
                 raise SQLError(
                     f"expected parameter name after ':' at position {start}")
-            tokens.append(Token(PARAM, text[start + 1:index],
-                                sql[start:index], start, index))
+            tokens.append(Token(PARAM, text[start + 1 : index], sql, start, index))
             continue
 
         matched_op: Optional[str] = None
@@ -128,20 +133,18 @@ def tokenize(sql) -> List[Token]:
                 break
         if matched_op:
             tokens.append(Token(OP, "!=" if matched_op == "<>" else matched_op,
-                                sql[index:index + len(matched_op)],
-                                index, index + len(matched_op)))
+                                sql, index, index + len(matched_op)))
             index += len(matched_op)
             continue
 
         if char in _PUNCTUATION:
-            tokens.append(Token(PUNCT, char, sql[index:index + 1],
-                                index, index + 1))
+            tokens.append(Token(PUNCT, char, sql, index, index + 1))
             index += 1
             continue
 
         raise SQLError(f"unexpected character {char!r} at position {index}")
 
-    tokens.append(Token(EOF, None, TaintedStr(""), length, length))
+    tokens.append(Token(EOF, None, sql, length, length))
     return tokens
 
 
@@ -149,28 +152,26 @@ def _read_string(sql: TaintedStr, text: str, index: int):
     """Read a single-quoted string literal with ``''`` escaping.
 
     The cooked value is assembled from tainted slices of the source so that
-    the literal's characters keep their policies.
+    the literal's characters keep their policies: one slice per run between
+    ``''`` escapes (each run keeps the first quote of its escape), joined
+    once.
     """
     start = index
-    index += 1
+    cursor = index + 1
     pieces = []
     while True:
-        if index >= len(text):
+        quote = text.find("'", cursor)
+        if quote < 0:
             raise SQLError("unterminated string literal")
-        char = text[index]
-        if char == "'":
-            if index + 1 < len(text) and text[index + 1] == "'":
-                pieces.append(sql[index:index + 1])
-                index += 2
-                continue
-            index += 1
+        if not text.startswith("'", quote + 1):
             break
-        pieces.append(sql[index:index + 1])
-        index += 1
-    value = TaintedStr("")
-    for piece in pieces:
-        value = value + piece
-    return Token(STRING, value, sql[start:index], start, index), index
+        pieces.append(sql[cursor : quote + 1])
+        cursor = quote + 2
+    value = sql[cursor:quote]
+    if pieces:
+        pieces.append(value)
+        value = TaintedStr("").join(pieces)
+    return Token(STRING, value, sql, start, quote + 1), quote + 1
 
 
 def _read_number(sql: TaintedStr, text: str, index: int):
@@ -184,24 +185,20 @@ def _read_number(sql: TaintedStr, text: str, index: int):
         index += 1
     literal = text[start:index]
     value = float(literal) if seen_dot else int(literal)
-    return Token(NUMBER, value, sql[start:index], start, index), index
+    return Token(NUMBER, value, sql, start, index), index
 
 
 def _read_word(sql: TaintedStr, text: str, index: int):
     start = index
-    quoted = text[index] == "`"
-    if quoted:
-        index += 1
-        start = index
-        while index < len(text) and text[index] != "`":
-            index += 1
-        word = text[start:index]
-        end = index + 1
-        return Token(IDENT, word, sql[start - 1:end], start - 1, end), end
+    if text[index] == "`":
+        close = text.find("`", index + 1)
+        if close < 0:
+            raise SQLError("unterminated quoted identifier")
+        return Token(IDENT, text[index + 1 : close], sql, start, close + 1), close + 1
     while index < len(text) and (text[index].isalnum() or text[index] == "_"):
         index += 1
     word = text[start:index]
     lowered = word.lower()
     if lowered in KEYWORDS:
-        return Token(KEYWORD, lowered, sql[start:index], start, index), index
-    return Token(IDENT, word, sql[start:index], start, index), index
+        return Token(KEYWORD, lowered, sql, start, index), index
+    return Token(IDENT, word, sql, start, index), index

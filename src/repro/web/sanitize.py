@@ -14,37 +14,50 @@ for HTML (using the wrong sanitizer still trips the assertion).
 from __future__ import annotations
 
 import json
+import re
 
 from ..policies.untrusted import HTMLSanitized, JSONSanitized, SQLSanitized
-from ..tracking.propagation import to_tainted_str
+from ..tracking.propagation import spread_policies, to_tainted_str
 from ..tracking.tainted_str import TaintedStr
 
 __all__ = ["sql_quote", "html_escape", "json_encode", "strip_tags"]
 
 
-def _escape_chars(text: TaintedStr, replacements) -> TaintedStr:
+def _escape_chars(text: TaintedStr, replacements, metachars) -> TaintedStr:
     """Replace metacharacters, keeping each replacement's characters tagged
     with the policies of the character they were derived from (so an escaped
-    ``'`` that came from user input is still ``UntrustedData``)."""
-    from ..tracking.propagation import spread_policies
+    ``'`` that came from user input is still ``UntrustedData``).
+
+    ``metachars`` matches one key of ``replacements``.  The result is built
+    from one slice per run of unchanged characters, joined once; without a
+    metacharacter the input itself is returned.
+    """
     pieces = []
-    for char in text:
-        replacement = replacements.get(str(char))
-        if replacement is None:
-            pieces.append(char)
-        else:
-            pieces.append(spread_policies(replacement, char.policies()))
-    result = TaintedStr("")
-    for piece in pieces:
-        result = result + piece
-    return result
+    cursor = 0
+    for match in metachars.finditer(text):
+        index = match.start()
+        if cursor < index:
+            pieces.append(text[cursor:index])
+        pieces.append(
+            spread_policies(replacements[match.group()], text.policies_at(index))
+        )
+        cursor = index + 1
+    if not pieces:
+        return text
+    if cursor < len(text):
+        pieces.append(text[cursor:])
+    return TaintedStr("").join(pieces)
+
+
+_SQL_REPLACEMENTS = {"'": "''"}
+_SQL_METACHARS = re.compile("'")
 
 
 def sql_quote(value) -> TaintedStr:
     """Escape a value for inclusion inside a single-quoted SQL literal and
     mark it ``SQLSanitized``."""
     text = to_tainted_str(value)
-    escaped = _escape_chars(text, {"'": "''"})
+    escaped = _escape_chars(text, _SQL_REPLACEMENTS, _SQL_METACHARS)
     return escaped.with_policy(SQLSanitized("sql_quote")) if escaped else escaped
 
 
@@ -55,12 +68,13 @@ _HTML_REPLACEMENTS = {
     '"': "&quot;",
     "'": "&#x27;",
 }
+_HTML_METACHARS = re.compile("[&<>\"']")
 
 
 def html_escape(value) -> TaintedStr:
     """Escape HTML metacharacters and mark the result ``HTMLSanitized``."""
     text = to_tainted_str(value)
-    text = _escape_chars(text, _HTML_REPLACEMENTS)
+    text = _escape_chars(text, _HTML_REPLACEMENTS, _HTML_METACHARS)
     if not text:
         return text
     return text.with_policy(HTMLSanitized("html_escape"))
@@ -81,17 +95,24 @@ def json_encode(value) -> TaintedStr:
 
 def strip_tags(value) -> TaintedStr:
     """Remove anything that looks like an HTML tag (a second-line sanitizer
-    some of the forum code paths use before quoting message bodies)."""
+    some of the forum code paths use before quoting message bodies).
+
+    A tag runs from a ``<`` to the next ``>``; an unclosed tag runs to the
+    end.  The result is one slice per run of text outside tags.
+    """
     text = to_tainted_str(value)
-    result = TaintedStr("")
-    in_tag = False
-    for char in text:
-        if char == "<":
-            in_tag = True
-            continue
-        if char == ">" and in_tag:
-            in_tag = False
-            continue
-        if not in_tag:
-            result = result + char
-    return result
+    start = text.find("<")
+    if start < 0:
+        return text
+    pieces = []
+    cursor = 0
+    while start >= 0:
+        if cursor < start:
+            pieces.append(text[cursor:start])
+        cursor = text.find(">", start + 1) + 1
+        if not cursor:
+            return TaintedStr("").join(pieces)
+        start = text.find("<", cursor)
+    if cursor < len(text):
+        pieces.append(text[cursor:])
+    return TaintedStr("").join(pieces)

@@ -68,6 +68,10 @@ class TestTokenizer:
         with pytest.raises(SQLError):
             tokenize("SELECT 'oops")
 
+    def test_unterminated_quoted_identifier(self):
+        with pytest.raises(SQLError, match="unterminated quoted identifier"):
+            tokenize("SELECT a FROM `t")
+
     def test_unexpected_character(self):
         with pytest.raises(SQLError):
             tokenize("SELECT @foo")
