@@ -22,6 +22,7 @@ from ..environment import Environment
 from ..policies.untrusted import UntrustedData
 from ..runtime_api import Resin
 from ..tracking.propagation import concat, to_tainted_str
+from ..tracking.tainted_str import TaintedStr
 from ..web.response import Response
 from ..web.routing import UntrustedInputMiddleware
 from ..web.sanitize import sql_quote
@@ -55,12 +56,13 @@ class AdmissionsSystem:
             web.middleware(UntrustedInputMiddleware())
 
         def rows_response(rows) -> Response:
-            return Response(
-                "\n".join(
-                    ", ".join(f"{key}={row[key]}" for key in row.keys())
-                    for row in rows
+            lines = (
+                TaintedStr(", ").join(
+                    concat(key, "=", row[key]) for key in row.keys()
                 )
+                for row in rows
             )
+            return Response(TaintedStr("\n").join(lines))
 
         @web.route("/applicants")
         def search(request, response):

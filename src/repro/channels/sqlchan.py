@@ -1,20 +1,22 @@
 """SQL channel: policy persistence across the database.
 
 The paper attaches a default filter object to the function that issues SQL
-queries, and uses it to rewrite queries and results (Figure 4):
+queries, and uses it to keep each cell's policies beside the cell
+(Figure 4).  Here that is one rule, applied where the engine evaluates:
 
 * ``CREATE TABLE`` gains one extra ``__policy_<col>`` column per data column;
-* writes (``INSERT`` / ``UPDATE``) store the serialized policies of each cell
-  value into the corresponding policy column (a literal's own policies, or a
-  bare column copy's source policies; a computed expression stores none);
-* reads (``SELECT``) also fetch the policy columns and re-attach the
-  de-serialized policies to each cell of the result, decoding each distinct
-  stored blob once.
+* expressions (SELECT items, aggregates, UPDATE assignments) evaluate over
+  the cells they read with the stored policies re-attached, decoding each
+  distinct stored blob once;
+* a write (``INSERT`` / ``UPDATE``) stores whatever policies the evaluated
+  value carries into the cell's policy column.
 
-``Database`` below is the application-facing handle.  Queries are issued as
-(possibly tainted) SQL text; the query text itself flows through the
-channel's filter chain as a guarded function call, which is where an
-application-supplied SQL-injection filter interposes (Section 5.3).
+:class:`PolicyCells` is that rule, and the only code that knows the policy
+column format; :class:`Database` passes it to the engine.  ``Database`` is
+the application-facing handle.  Queries are issued as (possibly tainted)
+SQL text; the query text itself flows through the channel's filter chain
+as a guarded function call, which is where an application-supplied
+SQL-injection filter interposes (Section 5.3).
 """
 
 from __future__ import annotations
@@ -24,16 +26,16 @@ from typing import Any, Dict, FrozenSet, List, Optional, Union
 from ..core.context import FilterContext
 from ..core.exceptions import SQLError
 from ..core.filter import Filter, FilterChain
-from ..core.locking import durable
 from ..core.registry import resolve_registry
 from ..core.request_context import current_request
 from ..core.policyset import PolicySet
 from ..core.serialization import (deserialize_policyset, deserialize_rangemap,
                                   serialize_policyset, serialize_rangemap)
 from ..sql import nodes
-from ..sql.engine import Engine, Result, Row
+from ..sql.engine import Engine, Result
+from ..sql.executor import StoredCells, stored_value
 from ..sql.parser import parse
-from ..sql.planner import bind_parameters, collect_params
+from ..sql.planner import bind_parameters, collect_params, walk
 from ..sql.tokenizer import PARAM, tokenize
 from ..tracking.propagation import policies_of
 from ..tracking.ranges import RangeMap
@@ -74,13 +76,7 @@ def serialize_cell_policies(value: Any) -> Optional[str]:
         if value.rangemap.is_empty():
             return None
         return json.dumps({"kind": "rangemap",
-                           "map": _rangemap_record(value.rangemap)})
-    if isinstance(value, (TaintedInt, TaintedFloat)):
-        policies = value.policies()
-        if not policies:
-            return None
-        return json.dumps({"kind": "policyset",
-                           "policies": serialize_policyset(policies)})
+                           "map": serialize_rangemap(value.rangemap)})
     policies = policies_of(value)
     if not policies:
         return None
@@ -134,8 +130,54 @@ def _decode_blob(serialized: str, tolerant: bool) -> Union[RangeMap, PolicySet]:
                                  tolerant=tolerant)
 
 
-def _rangemap_record(rangemap) -> dict:
-    return serialize_rangemap(rangemap)
+class PolicyCells(StoredCells):
+    """A table's cells with their policies: each data column ``c`` keeps
+    the serialized policies of its cell in ``__policy_c``.
+
+    Expressions read the cells with those policies attached, and a write
+    stores what the evaluated value carries, so every SQL computation
+    propagates policies by the ``tracking`` rules it evaluates with.  The
+    two helpers above are looked up as module globals on every call, so
+    instrumentation that replaces them here sees every attach and
+    serialize."""
+
+    def __init__(self, db: "Database"):
+        self.db = db
+
+    def columns(self, table) -> List[str]:
+        return [c for c in table.column_names if not is_policy_column(c)]
+
+    def viewer(self, table, exprs):
+        read = {}
+        for expr in exprs:
+            for node in walk(expr):
+                if isinstance(node, nodes.ColumnRef):
+                    read[node.name] = None
+                elif isinstance(node, nodes.Star):
+                    read.update(dict.fromkeys(self.columns(table)))
+        pairs = [(name, policy_column(name)) for name in read
+                 if table.has_column(name) and not is_policy_column(name)]
+        if not pairs:
+            return None
+        tolerant = self.db.tolerant_policies
+
+        def view(row):
+            viewed = dict(row)
+            for name, policy in pairs:
+                viewed[name] = apply_cell_policies(
+                    row[name], row.get(policy), tolerant=tolerant)
+            return viewed
+
+        return view
+
+    def store(self, table, row, column: str, value) -> None:
+        row[column] = stored_value(value)
+        if is_policy_column(column):
+            return
+        policy = policy_column(column)
+        if not table.has_column(policy):
+            table.add_column(nodes.ColumnDef(policy, "TEXT"))
+        row[policy] = serialize_cell_policies(value)
 
 
 class Database:
@@ -159,6 +201,7 @@ class Database:
         self.filter = FilterChain([default], ctx)
         self.context = ctx
         self.persist_policies = persist_policies
+        self.cells = PolicyCells(self)
         #: When True (set by a tolerant durability open), unknown policy
         #: classes in stored policy columns load as deny-by-default
         #: ``UnknownPolicy`` placeholders instead of failing the read.
@@ -268,152 +311,21 @@ class Database:
         statement = parse(sql) if isinstance(sql, str) else sql
         if params:
             statement = bind_parameters(statement, params)
-        # Policy persistence is a read-modify-write sequence over the shared
-        # engine (inspect schema, add policy columns, execute); hold the
-        # locks of exactly the tables this statement touches across the
-        # whole sequence, so concurrent requests see consistent schemas
-        # while statements on independent tables run in parallel.  On a
-        # durable engine a mutating sequence additionally runs in one
-        # durable scope, so the lazy ``add_column`` calls below stay atomic
-        # with respect to checkpoints; the engine's nested scope is
-        # reentrant and its commit defers to this one's.
-        mutates = not isinstance(statement, (nodes.Select, nodes.Explain))
-        sink = self.engine.durability if mutates else None
-        tables = self.engine.statement_tables(statement)
-        with durable(sink), self.engine.locked(*tables):
-            return self._dispatch(statement)
-
-    def _dispatch(self, statement) -> Result:
-        if isinstance(statement, nodes.Explain):
-            # Planned over the application's statement: the policy-column
-            # augmentation is an execution detail and is elided from plans.
-            lines = self.engine.explain_lines(statement.statement)
-            return Result(["plan"], [[line] for line in lines])
+        # Each statement is one engine run, which holds the statement's
+        # table locks (and, on a durable engine, one durable scope) around
+        # every read, write and lazy policy column it makes.
         if not self.persist_policies:
             return self.engine.run(statement)
         if isinstance(statement, nodes.CreateTable):
             return self._create(statement)
-        if isinstance(statement, nodes.Insert):
-            return self._insert(statement)
-        if isinstance(statement, nodes.Update):
-            return self._update(statement)
-        if isinstance(statement, nodes.Select):
-            return self._select(statement)
-        return self.engine.run(statement)
+        return self.engine.run(statement, self.cells)
 
     def _create(self, stmt: nodes.CreateTable) -> Result:
-        augmented_columns: List[nodes.ColumnDef] = []
-        for column in stmt.columns:
-            augmented_columns.append(column)
-        for column in stmt.columns:
-            if not is_policy_column(column.name):
-                augmented_columns.append(
-                    nodes.ColumnDef(policy_column(column.name), "TEXT"))
+        policy_columns = [nodes.ColumnDef(policy_column(column.name), "TEXT")
+                          for column in stmt.columns
+                          if not is_policy_column(column.name)]
         return self.engine.run(nodes.CreateTable(
-            stmt.table, augmented_columns, stmt.if_not_exists))
-
-    def _insert(self, stmt: nodes.Insert) -> Result:
-        columns = list(stmt.columns)
-        new_rows: List[List[nodes.Expr]] = []
-        policy_columns = [policy_column(c) for c in stmt.columns
-                          if not is_policy_column(c)]
-        for row in stmt.rows:
-            new_row = list(row)
-            for column, expr in zip(stmt.columns, row):
-                if is_policy_column(column):
-                    continue
-                serialized = None
-                if isinstance(expr, nodes.Literal):
-                    serialized = serialize_cell_policies(expr.value)
-                new_row.append(nodes.Literal(serialized))
-            new_rows.append(new_row)
-        table = self.engine.tables.get(stmt.table)
-        if table is not None:
-            for name in policy_columns:
-                if not table.has_column(name):
-                    table.add_column(nodes.ColumnDef(name, "TEXT"))
-        return self.engine.run(
-            nodes.Insert(stmt.table, columns + policy_columns, new_rows))
-
-    def _update(self, stmt: nodes.Update) -> Result:
-        assignments = list(stmt.assignments)
-        table = self.engine.tables.get(stmt.table)
-        for column, expr in stmt.assignments:
-            if is_policy_column(column):
-                continue
-            if table is not None and not table.has_column(policy_column(column)):
-                table.add_column(nodes.ColumnDef(policy_column(column), "TEXT"))
-            if (isinstance(expr, nodes.ColumnRef) and table is not None
-                    and table.has_column(policy_column(expr.name))):
-                # A column-to-column copy carries the source cell's stored
-                # policies.  The engine applies assignments in order, and
-                # the policy assignments repeat the data assignments' order
-                # after them, so each copy reads its source's policy at the
-                # same point in the sequence as its source's value.
-                policy = nodes.ColumnRef(policy_column(expr.name), expr.table)
-            else:
-                serialized = None
-                if isinstance(expr, nodes.Literal):
-                    serialized = serialize_cell_policies(expr.value)
-                policy = nodes.Literal(serialized)
-            assignments.append((policy_column(column), policy))
-        return self.engine.run(
-            nodes.Update(stmt.table, assignments, stmt.where))
-
-    def _select(self, stmt: nodes.Select) -> Result:
-        if stmt.table is None or stmt.table not in self.engine.tables:
-            return self.engine.run(stmt)
-        table = self.engine.tables[stmt.table]
-        data_columns = [c for c in table.column_names if not is_policy_column(c)]
-
-        items: List[nodes.SelectItem] = []
-        annotate: List[tuple] = []  # (output_name, policy_output_name)
-        for item in stmt.items:
-            if isinstance(item.expr, nodes.Star):
-                for name in data_columns:
-                    items.append(nodes.SelectItem(nodes.ColumnRef(name)))
-                    annotate.append((name, self._add_policy_item(
-                        items, table, name)))
-            else:
-                items.append(item)
-                if (isinstance(item.expr, nodes.ColumnRef)
-                        and not is_policy_column(item.expr.name)
-                        and table.has_column(policy_column(item.expr.name))):
-                    annotate.append((item.output_name, self._add_policy_item(
-                        items, table, item.expr.name, item.output_name)))
-
-        augmented = nodes.Select(items, stmt.table, stmt.where, stmt.order_by,
-                                 stmt.limit, stmt.offset, stmt.distinct)
-        raw = self.engine.run(augmented)
-
-        requested = [item.output_name for item in stmt.items
-                     if not isinstance(item.expr, nodes.Star)]
-        if any(isinstance(item.expr, nodes.Star) for item in stmt.items):
-            requested = data_columns + [
-                item.output_name for item in stmt.items
-                if not isinstance(item.expr, nodes.Star)]
-
-        out_rows: List[Row] = []
-        for row in raw.rows:
-            values = {}
-            for column in requested:
-                values[column] = row[column] if column in row else None
-            for data_name, policy_name in annotate:
-                if policy_name and policy_name in row:
-                    values[data_name] = apply_cell_policies(
-                        values.get(data_name), row[policy_name],
-                        tolerant=self.tolerant_policies)
-            out_rows.append(Row(requested, [values[c] for c in requested]))
-        return Result(requested, out_rows)
-
-    def _add_policy_item(self, items: List[nodes.SelectItem], table,
-                         column: str, alias_base: Optional[str] = None):
-        name = policy_column(column)
-        if not table.has_column(name):
-            return None
-        alias = policy_column(alias_base) if alias_base else name
-        items.append(nodes.SelectItem(nodes.ColumnRef(name), alias))
-        return alias
+            stmt.table, stmt.columns + policy_columns, stmt.if_not_exists))
 
 
 def _query_param_names(sql) -> FrozenSet[str]:

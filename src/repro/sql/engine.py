@@ -1,10 +1,12 @@
 """In-memory SQL engine.
 
 Executes the AST produced by :mod:`repro.sql.parser` against in-memory
-tables.  The engine itself is policy-agnostic: values stored in cells may be
-tainted strings/numbers and are returned as stored.  Policy persistence
-across the database (the paper's policy columns, Figure 4) is implemented one
-layer up, in :class:`repro.channels.sqlchan.Database`.
+tables.  The engine itself is policy-agnostic: by default expressions read
+the stored cells and a write stores the plain value.  :meth:`Engine.run`
+takes the *cells* a statement reads and writes through
+(:class:`~repro.sql.executor.StoredCells`); the SQL channel passes its
+policy cells (:class:`repro.channels.sqlchan.PolicyCells`), which keep the
+paper's policy columns (Figure 4) beside the data.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 from ..core.exceptions import SQLError
 from ..core.locking import OrderedLockRegistry, durable
 from . import nodes
-from .executor import Executor, evaluate, stored_value
+from .executor import STORED, Executor, StoredCells, evaluate
 from .indexes import SecondaryIndex
 from .parser import parse
 from .planner import Planner
@@ -179,10 +181,9 @@ class Engine:
     sorted-name order (:meth:`locked` does this for you), and the catalog
     lock is *innermost* — taken last, held only across the directory
     mutation, and never while waiting for a table lock.  Following the rule
-    everywhere makes deadlock impossible;
-    :class:`repro.channels.sqlchan.Database` uses :meth:`locked` to hold a
-    statement's tables across the multi-step read-modify-write sequences of
-    policy persistence.
+    everywhere makes deadlock impossible; :meth:`locked` is also how an
+    application holds several statements' tables across a compound
+    operation (``Database.transaction``).
     """
 
     def __init__(self):
@@ -254,20 +255,22 @@ class Engine:
 
     # -- public API -------------------------------------------------------------
 
-    def run(self, statement) -> Result:
-        """Execute a SQL string or a parsed statement (plan + execute)."""
+    def run(self, statement, cells: StoredCells = STORED) -> Result:
+        """Execute a SQL string or a parsed statement (plan + execute).
+
+        ``cells`` is how expressions read cells and how writes store
+        values: by default the stored rows and the plain values."""
         if isinstance(statement, str):
             statement = parse(statement)
         if isinstance(statement, nodes.Explain):
             return self._explain(statement.statement)
         if isinstance(statement, nodes.Select):
-            if statement.table is None:
-                return self._select(statement)
-            with self.locked(statement.table):
-                return self._select(statement)
+            with self.locked(*self.statement_tables(statement)):
+                plan = self.planner.plan_select(statement)
+                return self.executor.execute(plan, cells)
         # Around the table locks _execute_mutation takes (see durable).
         with durable(self.durability):
-            return self._execute_mutation(statement)
+            return self._execute_mutation(statement, cells)
 
     def plan(self, statement):
         """The plan :meth:`run` would execute for ``statement`` (parsed on
@@ -290,7 +293,7 @@ class Engine:
     def _explain(self, statement) -> Result:
         return Result(["plan"], [[line] for line in self.explain_lines(statement)])
 
-    def _execute_mutation(self, statement) -> Result:
+    def _execute_mutation(self, statement, cells: StoredCells) -> Result:
         if isinstance(statement, nodes.CreateIndex):
             with self.locked(statement.table):
                 return self._create_index(statement)
@@ -304,10 +307,10 @@ class Engine:
                 return self._drop(statement)
         if isinstance(statement, nodes.Insert):
             with self.locked(statement.table):
-                return self._insert(statement)
+                return self._insert(statement, cells)
         if isinstance(statement, nodes.Update):
             with self.locked(statement.table):
-                return self._update(statement)
+                return self._update(statement, cells)
         if isinstance(statement, nodes.Delete):
             with self.locked(statement.table):
                 return self._delete(statement)
@@ -318,7 +321,7 @@ class Engine:
         # and every mutation of ``self.tables`` happens under the catalog
         # lock.  Taking the catalog lock here would invert the
         # catalog-before-table ordering for callers that already hold a
-        # table lock (e.g. Database's compound statements).
+        # table lock (e.g. a ``Database.transaction`` block).
         try:
             return self.tables[name]
         except KeyError:
@@ -396,17 +399,18 @@ class Engine:
                 return table.name
         return None
 
-    def _insert(self, stmt: nodes.Insert) -> Result:
+    def _insert(self, stmt: nodes.Insert, cells: StoredCells) -> Result:
         table = self.table(stmt.table)
         for column in stmt.columns:
             if not table.has_column(column):
                 raise SQLError(
                     f"table {table.name} has no column {column!r}")
+        store = cells.store
         new_rows: List[Dict[str, Any]] = []
         for row_exprs in stmt.rows:
             row = {name: None for name in table.column_names}
             for column, expr in zip(stmt.columns, row_exprs):
-                row[column] = stored_value(evaluate(expr, None, table))
+                store(table, row, column, evaluate(expr, None, table))
             new_rows.append(row)
         table.append_rows(new_rows)
         if new_rows and self.durability is not None:
@@ -414,11 +418,7 @@ class Engine:
             self._log(table.rows_record("sql.insert", rows=rows))
         return Result(rowcount=len(new_rows))
 
-    def _select(self, stmt: nodes.Select) -> Result:
-        """Plan and execute a SELECT (caller holds the table's lock)."""
-        return self.executor.execute(self.planner.plan_select(stmt))
-
-    def _update(self, stmt: nodes.Update) -> Result:
+    def _update(self, stmt: nodes.Update, cells: StoredCells) -> Result:
         table = self.table(stmt.table)
         for column, _ in stmt.assignments:
             if not table.has_column(column):
@@ -430,10 +430,18 @@ class Engine:
         # equivalent to mutating as the scan goes.
         source = self.planner.plan(stmt).source
         matches = list(self.executor.scan(source))
+        view = cells.viewer(table, [expr for _, expr in stmt.assignments])
+        store = cells.store
         touched: List[int] = []
         for position, row in matches:
+            # Assignments apply in order: each one reads the values (and
+            # the policies, in a viewed row) the ones before it wrote.
+            viewed = row if view is None else view(row)
             for column, expr in stmt.assignments:
-                row[column] = stored_value(evaluate(expr, row, table))
+                value = evaluate(expr, viewed, table)
+                store(table, row, column, value)
+                if viewed is not row:
+                    viewed[column] = value
             touched.append(position)
         if touched:
             table.rebuild_indexes(column for column, _ in stmt.assignments)

@@ -20,10 +20,18 @@ from functools import lru_cache
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..core.exceptions import SQLError
+from ..tracking.propagation import (
+    merge_values,
+    policies_of,
+    strip_policies,
+    to_tainted_str,
+)
+from ..tracking.tainted_number import TaintedFloat, TaintedInt
 from . import nodes
 from .indexes import UNBOUNDED
 from .planner import (
     Aggregate,
+    Distinct,
     Filter,
     IndexLookup,
     IndexRange,
@@ -37,6 +45,8 @@ from .planner import (
 
 __all__ = [
     "Executor",
+    "StoredCells",
+    "STORED",
     "evaluate",
     "stored_value",
     "sql_equal",
@@ -50,18 +60,43 @@ __all__ = [
 
 
 def stored_value(value):
-    """Values stored in a table are plain Python objects.
+    """The plain value a table cell holds.
 
     The engine stands in for an external database server: data crossing
     into it loses its in-runtime policy annotations, exactly like data sent
-    to a real MySQL would.  Policies survive the round trip only through
-    the policy columns maintained by
-    :class:`repro.channels.sqlchan.Database` — which is the point of the
-    paper's persistent-policy mechanism.
+    to a real MySQL would.  Policies survive the round trip only when a
+    statement runs with the SQL channel's policy cells
+    (:class:`repro.channels.sqlchan.PolicyCells`), which store what each
+    written value carries beside it — the paper's persistent-policy
+    mechanism.
     """
-    from ..tracking.propagation import strip_policies
-
     return strip_policies(value)
+
+
+class StoredCells:
+    """How a statement reads and writes cells; by default, as stored.
+
+    :meth:`repro.sql.engine.Engine.run` takes another implementation as
+    ``cells`` (the SQL channel's policy cells), so the executor never learns
+    how policies are stored."""
+
+    def viewer(self, table, exprs):
+        """A function from a stored row to the row ``exprs`` evaluate over
+        (applied to the rows WHERE, ORDER BY, DISTINCT and LIMIT keep), or
+        ``None`` for the stored row itself."""
+        return None
+
+    def store(self, table, row, column: str, value) -> None:
+        """Write the evaluated ``value`` into ``row[column]``."""
+        row[column] = stored_value(value)
+
+    def columns(self, table) -> List[str]:
+        """The columns ``*`` expands to."""
+        return table.column_names
+
+
+#: The cells :meth:`repro.sql.engine.Engine.run` uses by default.
+STORED = StoredCells()
 
 
 def coerce_pair(left, right):
@@ -206,14 +241,37 @@ def _scalar_function(expr: nodes.FuncCall, row, table) -> Any:
     args = [evaluate(arg, row, table) for arg in expr.args]
     name = expr.name
     if name == "lower":
-        return None if args[0] is None else str(args[0]).lower()
+        return None if args[0] is None else _text(args[0]).lower()
     if name == "upper":
-        return None if args[0] is None else str(args[0]).upper()
+        return None if args[0] is None else _text(args[0]).upper()
     if name == "length":
-        return None if args[0] is None else len(str(args[0]))
+        return None if args[0] is None else _length(args[0])
     if name in ("count", "min", "max", "sum", "avg"):
         raise SQLError(f"aggregate {name}() not allowed in this context")
     raise SQLError(f"unknown function {name!r}")
+
+
+def _text(value) -> str:
+    """``value`` as text with its policies (a number's spread over it)."""
+    return value if isinstance(value, str) else to_tainted_str(value)
+
+
+def _length(value):
+    """An int carrying every policy of ``value``."""
+    policies = policies_of(value)
+    length = len(_text(value))
+    return TaintedInt(length, policies) if policies else length
+
+
+def _sum(values: List[Any]):
+    """SUM over numbers, carrying the merge of their policies."""
+    if not all(isinstance(value, (int, float)) for value in values):
+        raise SQLError("sum() and avg() take numbers only")
+    total = sum(map(stored_value, values))
+    policies = merge_values(*values)
+    if not policies:
+        return total
+    return (TaintedFloat if isinstance(total, float) else TaintedInt)(total, policies)
 
 
 def evaluate_aggregate(expr: nodes.Expr, rows: List[Dict[str, Any]], table) -> Any:
@@ -229,13 +287,15 @@ def evaluate_aggregate(expr: nodes.Expr, rows: List[Dict[str, Any]], table) -> A
             values = [v for v in values if v is not None]
             if not values:
                 return None
+            # MIN and MAX return the value they chose, policies and all, in
+            # ORDER BY's total order.
             if name == "min":
-                return min(values)
+                return min(values, key=sort_key)
             if name == "max":
-                return max(values)
+                return max(values, key=sort_key)
             if name == "sum":
-                return sum(values)
-            return sum(values) / len(values)
+                return _sum(values)
+            return _sum(values) / len(values)
     # Non-aggregate expression in an aggregate query: evaluate against the
     # first matching row (MySQL-ish permissiveness).
     return evaluate(expr, rows[0] if rows else {}, table)
@@ -244,6 +304,17 @@ def evaluate_aggregate(expr: nodes.Expr, rows: List[Dict[str, Any]], table) -> A
 # -- plan execution -------------------------------------------------------------
 
 Pair = Tuple[int, Dict[str, Any]]
+
+
+def _project(items, row: Dict[str, Any], table, star: List[str]) -> List[Any]:
+    """One row's values of the SELECT ``items``; ``*`` expands to ``star``."""
+    values: List[Any] = []
+    for item in items:
+        if isinstance(item.expr, nodes.Star):
+            values.extend(row[name] for name in star)
+        else:
+            values.append(evaluate(item.expr, row, table))
+    return values
 
 
 class Executor:
@@ -260,62 +331,45 @@ class Executor:
 
     # -- SELECT plans ------------------------------------------------------
 
-    def execute(self, plan: Plan):
-        """Execute a SELECT-shaped plan, returning an engine ``Result``."""
+    def execute(self, plan: Plan, cells: StoredCells = STORED):
+        """Execute a SELECT-shaped plan, returning an engine ``Result``; the
+        SELECT items evaluate over the rows ``cells`` views."""
         from .engine import Result
 
         if isinstance(plan, ScalarSelect):
             columns = [item.output_name for item in plan.items]
             values = [evaluate(item.expr, {}, None) for item in plan.items]
             return Result(columns, [values])
+        if not isinstance(plan, (Aggregate, Project)):
+            raise SQLError(f"cannot execute plan {type(plan).__name__}")
 
+        table = self.engine.table(plan.table)
+        rows = [row for _, row in self.collect(plan.children[0], cells)]
+        view = cells.viewer(table, plan.items)
+        if view is not None:
+            rows = [view(row) for row in rows]
         if isinstance(plan, Aggregate):
-            table = self.engine.table(plan.table)
-            rows = [row for _, row in self.scan(plan.children[0])]
             columns = [item.output_name for item in plan.items]
             values = [
                 evaluate_aggregate(item.expr, rows, table) for item in plan.items
             ]
             return Result(columns, [values])
 
-        if isinstance(plan, Project):
-            table = self.engine.table(plan.table)
-            pairs = self.collect(plan.children[0])
-
-            columns: List[str] = []
-            for item in plan.items:
-                if isinstance(item.expr, nodes.Star):
-                    columns.extend(table.column_names)
-                else:
-                    columns.append(item.output_name)
-
-            result_rows: List[List[Any]] = []
-            seen = set()
-            for _, row in pairs:
-                values: List[Any] = []
-                for item in plan.items:
-                    if isinstance(item.expr, nodes.Star):
-                        values.extend(row[name] for name in table.column_names)
-                    else:
-                        values.append(evaluate(item.expr, row, table))
-                if plan.distinct:
-                    # Deduplication happens after LIMIT, matching the
-                    # reference scan path's (unusual) order of operations.
-                    key = tuple(str(v) for v in values)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                result_rows.append(values)
-            return Result(columns, result_rows)
-
-        raise SQLError(f"cannot execute plan {type(plan).__name__}")
+        star = cells.columns(table)
+        columns = []
+        for item in plan.items:
+            if isinstance(item.expr, nodes.Star):
+                columns.extend(star)
+            else:
+                columns.append(item.output_name)
+        return Result(columns, [_project(plan.items, row, table, star) for row in rows])
 
     # -- row streams -------------------------------------------------------
 
-    def collect(self, plan: Plan) -> List[Pair]:
-        """Materialize a row stream, applying Sort/Slice stages."""
+    def collect(self, plan: Plan, cells: StoredCells = STORED) -> List[Pair]:
+        """Materialize a row stream, applying Sort/Distinct/Slice stages."""
         if isinstance(plan, Sort):
-            pairs = self.collect(plan.children[0])
+            pairs = self.collect(plan.children[0], cells)
             table = self.engine.table(plan.table)
             for ordering in reversed(plan.order_by):
                 pairs = sorted(
@@ -326,8 +380,20 @@ class Executor:
                     reverse=ordering.descending,
                 )
             return pairs
+        if isinstance(plan, Distinct):
+            table = self.engine.table(plan.table)
+            star = cells.columns(table)
+            seen = set()
+            kept: List[Pair] = []
+            for pair in self.collect(plan.children[0], cells):
+                values = _project(plan.items, pair[1], table, star)
+                key = tuple(str(value) for value in values)
+                if key not in seen:
+                    seen.add(key)
+                    kept.append(pair)
+            return kept
         if isinstance(plan, Slice):
-            pairs = self.collect(plan.children[0])
+            pairs = self.collect(plan.children[0], cells)
             if plan.offset:
                 pairs = pairs[plan.offset:]
             if plan.limit is not None:

@@ -1,10 +1,11 @@
 """SQL abstract syntax tree nodes.
 
-The parser produces these nodes; the engine executes them; the persistence
-filter (:mod:`repro.channels.sqlchan`) rewrites them to add policy columns.
-Every node can regenerate SQL text via ``to_sql()``; literal values keep
-their taint, so a regenerated query's characters carry the same policies as
-the original (used by tests and by applications that log queries).
+The parser produces these nodes and the engine executes them; the SQL
+channel (:mod:`repro.channels.sqlchan`) rewrites only ``CREATE TABLE``, to
+add policy columns.  Every node can regenerate SQL text via ``to_sql()``;
+literal values keep their taint, so a regenerated query's characters carry
+the same policies as the original (used by tests and by applications that
+log queries).
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ line, two-space indentation per tree level, the node name first.  Example::
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.exceptions import SQLError
 from . import nodes
@@ -35,6 +35,7 @@ __all__ = [
     "IndexLookup",
     "IndexRange",
     "Filter",
+    "Distinct",
     "Project",
     "Aggregate",
     "Sort",
@@ -46,6 +47,7 @@ __all__ = [
     "Planner",
     "bind_parameters",
     "collect_params",
+    "walk",
 ]
 
 #: Aggregate function names (mirrors the parser's set).
@@ -155,21 +157,33 @@ class Filter(Plan):
         return f"Filter {_sql(self.predicate)}"
 
 
-class Project(Plan):
-    """Evaluate the SELECT items (and DISTINCT) over the child's rows."""
+class Distinct(Plan):
+    """Keep the first row of each distinct value of the SELECT items.
 
-    def __init__(
-        self, child: Plan, table: str, items: Sequence[nodes.SelectItem], distinct: bool
-    ):
+    Which rows survive is decided over the stored rows, like WHERE and
+    ORDER BY: an implicit flow, not a value that carries policies."""
+
+    def __init__(self, child: Plan, table: str, items: Sequence[nodes.SelectItem]):
         self.children = (child,)
         self.table = table
         self.items = list(items)
-        self.distinct = distinct
 
     def describe(self) -> str:
         rendered = ", ".join(_sql(item) for item in self.items)
-        suffix = " DISTINCT" if self.distinct else ""
-        return f"Project [{rendered}]{suffix}"
+        return f"Distinct [{rendered}]"
+
+
+class Project(Plan):
+    """Evaluate the SELECT items over the child's rows."""
+
+    def __init__(self, child: Plan, table: str, items: Sequence[nodes.SelectItem]):
+        self.children = (child,)
+        self.table = table
+        self.items = list(items)
+
+    def describe(self) -> str:
+        rendered = ", ".join(_sql(item) for item in self.items)
+        return f"Project [{rendered}]"
 
 
 class Aggregate(Plan):
@@ -319,9 +333,12 @@ class Planner:
             return Aggregate(child, stmt.table, stmt.items)
         if stmt.order_by:
             child = Sort(child, stmt.table, stmt.order_by)
+        if stmt.distinct:
+            # SQL's order: DISTINCT before OFFSET / LIMIT.
+            child = Distinct(child, stmt.table, stmt.items)
         if stmt.limit is not None or stmt.offset:
             child = Slice(child, stmt.limit, stmt.offset)
-        return Project(child, stmt.table, stmt.items, stmt.distinct)
+        return Project(child, stmt.table, stmt.items)
 
     @staticmethod
     def _is_aggregate(stmt: nodes.Select) -> bool:
@@ -430,54 +447,46 @@ class Planner:
         return None
 
 
-# -- parameter binding ----------------------------------------------------------
+# -- tree walking and parameter binding -----------------------------------------
+
+
+def walk(node: nodes.Node) -> Iterator[nodes.Node]:
+    """``node`` and every node below it: the expressions of a statement,
+    select item or expression, in no particular order."""
+    pending = [node]
+    while pending:
+        node = pending.pop()
+        if node is None:  # an absent WHERE
+            continue
+        yield node
+        if isinstance(node, (nodes.UnaryOp, nodes.IsNull)):
+            pending.append(node.operand)
+        elif isinstance(node, nodes.BinaryOp):
+            pending += (node.left, node.right)
+        elif isinstance(node, nodes.InList):
+            pending.append(node.operand)
+            pending += node.items
+        elif isinstance(node, nodes.FuncCall):
+            pending += node.args
+        elif isinstance(node, (nodes.SelectItem, nodes.OrderBy)):
+            pending.append(node.expr)
+        elif isinstance(node, nodes.Select):
+            pending += (*node.items, *node.order_by, node.where)
+        elif isinstance(node, nodes.Insert):
+            for row in node.rows:
+                pending += row
+        elif isinstance(node, nodes.Update):
+            pending += (expr for _, expr in node.assignments)
+            pending.append(node.where)
+        elif isinstance(node, nodes.Delete):
+            pending.append(node.where)
+        elif isinstance(node, nodes.Explain):
+            pending.append(node.statement)
 
 
 def collect_params(statement: nodes.Node) -> Set[str]:
     """The names of every :class:`~repro.sql.nodes.Param` in ``statement``."""
-    names: Set[str] = set()
-    _walk_params(statement, names)
-    return names
-
-
-def _walk_params(node, names: Set[str]) -> None:
-    if isinstance(node, nodes.Param):
-        names.add(node.name)
-    elif isinstance(node, nodes.UnaryOp):
-        _walk_params(node.operand, names)
-    elif isinstance(node, nodes.BinaryOp):
-        _walk_params(node.left, names)
-        _walk_params(node.right, names)
-    elif isinstance(node, nodes.InList):
-        _walk_params(node.operand, names)
-        for item in node.items:
-            _walk_params(item, names)
-    elif isinstance(node, nodes.IsNull):
-        _walk_params(node.operand, names)
-    elif isinstance(node, nodes.FuncCall):
-        for arg in node.args:
-            _walk_params(arg, names)
-    elif isinstance(node, nodes.Select):
-        for item in node.items:
-            _walk_params(item.expr, names)
-        if node.where is not None:
-            _walk_params(node.where, names)
-        for ordering in node.order_by:
-            _walk_params(ordering.expr, names)
-    elif isinstance(node, nodes.Insert):
-        for row in node.rows:
-            for expr in row:
-                _walk_params(expr, names)
-    elif isinstance(node, nodes.Update):
-        for _, expr in node.assignments:
-            _walk_params(expr, names)
-        if node.where is not None:
-            _walk_params(node.where, names)
-    elif isinstance(node, nodes.Delete):
-        if node.where is not None:
-            _walk_params(node.where, names)
-    elif isinstance(node, nodes.Explain):
-        _walk_params(node.statement, names)
+    return {node.name for node in walk(statement) if isinstance(node, nodes.Param)}
 
 
 def bind_parameters(statement, params: Dict[str, Any]):

@@ -59,6 +59,8 @@ SELECT_CORPUS = [
     "SELECT id FROM items WHERE NOT (grp = 10)",
     "SELECT id FROM items WHERE grp = 10 OR grp = 30",
     "SELECT DISTINCT note FROM items",
+    "SELECT DISTINCT grp FROM items LIMIT 3",
+    "SELECT DISTINCT grp FROM items ORDER BY grp DESC LIMIT 2 OFFSET 1",
     "SELECT id, name FROM items ORDER BY name",
     "SELECT id FROM items ORDER BY score DESC, id",
     "SELECT id FROM items ORDER BY grp LIMIT 3 OFFSET 2",
@@ -129,11 +131,6 @@ def select_reference(engine: Engine, stmt) -> Result:
             reverse=ordering.descending,
         )
 
-    if stmt.offset:
-        matching = matching[stmt.offset:]
-    if stmt.limit is not None:
-        matching = matching[:stmt.limit]
-
     columns = []
     for item in stmt.items:
         if isinstance(item.expr, nodes.Star):
@@ -156,6 +153,12 @@ def select_reference(engine: Engine, stmt) -> Result:
                 continue
             seen.add(key)
         result_rows.append(values)
+
+    # DISTINCT first, then OFFSET / LIMIT.
+    if stmt.offset:
+        result_rows = result_rows[stmt.offset:]
+    if stmt.limit is not None:
+        result_rows = result_rows[:stmt.limit]
     return Result(columns, result_rows)
 
 

@@ -6,9 +6,11 @@ Table 4 scenarios use, but through HTTP requests — checking that the RESIN
 assertions keep firing at the boundary no matter which surface reached it.
 """
 
+import warnings
+
 import pytest
 
-from repro.core.exceptions import AccessDenied, PolicyViolation
+from repro.core.exceptions import AccessDenied, PolicyViolation, ResinWarning
 from repro.environment import Environment
 from repro.web import Request
 
@@ -181,11 +183,15 @@ class TestAdmissionsFrontend:
         return system
 
     def test_search_and_typed_lookup(self, system):
-        search = system.web.handle(Request("/applicants",
-                                           params={"name": "Alice"}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            search = system.web.handle(Request("/applicants",
+                                               params={"name": "Alice"}))
+            lookup = system.web.handle(Request("/applicants/1"))
         assert "name=Alice" in search.body()
-        lookup = system.web.handle(Request("/applicants/1"))
         assert "applicant_id=1" in lookup.body()
+        # The rows keep their cells' policies on the way to the page.
+        assert not [w for w in caught if issubclass(w.category, ResinWarning)]
 
     def test_injection_through_routed_screen_blocked(self, system):
         with pytest.raises(PolicyViolation):

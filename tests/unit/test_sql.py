@@ -217,6 +217,38 @@ class TestEngine:
         assert len(engine.run("SELECT name FROM users")) == 4
         assert len(engine.run("SELECT DISTINCT name FROM users")) == 3
 
+    def test_distinct_applies_before_limit_and_offset(self):
+        engine = Engine()
+        engine.run("CREATE TABLE t (g INTEGER)")
+        engine.run("INSERT INTO t (g) VALUES (0), (0), (1), (1), (2), (2)")
+
+        def column(sql):
+            return [row["g"] for row in engine.run(sql)]
+
+        assert column("SELECT DISTINCT g FROM t LIMIT 2") == [0, 1]
+        assert column("SELECT DISTINCT g FROM t ORDER BY g DESC "
+                      "LIMIT 2 OFFSET 1") == [1, 0]
+        assert engine.explain_lines("SELECT DISTINCT g FROM t LIMIT 2") == [
+            "Project [g]", "  Slice LIMIT 2", "    Distinct [g]",
+            "      SeqScan t"]
+
+    def test_min_max_over_mixed_values_use_the_sort_order(self):
+        engine = Engine()
+        engine.run("CREATE TABLE t (v TEXT)")
+        engine.run("INSERT INTO t (v) VALUES ('a'), (1), (NULL), (2.5)")
+        row = engine.run("SELECT MIN(v) AS lo, MAX(v) AS hi FROM t").rows[0]
+        # Numbers sort before strings, as in ORDER BY; NULLs are skipped.
+        assert (row["lo"], row["hi"]) == (1, "a")
+
+    @pytest.mark.parametrize("aggregate", ["SUM", "AVG"])
+    def test_sum_and_avg_reject_text(self, engine, aggregate):
+        with pytest.raises(SQLError):
+            engine.run(f"SELECT {aggregate}(name) FROM users")
+        engine.run("CREATE TABLE m (v TEXT)")
+        engine.run("INSERT INTO m (v) VALUES (1), ('2')")
+        with pytest.raises(SQLError):
+            engine.run(f"SELECT {aggregate}(v) FROM m")
+
     def test_update(self, engine):
         count = engine.run(
             "UPDATE users SET age = 31 WHERE name = 'alice'").rowcount

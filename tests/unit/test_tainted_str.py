@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.exceptions import ResinWarning
 from repro.core.policyset import PolicySet
 from repro.policies import SQLSanitized, UntrustedData
 from repro.tracking.tainted_str import TaintedStr, taint_str
@@ -299,5 +300,6 @@ class TestConversionsAndPolicies:
     def test_fstring_loses_policies_documented(self):
         # Known limitation: f-strings drop the policy map (interpreter-level
         # joining); the interpolate() helper is the tracked alternative.
-        result = f"{tainted('x')}"
+        with pytest.warns(ResinWarning):
+            result = f"{tainted('x')}"
         assert type(result) is str
