@@ -32,8 +32,8 @@ from ..core.policyset import PolicySet
 from ..core.serialization import (deserialize_policyset, deserialize_rangemap,
                                   serialize_policyset, serialize_rangemap)
 from ..sql import nodes
-from ..sql.engine import Engine, Result
-from ..sql.executor import StoredCells, stored_value
+from ..sql.engine import Engine
+from ..sql.executor import Result, StoredCells, stored_value
 from ..sql.parser import parse
 from ..sql.planner import bind_parameters, collect_params, walk
 from ..sql.tokenizer import PARAM, tokenize
@@ -258,7 +258,7 @@ class Database:
 
         Returns a :class:`PreparedQuery`.  A statement without unbound
         ``:name`` parameters executes immediately — the handle then behaves
-        exactly like the :class:`~repro.sql.engine.Result` it wraps (rows,
+        exactly like the :class:`~repro.sql.executor.Result` it wraps (rows,
         columns, ``scalar()``, iteration) — and additionally offers
         ``.explain()`` and ``.run(**params)`` for re-execution.  A statement
         with unbound parameters defers execution until ``.run()``.
@@ -353,7 +353,7 @@ class PreparedQuery:
     Wraps one SQL statement plus its (possibly partial) parameter bindings.
     When every ``:name`` parameter is bound the statement executes eagerly
     at construction, so ``db.query(sql)`` keeps its pre-plan-API behaviour —
-    the handle delegates the whole :class:`~repro.sql.engine.Result` API to
+    the handle delegates the whole :class:`~repro.sql.executor.Result` API to
     the most recent execution.  On top of that it offers:
 
     * ``run(**params)`` — (re-)execute with additional bindings; each
@@ -406,7 +406,7 @@ class PreparedQuery:
 
     @property
     def result(self) -> Result:
-        """The most recent execution's :class:`~repro.sql.engine.Result`."""
+        """The most recent execution's :class:`~repro.sql.executor.Result`."""
         if self._result is None:
             missing = sorted(self._names - set(self._params))
             raise SQLError(

@@ -13,6 +13,7 @@ from typing import Any, Optional
 
 from .policy import Policy
 from .policyset import PolicySet
+from ..tracking.propagation import policies_of, strip_policies
 from ..tracking.tainted_bytes import TaintedBytes, taint_bytes
 from ..tracking.tainted_number import (TaintedFloat, TaintedInt, taint_float,
                                        taint_int)
@@ -81,7 +82,6 @@ def policy_get(data: Any) -> PolicySet:
     For strings and bytes this is the union over all characters/bytes; use
     ``data.policies_at(i)`` or ``data.rangemap`` for per-character queries.
     """
-    from ..tracking.propagation import policies_of
     return policies_of(data)
 
 
@@ -110,5 +110,4 @@ def untaint(data: Any) -> Any:
     Only boundary code (declassifiers) should call this; see
     :func:`repro.tracking.propagation.strip_policies`.
     """
-    from ..tracking.propagation import strip_policies
     return strip_policies(data)

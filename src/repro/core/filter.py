@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Type
 
+from ..tracking.propagation import policies_of
 from .context import FilterContext, as_context
 from .policy import Policy
 from .exceptions import FilterError, PolicyViolation
@@ -84,8 +85,7 @@ class DefaultFilter(Filter):
     """
 
     def filter_write(self, data: Any, offset: int = 0) -> Any:
-        from .api import policy_get
-        policies = policy_get(data)
+        policies = policies_of(data)
         if not policies:
             return data
         recorder = _audit_recorder(self.context)
@@ -113,11 +113,10 @@ class DefaultFilter(Filter):
         return data
 
     def filter_func(self, func: Callable, args: tuple, kwargs: dict) -> Any:
-        from .api import policy_get
         recorder = _audit_recorder(self.context)
         checked: list = []
         for value in list(args) + list(kwargs.values()):
-            policies = policy_get(value)
+            policies = policies_of(value)
             if not policies:
                 continue
             try:

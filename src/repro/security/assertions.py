@@ -21,7 +21,7 @@ from ..core.request_context import request_scoped_context
 from ..policies.acl import ACL
 from ..policies.code_approval import CodeApproval
 from ..policies.untrusted import HTMLSanitized, SQLSanitized, UntrustedData
-from ..sql.tokenizer import STRING, tokenize
+from ..sql.tokenizer import NUMBER, STRING, tokenize
 from ..tracking.tainted_str import TaintedStr
 from ..web.request import Request
 
@@ -107,7 +107,6 @@ class SQLGuardFilter(Filter):
                     context=request_scoped_context(self.context))
 
     def _check_structure(self, sql: TaintedStr) -> None:
-        from ..sql.tokenizer import NUMBER
         for token in tokenize(sql):
             if token.type in (STRING, NUMBER):
                 # Literals are data, not structure: untrusted data is allowed

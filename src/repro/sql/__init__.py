@@ -2,8 +2,8 @@
 indexes over the in-memory engine."""
 
 from . import nodes
-from .engine import Engine, Result, Row, Table
-from .executor import Executor
+from .engine import Engine, Table
+from .executor import Executor, Result, Row
 from .indexes import SecondaryIndex
 from .parser import Parser, parse
 from .planner import Plan, Planner, bind_parameters, collect_params

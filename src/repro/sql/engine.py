@@ -17,57 +17,10 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 from ..core.exceptions import SQLError
 from ..core.locking import OrderedLockRegistry, durable
 from . import nodes
-from .executor import STORED, Executor, StoredCells, evaluate
+from .executor import STORED, Executor, Result, StoredCells, evaluate
 from .indexes import SecondaryIndex
 from .parser import parse
 from .planner import Planner
-
-
-class Row(dict):
-    """A result row: a dict that also supports positional access."""
-
-    def __init__(self, columns: Sequence[str], values: Sequence[Any]):
-        super().__init__(zip(columns, values))
-        self.columns = list(columns)
-
-    def __getitem__(self, key):
-        if isinstance(key, int):
-            return super().__getitem__(self.columns[key])
-        return super().__getitem__(key)
-
-    def values_list(self) -> List[Any]:
-        return [super(Row, self).__getitem__(col) for col in self.columns]
-
-
-class Result:
-    """Result of executing a statement."""
-
-    def __init__(
-        self,
-        columns: Sequence[str] = (),
-        rows: Iterable[Sequence[Any]] = (),
-        rowcount: int = 0,
-    ):
-        self.columns = list(columns)
-        self.rows: List[Row] = [
-            row if isinstance(row, Row) else Row(self.columns, row)
-            for row in rows]
-        self.rowcount = rowcount if rowcount else len(self.rows)
-
-    def scalar(self) -> Any:
-        """First column of the first row (or None)."""
-        if not self.rows or not self.columns:
-            return None
-        return self.rows[0][self.columns[0]]
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __repr__(self) -> str:
-        return f"Result(columns={self.columns}, rows={len(self.rows)})"
 
 
 class Table:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.exceptions import SQLError
 from ..tracking.propagation import (
@@ -45,6 +45,8 @@ from .planner import (
 
 __all__ = [
     "Executor",
+    "Result",
+    "Row",
     "StoredCells",
     "STORED",
     "evaluate",
@@ -54,6 +56,56 @@ __all__ = [
     "coerce_pair",
     "sort_key",
 ]
+
+
+# -- results --------------------------------------------------------------------
+
+
+class Row(dict):
+    """A result row: a dict that also supports positional access."""
+
+    def __init__(self, columns: Sequence[str], values: Sequence[Any]):
+        super().__init__(zip(columns, values))
+        self.columns = list(columns)
+
+    def __getitem__(self, key):
+        if isinstance(key, int):
+            return super().__getitem__(self.columns[key])
+        return super().__getitem__(key)
+
+    def values_list(self) -> List[Any]:
+        return [super(Row, self).__getitem__(col) for col in self.columns]
+
+
+class Result:
+    """Result of executing a statement."""
+
+    def __init__(
+        self,
+        columns: Sequence[str] = (),
+        rows: Iterable[Sequence[Any]] = (),
+        rowcount: int = 0,
+    ):
+        self.columns = list(columns)
+        self.rows: List[Row] = [
+            row if isinstance(row, Row) else Row(self.columns, row) for row in rows
+        ]
+        self.rowcount = rowcount if rowcount else len(self.rows)
+
+    def scalar(self) -> Any:
+        """First column of the first row (or None)."""
+        if not self.rows or not self.columns:
+            return None
+        return self.rows[0][self.columns[0]]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __repr__(self) -> str:
+        return f"Result(columns={self.columns}, rows={len(self.rows)})"
 
 
 # -- value semantics ------------------------------------------------------------
@@ -334,8 +386,6 @@ class Executor:
     def execute(self, plan: Plan, cells: StoredCells = STORED):
         """Execute a SELECT-shaped plan, returning an engine ``Result``; the
         SELECT items evaluate over the rows ``cells`` views."""
-        from .engine import Result
-
         if isinstance(plan, ScalarSelect):
             columns = [item.output_name for item in plan.items]
             values = [evaluate(item.expr, {}, None) for item in plan.items]

@@ -5,6 +5,11 @@ dialect covers what the paper's applications need: CREATE/DROP TABLE, INSERT,
 SELECT (WHERE / ORDER BY / LIMIT / aggregates), UPDATE and DELETE, with the
 usual comparison operators, ``AND``/``OR``/``NOT``, ``LIKE``, ``IN`` and
 ``IS [NOT] NULL``.
+
+Each token has one *kind*: a keyword's, operator's or punctuation's value
+(``"select"``, ``"!="``, ``"("``) and any other token's type (``IDENT``,
+also for a backquoted name spelled like a keyword, ``STRING``, ``NUMBER``,
+``PARAM``, ``EOF``), so every grammar decision is one list lookup.
 """
 
 from __future__ import annotations
@@ -13,12 +18,26 @@ from typing import List, Optional, Tuple
 
 from ..core.exceptions import SQLError
 from . import nodes
-from .tokenizer import (EOF, IDENT, KEYWORD, NUMBER, OP, PARAM, PUNCT, STRING,
-                        Token, tokenize)
+from .tokenizer import EOF, IDENT, KEYWORD, NUMBER, OP, PARAM, PUNCT, STRING, tokenize
 
 _TYPE_KEYWORDS = {"integer", "int", "text", "real", "float", "varchar", "char"}
 _AGGREGATES = {"count", "min", "max", "sum", "avg"}
 _FUNCTIONS = _AGGREGATES | {"lower", "upper", "length"}
+
+#: Token types whose kind is their value.
+_VALUED = (KEYWORD, OP, PUNCT)
+#: Token types that name a table or column (unreserved keywords may double
+#: as identifiers, e.g. a column named "key").
+_NAMES = (IDENT, KEYWORD)
+#: Column constraints: (second keyword or None, constraint text).
+_CONSTRAINTS = {
+    "primary": ("key", "PRIMARY KEY"),
+    "not": ("null", "NOT NULL"),
+    "unique": (None, "UNIQUE"),
+    "autoincrement": (None, "AUTOINCREMENT"),
+}
+#: How deep parentheses, NOT, signs, function arguments and IN lists nest.
+_MAX_NESTING = 100
 
 
 class Parser:
@@ -26,351 +45,355 @@ class Parser:
 
     def __init__(self, sql):
         self.sql = sql
-        self.tokens: List[Token] = tokenize(sql)
+        self.tokens = tokenize(sql)
+        self.kinds = [
+            token.value if token.type in _VALUED else token.type
+            for token in self.tokens
+        ]
         self.position = 0
+        self.depth = 0
 
     # -- token helpers ---------------------------------------------------------
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.position]
-
-    def advance(self) -> Token:
-        token = self.current
-        if token.type != EOF:
-            self.position += 1
+    def expect(self, kind: str):
+        """Consume the current token, which must be of ``kind``."""
+        token = self.tokens[self.position]
+        if self.kinds[self.position] != kind:
+            raise SQLError(
+                f"expected {kind!r}, found {token.value!r} in "
+                f"query: {str(self.sql)[:200]}"
+            )
+        self.position += 1
         return token
 
-    def check(self, type: str, value=None) -> bool:
-        return self.current.matches(type, value)
-
-    def accept(self, type: str, value=None) -> Optional[Token]:
-        if self.check(type, value):
-            return self.advance()
-        return None
-
-    def expect(self, type: str, value=None) -> Token:
-        if not self.check(type, value):
-            expected = value if value is not None else type
-            raise SQLError(
-                f"expected {expected!r}, found {self.current.value!r} in "
-                f"query: {str(self.sql)[:200]}")
-        return self.advance()
-
     def expect_ident(self) -> str:
-        # Unreserved keywords may double as identifiers (e.g. a column named
-        # "key"); accept either token type.
-        if self.check(IDENT) or self.check(KEYWORD):
-            return str(self.advance().value)
-        raise SQLError(f"expected identifier, found {self.current.value!r}")
+        token = self.tokens[self.position]
+        if token.type not in _NAMES:
+            raise SQLError(f"expected identifier, found {token.value!r}")
+        self.position += 1
+        return token.value
+
+    def _list(self, read) -> list:
+        """``read()`` once, then again after every comma."""
+        items = [read()]
+        while self.kinds[self.position] == ",":
+            self.position += 1
+            items.append(read())
+        return items
+
+    def _nested(self, read):
+        """``read()`` one nesting level deeper."""
+        if self.depth == _MAX_NESTING:
+            raise SQLError("expression nested too deeply")
+        self.depth += 1
+        result = read()
+        self.depth -= 1
+        return result
+
+    def _if(self, *words: str) -> bool:
+        """An optional ``IF [NOT] EXISTS``: True when present."""
+        if self.kinds[self.position] != "if":
+            return False
+        self.position += 1
+        for word in words:
+            self.expect(word)
+        return True
 
     # -- entry point -------------------------------------------------------------
 
     def parse(self) -> nodes.Statement:
         statement = self._statement()
-        self.accept(PUNCT, ";")
-        if not self.check(EOF):
+        if self.kinds[self.position] == ";":
+            self.position += 1
+        if self.kinds[self.position] != EOF:
             raise SQLError(
-                f"unexpected trailing input near {self.current.value!r}")
+                f"unexpected trailing input near {self.tokens[self.position].value!r}"
+            )
         return statement
 
     def _statement(self) -> nodes.Statement:
-        if self.accept(KEYWORD, "explain"):
-            statement = self._statement()
-            if isinstance(statement, nodes.Explain):
-                raise SQLError("EXPLAIN cannot be nested")
-            return nodes.Explain(statement)
-        if self.check(KEYWORD, "create"):
-            return self._create()
-        if self.check(KEYWORD, "drop"):
-            return self._drop()
-        if self.check(KEYWORD, "insert"):
-            return self._insert()
-        if self.check(KEYWORD, "select"):
-            return self._select()
-        if self.check(KEYWORD, "update"):
-            return self._update()
-        if self.check(KEYWORD, "delete"):
-            return self._delete()
-        raise SQLError(f"unsupported statement: {str(self.sql)[:200]}")
+        explains = 0
+        while self.kinds[self.position] == "explain":
+            self.position += 1
+            explains += 1
+        read = _STATEMENTS.get(self.kinds[self.position])
+        if read is None:
+            raise SQLError(f"unsupported statement: {str(self.sql)[:200]}")
+        self.position += 1
+        statement = read(self)
+        if explains > 1:
+            raise SQLError("EXPLAIN cannot be nested")
+        return nodes.Explain(statement) if explains else statement
 
     # -- statements ------------------------------------------------------------------
 
     def _create(self) -> nodes.Statement:
-        self.expect(KEYWORD, "create")
-        if self.accept(KEYWORD, "index"):
+        if self.kinds[self.position] == "index":
+            self.position += 1
             return self._create_index()
-        self.expect(KEYWORD, "table")
-        if_not_exists = False
-        if self.accept(KEYWORD, "if"):
-            self.expect(KEYWORD, "not")
-            self.expect(KEYWORD, "exists")
-            if_not_exists = True
+        self.expect("table")
+        if_not_exists = self._if("not", "exists")
         table = self.expect_ident()
-        self.expect(PUNCT, "(")
-        columns = [self._column_def()]
-        while self.accept(PUNCT, ","):
-            columns.append(self._column_def())
-        self.expect(PUNCT, ")")
+        self.expect("(")
+        columns = self._list(self._column_def)
+        self.expect(")")
         return nodes.CreateTable(table, columns, if_not_exists)
 
     def _column_def(self) -> nodes.ColumnDef:
         name = self.expect_ident()
+        kinds = self.kinds
         column_type = "TEXT"
-        if self.current.type == KEYWORD and self.current.value in _TYPE_KEYWORDS:
-            column_type = str(self.advance().value).upper()
-            if self.accept(PUNCT, "("):
+        if kinds[self.position] in _TYPE_KEYWORDS:
+            column_type = kinds[self.position].upper()
+            self.position += 1
+            if kinds[self.position] == "(":
+                self.position += 1
                 self.expect(NUMBER)
-                self.expect(PUNCT, ")")
+                self.expect(")")
         constraints: List[str] = []
         while True:
-            if self.accept(KEYWORD, "primary"):
-                self.expect(KEYWORD, "key")
-                constraints.append("PRIMARY KEY")
-            elif self.accept(KEYWORD, "not"):
-                self.expect(KEYWORD, "null")
-                constraints.append("NOT NULL")
-            elif self.accept(KEYWORD, "unique"):
-                constraints.append("UNIQUE")
-            elif self.accept(KEYWORD, "autoincrement"):
-                constraints.append("AUTOINCREMENT")
-            elif self.accept(KEYWORD, "default"):
-                literal = self._primary()
-                constraints.append(f"DEFAULT {literal.to_sql()}")
+            kind = kinds[self.position]
+            if kind == "default":
+                self.position += 1
+                constraints.append(f"DEFAULT {self._primary().to_sql()}")
+            elif kind in _CONSTRAINTS:
+                self.position += 1
+                second, constraint = _CONSTRAINTS[kind]
+                if second:
+                    self.expect(second)
+                constraints.append(constraint)
             else:
-                break
-        return nodes.ColumnDef(name, column_type, constraints)
+                return nodes.ColumnDef(name, column_type, constraints)
 
     def _create_index(self) -> nodes.CreateIndex:
-        if_not_exists = False
-        if self.accept(KEYWORD, "if"):
-            self.expect(KEYWORD, "not")
-            self.expect(KEYWORD, "exists")
-            if_not_exists = True
+        if_not_exists = self._if("not", "exists")
         name = self.expect_ident()
-        self.expect(KEYWORD, "on")
+        self.expect("on")
         table = self.expect_ident()
-        self.expect(PUNCT, "(")
+        self.expect("(")
         column = self.expect_ident()
-        self.expect(PUNCT, ")")
-        kind = "sorted"
-        if self.accept(KEYWORD, "using"):
-            kind = self.expect_ident().lower()
-        return nodes.CreateIndex(name, table, column, kind, if_not_exists)
+        self.expect(")")
+        using = "sorted"
+        if self.kinds[self.position] == "using":
+            self.position += 1
+            using = self.expect_ident().lower()
+        return nodes.CreateIndex(name, table, column, using, if_not_exists)
 
     def _drop(self) -> nodes.Statement:
-        self.expect(KEYWORD, "drop")
-        if self.accept(KEYWORD, "index"):
-            if_exists = False
-            if self.accept(KEYWORD, "if"):
-                self.expect(KEYWORD, "exists")
-                if_exists = True
+        if self.kinds[self.position] == "index":
+            self.position += 1
+            if_exists = self._if("exists")
             return nodes.DropIndex(self.expect_ident(), if_exists)
-        self.expect(KEYWORD, "table")
-        if_exists = False
-        if self.accept(KEYWORD, "if"):
-            self.expect(KEYWORD, "exists")
-            if_exists = True
+        self.expect("table")
+        if_exists = self._if("exists")
         return nodes.DropTable(self.expect_ident(), if_exists)
 
     def _insert(self) -> nodes.Insert:
-        self.expect(KEYWORD, "insert")
-        self.expect(KEYWORD, "into")
+        self.expect("into")
         table = self.expect_ident()
-        self.expect(PUNCT, "(")
-        columns = [self.expect_ident()]
-        while self.accept(PUNCT, ","):
-            columns.append(self.expect_ident())
-        self.expect(PUNCT, ")")
-        self.expect(KEYWORD, "values")
-        rows = [self._value_tuple(len(columns))]
-        while self.accept(PUNCT, ","):
-            rows.append(self._value_tuple(len(columns)))
+        self.expect("(")
+        columns = self._list(self.expect_ident)
+        self.expect(")")
+        self.expect("values")
+        rows = self._list(lambda: self._value_tuple(len(columns)))
         return nodes.Insert(table, columns, rows)
 
-    def _value_tuple(self, expected_arity: int) -> List[nodes.Expr]:
-        self.expect(PUNCT, "(")
-        values = [self._expression()]
-        while self.accept(PUNCT, ","):
-            values.append(self._expression())
-        self.expect(PUNCT, ")")
-        if len(values) != expected_arity:
+    def _value_tuple(self, arity: int) -> List[nodes.Expr]:
+        values = self._arguments()
+        if len(values) != arity:
             raise SQLError(
-                f"INSERT arity mismatch: {len(values)} values for "
-                f"{expected_arity} columns")
+                f"INSERT arity mismatch: {len(values)} values for {arity} columns"
+            )
         return values
 
     def _select(self) -> nodes.Select:
-        self.expect(KEYWORD, "select")
-        distinct = bool(self.accept(KEYWORD, "distinct"))
-        items = [self._select_item()]
-        while self.accept(PUNCT, ","):
-            items.append(self._select_item())
+        kinds = self.kinds
+        distinct = kinds[self.position] == "distinct"
+        if distinct:
+            self.position += 1
+        items = self._list(self._select_item)
         table = None
-        if self.accept(KEYWORD, "from"):
+        if kinds[self.position] == "from":
+            self.position += 1
             table = self.expect_ident()
-        where = None
-        if self.accept(KEYWORD, "where"):
-            where = self._expression()
+        where = self._where()
         order_by: List[nodes.OrderBy] = []
-        if self.accept(KEYWORD, "order"):
-            self.expect(KEYWORD, "by")
-            order_by.append(self._ordering())
-            while self.accept(PUNCT, ","):
-                order_by.append(self._ordering())
+        if kinds[self.position] == "order":
+            self.position += 1
+            self.expect("by")
+            order_by = self._list(self._ordering)
         limit = offset = None
-        if self.accept(KEYWORD, "limit"):
-            limit = int(self.expect(NUMBER).value)
-            if self.accept(KEYWORD, "offset"):
-                offset = int(self.expect(NUMBER).value)
-        return nodes.Select(items, table, where, order_by, limit, offset,
-                            distinct)
+        if kinds[self.position] == "limit":
+            self.position += 1
+            limit = self._row_count("LIMIT")
+            if kinds[self.position] == "offset":
+                self.position += 1
+                offset = self._row_count("OFFSET")
+        return nodes.Select(items, table, where, order_by, limit, offset, distinct)
+
+    def _row_count(self, clause: str) -> int:
+        value = self.expect(NUMBER).value
+        if not isinstance(value, int):
+            raise SQLError(f"{clause} must be an integer, found {value!r}")
+        return value
 
     def _select_item(self) -> nodes.SelectItem:
-        if self.accept(PUNCT, "*"):
+        if self.kinds[self.position] == "*":
+            self.position += 1
             return nodes.SelectItem(nodes.Star())
         expr = self._expression()
         alias = None
-        if self.accept(KEYWORD, "as"):
+        kind = self.kinds[self.position]
+        if kind == "as":
+            self.position += 1
             alias = self.expect_ident()
-        elif self.check(IDENT):
-            alias = str(self.advance().value)
+        elif kind == IDENT:
+            alias = self.tokens[self.position].value
+            self.position += 1
         return nodes.SelectItem(expr, alias)
 
     def _ordering(self) -> nodes.OrderBy:
         expr = self._expression()
-        descending = False
-        if self.accept(KEYWORD, "desc"):
-            descending = True
-        else:
-            self.accept(KEYWORD, "asc")
-        return nodes.OrderBy(expr, descending)
+        kind = self.kinds[self.position]
+        if kind == "desc" or kind == "asc":
+            self.position += 1
+        return nodes.OrderBy(expr, kind == "desc")
 
     def _update(self) -> nodes.Update:
-        self.expect(KEYWORD, "update")
         table = self.expect_ident()
-        self.expect(KEYWORD, "set")
-        assignments: List[Tuple[str, nodes.Expr]] = [self._assignment()]
-        while self.accept(PUNCT, ","):
-            assignments.append(self._assignment())
-        where = None
-        if self.accept(KEYWORD, "where"):
-            where = self._expression()
-        return nodes.Update(table, assignments, where)
+        self.expect("set")
+        assignments = self._list(self._assignment)
+        return nodes.Update(table, assignments, self._where())
 
     def _assignment(self) -> Tuple[str, nodes.Expr]:
         column = self.expect_ident()
-        self.expect(OP, "=")
+        self.expect("=")
         return column, self._expression()
 
     def _delete(self) -> nodes.Delete:
-        self.expect(KEYWORD, "delete")
-        self.expect(KEYWORD, "from")
+        self.expect("from")
         table = self.expect_ident()
-        where = None
-        if self.accept(KEYWORD, "where"):
-            where = self._expression()
-        return nodes.Delete(table, where)
+        return nodes.Delete(table, self._where())
+
+    def _where(self) -> Optional[nodes.Expr]:
+        if self.kinds[self.position] != "where":
+            return None
+        self.position += 1
+        return self._expression()
 
     # -- expressions -----------------------------------------------------------------
 
     def _expression(self) -> nodes.Expr:
-        return self._or_expr()
-
-    def _or_expr(self) -> nodes.Expr:
-        left = self._and_expr()
-        while self.accept(KEYWORD, "or"):
-            left = nodes.BinaryOp("or", left, self._and_expr())
+        left = self._conjunction()
+        while self.kinds[self.position] == "or":
+            self.position += 1
+            left = nodes.BinaryOp("or", left, self._conjunction())
         return left
 
-    def _and_expr(self) -> nodes.Expr:
-        left = self._not_expr()
-        while self.accept(KEYWORD, "and"):
-            left = nodes.BinaryOp("and", left, self._not_expr())
+    def _conjunction(self) -> nodes.Expr:
+        left = self._comparison()
+        while self.kinds[self.position] == "and":
+            self.position += 1
+            left = nodes.BinaryOp("and", left, self._comparison())
         return left
-
-    def _not_expr(self) -> nodes.Expr:
-        if self.accept(KEYWORD, "not"):
-            return nodes.UnaryOp("not", self._not_expr())
-        return self._comparison()
 
     def _comparison(self) -> nodes.Expr:
+        kinds = self.kinds
+        if kinds[self.position] == "not":
+            self.position += 1
+            return nodes.UnaryOp("not", self._nested(self._comparison))
         left = self._primary()
-        if self.current.type == OP:
-            op = str(self.advance().value)
-            return nodes.BinaryOp(op, left, self._primary())
-        if self.accept(KEYWORD, "like"):
+        kind = kinds[self.position]
+        if self.tokens[self.position].type == OP:
+            self.position += 1
+            return nodes.BinaryOp(kind, left, self._primary())
+        if kind == "like":
+            self.position += 1
             return nodes.BinaryOp("like", left, self._primary())
-        if self.check(KEYWORD, "not"):
-            saved = self.position
-            self.advance()
-            if self.accept(KEYWORD, "like"):
-                return nodes.UnaryOp(
-                    "not", nodes.BinaryOp("like", left, self._primary()))
-            if self.accept(KEYWORD, "in"):
-                return self._in_list(left, negated=True)
-            self.position = saved
+        if kind == "not":
+            following = kinds[self.position + 1]
+            if following == "like":
+                self.position += 2
+                like = nodes.BinaryOp("like", left, self._primary())
+                return nodes.UnaryOp("not", like)
+            if following == "in":
+                self.position += 2
+                return nodes.InList(left, self._nested(self._arguments), negated=True)
             return left
-        if self.accept(KEYWORD, "in"):
-            return self._in_list(left, negated=False)
-        if self.accept(KEYWORD, "is"):
-            negated = bool(self.accept(KEYWORD, "not"))
-            self.expect(KEYWORD, "null")
+        if kind == "in":
+            self.position += 1
+            return nodes.InList(left, self._nested(self._arguments), negated=False)
+        if kind == "is":
+            self.position += 1
+            negated = kinds[self.position] == "not"
+            if negated:
+                self.position += 1
+            self.expect("null")
             return nodes.IsNull(left, negated)
         return left
 
-    def _in_list(self, operand: nodes.Expr, negated: bool) -> nodes.Expr:
-        self.expect(PUNCT, "(")
-        items = [self._expression()]
-        while self.accept(PUNCT, ","):
-            items.append(self._expression())
-        self.expect(PUNCT, ")")
-        return nodes.InList(operand, items, negated)
+    def _arguments(self) -> List[nodes.Expr]:
+        self.expect("(")
+        items = self._list(self._expression)
+        self.expect(")")
+        return items
 
     def _primary(self) -> nodes.Expr:
-        if self.accept(PUNCT, "("):
-            expr = self._expression()
-            self.expect(PUNCT, ")")
+        kinds = self.kinds
+        kind = kinds[self.position]
+        token = self.tokens[self.position]
+        if kind == STRING or kind == NUMBER:
+            self.position += 1
+            return nodes.Literal(token.value)
+        if kind == "(":
+            self.position += 1
+            expr = self._nested(self._expression)
+            self.expect(")")
             return expr
-        if self.check(OP, "-") or self.check(OP, "+"):
-            sign = str(self.advance().value)
-            operand = self._primary()
-            if sign == "+":
+        if kind == "-" or kind == "+":
+            self.position += 1
+            operand = self._nested(self._primary)
+            if kind == "+":
                 return operand
-            if isinstance(operand, nodes.Literal) \
-                    and isinstance(operand.value, (int, float)):
+            if isinstance(operand, nodes.Literal) and isinstance(
+                operand.value, (int, float)
+            ):
                 return nodes.Literal(-operand.value)
             raise SQLError("unary minus is only supported on numeric literals")
-        if self.check(STRING):
-            return nodes.Literal(self.advance().value)
-        if self.check(NUMBER):
-            return nodes.Literal(self.advance().value)
-        if self.accept(KEYWORD, "null"):
+        if kind == "null":
+            self.position += 1
             return nodes.Literal(None)
-        if self.check(PARAM):
-            return nodes.Param(str(self.advance().value))
-        if (self.current.type in (IDENT, KEYWORD)
-                and str(self.current.value).lower() in _FUNCTIONS
-                and self.tokens[self.position + 1].matches(PUNCT, "(")):
-            name = str(self.advance().value)
-            self.expect(PUNCT, "(")
-            if self.accept(PUNCT, "*"):
-                self.expect(PUNCT, ")")
-                return nodes.FuncCall(name, [], star=True)
-            args = [self._expression()]
-            while self.accept(PUNCT, ","):
-                args.append(self._expression())
-            self.expect(PUNCT, ")")
-            return nodes.FuncCall(name, args)
-        if self.check(IDENT) or self.check(KEYWORD):
-            name = self.expect_ident()
-            if self.accept(PUNCT, "."):
-                if self.accept(PUNCT, "*"):
-                    return nodes.Star(name)
-                return nodes.ColumnRef(self.expect_ident(), table=name)
-            return nodes.ColumnRef(name)
-        raise SQLError(
-            f"unexpected token {self.current.value!r} in expression")
+        if kind == PARAM:
+            self.position += 1
+            return nodes.Param(token.value)
+        if token.type in _NAMES:
+            self.position += 1
+            following = kinds[self.position]
+            if following == "(" and token.value.lower() in _FUNCTIONS:
+                if kinds[self.position + 1] == "*":
+                    self.position += 2
+                    self.expect(")")
+                    return nodes.FuncCall(token.value, [], star=True)
+                return nodes.FuncCall(token.value, self._nested(self._arguments))
+            if following == ".":
+                self.position += 1
+                if kinds[self.position] == "*":
+                    self.position += 1
+                    return nodes.Star(token.value)
+                return nodes.ColumnRef(self.expect_ident(), table=token.value)
+            return nodes.ColumnRef(token.value)
+        raise SQLError(f"unexpected token {token.value!r} in expression")
+
+
+#: The parser of each statement, by its first keyword (already consumed).
+_STATEMENTS = {
+    "create": Parser._create,
+    "drop": Parser._drop,
+    "insert": Parser._insert,
+    "select": Parser._select,
+    "update": Parser._update,
+    "delete": Parser._delete,
+}
 
 
 def parse(sql) -> nodes.Statement:

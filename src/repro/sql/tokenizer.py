@@ -7,11 +7,16 @@ the SQL-injection filter can ask "does any character of the query's
 *structure* carry ``UntrustedData``?" (the second strategy of Section 5.3),
 and a string literal's cooked value keeps the policies of its characters,
 so the persistence filter can recover them.
+
+Words, numbers, operators and punctuation, with the whitespace before
+them, are read by one match of one compiled pattern; string literals,
+backquoted identifiers, ``:params`` and comments keep their own branches.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import re
+from typing import List
 
 from ..core.exceptions import SQLError
 from ..tracking.tainted_str import TaintedStr
@@ -34,9 +39,20 @@ PUNCT = "PUNCT"
 PARAM = "PARAM"
 EOF = "EOF"
 
-#: Multi- and single-character operators, longest first.
-_OPERATORS = ("<>", "!=", "<=", ">=", "=", "<", ">", "+", "-")
-_PUNCTUATION = "(),.;*"
+#: Leading whitespace, then optionally one common token in its own group.
+#: ``\w`` is ``str.isalnum()`` or ``_``, ``\d`` is ``str.isdecimal()`` (what
+#: ``int()`` accepts) and ``\s`` is ``str.isspace()``; the scan loop checks
+#: that a word starts with a letter or ``_``.  A ``-`` that starts a ``--``
+#: comment is left to the comment branch.
+_SCAN = re.compile(
+    r"\s*(?:"
+    r"([^\W\d]\w*)"  # 1: word
+    r"|(\d+(?:\.\d*)?|\.\d+)"  # 2: number
+    r"|(<>|!=|<=|>=|[=<>+]|-(?!-))"  # 3: operator
+    r"|([(),.;*])"  # 4: punctuation
+    r")?"
+).match
+_WORD, _NUMBER, _OPERATOR = 1, 2, 3
 
 
 class Token:
@@ -61,11 +77,6 @@ class Token:
     def text(self) -> TaintedStr:
         return self.source[self.start : self.end]
 
-    def matches(self, type: str, value=None) -> bool:
-        if self.type != type:
-            return False
-        return value is None or self.value == value
-
     def __repr__(self) -> str:
         return f"Token({self.type}, {self.value!r})"
 
@@ -79,70 +90,65 @@ def tokenize(sql) -> List[Token]:
     length = len(sql)
     text = str(sql)
 
-    while index < length:
-        char = text[index]
-
-        if char.isspace():
-            index += 1
+    while True:
+        match = _SCAN(text, index)
+        group = match.lastindex
+        if group is not None:
+            start, index = match.span(group)
+            lexeme = text[start:index]
+            if group == _WORD:
+                lowered = lexeme.lower()
+                if lowered in KEYWORDS:
+                    tokens.append(Token(KEYWORD, lowered, sql, start, index))
+                    continue
+                if not (lexeme[0].isalpha() or lexeme[0] == "_"):
+                    raise SQLError(
+                        f"unexpected character {lexeme[0]!r} at position {start}"
+                    )
+                tokens.append(Token(IDENT, lexeme, sql, start, index))
+            elif group == _NUMBER:
+                value = float(lexeme) if "." in lexeme else int(lexeme)
+                tokens.append(Token(NUMBER, value, sql, start, index))
+            elif group == _OPERATOR:
+                value = "!=" if lexeme == "<>" else lexeme
+                tokens.append(Token(OP, value, sql, start, index))
+            else:
+                tokens.append(Token(PUNCT, lexeme, sql, start, index))
             continue
+
+        index = match.end()
+        if index >= length:
+            break
+        char = text[index]
 
         if text.startswith("--", index):
             newline = text.find("\n", index)
             index = length if newline < 0 else newline + 1
-            continue
-
-        if text.startswith("/*", index):
+        elif text.startswith("/*", index):
             end = text.find("*/", index + 2)
             if end < 0:
                 raise SQLError("unterminated comment")
             index = end + 2
-            continue
-
-        if char == "'":
+        elif char == "'":
             token, index = _read_string(sql, text, index)
             tokens.append(token)
-            continue
-
-        if char.isdigit() or (
-            char == "." and index + 1 < length and text[index + 1].isdigit()
-        ):
-            token, index = _read_number(sql, text, index)
-            tokens.append(token)
-            continue
-
-        if char.isalpha() or char == "_" or char == "`":
-            token, index = _read_word(sql, text, index)
-            tokens.append(token)
-            continue
-
-        if char == ":":
+        elif char == "`":
+            close = text.find("`", index + 1)
+            if close < 0:
+                raise SQLError("unterminated quoted identifier")
+            name = text[index + 1 : close]
+            tokens.append(Token(IDENT, name, sql, index, close + 1))
+            index = close + 1
+        elif char == ":":
             start = index
             index += 1
             while index < length and (text[index].isalnum() or text[index] == "_"):
                 index += 1
             if index == start + 1:
-                raise SQLError(
-                    f"expected parameter name after ':' at position {start}")
+                raise SQLError(f"expected parameter name after ':' at position {start}")
             tokens.append(Token(PARAM, text[start + 1 : index], sql, start, index))
-            continue
-
-        matched_op: Optional[str] = None
-        for op in _OPERATORS:
-            if text.startswith(op, index):
-                matched_op = op
-                break
-        if matched_op:
-            tokens.append(Token(OP, "!=" if matched_op == "<>" else matched_op,
-                                sql, index, index + len(matched_op)))
-            index += len(matched_op)
-            continue
-
-        if char in _PUNCTUATION:
-            tokens.append(Token(PUNCT, char, sql, index, index + 1))
-            index += 1
-            continue
-
-        raise SQLError(f"unexpected character {char!r} at position {index}")
+        else:
+            raise SQLError(f"unexpected character {char!r} at position {index}")
 
     tokens.append(Token(EOF, None, sql, length, length))
     return tokens
@@ -172,33 +178,3 @@ def _read_string(sql: TaintedStr, text: str, index: int):
         pieces.append(value)
         value = TaintedStr("").join(pieces)
     return Token(STRING, value, sql, start, quote + 1), quote + 1
-
-
-def _read_number(sql: TaintedStr, text: str, index: int):
-    start = index
-    seen_dot = False
-    while index < len(text) and (
-        text[index].isdigit() or (text[index] == "." and not seen_dot)
-    ):
-        if text[index] == ".":
-            seen_dot = True
-        index += 1
-    literal = text[start:index]
-    value = float(literal) if seen_dot else int(literal)
-    return Token(NUMBER, value, sql, start, index), index
-
-
-def _read_word(sql: TaintedStr, text: str, index: int):
-    start = index
-    if text[index] == "`":
-        close = text.find("`", index + 1)
-        if close < 0:
-            raise SQLError("unterminated quoted identifier")
-        return Token(IDENT, text[index + 1 : close], sql, start, close + 1), close + 1
-    while index < len(text) and (text[index].isalnum() or text[index] == "_"):
-        index += 1
-    word = text[start:index]
-    lowered = word.lower()
-    if lowered in KEYWORDS:
-        return Token(KEYWORD, lowered, sql, start, index), index
-    return Token(IDENT, word, sql, start, index), index

@@ -306,9 +306,10 @@ class RangeMap:
             index += self.length
         if not 0 <= index < self.length:
             raise IndexError("position out of range")
-        for rng in self._materialize():
-            if rng.start <= index < rng.stop:
-                return rng.policies
+        ranges = self._materialize()
+        found = _first_overlap(ranges, index)
+        if found < len(ranges) and ranges[found].start <= index:
+            return ranges[found].policies
         return PolicySet.empty()
 
     def all_policies(self) -> PolicySet:

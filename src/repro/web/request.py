@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from ..core.api import policy_add
 from ..tracking.tainted_str import TaintedStr
 
 
@@ -75,8 +76,6 @@ class Request:
 
     def mark_params(self, policy) -> None:
         """Attach ``policy`` to every string parameter and uploaded file."""
-        from ..core.api import policy_add
-
         for key, value in list(self.params.items()):
             if isinstance(value, str):
                 self.params[key] = policy_add(TaintedStr(value), policy)

@@ -36,8 +36,6 @@ from repro.sql.tokenizer import (
     PARAM,
     PUNCT,
     STRING,
-    _OPERATORS,
-    _PUNCTUATION,
     tokenize,
 )
 from repro.tracking.propagation import spread_policies, to_tainted_str
@@ -57,6 +55,10 @@ S = SQLSanitized("upstream")
 
 
 # -- the per-character reference builders ----------------------------------------
+
+#: Multi- and single-character operators, longest first, and punctuation.
+_OPERATORS = ("<>", "!=", "<=", ">=", "=", "<", ">", "+", "-")
+_PUNCTUATION = "(),.;*"
 
 
 def escape_reference(text, replacements):
@@ -148,12 +150,12 @@ def tokenize_reference(sql):
                 value = value + sql[index]
                 index += 1
             emit(STRING, value, start, index)
-        elif char.isdigit() or (
-            char == "." and index + 1 < length and text[index + 1].isdigit()
+        elif char.isdecimal() or (
+            char == "." and index + 1 < length and text[index + 1].isdecimal()
         ):
             seen_dot = False
             while index < length and (
-                text[index].isdigit() or (text[index] == "." and not seen_dot)
+                text[index].isdecimal() or (text[index] == "." and not seen_dot)
             ):
                 seen_dot = seen_dot or text[index] == "."
                 index += 1
@@ -230,6 +232,7 @@ SQL_FRAGMENTS = [
     "=", "<>", "!=", "<=", ">", "+", "-", ",", "(", ")", "*", ".", ";",
     "'", "''", "it''s", "'x'", "bob", "1", "42", "2.5", ".5",
     "`", "`c d`", ":p", ":", "--", "/*", "*/", "@", "lower(", "<b>", "&",
+    "\u00b2", "\u00bd", "\u0661", "\u00e9", "\u00a0",
 ]
 HTML_FRAGMENTS = [
     "<", ">", "<b>", "</b>", "&", "&amp;", '"', "'", "''", "text", " ", "a=b",

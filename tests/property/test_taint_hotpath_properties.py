@@ -15,7 +15,7 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.core.exceptions import MergeError
 from repro.core.policy import Policy
@@ -69,6 +69,20 @@ rope_ops = st.lists(
 
 
 class TestLazyRopeParity:
+    # Four ranges repeated 3**6 times: 2916 ranges over 3645 positions, read
+    # position by position, so one read must not scan every range.
+    @example(
+        base=RangeMap(
+            5,
+            [
+                PolicyRange(0, 1, PolicySet.of(U)),
+                PolicyRange(1, 2, PolicySet.of(S)),
+                PolicyRange(2, 3, PolicySet.of(U)),
+                PolicyRange(3, 5, PolicySet.of(A)),
+            ],
+        ),
+        sequence=[("repeat", 3)] * 6,
+    )
     @given(base=rangemaps(), sequence=rope_ops)
     def test_flatten_matches_eager_oracle(self, base, sequence):
         lazy = base

@@ -2,14 +2,16 @@
 
 import pytest
 
+from repro.channels.sqlchan import _query_param_names
 from repro.core.exceptions import SQLError
 from repro.core.policyset import PolicySet
 from repro.policies import UntrustedData
+from repro.security.assertions import SQLGuardFilter
 from repro.sql import nodes, parse, tokenize
 from repro.sql.engine import Engine
 from repro.sql.tokenizer import IDENT, KEYWORD, NUMBER, OP, PUNCT, STRING
 from repro.tracking.propagation import concat
-from repro.tracking.tainted_str import taint_str
+from repro.tracking.tainted_str import TaintedStr, taint_str
 
 U = UntrustedData("test")
 
@@ -151,6 +153,71 @@ class TestParser:
                        "'")
         rendered = parse(query).to_sql()
         assert rendered.policies() == PolicySet.of(U)
+
+
+class TestMalformedStatements:
+    """Every malformed statement raises ``SQLError``, never a raw Python
+    error."""
+
+    @pytest.mark.parametrize("char", ["\u00b2", "\u00bd"])
+    def test_non_decimal_digit_is_an_unexpected_character(self, char):
+        # '²'.isdigit() and '½'.isnumeric() hold, but int() takes neither.
+        with pytest.raises(SQLError) as raised:
+            parse(f"SELECT a FROM t WHERE a = {char}")
+        assert str(raised.value) == f"unexpected character {char!r} at position 26"
+        with pytest.raises(SQLError) as raised:
+            tokenize(f"SELECT 1{char}")
+        assert str(raised.value) == f"unexpected character {char!r} at position 8"
+
+    def test_decimal_digits_of_any_script_are_numbers(self):
+        tokens = tokenize("\u0661\u0662 \u0661.\u0665 a\u00b2")
+        assert [(t.type, t.value) for t in tokens[:3]] == [
+            (NUMBER, 12), (NUMBER, 1.5), (IDENT, "a\u00b2")]
+
+    def test_param_scan_and_structure_guard_report_sql_error(self):
+        sql = "SELECT a FROM t WHERE a = :p OR a = \u00b2"
+        assert _query_param_names(sql) == frozenset()
+        guard = SQLGuardFilter("structure")
+        with pytest.raises(SQLError) as raised:
+            guard.filter_func(lambda query: None, (TaintedStr(sql),), {})
+        assert str(raised.value) == "unexpected character '\u00b2' at position 36"
+
+    @pytest.mark.parametrize("nest", [
+        lambda n: "(" * n + "a" + ")" * n,
+        lambda n: "NOT " * n + "a",
+        lambda n: "- " * n + "1",
+        lambda n: "lower(" * n + "a" + ")" * n,
+        lambda n: "a IN (" * n + "1" + ")" * n,
+        lambda n: "NOT (" * (n // 2) + "a" + ")" * (n // 2),
+    ], ids=["parentheses", "not", "signs", "functions", "in-lists", "mixed"])
+    def test_nesting_is_bounded_at_100_levels(self, nest):
+        parse(f"SELECT a FROM t WHERE {nest(100)}")
+        for depth in (101, 5000):
+            with pytest.raises(SQLError) as raised:
+                parse(f"SELECT a FROM t WHERE {nest(depth + depth % 2)}")
+            assert str(raised.value) == "expression nested too deeply"
+
+    @pytest.mark.parametrize("sql, message", [
+        ("SELECT a FROM t LIMIT 2.5", "LIMIT must be an integer, found 2.5"),
+        ("SELECT a FROM t LIMIT 2 OFFSET 1.5",
+         "OFFSET must be an integer, found 1.5"),
+        ("SELECT a FROM t LIMIT .5", "LIMIT must be an integer, found 0.5"),
+    ])
+    def test_fractional_limit_and_offset_are_rejected(self, sql, message):
+        with pytest.raises(SQLError) as raised:
+            parse(sql)
+        assert str(raised.value) == message
+
+    def test_backquoted_keyword_is_an_identifier(self):
+        stmt = parse("SELECT a `from` FROM `select` WHERE `where` = 1")
+        assert stmt.items[0].alias == "from"
+        assert stmt.table == "select"
+        assert stmt.where.left.name == "where"
+
+    def test_nested_explain_is_rejected_without_recursion(self):
+        with pytest.raises(SQLError) as raised:
+            parse("EXPLAIN " * 5000 + "SELECT a FROM t")
+        assert str(raised.value) == "EXPLAIN cannot be nested"
 
 
 class TestEngine:
