@@ -12,6 +12,8 @@ Groups:
 * ``audit-page-render``  — one HotCRP page render, audit off / memory / disk
 * ``audit-page-render-16`` — 16 workers x 4 pages, audit off / on
 * ``audit-capture``      — the raw ``record()`` enqueue cost
+* ``audit-drain``        — the writer's cost: export events recorded into a
+  disk ledger, timed until ``flush()`` returns (build, frame, write, sync)
 """
 
 import time
@@ -162,3 +164,59 @@ def test_record_enqueue_cost(benchmark, memory_recorder):
     benchmark(capture)
     memory_recorder.flush()
     assert memory_recorder.events_recorded > 0
+
+
+# -- writer drain cost ------------------------------------------------------------
+
+#: Events recorded per timed drain.
+DRAIN_EVENTS = 256
+
+
+def _page_exports(pages=8):
+    """``(policies, rangemap)`` of HotCRP-like paper pages: an escaped title
+    and abstract under ``PaperPolicy``, an author list under
+    ``AuthorListPolicy``, and a form comment as ``UntrustedData``."""
+    from repro.apps.hotcrp import AuthorListPolicy, PaperPolicy
+    from repro.policies import UntrustedData
+    from repro.tracking import concat, taint_str
+    from repro.web.sanitize import html_escape
+
+    exports = []
+    for paper_id in range(1, pages + 1):
+        authors = [f"author{paper_id}@example.org", "pc@example.org"]
+        paper = PaperPolicy(paper_id, authors)
+        page = concat(
+            "<h1>",
+            html_escape(taint_str(f"Paper {paper_id} & friends", paper)),
+            "</h1><p>",
+            html_escape(taint_str("An abstract <with> markup. " * 4, paper)),
+            "</p><p>",
+            taint_str(", ".join(authors), AuthorListPolicy(paper_id, authors, True)),
+            "</p><blockquote>",
+            html_escape(taint_str("A comment's body", UntrustedData("form"))),
+            "</blockquote>",
+        )
+        exports.append((page.policies(), page.rangemap))
+    return exports
+
+
+def test_audit_drain(benchmark, disk_recorder):
+    exports = _page_exports()
+    benchmark.group = "audit-drain"
+    benchmark.extra_info["events"] = DRAIN_EVENTS
+
+    def drain():
+        for n in range(DRAIN_EVENTS):
+            policies, rangemap = exports[n % len(exports)]
+            disk_recorder.record(
+                "export",
+                verdict="allow",
+                policies=policies,
+                rangemap=rangemap,
+                channel="http",
+            )
+        disk_recorder.flush()
+
+    benchmark(drain)
+    assert disk_recorder.record_errors == 0
+    assert disk_recorder.ledger.events_written == disk_recorder.events_recorded > 0

@@ -19,14 +19,17 @@ never repeat within a directory (modulo purged history).
 Unlike the WAL there is no group commit: the recorder's single background
 writer thread is the only appender, and audit events are observability
 data — ``sync="flush"`` (survive process crash) is the default, with
-``"fsync"``/``"none"`` available.
+``"fsync"``/``"none"`` available.  That writer hands over each drained
+batch through :meth:`AuditLedger.append_batch`: one segment write and one
+sync for the batch, rotation checked once after it.  Frames stay
+independent, so a batch torn by a crash still leaves an exact prefix.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from ..storage import framing
 
@@ -138,22 +141,63 @@ class AuditLedger:
     def append(self, event: Dict[str, Any]) -> int:
         """Frame and append one event; returns its assigned ``seq``.
 
-        The event dict is mutated to carry the ``seq``.  Rotation and
-        retention run inline after the write — both are cheap directory
-        operations on the writer thread, never on a request path.
+        The event dict is mutated to carry the ``seq``, and the frame has
+        been synced per ``sync`` on return.  Rotation and retention run
+        inline after the write — both are cheap directory operations on
+        the writer thread, never on a request path.
         """
         with self._lock:
-            if self._closed:
-                raise RuntimeError("append() on a closed audit ledger")
-            seq = self._next_seq
-            self._next_seq += 1
-            event["seq"] = seq
-            self._file.write(framing.encode_record(event))
-            framing.sync_file(self._file, self.sync)
-            self.events_written += 1
-            if self._file.tell() >= self.segment_bytes:
-                self._rotate_locked()
-            return seq
+            self._check_open_locked()
+            frame = self._frame_locked(event)
+            self._write_locked(frame, 1)
+            return event["seq"]
+
+    def append_batch(self, events: Iterable[Dict[str, Any]]) -> List[int]:
+        """Frame ``events`` in order and append them with one write and one
+        sync; returns the seqs written.
+
+        An event that cannot be framed (a non-JSON field, a payload over
+        the frame limit) is skipped: it takes no ``seq`` and is missing
+        from the result, so the written events keep consecutive seqs.
+        Rotation is checked once, after the write, so a segment passes
+        ``segment_bytes`` by at most one batch.
+        """
+        with self._lock:
+            self._check_open_locked()
+            frames: List[bytes] = []
+            seqs: List[int] = []
+            for event in events:
+                try:
+                    frames.append(self._frame_locked(event))
+                except Exception:
+                    continue
+                seqs.append(event["seq"])
+            if frames:
+                self._write_locked(b"".join(frames), len(frames))
+            return seqs
+
+    def _check_open_locked(self) -> None:
+        if self._closed:
+            raise RuntimeError("append() on a closed audit ledger")
+
+    def _frame_locked(self, event: Dict[str, Any]) -> bytes:
+        """Stamp ``event`` with the next seq and frame it; a failed encode
+        leaves neither the seq on the event nor a gap in the sequence."""
+        event["seq"] = self._next_seq
+        try:
+            frame = framing.encode_record(event)
+        except BaseException:
+            del event["seq"]
+            raise
+        self._next_seq += 1
+        return frame
+
+    def _write_locked(self, frames: bytes, count: int) -> None:
+        self._file.write(frames)
+        framing.sync_file(self._file, self.sync)
+        self.events_written += count
+        if self._file.tell() >= self.segment_bytes:
+            self._rotate_locked()
 
     def flush(self) -> None:
         """Flush to the OS (and fsync under ``"fsync"``), even if ``"none"``."""
@@ -230,6 +274,17 @@ class MemoryLedger:
             if len(self._events) > self.retain_events:
                 del self._events[: len(self._events) - self.retain_events]
             return seq
+
+    def append_batch(self, events: Iterable[Dict[str, Any]]) -> List[int]:
+        """:meth:`append` each event in order; returns the seqs written (an
+        event whose append raises is skipped)."""
+        seqs: List[int] = []
+        for event in events:
+            try:
+                seqs.append(self.append(event))
+            except Exception:
+                continue
+        return seqs
 
     def flush(self) -> None:
         pass

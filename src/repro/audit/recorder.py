@@ -7,7 +7,26 @@
 ``TaintedStr.__format__`` policy drops — call
 :meth:`record` with the raw decision; everything expensive (policy and
 range-map serialization, framing, disk I/O) happens on a single background
-writer thread, so the caller pays only a queue append.
+writer thread, so the calling thread pays only a queue append.  The
+*process* still pays for the writer: under the GIL its CPU time is taken
+from the request threads, and on a single core it lands in request
+latency (on the socket benchmark's review-submit workload on a 2-vCPU
+Xeon VM, ~220 µs of writer CPU per request against a ~1.2 ms p50;
+``docs/API.md`` has the split).  So the writer keeps its cost per event
+small:
+
+* **One serialization per distinct policy.**  A bounded memo, touched only
+  by the writer thread, maps each policy value (class plus fields, the
+  ``Policy`` hash and equality) to its blob and content key.  Equal
+  policies share the blob of the first one serialized, also where their
+  fields differ in a type that equality ignores (a list and a tuple, 1 and
+  ``True``).  Events share those blob dicts; ledger readers must treat
+  them as read-only.  Unhashable or non-``Policy`` objects are serialized
+  per event.
+* **One write and one sync per drained batch**
+  (:meth:`~repro.audit.ledger.AuditLedger.append_batch`).  An event that
+  fails to build or frame is counted in ``record_errors``; the rest of its
+  batch still lands, in order.
 
 Two invariants the instrumentation relies on:
 
@@ -33,9 +52,11 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from ..core.policy import Policy
 from ..core.request_context import current_request
 from ..core.serialization import serialize_policy
 from .ledger import AuditLedger, MemoryLedger
@@ -54,6 +75,14 @@ SERVICE_NAME = "audit.recorder"
 #: segments per event (a page render's rangemap can hold hundreds).  Events
 #: whose chain was cut carry ``provenance_truncated`` with the full count.
 MAX_PROVENANCE_SEGMENTS = 64
+
+#: Bound on the writer's policy memo (cleared, not evicted, when full).  A
+#: deployment's distinct policies grow with its data: HotCRP has one per
+#: user and three per paper, 802 on the socket benchmark's review-submit
+#: site (200 users, 200 papers), where every lookup while serving hits and
+#: the memo retains ~1.5 MB.  Past the bound each clear refills it: with
+#: 1202 distinct policies 98% of lookups hit, with 2402, 84%.
+_POLICY_MEMO_LIMIT = 1024
 
 #: Process-wide fallback recorder (see :func:`default_audit`).  Harnesses
 #: whose scenarios build their own environments internally (the Table 4
@@ -120,8 +149,10 @@ class AuditRecorder:
         self.env: Optional[Any] = None
 
         self._cond = threading.Condition()
-        self._queue: List[Dict[str, Any]] = []
+        self._queue: Deque[Dict[str, Any]] = deque()
         self._busy = False
+        # Policy value -> (blob, content key); the writer thread's alone.
+        self._policy_memo: Dict[Any, Tuple[Dict[str, Any], str]] = {}
         self._closed = False
         #: Pending events dropped (oldest-first) because the queue was full.
         self.dropped_events = 0
@@ -178,7 +209,7 @@ class AuditRecorder:
         channel: Optional[str] = None,
         detail: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """Capture one decision.  Cheap (one list append) and non-raising.
+        """Capture one decision.  Cheap (one queue append) and non-raising.
 
         ``policies``/``rangemap`` are captured by reference — both are
         immutable value objects — and serialized on the writer thread.
@@ -227,7 +258,7 @@ class AuditRecorder:
                 if self._closed:
                     return
                 if len(self._queue) >= self.queue_limit:
-                    del self._queue[0]
+                    self._queue.popleft()
                     self.dropped_events += 1
                 self._queue.append(entry)
                 self._cond.notify()
@@ -243,19 +274,66 @@ class AuditRecorder:
                     self._cond.wait()
                 if not self._queue and self._closed:
                     return
-                batch, self._queue = self._queue, []
+                batch, self._queue = self._queue, deque()
                 self._busy = True
             try:
-                for entry in batch:
-                    try:
-                        self.ledger.append(self._build_event(entry))
-                        self.events_recorded += 1
-                    except Exception:
-                        self.record_errors += 1
+                self._write_batch(batch)
             finally:
                 with self._cond:
                     self._busy = False
                     self._cond.notify_all()
+
+    def _write_batch(self, batch: Deque[Dict[str, Any]]) -> None:
+        """Build every captured entry and hand the events to the ledger at
+        once; a failure costs only its own event."""
+        events: List[Dict[str, Any]] = []
+        for entry in batch:
+            try:
+                events.append(self._build_event(entry))
+            except Exception:
+                self.record_errors += 1
+        if not events:
+            return
+        try:
+            written = len(self.ledger.append_batch(events))
+        except Exception:
+            written = 0
+        self.events_recorded += written
+        self.record_errors += len(events) - written
+
+    def _serialized(self, policy: Any) -> Tuple[Dict[str, Any], str]:
+        """``policy``'s blob and content key, once per distinct policy.
+
+        Only a hashable ``Policy`` that serializes is memoized; anything
+        else (an unhashable policy, the ``repr`` fallback) is serialized
+        again on every call.  A policy equal to a memoized one gets that
+        one's blob, even if its fields differ in a type ``Policy`` equality
+        ignores.
+        """
+        memoize = isinstance(policy, Policy)
+        if memoize:
+            try:
+                cached = self._policy_memo.get(policy)
+            except TypeError:
+                memoize = False
+            else:
+                if cached is not None:
+                    return cached
+        try:
+            blob = serialize_policy(policy)
+        except Exception:
+            memoize = False
+            blob = {
+                "class": type(policy).__name__,
+                "fields": None,
+                "repr": repr(policy),
+            }
+        key = repr(sorted(blob.items(), key=lambda kv: kv[0]))
+        if memoize:
+            if len(self._policy_memo) >= _POLICY_MEMO_LIMIT:
+                self._policy_memo.clear()
+            self._policy_memo[policy] = (blob, key)
+        return blob, key
 
     def _build_event(self, entry: Dict[str, Any]) -> Dict[str, Any]:
         """Serialize the captured references into the JSON event."""
@@ -263,24 +341,16 @@ class AuditRecorder:
         rangemap = entry.pop("_rangemap", None)
         blobs: List[Dict[str, Any]] = []
         index_of: Dict[str, int] = {}
-        # Policies are interned value objects (PR 9): the same instance
-        # recurs across segments, so an identity memo skips re-serializing
-        # it; the content key below still dedupes distinct equal instances.
+        # Policies are interned value objects: the same instance recurs
+        # across segments, so an identity memo skips even the policy memo;
+        # the content key still dedupes distinct equal instances.
         id_memo: Dict[int, int] = {}
 
-        def blob_index(policy: Any) -> Optional[int]:
+        def blob_index(policy: Any) -> int:
             index = id_memo.get(id(policy))
             if index is not None:
                 return index
-            try:
-                blob = serialize_policy(policy)
-            except Exception:
-                blob = {
-                    "class": type(policy).__name__,
-                    "fields": None,
-                    "repr": repr(policy),
-                }
-            key = repr(sorted(blob.items(), key=lambda kv: kv[0]))
+            blob, key = self._serialized(policy)
             index = index_of.get(key)
             if index is None:
                 index = index_of[key] = len(blobs)

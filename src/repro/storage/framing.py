@@ -66,6 +66,11 @@ MAX_RECORD_BYTES = 64 * 1024 * 1024
 #: Sentinel meaning "use the module's MAX_RECORD_BYTES at call time".
 _DEFAULT_LIMIT = object()
 
+#: The one canonical-JSON encoder every frame shares.  ``json.dumps`` with
+#: ``separators`` or ``sort_keys`` builds a new encoder per call; this one
+#: holds only its settings, so any thread may use it.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
 
 def encode_value(value: Any) -> Any:
     """Encode one stored cell/file value to a JSON-able form.
@@ -98,9 +103,7 @@ def encode_record(record: Dict[str, Any], *, max_bytes=_DEFAULT_LIMIT) -> bytes:
     so the writer must fail loudly instead.  ``max_bytes=None`` disables the
     check (snapshot frames, which get no reader-side limit either).
     """
-    payload = json.dumps(record, separators=(",", ":"), sort_keys=True).encode(
-        "utf-8"
-    )
+    payload = _ENCODER.encode(record).encode("utf-8")
     limit = MAX_RECORD_BYTES if max_bytes is _DEFAULT_LIMIT else max_bytes
     if limit is not None and len(payload) > limit:
         raise SerializationError(

@@ -20,6 +20,23 @@ def _fill(ledger, count, start=0):
         ledger.append({"kind": "export", "verdict": "allow", "n": index})
 
 
+def _batch(count, start=0):
+    return [
+        {"kind": "export", "verdict": "allow", "n": index}
+        for index in range(start, start + count)
+    ]
+
+
+def _frame_ends(data):
+    """The byte offset where each frame of ``data`` ends."""
+    ends, offset = [], 0
+    while offset < len(data):
+        length, _ = framing.HEADER.unpack_from(data, offset)
+        offset += framing.HEADER.size + length
+        ends.append(offset)
+    return ends
+
+
 def _events(directory, **kwargs):
     ledger = AuditLedger(directory, **kwargs)
     try:
@@ -57,6 +74,60 @@ class TestAppendAndIterate:
             assert ledger.next_seq == 6
             _fill(ledger, 2, start=5)
         assert [e["seq"] for e in _events(directory)] == [1, 2, 3, 4, 5, 6, 7]
+
+
+class TestAppendBatch:
+    def test_batch_writes_what_single_appends_write(self, tmp_path):
+        single, batched = str(tmp_path / "single"), str(tmp_path / "batched")
+        with AuditLedger(single) as ledger:
+            _fill(ledger, 10)
+        with AuditLedger(batched) as ledger:
+            assert ledger.append_batch(_batch(4)) == [1, 2, 3, 4]
+            assert ledger.append_batch(_batch(6, start=4)) == list(range(5, 11))
+            assert ledger.events_written == 10
+        assert _events(batched) == _events(single)
+        with open(os.path.join(single, "seg-00000001.audit"), "rb") as handle:
+            single_bytes = handle.read()
+        with open(os.path.join(batched, "seg-00000001.audit"), "rb") as handle:
+            assert handle.read() == single_bytes
+
+    def test_unframeable_event_is_skipped_without_a_seq(self, tmp_path):
+        events = _batch(3)
+        events[1]["detail"] = {"handle": object()}  # not JSON
+        with AuditLedger(str(tmp_path)) as ledger:
+            assert ledger.append_batch(events) == [1, 2]
+            assert "seq" not in events[1]
+            assert ledger.append({"kind": "export", "n": 3}) == 3
+        assert [(e["seq"], e["n"]) for e in _events(str(tmp_path))] == [
+            (1, 0),
+            (2, 2),
+            (3, 3),
+        ]
+
+    def test_failed_single_append_takes_no_seq(self, tmp_path):
+        with AuditLedger(str(tmp_path)) as ledger:
+            with pytest.raises(TypeError):
+                ledger.append({"kind": "export", "detail": object()})
+            assert ledger.append({"kind": "export", "n": 0}) == 1
+
+    def test_rotation_is_checked_once_per_batch(self, tmp_path):
+        directory = str(tmp_path)
+        with AuditLedger(directory, segment_bytes=256) as ledger:
+            ledger.append_batch(_batch(30))
+            # The whole batch went into the first segment, past the bound;
+            # the check after it sealed that segment.
+            assert ledger.segment_ids() == [1, 2]
+            ledger.append_batch(_batch(2, start=30))
+        first, _ = framing.read_segment(os.path.join(directory, "seg-00000001.audit"))
+        assert [e["n"] for e in first] == list(range(30))
+        events = _events(directory, segment_bytes=256)
+        assert [e["seq"] for e in events] == list(range(1, 33))
+
+    def test_append_batch_on_closed_ledger_raises(self, tmp_path):
+        ledger = AuditLedger(str(tmp_path))
+        ledger.close()
+        with pytest.raises(RuntimeError):
+            ledger.append_batch(_batch(1))
 
 
 class TestRotationAndRetention:
@@ -139,6 +210,37 @@ class TestKillAnywhereRecovery:
             with open(path, "wb") as handle:
                 handle.write(data)
 
+    def test_truncate_anywhere_in_a_batch_recovers_exact_prefix(self, tmp_path):
+        """One batch is one write of independent frames: a crash anywhere in
+        it leaves the frames before the cut, and reopening continues the
+        sequence after them."""
+        directory = str(tmp_path / "audit")
+        with AuditLedger(directory) as ledger:
+            _fill(ledger, 3)
+            assert ledger.append_batch(_batch(self.EVENTS - 3, start=3)) == list(
+                range(4, self.EVENTS + 1)
+            )
+        path = os.path.join(directory, "seg-00000001.audit")
+        with open(path, "rb") as handle:
+            data = handle.read()
+        ends = _frame_ends(data)
+        assert len(ends) == self.EVENTS and ends[-1] == len(data)
+        for cut in range(ends[2], len(data) + 1):
+            with open(path, "wb") as handle:
+                handle.write(data[:cut])
+            survivors = sum(1 for end in ends if end <= cut)
+            events = _events(directory)
+            assert [e["n"] for e in events] == list(range(survivors)), cut
+            assert [e["seq"] for e in events] == list(range(1, survivors + 1))
+            with AuditLedger(directory) as ledger:
+                assert ledger.next_seq == survivors + 1
+                ledger.append_batch(_batch(2, start=survivors))
+            events = _events(directory)
+            assert [e["n"] for e in events] == list(range(survivors + 2)), cut
+            assert [e["seq"] for e in events] == list(range(1, survivors + 3))
+            with open(path, "wb") as handle:
+                handle.write(data)
+
     def test_sequence_continues_from_surviving_prefix(self, tmp_path):
         directory, path, data, final_start = self._seed(tmp_path)
         with open(path, "wb") as handle:
@@ -157,6 +259,12 @@ class TestMemoryLedger:
         assert [e["seq"] for e in ledger.iter_events()] == [1, 2, 3, 4, 5]
         assert list(ledger.iter_events(since_seq=3)) == \
             [e for e in ledger.iter_events() if e["seq"] > 3]
+
+    def test_append_batch_appends_each_event(self):
+        ledger = MemoryLedger()
+        events = _batch(3)
+        assert ledger.append_batch(events) == [1, 2, 3]
+        assert list(ledger.iter_events()) == events
 
     def test_bounded_retention(self):
         ledger = MemoryLedger(retain_events=10)

@@ -7,15 +7,26 @@ and events carry the request id / principal / route / channel / policy
 blob / provenance chain the ledger schema promises.
 """
 
+import json
 import warnings
 
 import pytest
 
-from repro.audit.ledger import MemoryLedger
+from repro.audit import recorder as recorder_module
+from repro.audit.ledger import AuditLedger, MemoryLedger
 from repro.audit.recorder import AuditRecorder, default_audit, recorder_for
 from repro.core.exceptions import DisclosureViolation, ResinWarning
-from repro.policies import PasswordPolicy, UntrustedData
+from repro.core.policy import Policy
+from repro.core.serialization import serialize_policy
+from repro.policies import (
+    HTMLSanitized,
+    PasswordPolicy,
+    SQLSanitized,
+    UntrustedData,
+)
 from repro.runtime_api import Resin
+from repro.tracking import concat, taint_str
+from repro.web.sanitize import html_escape, sql_quote
 
 
 @pytest.fixture
@@ -34,6 +45,36 @@ def _one(events):
     events = list(events)
     assert len(events) == 1, events
     return events[0]
+
+
+def _exports():
+    """``(policies, rangemap)`` of a few mixed-policy values: escaped
+    untrusted text beside a password, and a quoted SQL literal."""
+    pw = taint_str("s3cret", PasswordPolicy("a@b.c"))
+    comment = html_escape(taint_str("<b>hi</b> & bye", UntrustedData("form")))
+    quoted = sql_quote(taint_str("o'brien", UntrustedData("form")))
+    values = [
+        concat("<p>", comment, "</p><p>", pw, "</p>"),
+        concat("INSERT INTO t (v) VALUES ('", quoted, "')"),
+        concat(comment, quoted),
+    ]
+    return [(value.policies(), value.rangemap) for value in values]
+
+
+def _record_batch(recorder, calls):
+    """Record ``calls`` (keyword dicts) while holding the writer off, so
+    they reach the ledger as one drained batch."""
+    with recorder._cond:
+        for fields in calls:
+            recorder.record("export", verdict="allow", **fields)
+    recorder.flush()
+
+
+class OneAtATimeLedger(AuditLedger):
+    """A disk ledger that takes a batch as single ``append`` calls."""
+
+    def append_batch(self, events):
+        return [self.append(event) for event in events]
 
 
 class TestExportEvents:
@@ -142,12 +183,151 @@ class TestBackpressureAndSafety:
         assert event["policies"][0]["class"] == "Weird"
         recorder.close()
 
+    def test_failed_event_costs_only_itself(self, tmp_path):
+        recorder = AuditRecorder(AuditLedger(str(tmp_path)))
+        calls = [{"detail": {"n": n}} for n in range(5)]
+        calls[1] = {"detail": {"n": 1, "handle": object()}}  # fails to frame
+        calls[3] = {"detail": {"n": 3}, "policies": 42}  # fails to build
+        _record_batch(recorder, calls)
+        assert recorder.record_errors == 2
+        assert recorder.events_recorded == 3
+        events = list(recorder.ledger.iter_events())
+        assert [e["detail"]["n"] for e in events] == [0, 2, 4]
+        assert [e["seq"] for e in events] == [1, 2, 3]
+        recorder.close()
+
     def test_close_drains_pending_events(self):
         recorder = AuditRecorder(MemoryLedger())
         for n in range(50):
             recorder.record("export", verdict="allow", detail={"n": n})
         recorder.close()
         assert recorder.events_recorded == 50
+
+
+class TestWriterPath:
+    """The writer serializes each distinct policy once and appends each
+    drained batch at once; neither changes what the ledger holds."""
+
+    def test_batch_path_writes_what_single_appends_write(self, tmp_path):
+        calls = [
+            {"policies": policies, "rangemap": rangemap, "detail": {"n": n}}
+            for n, (policies, rangemap) in enumerate(_exports() * 3)
+        ]
+        batched = AuditRecorder(AuditLedger(str(tmp_path / "batched")))
+        single = AuditRecorder(OneAtATimeLedger(str(tmp_path / "single")))
+        for recorder in (batched, single):
+            _record_batch(recorder, calls)
+            recorder.close()
+
+        def stored(directory):
+            with AuditLedger(directory) as ledger:
+                events = list(ledger.iter_events())
+            for event in events:
+                del event["ts"]
+            return events
+
+        events = stored(str(tmp_path / "batched"))
+        assert [e["seq"] for e in events] == list(range(1, len(calls) + 1))
+        assert all(e["provenance"] for e in events)
+        assert events == stored(str(tmp_path / "single"))
+
+    def test_every_blob_is_its_policys_serialization(self):
+        recorder = AuditRecorder(MemoryLedger())
+        exports = _exports() * 2
+        _record_batch(
+            recorder,
+            [{"policies": p, "rangemap": r} for p, r in exports],
+        )
+        events = list(recorder.ledger.iter_events())
+        assert len(events) == len(exports)
+        for event, (policies, rangemap) in zip(events, exports):
+            blobs = event["policies"]
+            assert sorted(map(repr, blobs)) == sorted(
+                repr(serialize_policy(p)) for p in policies
+            )
+            segments = [s for s in rangemap.to_segments() if s[2]]
+            assert len(event["provenance"]) == len(segments)
+            for (start, stop, refs), segment in zip(event["provenance"], segments):
+                assert (start, stop) == segment[:2]
+                assert sorted(repr(blobs[i]) for i in refs) == sorted(
+                    repr(serialize_policy(p)) for p in segment[2]
+                )
+        recorder.close()
+
+    def test_equal_policies_share_one_memo_entry(self):
+        first, second = SQLSanitized("sql_quote"), SQLSanitized("sql_quote")
+        assert first is not second and first == second
+        recorder = AuditRecorder(MemoryLedger())
+        _record_batch(recorder, [{"policies": [first]}, {"policies": [second]}])
+        one, two = recorder.ledger.iter_events()
+        assert one["policies"] == two["policies"] == [serialize_policy(first)]
+        assert list(recorder._policy_memo) == [first]
+        recorder.close()
+
+    def test_equal_policies_of_other_field_types_share_the_first_blob(self):
+        # Policy equality treats a list field like a tuple, and 1 like True;
+        # the serialization does not.  The memo follows the equality.
+        class Tagged(Policy):
+            def __init__(self, tags):
+                self.tags = tags
+
+        pairs = [
+            (Tagged(["a", "b"]), Tagged(("a", "b"))),
+            (Tagged(1), Tagged(True)),
+        ]
+        def text(blob):  # JSON, where 1 and True differ
+            return json.dumps(blob, sort_keys=True)
+
+        recorder = AuditRecorder(MemoryLedger())
+        for first, second in pairs:
+            assert first == second
+            assert text(serialize_policy(first)) != text(serialize_policy(second))
+            _record_batch(recorder, [{"policies": [first]}, {"policies": [second]}])
+        events = list(recorder.ledger.iter_events())
+        assert [text(e["policies"]) for e in events] == [
+            text([serialize_policy(first)]) for first, _ in pairs for _ in range(2)
+        ]
+        # A query by instance matches blobs by serialization, so it finds
+        # both events under the first instance's form only.
+        as_list, as_tuple = pairs[0]
+        assert [e["seq"] for e in recorder.events(policy=as_list)] == [1, 2]
+        assert list(recorder.events(policy=as_tuple)) == []
+        recorder.close()
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(recorder_module, "_POLICY_MEMO_LIMIT", 4)
+        recorder = AuditRecorder(MemoryLedger())
+        policies = [UntrustedData(f"source-{n}") for n in range(10)]
+        _record_batch(recorder, [{"policies": [p, HTMLSanitized()]} for p in policies])
+        assert 0 < len(recorder._policy_memo) <= 4
+        for event, policy in zip(recorder.ledger.iter_events(), policies):
+            assert event["policies"] == [
+                serialize_policy(policy),
+                serialize_policy(HTMLSanitized()),
+            ]
+        recorder.close()
+
+    def test_unhashable_policies_still_record(self):
+        class Tagged(Policy):
+            def __init__(self, tags):
+                self.tags = list(tags)
+
+        class NoHash(Policy):
+            __hash__ = None
+
+            def __init__(self, level):
+                self.level = level
+
+        policies = [Tagged(["a", "b"]), Tagged(["a", "b"]), NoHash(3), NoHash(3)]
+        recorder = AuditRecorder(MemoryLedger())
+        _record_batch(recorder, [{"policies": [p]} for p in policies])
+        assert recorder.record_errors == 0
+        events = list(recorder.ledger.iter_events())
+        assert [e["policies"] for e in events] == [
+            [serialize_policy(p)] for p in policies
+        ]
+        assert list(recorder._policy_memo) == [Tagged(["a", "b"])]
+        recorder.close()
 
 
 class TestServiceWiring:
