@@ -57,7 +57,7 @@ def test_resin_policies(benchmark, resin, policy):
     benchmark(lambda: resin.policies(value))
 
 
-def test_channel_creation_global_registry(benchmark):
+def test_channel_creation_without_environment(benchmark):
     from repro.channels.socketchan import SocketChannel
     benchmark.group = "channel"
     benchmark(lambda: SocketChannel("peer"))

@@ -26,9 +26,9 @@ from .core import (AccessDenied, DeclassifyFilter, DefaultFilter,
                    MergeError, OutputBuffer, Policy, PolicySet,
                    PolicyViolation, RequestContext, ResinError,
                    ScriptInjectionViolation, check_export, current_request,
-                   default_registry, filter_of, guard_function, has_policy,
-                   policy_add, policy_get, policy_remove,
-                   register_policy_class, taint, untaint)
+                   filter_of, guard_function, has_policy, policy_add,
+                   policy_get, policy_remove, register_policy_class, taint,
+                   untaint)
 from .policies import (ACL, AuthenticData, CodeApproval, HTMLSanitized,
                        JSONSanitized, PagePolicy, PasswordPolicy,
                        ReadAccessPolicy, SecretPolicy, SQLSanitized,
@@ -49,7 +49,7 @@ __all__ = [
     "untaint", "check_export", "guard_function", "filter_of",
     "register_policy_class",
     # scoped registry + fluent facade (the supported runtime API)
-    "FilterRegistry", "default_registry", "Resin",
+    "FilterRegistry", "Resin",
     # per-request state + concurrent dispatch
     "RequestContext", "current_request", "Dispatcher", "AsyncDispatcher",
     # exceptions

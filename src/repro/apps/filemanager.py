@@ -115,11 +115,8 @@ class BaseFileManager:
     def create_account(self, user: str) -> None:
         home = self.home_dir(user)
         if not self.env.fs.exists(home):
-            self.env.fs.set_request_context(user=user)
-            try:
+            with self.env.fs.acting_as(user):
                 self.env.fs.mkdir(home, parents=True)
-            finally:
-                self.env.fs.clear_request_context()
 
     def _resolve(self, user: str, filename: str) -> str:
         """Resolve a user-supplied file name — subclasses implement the
@@ -129,14 +126,11 @@ class BaseFileManager:
     def save_file(self, user: str, filename: str, content) -> str:
         """Write a file on behalf of ``user``; returns the resolved path."""
         target = self._resolve(user, filename)
-        self.env.fs.set_request_context(user=user)
-        try:
+        with self.env.fs.acting_as(user):
             parent = fspath.dirname(target)
             if not self.env.fs.exists(parent):
                 self.env.fs.mkdir(parent, parents=True)
             self.env.fs.write_text(target, to_tainted_str(content))
-        finally:
-            self.env.fs.clear_request_context()
         return target
 
     def read_file(self, user: str, filename: str):

@@ -155,13 +155,9 @@ class MoinMoin:
         page_dir = self._page_dir(name)
         if not self.env.fs.exists(page_dir):
             self.env.fs.mkdir(page_dir, parents=True)
-        self.env.fs.set_request_context(user=user)
-        try:
-            with self.env.fs.transaction(page_dir):
-                revision = self._latest_revision(name) + 1
-                self.env.fs.write_text(self._revision_path(name, revision), text)
-        finally:
-            self.env.fs.clear_request_context()
+        with self.env.fs.acting_as(user), self.env.fs.transaction(page_dir):
+            revision = self._latest_revision(name) + 1
+            self.env.fs.write_text(self._revision_path(name, revision), text)
         if self.use_write_assertion:
             self._install_write_assertion(name, acl)
         return revision
@@ -247,10 +243,7 @@ class MoinMoin:
         """Directly overwrite an existing revision file (the code path the
         write-ACL assertion protects: without it, any code path that writes
         into the page directory bypasses the ACL)."""
-        self.env.fs.set_request_context(user=user)
-        try:
+        with self.env.fs.acting_as(user):
             self.env.fs.write_text(
                 self._revision_path(name, revision), to_tainted_str(text)
             )
-        finally:
-            self.env.fs.clear_request_context()

@@ -93,11 +93,8 @@ class UploadApp:
         """Accept a user upload.  The application intends this for images and
         attachments but does not restrict the file extension (the bug)."""
         target = fspath.join(self.upload_dir, fspath.basename(filename))
-        self.env.fs.set_request_context(user=user)
-        try:
+        with self.env.fs.acting_as(user):
             self.env.fs.write_text(target, to_tainted_str(content))
-        finally:
-            self.env.fs.clear_request_context()
         return target
 
     def http_get(self, path: str, user: Optional[str] = None):

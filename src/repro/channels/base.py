@@ -6,6 +6,10 @@ code-import path.  Every channel is guarded by a filter chain whose first
 element is the channel type's default filter (Section 3.2.1), so that data
 cannot leave or enter the runtime without traversing a filter object.
 
+A channel constructed with ``env=`` takes its default filter from that
+environment's :class:`~repro.core.registry.FilterRegistry`; one constructed
+without an environment gets the built-in ``DefaultFilter``.
+
 Applications access the channel's filter as ``channel.filter`` (the paper's
 examples spell it ``sock.__filter``) and may mutate its ``context`` or stack
 additional filters on top of the default one.
@@ -18,29 +22,23 @@ from typing import Any, List, Optional
 from ..core.context import FilterContext
 from ..core.exceptions import ChannelError
 from ..core.filter import Filter, FilterChain
-from ..core.registry import FilterRegistry, resolve_registry
+from ..core.registry import default_filter
 
 
 class Channel:
     """Base class for I/O channels.
 
-    Every channel belongs to a :class:`~repro.core.registry.FilterRegistry`
-    that supplies its default filter: pass ``registry=`` explicitly, or
-    ``env=`` to use the owning environment's registry.  With neither, the
-    channel falls back to the process-wide default registry (the deprecated
-    pre-registry behaviour).
+    ``env`` is the owning environment, whose registry supplies the default
+    filter; without one the channel gets the built-in ``DefaultFilter``.
     """
 
     #: Channel type used to pick the default filter and reported in contexts.
     channel_type = "socket"
 
-    def __init__(self, context: Optional[dict] = None, *,
-                 registry: Optional[FilterRegistry] = None,
-                 env=None):
+    def __init__(self, context: Optional[dict] = None, *, env=None):
         ctx = FilterContext(type=self.channel_type)
         if context:
             ctx.update(context)
-        self.registry = resolve_registry(registry, env)
         self.env = env
         if env is not None:
             # Stamp the owning environment on the filter context (as an
@@ -48,7 +46,7 @@ class Channel:
             # environment services and request-scoped helpers can ignore
             # foreign-environment requests.
             ctx.env = env
-        default = self.registry.make_default_filter(self.channel_type, ctx)
+        default = default_filter(env, self.channel_type, ctx)
         self.filter = FilterChain([default], ctx)
         self.context = ctx
         self.closed = False
@@ -107,10 +105,8 @@ class CollectingChannel(Channel):
     harness inspect it to decide whether an attack succeeded.
     """
 
-    def __init__(self, context: Optional[dict] = None, *,
-                 registry: Optional[FilterRegistry] = None,
-                 env=None):
-        super().__init__(context, registry=registry, env=env)
+    def __init__(self, context: Optional[dict] = None, *, env=None):
+        super().__init__(context, env=env)
         self.sent: List[Any] = []
         self._incoming: List[Any] = []
 

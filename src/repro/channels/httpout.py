@@ -21,9 +21,8 @@ class HTTPOutputChannel(Channel):
 
     channel_type = "http"
 
-    def __init__(self, context: Optional[dict] = None, *,
-                 registry=None, env=None):
-        super().__init__(context, registry=registry, env=env)
+    def __init__(self, context: Optional[dict] = None, *, env=None):
+        super().__init__(context, env=env)
         self.chunks: List[str] = []
         self.status = 200
         self.headers: List[tuple] = []

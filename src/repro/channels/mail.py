@@ -20,10 +20,10 @@ class EmailChannel(CollectingChannel):
     channel_type = "email"
 
     def __init__(self, recipient: str, context: Optional[dict] = None, *,
-                 registry=None, env=None):
+                 env=None):
         ctx = dict(context or {})
         ctx.setdefault("email", recipient)
-        super().__init__(ctx, registry=registry, env=env)
+        super().__init__(ctx, env=env)
         self.recipient = recipient
 
 
@@ -50,13 +50,12 @@ class MailTransport:
     """
 
     def __init__(self, default_sender: str = "noreply@example.org", *,
-                 registry=None, env=None):
+                 env=None):
         import threading
 
-        from ..core.registry import resolve_registry
         self.default_sender = default_sender
-        self.registry = resolve_registry(registry, env)
         #: The owning environment; forwarded to every per-message channel so
+        #: its default filter comes from the environment's registry and
         #: policies can resolve environment services at the e-mail boundary.
         self.env = env
         self.outbox: List[Message] = []
@@ -71,7 +70,7 @@ class MailTransport:
         against the recipient in the channel context.
         """
         sender = sender or self.default_sender
-        channel = EmailChannel(to, registry=self.registry, env=self.env)
+        channel = EmailChannel(to, env=self.env)
         text = concat("From: ", sender, "\r\nTo: ", to,
                       "\r\nSubject: ", to_tainted_str(subject), "\r\n\r\n",
                       to_tainted_str(body))

@@ -21,12 +21,11 @@ class SocketChannel(CollectingChannel):
     channel_type = "socket"
 
     def __init__(self, peer: Optional[str] = None,
-                 context: Optional[dict] = None, *,
-                 registry=None, env=None):
+                 context: Optional[dict] = None, *, env=None):
         ctx = dict(context or {})
         if peer is not None:
             ctx.setdefault("peer", peer)
-        super().__init__(ctx, registry=registry, env=env)
+        super().__init__(ctx, env=env)
         self.peer = peer
 
 
@@ -36,10 +35,9 @@ class PipeChannel(CollectingChannel):
     channel_type = "pipe"
 
     def __init__(self, command: Optional[str] = None,
-                 context: Optional[dict] = None, *,
-                 registry=None, env=None):
+                 context: Optional[dict] = None, *, env=None):
         ctx = dict(context or {})
         if command is not None:
             ctx.setdefault("command", command)
-        super().__init__(ctx, registry=registry, env=env)
+        super().__init__(ctx, env=env)
         self.command = command

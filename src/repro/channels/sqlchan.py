@@ -26,7 +26,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Union
 from ..core.context import FilterContext
 from ..core.exceptions import SQLError
 from ..core.filter import Filter, FilterChain
-from ..core.registry import resolve_registry
+from ..core.registry import default_filter
 from ..core.request_context import current_request
 from ..core.policyset import PolicySet
 from ..core.serialization import (deserialize_policyset, deserialize_rangemap,
@@ -185,8 +185,7 @@ class Database:
 
     def __init__(self, engine: Optional[Engine] = None,
                  persist_policies: bool = True,
-                 context: Optional[dict] = None, *,
-                 registry=None, env=None):
+                 context: Optional[dict] = None, *, env=None):
         self.engine = engine if engine is not None else Engine()
         self.env = env
         ctx = FilterContext(type="sql")
@@ -196,9 +195,7 @@ class Database:
         ctx.env = env
         if context:
             ctx.update(context)
-        self.registry = resolve_registry(registry, env)
-        default = self.registry.make_default_filter("sql", ctx)
-        self.filter = FilterChain([default], ctx)
+        self.filter = FilterChain([default_filter(env, "sql", ctx)], ctx)
         self.context = ctx
         self.persist_policies = persist_policies
         self.cells = PolicyCells(self)

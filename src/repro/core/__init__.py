@@ -12,13 +12,12 @@ from .filter import (DeclassifyFilter, DefaultFilter, Filter, FilterChain,
                      filter_of, guard_function)
 from .policy import Policy
 from .policyset import PolicySet, as_policyset
-from .registry import (CHANNEL_TYPES, FilterRegistry, default_registry,
-                       resolve_registry)
+from .registry import CHANNEL_TYPES, FilterRegistry, default_filter
 from .locking import OrderedLockRegistry
 from .request_context import (RequestContext, current_request,
                               request_scoped_context)
 from .services import ServiceRegistry, resolve_service
-from .runtime import OutputBuffer, check_export, make_default_filter
+from .runtime import OutputBuffer, check_export
 from .serialization import (deserialize_policy, deserialize_policyset,
                             deserialize_rangemap, dumps_policyset,
                             dumps_rangemap, loads_policyset, loads_rangemap,
@@ -35,16 +34,15 @@ __all__ = [
     "Filter", "DefaultFilter", "DeclassifyFilter", "FilterChain",
     "guard_function", "filter_of", "FilterContext", "as_context",
     # registry
-    "FilterRegistry", "default_registry", "resolve_registry", "CHANNEL_TYPES",
+    "FilterRegistry", "default_filter", "CHANNEL_TYPES",
     # request context
     "RequestContext", "current_request", "request_scoped_context",
     # application services
     "ServiceRegistry", "resolve_service",
     # ordered locking (shared by Engine and FileSystem)
     "OrderedLockRegistry",
-    # runtime (make_default_filter resolves against the process-wide
-    # registry; prefer env.registry / the Resin facade)
-    "OutputBuffer", "check_export", "make_default_filter",
+    # runtime
+    "OutputBuffer", "check_export",
     # serialization
     "register_policy_class", "serialize_policy", "deserialize_policy",
     "serialize_policyset", "deserialize_policyset", "serialize_rangemap",

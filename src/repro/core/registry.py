@@ -1,24 +1,15 @@
 """Environment-scoped default-filter registries.
 
-Historically the mapping from channel type to default filter factory was a
-process-global table in :mod:`repro.core.runtime`.  That made two
-:class:`~repro.environment.Environment` instances in one process interfere
-with each other: installing the script-injection assertion for one tenant
-replaced the ``code``-channel filter for *every* tenant.
+Every channel is born with a default filter chosen by its channel type
+(Section 3.2.1).  ``FilterRegistry`` is that table, and each
+:class:`~repro.environment.Environment` owns exactly one: every channel
+constructor builds its default filter through the registry of the
+environment that owns it (:func:`default_filter`), so installing the
+script-injection assertion for one tenant replaces the ``code``-channel
+filter for that tenant only.
 
-``FilterRegistry`` scopes that table.  Each ``Environment`` owns one
-registry; every channel constructor resolves its default filter through the
-registry of the environment that created it.  Registries form a lookup
-chain: a registry that has no local factory for a channel type delegates to
-its ``parent`` (by default the process-wide registry), and finally falls
-back to the built-in :class:`~repro.core.filter.DefaultFilter`.
-
-The process-wide registry still exists — :func:`default_registry` returns
-it — as the root of every chain and the home of process-wide deployment
-configuration.  The deprecated free-function mutators over it
-(``set_default_filter_factory`` / ``reset_default_filters``) have been
-removed; mutate it explicitly via ``default_registry()`` when that shape is
-really wanted.
+There is no process-wide table.  A channel built without an environment
+gets the built-in :class:`~repro.core.filter.DefaultFilter`.
 """
 
 from __future__ import annotations
@@ -30,8 +21,8 @@ from .context import FilterContext, as_context
 from .exceptions import FilterError
 from .filter import DefaultFilter, Filter
 
-__all__ = ["FilterRegistry", "default_registry", "resolve_registry",
-           "CHANNEL_TYPES", "FilterFactory"]
+__all__ = ["FilterRegistry", "default_filter", "CHANNEL_TYPES",
+           "FilterFactory"]
 
 FilterFactory = Callable[[FilterContext], Filter]
 
@@ -40,18 +31,14 @@ FilterFactory = Callable[[FilterContext], Filter]
 CHANNEL_TYPES = ("file", "socket", "pipe", "http", "email", "sql", "code")
 
 
-def _builtin_factory(context: FilterContext) -> Filter:
-    return DefaultFilter(context)
-
-
 class FilterRegistry:
-    """A scoped mapping from channel type to default filter factory."""
+    """One environment's mapping from channel type to default filter
+    factory; a type with no factory gets the built-in ``DefaultFilter``."""
 
-    __slots__ = ("_factories", "parent", "_lock")
+    __slots__ = ("_factories", "_lock")
 
-    def __init__(self, parent: Optional["FilterRegistry"] = None):
+    def __init__(self):
         self._factories: Dict[str, FilterFactory] = {}
-        self.parent = parent
         # Registries are written at deployment time but read on every channel
         # construction, possibly from many request threads; the lock keeps
         # the writes atomic (reads stay lock-free — dict lookups are atomic).
@@ -74,40 +61,20 @@ class FilterRegistry:
             self._factories[channel_type] = factory
 
     def get_default_filter_factory(self, channel_type: str) -> FilterFactory:
-        registry: Optional[FilterRegistry] = self
-        while registry is not None:
-            factory = registry._factories.get(channel_type)
-            if factory is not None:
-                return factory
-            registry = registry.parent
-        return _builtin_factory
-
-    def has_override(self, channel_type: str, *, inherited: bool = True) -> bool:
-        """True if a non-builtin factory is registered for ``channel_type``
-        (in this registry, or — with ``inherited`` — anywhere up the chain)."""
-        if channel_type in self._factories:
-            return True
-        if inherited and self.parent is not None:
-            return self.parent.has_override(channel_type)
-        return False
+        return self._factories.get(channel_type, DefaultFilter)
 
     def overrides(self) -> Tuple[str, ...]:
-        """The channel types with a *local* factory override."""
+        """The channel types with a factory override."""
         with self._lock:
             return tuple(sorted(self._factories))
 
     def reset(self, channel_type: Optional[str] = None) -> None:
-        """Drop this registry's local overrides (parent overrides, if any,
-        become visible again).  With ``channel_type``, drop only that one."""
+        """Drop every override, or with ``channel_type`` only that one."""
         with self._lock:
             if channel_type is None:
                 self._factories.clear()
             else:
                 self._factories.pop(channel_type, None)
-
-    def child(self) -> "FilterRegistry":
-        """A new registry that inherits from this one."""
-        return FilterRegistry(parent=self)
 
     # -- filter construction ------------------------------------------------------
 
@@ -134,43 +101,15 @@ class FilterRegistry:
         return flt
 
     def __repr__(self) -> str:
-        chain = []
-        registry: Optional[FilterRegistry] = self
-        while registry is not None:
-            chain.append("{%s}" % ", ".join(sorted(registry._factories)))
-            registry = registry.parent
-        return f"FilterRegistry({' -> '.join(chain)})"
+        return "FilterRegistry({%s})" % ", ".join(sorted(self._factories))
 
 
-#: The process-wide registry behind the deprecated module-level functions.
-_process_registry = FilterRegistry()
-
-
-def default_registry() -> FilterRegistry:
-    """The process-wide default registry (the deprecation-shim target).
-
-    New code should use an :class:`~repro.environment.Environment`'s own
-    ``registry`` (or the :class:`~repro.runtime_api.Resin` facade) instead;
-    this registry only exists so that pre-registry code and the old free
-    functions keep working.
-    """
-    return _process_registry
-
-
-def resolve_registry(registry: Optional[FilterRegistry] = None,
-                     env=None) -> FilterRegistry:
-    """Resolve the registry a channel constructor should use.
-
-    Preference order: an explicit ``registry``, then the ``registry`` of the
-    owning environment, then the process-wide default registry.
-    """
-    if registry is not None:
-        if not isinstance(registry, FilterRegistry):
-            raise FilterError(
-                f"expected a FilterRegistry, got {type(registry).__name__}")
-        return registry
+def default_filter(env, channel_type: str, context: Optional[dict]) -> Filter:
+    """The default filter of a new ``channel_type`` channel owned by ``env``:
+    built through ``env.registry``, or the built-in ``DefaultFilter`` for a
+    channel with no environment."""
     if env is not None:
-        env_registry = getattr(env, "registry", None)
-        if isinstance(env_registry, FilterRegistry):
-            return env_registry
-    return _process_registry
+        return env.registry.make_default_filter(channel_type, context)
+    ctx = as_context(context)
+    ctx.setdefault("type", channel_type)
+    return DefaultFilter(ctx)

@@ -5,15 +5,11 @@ of any particular channel: the export-check helper used by default filters,
 and the output buffering mechanism applications use to combine assertions
 with exception handling (Section 5.5).
 
-The registry of default filter factories (Section 3.2.1) lives in
-:mod:`repro.core.registry` and is *environment-scoped*: each
-:class:`~repro.environment.Environment` owns a
-:class:`~repro.core.registry.FilterRegistry`.  The deprecated process-wide
-mutators (``set_default_filter_factory`` / ``reset_default_filters``) have
-been removed — use ``env.registry.set_default_filter_factory(...)`` /
-``env.registry.reset()`` or the :class:`~repro.runtime_api.Resin` facade.
-The read-only module-level helpers below resolve against the process-wide
-default registry that every environment registry chains to.
+The default filter factories of Section 3.2.1 live in
+:mod:`repro.core.registry`: each :class:`~repro.environment.Environment`
+owns one :class:`~repro.core.registry.FilterRegistry`, and
+:func:`~repro.core.registry.default_filter` builds a channel's default filter
+through it.
 
 The full "environment" — filesystem + database + mail + HTTP output + code
 interpreter wired together — lives in :mod:`repro.environment`; the fluent
@@ -26,34 +22,8 @@ from typing import Any, Callable, List, Optional
 
 from .context import as_context
 from .exceptions import FilterError
-from .filter import Filter
-from .registry import (CHANNEL_TYPES, FilterFactory,  # noqa: F401 (re-export)
-                       default_registry)
 
-__all__ = [
-    "get_default_filter_factory", "make_default_filter", "check_export",
-    "OutputBuffer", "CHANNEL_TYPES",
-]
-
-
-# -- read-only helpers over the process-wide registry ---------------------------
-#
-# The matching *mutators* (set_default_filter_factory /
-# reset_default_filters) were removed after a deprecation cycle: they made
-# concurrent environments interfere.  Mutate an Environment's ``registry``
-# (or use the ``Resin`` facade) instead.
-
-def get_default_filter_factory(channel_type: str) -> FilterFactory:
-    """Resolve a factory from the process-wide registry."""
-    return default_registry().get_default_filter_factory(channel_type)
-
-
-def make_default_filter(channel_type: str,
-                        context: Optional[dict] = None) -> Filter:
-    """Build a default filter from the process-wide registry.  Channels
-    owned by an environment resolve through the environment's registry
-    instead."""
-    return default_registry().make_default_filter(channel_type, context)
+__all__ = ["check_export", "OutputBuffer"]
 
 
 def check_export(data: Any, context: Optional[dict] = None) -> Any:

@@ -6,12 +6,10 @@ one script interpreter, and per-request HTTP output channels.  The paper's
 evaluation applications (:mod:`repro.apps`) are built on top of an
 ``Environment``; examples and benchmarks create one per scenario.
 
-Each environment owns a :class:`~repro.core.registry.FilterRegistry` that
-supplies the default filter of every channel the environment (or its
-substrates) creates.  The registry inherits from the process-wide default
-registry, so overrides installed through the deprecated free functions
-remain visible — but overrides installed on *this* environment's registry
-never leak into other environments in the same process.  That scoping is
+Each environment owns one :class:`~repro.core.registry.FilterRegistry`, the
+only source of the default filter of every channel the environment (or its
+substrates) creates.  An override installed on one environment's registry
+never reaches another environment in the same process; that scoping is
 what lets many tenants/requests run concurrently in one interpreter.
 """
 
@@ -24,7 +22,8 @@ from .channels.httpout import HTTPOutputChannel
 from .channels.mail import MailTransport
 from .channels.socketchan import PipeChannel, SocketChannel
 from .channels.sqlchan import Database
-from .core.registry import FilterRegistry, default_registry
+from .core.exceptions import ChannelError
+from .core.registry import FilterRegistry
 from .core.services import ServiceRegistry
 from .fs.resinfs import ResinFS
 from .interp.interpreter import Interpreter
@@ -35,20 +34,18 @@ from .web.session import SessionStore
 class Environment:
     """Everything an application needs to run under RESIN."""
 
-    def __init__(self, persist_policies: bool = True,
-                 registry: Optional[FilterRegistry] = None):
-        #: This environment's default-filter registry.  Falls back to the
-        #: process-wide registry for channel types it does not override.
-        self.registry = (registry if registry is not None
-                         else FilterRegistry(parent=default_registry()))
+    def __init__(self, persist_policies: bool = True):
+        #: This environment's default-filter registry; a channel type it
+        #: does not override gets the built-in ``DefaultFilter``.
+        self.registry = FilterRegistry()
         #: Application services published for this environment (the running
         #: board, site, wiki, ... that policies consult).  One registry per
         #: environment, so singletons never leak across concurrent tenants.
         self.services = ServiceRegistry(env=self)
-        self.fs = ResinFS(registry=self.registry, env=self)
+        self.fs = ResinFS(env=self)
         self.db = Database(Engine(), persist_policies=persist_policies,
-                           registry=self.registry, env=self)
-        self.mail = MailTransport(registry=self.registry, env=self)
+                           env=self)
+        self.mail = MailTransport(env=self)
         self.sessions = SessionStore()
         self.interpreter = Interpreter(self)
         #: Monotonic request-id source (see :meth:`next_request_id`).
@@ -87,35 +84,24 @@ class Environment:
     def pipe(self, command: Optional[str] = None, **context) -> PipeChannel:
         return PipeChannel(command, context, env=self)
 
-    # -- convenience shims used by examples -------------------------------------------
+    # -- the current request's channel ------------------------------------------
 
     @property
     def http(self) -> HTTPOutputChannel:
-        """The current request's HTTP channel, or a shared demo channel.
+        """The current request's HTTP channel.
 
         While a :class:`~repro.core.request_context.RequestContext` for this
         environment is bound (``with resin.request(...)``, or inside a
         dispatched ``WebApplication.handle``), this resolves to *that
         request's* output channel — concurrent requests each see their own.
-
-        Outside any request it falls back to a lazily-created shared channel
-        so the README quickstart can say ``env.http.write(...)``.  Because
-        that fallback is shared, user and policy state written to it
-        accumulates across scenarios — call :meth:`reset_http` between demo
-        scenarios, or use :meth:`http_channel` and keep one channel per
-        request.
+        Outside a request there is no current channel: use
+        :meth:`http_channel` for one.
         """
         from .core.request_context import current_request
         rctx = current_request()
         if rctx is not None and rctx.env is self and rctx.http is not None:
             return rctx.http
-        if self._shared_http is None:
-            self._shared_http = self.http_channel()
-        return self._shared_http
-
-    _shared_http: Optional[HTTPOutputChannel] = None
-
-    def reset_http(self) -> None:
-        """Drop the shared demo channel so the next ``env.http`` access
-        starts from a clean context and an empty body."""
-        self._shared_http = None
+        raise ChannelError(
+            "env.http is the current request's channel, and no request of "
+            "this environment with an HTTP channel is bound; use "
+            "env.http_channel() for a fresh channel")

@@ -19,7 +19,9 @@ with the three file-related RESIN mechanisms:
 
 The current request context (e.g. the authenticated user) is pushed into the
 persistent filters' contexts via :meth:`ResinFS.set_request_context`, mirroring
-how the paper's filters consult application state such as the current user.
+how the paper's filters consult application state such as the current user; an
+application that writes on a user's behalf for one operation wraps it in
+:meth:`ResinFS.acting_as`, which puts the replaced context back afterwards.
 
 Concurrency: every operation holds only the **subtree lock** of the directory
 owning its target path (two ordered subtree locks for :meth:`ResinFS.rename`),
@@ -34,13 +36,14 @@ ancestor directory never becomes a hidden channel between concurrent requests.
 from __future__ import annotations
 
 import copy
+from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
 from ..core.context import FilterContext
 from ..core.exceptions import FileSystemError, PolicyViolation, SerializationError
 from ..core.filter import Filter
 from ..core.locking import durable
-from ..core.registry import resolve_registry
+from ..core.registry import default_filter
 from ..core.request_context import current_request
 from ..core.serialization import dumps_rangemap, loads_rangemap, serialize_filter
 from ..tracking.tainted_bytes import TaintedBytes
@@ -155,9 +158,10 @@ class ResinFile:
 class ResinFS:
     """Policy- and filter-aware filesystem operations."""
 
-    def __init__(self, raw: Optional[FileSystem] = None, *, registry=None, env=None):
+    def __init__(self, raw: Optional[FileSystem] = None, *, env=None):
         self.raw = raw if raw is not None else FileSystem()
-        self.registry = resolve_registry(registry, env)
+        #: The owning environment; its registry supplies the ``file``
+        #: channel's default filter.
         self.env = env
         self._request_context: Dict[str, Any] = {}
         #: Optional :class:`repro.storage.durability.Durability` sink.  When
@@ -256,8 +260,21 @@ class ResinFS:
         else:
             self._request_context = dict(kwargs)
 
-    def clear_request_context(self) -> None:
-        self.set_request_context()
+    @contextmanager
+    def acting_as(self, user: Optional[str]) -> Iterator[None]:
+        """Run the block with persistent filters seeing ``user``, then put
+        back the context it replaced.
+
+        The applications wrap each file operation they perform on a user's
+        behalf in this, so the enclosing request (or, outside one, the
+        instance-level context) keeps its own user afterwards.
+        """
+        replaced = self.request_context
+        self.set_request_context(user=user)
+        try:
+            yield
+        finally:
+            self.set_request_context(**replaced)
 
     # -- persistent filters ------------------------------------------------------
 
@@ -387,7 +404,7 @@ class ResinFS:
     def _default_filter(self, path: str) -> Filter:
         context = FilterContext(type="file", path=path, **self.request_context)
         context.env = self.env
-        return self.registry.make_default_filter("file", context)
+        return default_filter(self.env, "file", context)
 
     # -- policy persistence -----------------------------------------------------------
 

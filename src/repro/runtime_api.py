@@ -91,7 +91,8 @@ class Assertion:
     Built by :meth:`Resin.assertion`; :meth:`install` applies it.  Channel-
     scoped assertions (XSS, response splitting, …) take the target channel —
     or a :class:`~repro.web.app.WebApplication`, which stacks the filter on
-    every response — via ``on=``/``install(target)``.
+    every response — via ``on=``/``install(target)``.  Script injection
+    installs on this environment, or on the one ``install(target)`` names.
     """
 
     def __init__(self, resin: "Resin", name: str, **options: Any):
@@ -127,11 +128,16 @@ class Assertion:
 
 def _install_script_injection(resin: "Resin", target: Any,
                               options: Dict[str, Any]):
-    from .security.assertions import install_script_injection_assertion
-    env = target if target is not None else resin.env
-    install_script_injection_assertion(env=env)
+    from .security.assertions import (approve_code_file,
+                                      install_script_injection_assertion)
+    # An Environment target, or the .env of a Resin or a WebApplication.
+    env = resin.env if target is None else getattr(target, "env", target)
+    if not isinstance(env, Environment):
+        raise FilterError(
+            "script-injection installs on an Environment, a Resin or a "
+            f"WebApplication, not {type(target).__name__}")
+    install_script_injection_assertion(env)
     for path in options.get("approve", ()):
-        from .security.assertions import approve_code_file
         approve_code_file(env.fs, path)
     return env.registry
 
@@ -470,7 +476,7 @@ class Resin:
                 raise FilterError(
                     "channel('sql') returns this environment's shared "
                     "Database and takes no arguments; construct "
-                    "repro.channels.sqlchan.Database(registry=...) directly "
+                    "repro.channels.sqlchan.Database(env=...) directly "
                     "for a differently-configured connection")
             return env.db
         if kind == "code":
@@ -604,4 +610,4 @@ class Resin:
         Durability.open(self.env, path)
 
     def __repr__(self) -> str:
-        return f"Resin(registry={self.registry!r})"
+        return f"Resin({self.registry!r})"

@@ -345,18 +345,12 @@ def approve_code_file(fs, path: str, approved_by: str = "installer") -> None:
     fs.add_file_policy(path, CodeApproval(approved_by))
 
 
-def install_script_injection_assertion(env=None, registry=None) -> None:
-    """Replace the interpreter's default input filter so that only approved
+def install_script_injection_assertion(env) -> None:
+    """Replace ``env``'s default ``code``-channel filter so that only approved
     code can be executed (step 3 of the Section 5.2 assertion).
 
-    Pass the application's environment (or its registry) to scope the
-    replacement to that environment — the normal deployment shape, one
-    assertion per tenant.  With neither argument the replacement is
-    *process-wide* (the paper's global-configuration-file shape, now
-    deprecated); call ``default_registry().reset("code")`` to undo that
-    variant, or ``env.registry.reset("code")`` for the scoped one.
+    The replacement is scoped to ``env`` — one assertion per tenant — and
+    ``env.registry.reset("code")`` undoes it.
     """
-    from ..core.registry import resolve_registry
     from ..interp.filters import InterpreterFilter
-    resolve_registry(registry, env).set_default_filter_factory(
-        "code", InterpreterFilter)
+    env.registry.set_default_filter_factory("code", InterpreterFilter)

@@ -15,6 +15,7 @@ scan would, and UPDATE/DELETE plans can collect positions before mutating.
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import lru_cache
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -257,6 +258,15 @@ def evaluate(expr: nodes.Expr, row: Optional[Dict[str, Any]], table) -> Any:
     raise SQLError(f"cannot evaluate {type(expr).__name__}")
 
 
+#: The ordering comparisons, applied after ``coerce_pair``.
+_ORDERINGS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
 def _binary(expr: nodes.BinaryOp, row, table) -> Any:
     op = expr.op
     if op == "and":
@@ -275,18 +285,14 @@ def _binary(expr: nodes.BinaryOp, row, table) -> Any:
         return not sql_equal(left, right)
     if op == "like":
         return sql_like(left, right)
+    # Check the operator before the NULL test, so an unsupported one fails
+    # whatever the row holds.
+    compare = _ORDERINGS.get(op)
+    if compare is None:
+        raise SQLError(f"unsupported operator {op!r}")
     if left is None or right is None:
         return False
-    left, right = coerce_pair(left, right)
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise SQLError(f"unsupported operator {op!r}")
+    return compare(*coerce_pair(left, right))
 
 
 def _scalar_function(expr: nodes.FuncCall, row, table) -> Any:

@@ -7,7 +7,6 @@ from .propagation import (
     merge_values,
     policies_of,
     spread_policies,
-    stringify,
     strip_policies,
     to_tainted_str,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "clear_merge_cache",
     "policies_of",
     "to_tainted_str",
-    "stringify",
     "concat",
     "interpolate",
     "merge_values",

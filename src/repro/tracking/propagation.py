@@ -22,7 +22,6 @@ __all__ = [
     "to_tainted_str",
     "concat",
     "interpolate",
-    "stringify",
     "merge_values",
     "spread_policies",
     "strip_policies",
@@ -61,12 +60,6 @@ def to_tainted_str(value: Any) -> TaintedStr:
     text = str(value)
     policies = policies_of(value)
     return TaintedStr(text, RangeMap.uniform(len(text), policies))
-
-
-def stringify(value: Any) -> TaintedStr:
-    """Alias of :func:`to_tainted_str`, reads better at call sites that mirror
-    PHP's implicit string conversion."""
-    return to_tainted_str(value)
 
 
 def concat(*values: Any) -> TaintedStr:

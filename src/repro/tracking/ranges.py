@@ -23,6 +23,7 @@ WAL round-trips are byte-identical with the eager representation.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..core.policy import Policy
@@ -199,16 +200,25 @@ class RangeMap:
             stop = min(length, rng.stop)
             if stop > start and rng.policies:
                 clamped.append(PolicyRange(start, stop, rng.policies))
-        if not clamped:
-            return ()
+        if len(clamped) < 2:
+            return tuple(clamped)
 
+        # Sweep the boundaries in order, keeping only the ranges that cover
+        # the current segment: many disjoint ranges (a long repeated string)
+        # then cost time linear in their number.
+        clamped.sort(key=attrgetter("start"))
         boundaries = sorted({r.start for r in clamped} | {r.stop for r in clamped})
         segments: List[PolicyRange] = []
+        covering: List[PolicyRange] = []
+        pending = 0
         for lo, hi in zip(boundaries, boundaries[1:]):
+            while pending < len(clamped) and clamped[pending].start <= lo:
+                covering.append(clamped[pending])
+                pending += 1
+            covering = [rng for rng in covering if rng.stop > lo]
             policies: PolicySet = PolicySet.empty()
-            for rng in clamped:
-                if rng.start <= lo and hi <= rng.stop:
-                    policies = policies.union(rng.policies)
+            for rng in covering:
+                policies = policies.union(rng.policies)
             if policies:
                 segments.append(PolicyRange(lo, hi, policies))
 

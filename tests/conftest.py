@@ -2,20 +2,8 @@
 
 import pytest
 
-from repro.core.registry import default_registry
 from repro.environment import Environment
 from repro.runtime_api import Resin
-
-
-@pytest.fixture(autouse=True)
-def _reset_global_default_filters():
-    """Some pre-registry code paths (the deprecated free functions) mutate
-    the process-wide default registry; make sure every test starts and ends
-    with the built-in filters.  Environment-scoped registries need no such
-    hygiene — each test's environments are born isolated."""
-    default_registry().reset()
-    yield
-    default_registry().reset()
 
 
 @pytest.fixture

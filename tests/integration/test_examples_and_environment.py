@@ -10,7 +10,8 @@ import runpy
 import pytest
 
 from repro.core.api import policy_add
-from repro.core.exceptions import DisclosureViolation
+from repro.core.exceptions import ChannelError, DisclosureViolation
+from repro.core.request_context import RequestContext
 from repro.environment import Environment
 from repro.policies import PasswordPolicy
 
@@ -33,9 +34,16 @@ class TestEnvironment:
         assert env.socket("peer").peer == "peer"
         assert env.pipe("sendmail").command == "sendmail"
 
-    def test_shared_http_shim(self):
-        env = Environment()
-        assert env.http is env.http
+    def test_http_is_the_bound_requests_channel(self):
+        # Only a request of the environment itself binds its env.http.
+        env, other = Environment(), Environment()
+        with RequestContext(env=env, user="alice") as rctx:
+            rctx.http = env.http_channel(user="alice")
+            assert env.http is rctx.http
+            with pytest.raises(ChannelError):
+                other.http
+        with pytest.raises(ChannelError):
+            env.http
 
     def test_environments_are_isolated(self):
         first, second = Environment(), Environment()

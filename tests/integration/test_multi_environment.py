@@ -14,10 +14,8 @@ from repro.core import DefaultFilter, Filter, OutputBuffer
 from repro.core.exceptions import (PolicyViolation,
                                    ScriptInjectionViolation)
 from repro.environment import Environment
-from repro.interp.filters import InterpreterFilter
 from repro.policies import PasswordPolicy
 from repro.runtime_api import Resin
-from repro.security.assertions import install_script_injection_assertion
 
 
 class TestConcurrentEnvironments:
@@ -76,24 +74,6 @@ class TestConcurrentEnvironments:
         env_c = Environment()
         assert isinstance(
             env_c.interpreter.new_channel().filter.filters[0], DefaultFilter)
-
-    def test_global_shim_installs_for_all_unscoped_environments(self):
-        """The deprecated process-wide install still works: environments
-        without a local override inherit it through the registry chain."""
-        install_script_injection_assertion()      # no env: process-wide
-        try:
-            env = Environment()
-            assert isinstance(
-                env.interpreter.new_channel().filter.filters[0],
-                InterpreterFilter)
-            # ... but a scoped override still wins over the global one.
-            scoped = Environment()
-            scoped.registry.set_default_filter_factory("code", DefaultFilter)
-            scoped.interpreter.execute_source("globals_dict['ran'] = True")
-            assert scoped.interpreter.globals["ran"]
-        finally:
-            from repro.core import default_registry
-            default_registry().reset()
 
     def test_mail_and_db_resolve_through_owning_environment(self):
         """Substrate channels (email, sql) also consult their environment's

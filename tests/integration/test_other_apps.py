@@ -9,6 +9,7 @@ from repro.apps.scriptapps import UploadApp
 from repro.core.exceptions import (AccessDenied, DisclosureViolation,
                                    InjectionViolation,
                                    ScriptInjectionViolation)
+from repro.core.request_context import RequestContext
 from repro.environment import Environment
 
 
@@ -43,6 +44,17 @@ class TestFileManagers:
         fm.save_file("alice", "docs/notes.txt", "my notes")
         assert str(fm.read_file("alice", "docs/notes.txt")) == "my notes"
         assert fm.list_files("alice") == ["docs"]
+
+    def test_refused_write_restores_the_request_user(self):
+        # save_file writes as mallory and is refused; the request that made
+        # the call keeps its own user for the file operations after it.
+        fm = FileThingie(Environment(), use_resin=True)
+        fm.create_account("alice")
+        fm.create_account("mallory")
+        with RequestContext(env=fm.env, user="admin"):
+            with pytest.raises(AccessDenied):
+                fm.save_file("mallory", "docs/../../alice/owned.txt", "owned")
+            assert fm.env.fs.request_context == {"user": "admin"}
 
     def test_anonymous_writes_rejected(self):
         fm = FileThingie(Environment(), use_resin=True)
@@ -141,6 +153,12 @@ class TestScriptInjection:
         app.upload("mallory", "evil.php", "globals_dict['pwned'] = True")
         app.http_get("/gallery/uploads/evil.php")
         assert app.env.interpreter.globals.get("pwned") is True
+
+    def test_upload_restores_the_request_user(self):
+        app = UploadApp("gallery", Environment(), use_resin=True)
+        with RequestContext(env=app.env, user="admin"):
+            app.upload("mallory", "photo.txt", "just text")
+            assert app.env.fs.request_context == {"user": "admin"}
 
     def test_non_script_uploads_served_as_static(self):
         app = UploadApp("gallery", Environment(), use_resin=True)

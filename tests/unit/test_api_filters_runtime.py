@@ -5,11 +5,12 @@ import pytest
 
 from repro.core import (DeclassifyFilter, DefaultFilter, Filter, FilterChain,
                         FilterContext, OutputBuffer, as_context, check_export,
-                        default_registry, filter_of, guard_function,
-                        has_policy, make_default_filter, policy_add,
-                        policy_get, policy_remove, taint, untaint)
+                        default_filter, filter_of, guard_function,
+                        has_policy, policy_add, policy_get, policy_remove,
+                        taint, untaint)
 from repro.core.exceptions import FilterError, PolicyViolation
 from repro.core.policyset import PolicySet
+from repro.environment import Environment
 from repro.policies import PasswordPolicy, SQLSanitized, UntrustedData
 from repro.tracking.tainted_str import TaintedStr
 
@@ -163,33 +164,39 @@ class TestFilterComposition:
 
 
 class TestDefaultFilterRegistry:
-    def test_make_default_filter_sets_type(self):
-        flt = make_default_filter("email", {"email": "a@b.c"})
+    def test_default_filter_without_environment_sets_type(self):
+        flt = default_filter(None, "email", {"email": "a@b.c"})
+        assert type(flt) is DefaultFilter
         assert flt.context["type"] == "email"
         assert flt.context["email"] == "a@b.c"
 
     def test_factory_override_and_reset(self):
-        # Explicit mutation of the process-wide registry (the removed
-        # free-function shims' replacement for code that really wants the
-        # global shape).
+        # An override on an environment's registry reaches only the filters
+        # built for that environment; resetting it restores the built-in one.
         class Custom(Filter):
             pass
 
-        default_registry().set_default_filter_factory("socket", Custom)
-        assert isinstance(make_default_filter("socket"), Custom)
-        default_registry().reset()
-        assert isinstance(make_default_filter("socket"), DefaultFilter)
+        env = Environment()
+        env.registry.set_default_filter_factory("socket", Custom)
+        assert isinstance(default_filter(env, "socket", None), Custom)
+        assert type(default_filter(None, "socket", None)) is DefaultFilter
+        env.registry.reset()
+        assert type(default_filter(env, "socket", None)) is DefaultFilter
 
     def test_factory_must_return_filter(self):
-        default_registry().set_default_filter_factory(
-            "socket", lambda ctx: "nope")
+        env = Environment()
+        env.registry.set_default_filter_factory("socket", lambda ctx: "nope")
         with pytest.raises(FilterError):
-            make_default_filter("socket")
-        default_registry().reset()
+            default_filter(env, "socket", None)
 
     def test_factory_must_be_callable(self):
+        # A rejected factory is not installed: the environment's channels
+        # keep the built-in filter.
+        env = Environment()
         with pytest.raises(FilterError):
-            default_registry().set_default_filter_factory("socket", "nope")
+            env.registry.set_default_filter_factory("socket", "nope")
+        assert env.registry.overrides() == ()
+        assert type(default_filter(env, "socket", None)) is DefaultFilter
 
 
 class TestCheckExportAndContext:

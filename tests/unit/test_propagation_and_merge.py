@@ -9,8 +9,7 @@ from repro.policies import AuthenticData, SQLSanitized, UntrustedData
 from repro.tracking.merge import merge_many, merge_policysets
 from repro.tracking.propagation import (concat, interpolate, merge_values,
                                         policies_of, spread_policies,
-                                        stringify, strip_policies,
-                                        to_tainted_str)
+                                        strip_policies, to_tainted_str)
 from repro.tracking.tainted_number import taint_int
 from repro.tracking.tainted_str import taint_str
 
@@ -86,9 +85,6 @@ class TestHelpers:
     def test_to_tainted_str_from_bytes(self):
         from repro.tracking.tainted_bytes import taint_bytes
         assert to_tainted_str(taint_bytes(b"ab", U)).policies() == PolicySet.of(U)
-
-    def test_stringify_alias(self):
-        assert stringify(5) == "5"
 
     def test_concat_mixed_values(self):
         result = concat("id=", taint_int(7, U), " name=", taint_str("bob", A))

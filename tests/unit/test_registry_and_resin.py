@@ -3,13 +3,11 @@
 
 import pytest
 
-from repro.core import (DefaultFilter, Filter, FilterRegistry,
-                        default_registry, make_default_filter)
-from repro.core.exceptions import (DisclosureViolation, FilterError,
-                                   InjectionViolation,
+from repro.core import DefaultFilter, Filter, FilterRegistry
+from repro.core.exceptions import (ChannelError, DisclosureViolation,
+                                   FilterError, InjectionViolation,
                                    ScriptInjectionViolation)
 from repro.core.policyset import PolicySet
-from repro.core.registry import resolve_registry
 from repro.channels.httpout import HTTPOutputChannel
 from repro.channels.socketchan import SocketChannel
 from repro.environment import Environment
@@ -31,19 +29,6 @@ class TestFilterRegistry:
         assert isinstance(registry.make_default_filter("socket"),
                           DefaultFilter)
 
-    def test_parent_fallback(self):
-        parent = FilterRegistry()
-        parent.set_default_filter_factory("code", Custom)
-        child = parent.child()
-        assert isinstance(child.make_default_filter("code"), Custom)
-        assert child.has_override("code")
-        assert not child.has_override("code", inherited=False)
-        # A local override shadows the parent; resetting it re-exposes it.
-        child.set_default_filter_factory("code", DefaultFilter)
-        assert isinstance(child.make_default_filter("code"), DefaultFilter)
-        child.reset()
-        assert isinstance(child.make_default_filter("code"), Custom)
-
     def test_sibling_registries_do_not_interfere(self):
         a, b = FilterRegistry(), FilterRegistry()
         a.set_default_filter_factory("code", Custom)
@@ -59,15 +44,6 @@ class TestFilterRegistry:
         registry.set_default_filter_factory("socket", lambda ctx: "nope")
         with pytest.raises(FilterError):
             registry.make_default_filter("socket")
-
-    def test_resolve_registry_preference_order(self):
-        explicit = FilterRegistry()
-        env = Environment()
-        assert resolve_registry(explicit, env) is explicit
-        assert resolve_registry(None, env) is env.registry
-        assert resolve_registry(None, None) is default_registry()
-        with pytest.raises(FilterError):
-            resolve_registry("not a registry")
 
 
 class TestContextMergeRegression:
@@ -89,10 +65,10 @@ class TestContextMergeRegression:
         assert flt.context["origin"] == "/x"
 
     def test_merged_context_is_shared_with_channel(self):
-        registry = FilterRegistry()
-        registry.set_default_filter_factory(
+        env = Environment()
+        env.registry.set_default_filter_factory(
             "http", lambda ctx: DefaultFilter({"site": "demo"}))
-        channel = HTTPOutputChannel(registry=registry)
+        channel = HTTPOutputChannel(env=env)
         default = channel.filter.filters[0]
         assert default.context is channel.context
         assert channel.context["site"] == "demo"
@@ -113,25 +89,25 @@ class TestContextMergeRegression:
                         f"only {self.owner!r} may see this",
                         policy=self, context=context)
 
-        registry = FilterRegistry()
-        registry.set_default_filter_factory(
+        env = Environment()
+        env.registry.set_default_filter_factory(
             "http", lambda ctx: DefaultFilter({"site": "demo"}))
-        channel = HTTPOutputChannel(registry=registry)
+        channel = HTTPOutputChannel(env=env)
         channel.set_user("alice@example.org")
-        note = Resin(Environment()).taint("for alice's eyes",
-                                          OwnerOnly("alice@example.org"))
+        note = Resin(env).taint("for alice's eyes",
+                                OwnerOnly("alice@example.org"))
         channel.write(note)              # owner's own session: allowed
         assert "for alice's eyes" in channel.body()
-        stranger = HTTPOutputChannel(registry=registry)
+        stranger = HTTPOutputChannel(env=env)
         stranger.set_user("mallory@example.org")
         with pytest.raises(DisclosureViolation):
             stranger.write(note)
 
 
 class TestProcessWideRegistry:
-    # The deprecated free-function mutators are gone (they warned through
-    # PR 2's deprecation cycle); the process-wide registry itself remains
-    # the root of every chain and is mutated explicitly when wanted.
+    # There is none: each environment's registry is the only source of its
+    # channels' default filters, and a channel without an environment gets
+    # the built-in DefaultFilter.
 
     def test_deprecated_mutator_shims_are_removed(self):
         import repro
@@ -144,31 +120,30 @@ class TestProcessWideRegistry:
         assert "set_default_filter_factory" not in repro.__all__
         assert "reset_default_filters" not in repro.core.__all__
 
-    def test_explicit_default_registry_mutation_still_works(self):
-        default_registry().set_default_filter_factory("socket", Custom)
-        try:
-            assert isinstance(make_default_filter("socket"), Custom)
-            assert default_registry().has_override("socket")
-            # A channel with no registry/env falls back to the process-wide
-            # registry (pre-registry behaviour).
-            assert isinstance(SocketChannel().filter.filters[0], Custom)
-        finally:
-            default_registry().reset()
-        assert isinstance(make_default_filter("socket"), DefaultFilter)
-
-    def test_environment_inherits_process_overrides(self):
-        default_registry().set_default_filter_factory("socket", Custom)
-        try:
-            env = Environment()
-            assert isinstance(env.socket().filter.filters[0], Custom)
-        finally:
-            default_registry().reset()
+    def test_process_wide_registry_is_removed(self):
+        import repro
+        import repro.core
+        import repro.core.registry
+        import repro.core.runtime
+        for module in (repro, repro.core, repro.core.registry):
+            for name in ("default_registry", "resolve_registry"):
+                assert not hasattr(module, name)
+        for module in (repro, repro.core, repro.core.runtime):
+            for name in ("make_default_filter", "get_default_filter_factory"):
+                assert not hasattr(module, name)
+        for name in ("parent", "child", "has_override"):
+            assert not hasattr(FilterRegistry(), name)
+        with pytest.raises(TypeError):
+            FilterRegistry(parent=FilterRegistry())
+        with pytest.raises(TypeError):
+            Environment(registry=FilterRegistry())
 
     def test_environment_override_does_not_leak_to_process(self):
         env = Environment()
         env.registry.set_default_filter_factory("socket", Custom)
         assert isinstance(env.socket().filter.filters[0], Custom)
-        assert isinstance(make_default_filter("socket"), DefaultFilter)
+        assert isinstance(Environment().socket().filter.filters[0],
+                          DefaultFilter)
         assert isinstance(SocketChannel().filter.filters[0], DefaultFilter)
 
 
@@ -301,6 +276,36 @@ class TestResinFacade:
             resin.interpreter.new_channel().filter.filters[0],
             DefaultFilter)
 
+    def test_script_injection_install_on_webapp_stays_in_its_env(self, resin):
+        # A WebApplication target installs on the app's own environment;
+        # no other environment in the process gets the filter.
+        from repro.interp.filters import InterpreterFilter
+        resin.assertion("script-injection").install(resin.app("x"))
+        assert isinstance(
+            resin.interpreter.new_channel().filter.filters[0],
+            InterpreterFilter)
+        assert isinstance(
+            Environment().interpreter.new_channel().filter.filters[0],
+            DefaultFilter)
+
+    def test_script_injection_install_on_resin_target(self, resin):
+        from repro.interp.filters import InterpreterFilter
+        other = Resin()
+        resin.assertion("script-injection").install(other)
+        assert isinstance(
+            other.interpreter.new_channel().filter.filters[0],
+            InterpreterFilter)
+        assert resin.registry.overrides() == ()
+
+    def test_script_injection_install_rejects_a_target_without_env(
+            self, resin):
+        with pytest.raises(FilterError, match="not object"):
+            resin.assertion("script-injection").install(object())
+        assert resin.registry.overrides() == ()
+        assert isinstance(
+            Environment().interpreter.new_channel().filter.filters[0],
+            DefaultFilter)
+
     def test_uninstall_hits_the_env_it_was_installed_on(self, resin):
         other = Environment()
         handle = resin.assertion("script-injection").install(other)
@@ -324,15 +329,16 @@ class TestResinFacade:
 
 
 class TestEnvironmentHttpShim:
-    def test_shared_channel_is_cached(self, env):
-        assert env.http is env.http
+    def test_outside_a_request_names_http_channel(self, env):
+        with pytest.raises(ChannelError, match=r"env\.http_channel\(\)"):
+            env.http
 
-    def test_reset_http_gives_clean_channel(self, env):
-        first = env.http
-        first.set_user("alice")
-        first.write("scenario one output")
-        env.reset_http()
-        second = env.http
-        assert second is not first
-        assert second.body() == ""
-        assert second.context.get("user") is None
+    def test_each_request_gets_a_clean_channel(self, resin):
+        with resin.request(user="alice"):
+            first = resin.env.http
+            first.write("scenario one output")
+        with resin.request(user="bob"):
+            second = resin.env.http
+            assert second is not first
+            assert second.body() == ""
+            assert second.context.get("user") == "bob"

@@ -5,7 +5,8 @@ import threading
 
 import pytest
 
-from repro.core.exceptions import InjectionViolation
+from repro.apps.moinmoin import MoinMoin
+from repro.core.exceptions import ChannelError, InjectionViolation
 from repro.core.request_context import (RequestContext, current_request,
                                         enter_request, request_scoped_context)
 from repro.environment import Environment
@@ -128,11 +129,12 @@ class TestResinRequestScope:
         assert resin.current_request is None
 
     def test_env_http_routes_to_the_request_channel(self, resin):
-        shared = resin.env.http
+        with pytest.raises(ChannelError):
+            resin.env.http
         with resin.request(user="alice") as http:
             assert resin.env.http is http
-            assert resin.env.http is not shared
-        assert resin.env.http is shared
+        with pytest.raises(ChannelError):
+            resin.env.http
 
     def test_fs_context_is_request_local(self, resin):
         resin.fs.set_request_context(user="ambient")
@@ -142,6 +144,35 @@ class TestResinRequestScope:
             assert resin.fs.request_context == {"user": "switched"}
         # The ambient (outside-any-request) context survives untouched.
         assert resin.fs.request_context == {"user": "ambient"}
+
+    def test_app_acting_for_a_user_restores_the_request_user(self, resin):
+        # The wiki writes as "bob" for one operation; the enclosing request
+        # (and, outside one, the ambient context) keeps its own user.
+        wiki = MoinMoin(resin.env)
+        with RequestContext(env=resin.env, user="alice"):
+            wiki.update_body("Page", "hello", "bob")
+            assert resin.fs.request_context == {"user": "alice"}
+        resin.fs.set_request_context(user="ambient")
+        wiki.update_body("Page", "again", "bob")
+        assert resin.fs.request_context == {"user": "ambient"}
+
+    def test_acting_as_restores_the_context_when_the_block_raises(
+            self, resin):
+        with resin.request(user="alice"):
+            with pytest.raises(RuntimeError):
+                with resin.fs.acting_as("bob"):
+                    assert resin.fs.request_context == {"user": "bob"}
+                    raise RuntimeError("file operation failed")
+            assert resin.fs.request_context == {"user": "alice"}
+
+    def test_acting_as_nests_and_restores_every_key(self, resin):
+        resin.fs.set_request_context(user="ambient", role="admin")
+        with resin.fs.acting_as("bob"):
+            with resin.fs.acting_as("carol"):
+                assert resin.fs.request_context == {"user": "carol"}
+            assert resin.fs.request_context == {"user": "bob"}
+        assert resin.fs.request_context == {"user": "ambient",
+                                            "role": "admin"}
 
     def test_current_request_is_env_specific(self, resin):
         other = Resin()

@@ -265,6 +265,15 @@ class TestEngine:
         assert len(engine.run(
             "SELECT id FROM users WHERE age IS NOT NULL")) == 3
 
+    def test_arithmetic_is_rejected_whatever_the_operands(self, engine):
+        # Arithmetic is not in the dialect; a NULL operand must not turn
+        # the statement into one that returns False instead of failing.
+        engine.run("INSERT INTO users (id, name) VALUES (4, 'dave')")
+        for op in ("+", "-"):
+            for where in ("age IS NULL", "age IS NOT NULL"):
+                with pytest.raises(SQLError, match="unsupported operator"):
+                    engine.run(f"SELECT age {op} id FROM users WHERE {where}")
+
     def test_aggregates(self, engine):
         result = engine.run(
             "SELECT COUNT(*) AS n, MIN(age) AS lo, MAX(age) AS hi, "

@@ -201,7 +201,7 @@ class TestInterpreter:
     def test_install_script_injection_assertion(self, env):
         env.fs.write_text("/good.py", "ok = True")
         env.fs.write_text("/evil.py", "ok = True")
-        install_script_injection_assertion()
+        install_script_injection_assertion(env)
         approve_code_file(env.fs, "/good.py")
         env.interpreter.execute_file("/good.py")
         with pytest.raises(ScriptInjectionViolation):
