@@ -3,7 +3,7 @@
 Two questions, each in its own benchmark group:
 
 * **Front-end cost** — requests/sec for the same page workload at 1/4/16
-  concurrency, served by ``AsyncDispatcher`` (event loop + executor) vs the
+  concurrency, served by ``AsyncDispatcher`` (event loop + worker threads) vs the
   thread-pool ``Dispatcher``.  The async front end must stay in the same
   throughput regime: the loop adds scheduling, not parallelism.  The
   acceptance bar for the thread pool is >2x req/s at 4 workers vs 1

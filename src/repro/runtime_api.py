@@ -556,7 +556,7 @@ class Resin:
                          max_in_flight: Optional[int] = None):
         """An :class:`~repro.server.async_dispatcher.AsyncDispatcher`
         serving ``app`` from this environment on an asyncio event loop, with
-        ``workers`` executor threads and at most ``max_in_flight`` admitted
+        up to ``workers`` worker threads and at most ``max_in_flight`` admitted
         requests (backpressure)."""
         from .server.async_dispatcher import AsyncDispatcher
         return AsyncDispatcher(app, workers=workers,

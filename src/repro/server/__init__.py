@@ -6,7 +6,7 @@ Two front ends over the same per-request machinery:
   :class:`~repro.web.app.WebApplication` on a thread pool;
 * :class:`~repro.server.async_dispatcher.AsyncDispatcher` serves it from an
   asyncio event loop (bounded in-flight requests, cancellation, graceful
-  shutdown), running handlers on an executor.
+  shutdown), running sync handlers on a pool of worker threads.
 
 Neither binds anything itself: each hands the request to ``app.handle`` /
 ``app.handle_async``, whose entry

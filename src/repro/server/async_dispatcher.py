@@ -11,10 +11,15 @@ The execution substrate is chosen **per route**:
 * a request that resolves to an ``async def`` handler is served *natively*
   on the event loop — ``app.handle_async(request)`` is awaited in the
   serving task, binding the context in that task's own :mod:`contextvars`
-  context, with no executor hop;
+  context, with no thread hop;
 * everything else (sync handlers, static files, unrouted paths) runs
-  ``app.handle`` on an executor thread via ``loop.run_in_executor`` inside
-  a contextvars snapshot of the submitting task.
+  ``app.handle`` on one of up to ``workers`` pool threads, inside a
+  :mod:`contextvars` snapshot of the submitting task.  The threads start on
+  demand and take requests from one :class:`queue.SimpleQueue`; the serving
+  task awaits a bare loop future, which the thread settles with one
+  ``loop.call_soon_threadsafe`` as its last act before it blocks again.  A
+  request therefore costs one wake-up of the loop from another thread and
+  allocates no asyncio Task and no :class:`concurrent.futures.Future`.
 
 Either way the per-request state (user, HTTP channel, filesystem context,
 database filter overlay) composes with asyncio tasks the same way it does
@@ -29,10 +34,11 @@ What the event loop adds over the thread-pool front end:
   ``async def`` handler is interrupted at its next suspension point and its
   ``RequestContext`` unwinds right there on the loop (the per-request
   database filter overlay pops with it); a sync handler already running
-  completes on its executor thread and unwinds there; a request still
-  queued on the semaphore never starts.
+  completes on its pool thread and unwinds there, and its result is
+  dropped; a request still queued (on the semaphore or for a thread) never
+  starts.
 * **Graceful shutdown** — :meth:`aclose` stops accepting work, waits for
-  (or cancels) the in-flight tasks, then releases the executor.
+  (or cancels) the in-flight tasks, then stops and joins the pool threads.
 
 A :class:`~repro.core.exceptions.PolicyViolation` escaping one handler
 surfaces only through that request's task::
@@ -49,7 +55,9 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from collections import deque
+from queue import SimpleQueue
 from typing import Iterable, List, Optional
 
 from ..web.request import Request
@@ -57,10 +65,59 @@ from ..web.request import Request
 __all__ = ["AsyncDispatcher"]
 
 
+def _work(jobs: SimpleQueue, idle: deque) -> None:
+    """One pool thread: run queued sync requests until the ``None`` sentinel."""
+    while True:
+        job = jobs.get()
+        if job is None:
+            return
+        _run(job, idle)
+        del job  # hold no request or response while blocked on the queue
+
+
+def _run(job, idle: deque) -> None:
+    """Run one ``(future, context, handle, request)`` job and settle its
+    loop future.
+
+    The thread marks itself idle before the settlement wakes the loop, so
+    the task it wakes finds the thread idle when it queues its next request.
+    """
+    future, context, handle, request = job
+    # A single-attribute read of a loop object from this thread: at worst it
+    # misses a cancellation racing it, and _settle then drops the result.
+    if future.cancelled():  # abandoned while queued: never start it
+        idle.append(None)
+        return
+    try:
+        result, error = context.run(handle, request), None
+    except BaseException as exc:  # noqa: BLE001 - raised in the awaiting task
+        result, error = None, exc
+    idle.append(None)
+    try:
+        future.get_loop().call_soon_threadsafe(_settle, future, result, error)
+    except RuntimeError:  # the loop has closed; nobody awaits the result
+        pass
+    # A handler's traceback holds this frame: drop the future and the
+    # exception, or they form a reference cycle that keeps the request alive
+    # until the cycle collector runs.
+    del job, future, error
+
+
+def _settle(future: asyncio.Future, result, error) -> None:
+    """Deliver a pool thread's outcome, unless the awaiting task gave up."""
+    if future.cancelled():
+        return
+    if error is None:
+        future.set_result(result)
+    else:
+        future.set_exception(error)
+
+
 class AsyncDispatcher:
     """Serves a :class:`~repro.web.app.WebApplication` on an asyncio loop.
 
-    ``workers`` sizes the executor actually running handlers;
+    ``workers`` caps the pool threads running sync handlers (started on
+    demand: one connection issuing requests one by one uses one thread);
     ``max_in_flight`` bounds the number of admitted requests (defaults to
     ``2 * workers``, so a full pool plus one queued batch — raise it for
     I/O-heavy handlers, lower it to shed load earlier).  Requests are served
@@ -86,9 +143,12 @@ class AsyncDispatcher:
         self.app = app
         self.workers = int(workers)
         self.max_in_flight = int(max_in_flight)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="resin-async"
-        )
+        self._jobs: SimpleQueue = SimpleQueue()
+        # One token per pool thread that finished a job and went back to the
+        # queue; taking one claims that thread for the next job.
+        self._idle: deque = deque()
+        self._threads: List[threading.Thread] = []
+        self._stopped = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._semaphore: Optional[asyncio.Semaphore] = None
         self._in_flight: set = set()
@@ -104,7 +164,7 @@ class AsyncDispatcher:
 
         Waits on the admission semaphore (the backpressure bound), then
         awaits ``app.handle_async`` on the loop (``async def`` routes) or
-        runs ``app.handle`` on an executor thread inside a snapshot of the
+        runs ``app.handle`` on a pool thread inside a snapshot of the
         calling task's :class:`contextvars.Context` — a context the caller
         bound for this request (the socket connection does) is the one the
         handler sees.  Raises whatever escaped the handler; cancelling the
@@ -124,16 +184,40 @@ class AsyncDispatcher:
                 if self.app.is_native_async(request):
                     # Loop-native path: the coroutine handler is awaited
                     # right here, in this task's contextvars binding of the
-                    # RequestContext — no executor hop, and cancelling the
+                    # RequestContext — no thread hop, and cancelling the
                     # task unwinds context and overlays on the loop.
                     return await self.app.handle_async(request)
-                loop = asyncio.get_running_loop()
-                snapshot = contextvars.copy_context()
-                return await loop.run_in_executor(
-                    self._executor, snapshot.run, self.app.handle, request
-                )
+                # The future stays unnamed: a local here would close a
+                # reference cycle (exception -> traceback -> this frame ->
+                # future -> exception) whenever the handler raises.
+                return await self._run_in_pool(request)
             finally:
                 self._admitted -= 1
+
+    def _run_in_pool(self, request: Request) -> asyncio.Future:
+        """Queue ``app.handle(request)`` for a pool thread, in a snapshot of
+        the calling task's context; the returned loop future settles with
+        its outcome.  Runs on the loop thread, and so does the stop of the
+        pool (:meth:`aclose` queues the sentinels there before it waits for
+        the joins): no job can queue behind the sentinels and no thread can
+        start uncounted, without a lock."""
+        if self._stopped:
+            raise RuntimeError("dispatcher's worker threads have been stopped")
+        future = self._loop.create_future()
+        self._jobs.put((future, contextvars.copy_context(), self.app.handle, request))
+        try:
+            self._idle.pop()
+        except IndexError:
+            if len(self._threads) < self.workers:
+                thread = threading.Thread(
+                    target=_work,
+                    args=(self._jobs, self._idle),
+                    name=f"resin-async_{len(self._threads)}",
+                    daemon=True,
+                )
+                thread.start()
+                self._threads.append(thread)
+        return future
 
     def submit(self, request: Request) -> "asyncio.Task":
         """Queue ``request`` and return the task serving it.
@@ -196,9 +280,9 @@ class AsyncDispatcher:
         """Graceful shutdown: refuse new work, drain in-flight requests.
 
         With ``cancel_pending`` the in-flight tasks are cancelled instead of
-        awaited to completion (handlers already on an executor thread still
-        run to completion there — their request context unwinds with them).
-        Idempotent.
+        awaited to completion (handlers already on a pool thread still run
+        to completion there — their request context unwinds with them).
+        Returns once every pool thread has exited.  Idempotent.
         """
         self._closed = True
         pending = [task for task in self._in_flight if not task.done()]
@@ -207,13 +291,28 @@ class AsyncDispatcher:
                 task.cancel()
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self._executor.shutdown)
+        # Stop the pool here on the loop thread, where jobs are queued: a
+        # request that reaches the pool later raises instead of queuing
+        # behind the sentinels.  Only the joins leave the loop.
+        self.shutdown(wait=False)
+        await asyncio.get_running_loop().run_in_executor(None, self.shutdown)
 
     def shutdown(self, wait: bool = True) -> None:
-        """Synchronous shutdown, for use outside any event loop."""
+        """Synchronous shutdown, for use outside any event loop (no loop may
+        be dispatching through this dispatcher meanwhile).
+
+        Jobs already queued still run; a job submitted afterwards raises
+        :class:`RuntimeError`.  With ``wait`` this returns once every pool
+        thread has exited.
+        """
         self._closed = True
-        self._executor.shutdown(wait=wait)
+        if not self._stopped:
+            self._stopped = True
+            for _ in self._threads:
+                self._jobs.put(None)
+        if wait:
+            for thread in self._threads:
+                thread.join()
 
     async def __aenter__(self) -> "AsyncDispatcher":
         return self

@@ -5,12 +5,14 @@ The real network boundary in front of
 
 * :mod:`~repro.server.http.parser` — incremental request parsing with hard
   limits (400/413/431) and smuggling-hostile framing rules;
-* :mod:`~repro.server.http.connection` — the keep-alive loop: pipelining,
-  per-request read deadlines (slowloris → 408), write timeouts, chunked
-  streaming with a taint check per emitted frame;
+* :mod:`~repro.server.http.connection` — one ``asyncio.Protocol`` per
+  socket and its keep-alive task: pipelining, per-request read deadlines
+  (slowloris → 408), write timeouts, half-close, chunked streaming with a
+  taint check per emitted frame;
 * :mod:`~repro.server.http.server` — :class:`HTTPServer` (bind / serve /
-  drain on an event loop) and :class:`ServerHandle` (the same server on a
-  background thread for synchronous callers).
+  drain on an event loop, through ``loop.create_server``) and
+  :class:`ServerHandle` (the same server on a background thread for
+  synchronous callers).
 
 The fluent entry points are :meth:`repro.runtime_api.Resin.serve` and
 :meth:`~repro.runtime_api.Resin.serve_async`.

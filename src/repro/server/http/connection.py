@@ -1,30 +1,48 @@
 """One accepted socket: the keep-alive request/response loop.
 
-A connection owns exactly one :class:`~repro.server.http.parser.RequestParser`
-and serves requests strictly in arrival order (pipelined requests queue in
-the parser's buffer and are answered in sequence, per RFC 9112 §9.3.2).
+:class:`HTTPConnection` is an :class:`asyncio.Protocol`: the transport hands
+it bytes (``data_received``), a half-close (``eof_received``), a full write
+buffer (``pause_writing`` / ``resume_writing``) and the end of the
+connection (``connection_lost``).  Each of these callbacks feeds the
+connection's one :class:`~repro.server.http.parser.RequestParser` or sets a
+flag, then wakes the connection's one serving task if it waits for that
+event; the task sleeps on a bare loop future whenever it waits for the
+peer.  Every such wait arms exactly one deadline timer, so a keep-alive
+request wakes the loop once by its socket and once by the thread that ran
+its handler, and allocates no task.
+
+The task serves requests strictly in arrival order (pipelined requests queue
+in the parser's buffer and are answered in sequence, per RFC 9112 §9.3.2).
 The loop embodies the server's robustness rules:
 
-* **Backpressure** — the connection performs no socket read while a request
-  is being dispatched: admission waits on the dispatcher's in-flight
-  semaphore, and only after the response is on the wire does the loop go
-  back to the socket.  A flood on one connection therefore queues in the
-  kernel, not in the process.
+* **Backpressure** — the connection reads from its socket only while its
+  task waits for request bytes.  A read that arrives at any other time
+  (while a request is dispatched, while a response waits for the client to
+  drain it, while the connection waits for a ``max_connections`` slot) is
+  buffered in the parser and pauses reading until the task next waits for
+  a request, so the parser holds at most one read beyond its limits.
+  Admission waits on the dispatcher's in-flight semaphore, so a flood on
+  one connection queues in the kernel, not in the process.
 * **Timeouts** — an *idle* keep-alive connection (nothing half-parsed) is
   closed quietly after ``idle_timeout``; a connection that has started a
   request gets one ``read_timeout`` budget for the whole request — a
   slowloris trickle of one byte per second exhausts the deadline and gets a
-  408, never an open-ended read.  Writes that cannot drain within
-  ``write_timeout`` abort the connection.
+  408, never an open-ended read.  Output that cannot drain within
+  ``write_timeout`` (the transport paused writing) aborts the connection,
+  and so does a close whose buffered output cannot drain.
+* **Half-close** — a client that shuts down its sending side is still
+  answered: the requests it sent are served, then the connection closes.
 * **Streaming** — a response body deferred by the application
   (``channel.pending_stream``) is drained here: each piece crosses
   ``channel.write`` (the taint boundary) and becomes one chunked
   transfer-encoding frame.  Frames are batched in a connection-level
   output buffer that is flushed wherever the coroutine may suspend, so an
-  async stream still delivers each frame before waiting for the next.  A
-  policy violation mid-stream truncates the chunked body — the terminating
-  frame is never sent, so the client knows the response is incomplete —
-  and closes the connection.
+  async stream still delivers each frame before waiting for the next.  Any
+  failure once the head is buffered — a policy violation or an exception
+  from the stream — truncates the chunked body (the terminating frame is
+  never sent, so the client knows the response is incomplete) and closes
+  the connection.  A HEAD request gets the head only; its stream is never
+  drained.
 """
 
 from __future__ import annotations
@@ -40,7 +58,6 @@ from .parser import KNOWN_METHODS, ParsedRequest, ParseError, RequestParser
 
 __all__ = ["HTTPConnection"]
 
-_READ_SIZE = 65536
 #: Buffered output beyond this is pushed to the transport even while a
 #: synchronous stream is still producing, bounding memory per connection.
 _FLUSH_THRESHOLD = 65536
@@ -59,22 +76,18 @@ def _clean(value: object) -> str:
     return str(value).replace("\r", "").replace("\n", "")
 
 
-class _ClientGone(Exception):
-    """The peer vanished mid-request; there is nobody to answer."""
+class _ClientGone(ConnectionError):
+    """The peer vanished or stopped reading; there is nobody to answer."""
 
 
-class HTTPConnection:
+class HTTPConnection(asyncio.Protocol):
     """Serves one accepted socket until close, error, or drain."""
 
-    def __init__(
-        self, server, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ):
+    def __init__(self, server):
         self.server = server
-        self.reader = reader
-        self.writer = writer
         self.parser = RequestParser(server.limits)
-        peername = writer.get_extra_info("peername")
-        self.remote_addr = peername[0] if peername else "?"
+        self.transport: Optional[asyncio.Transport] = None
+        self.remote_addr = "?"
         #: True while a request is being dispatched or its response written;
         #: drain only force-closes connections that are *not* busy.
         self.busy = False
@@ -85,12 +98,79 @@ class HTTPConnection:
         #: buffer is flushed at every point the coroutine may suspend, so a
         #: slow async stream still delivers each frame promptly.
         self._out = bytearray()
+        self._loop = asyncio.get_running_loop()
+        #: The loop future the serving task sleeps on, while it sleeps.
+        self._waiter: Optional[asyncio.Future] = None
+        #: True only while the task waits for request bytes: the one time
+        #: the connection reads from its socket.
+        self._awaiting_request = False
+        self._reading_paused = False
+        self._writing_paused = False
+        self._eof = False  # the peer sends nothing more
+        self._lost = False  # the transport has closed
+
+    # -- transport callbacks -----------------------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        peername = transport.get_extra_info("peername")
+        if peername:
+            self.remote_addr = peername[0]
+        self.server._connection_made(self)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            self.parser.feed(data)
+        except ParseError:
+            pass  # the task is already answering this error and closing
+        if self._awaiting_request:
+            self._wake()
+        elif not self._reading_paused:
+            # Nobody parses these bytes until the task next waits for a
+            # request: leave whatever follows in the kernel until then.
+            self._reading_paused = True
+            self.transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._wake()
+        return True  # keep the transport open to answer a half-closed peer
+
+    def pause_writing(self) -> None:
+        self._writing_paused = True
+
+    def resume_writing(self) -> None:
+        self._writing_paused = False
+        self._wake()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._eof = self._lost = True
+        self._wake()
+
+    def _wake(self, timed_out: bool = False) -> None:
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(timed_out)
+
+    async def _wait(self, deadline: float, for_request: bool = False) -> bool:
+        """Sleep until a transport callback wakes the task or the loop clock
+        reaches ``deadline``; ``True`` means the deadline passed first.
+        Only a wait ``for_request`` reads from the socket."""
+        waiter = self._waiter = self._loop.create_future()
+        self._awaiting_request = for_request
+        timer = self._loop.call_at(deadline, self._wake, True)
+        try:
+            return await waiter
+        finally:
+            timer.cancel()
+            self._waiter = None
+            self._awaiting_request = False
 
     # -- lifecycle ---------------------------------------------------------------
 
     async def serve(self) -> None:
         try:
-            while True:
+            while not self.server.draining:
                 parsed = await self._read_request()
                 if parsed is None:
                     return
@@ -100,50 +180,48 @@ class HTTPConnection:
                 finally:
                     self.busy = False
                 self.requests_served += 1
-                if not keep_alive or self.server.draining:
+                if not keep_alive:
                     return
         except ParseError as exc:
             await self._send_simple(exc.status, str(exc))
-        except _ClientGone:
-            pass
-        except (ConnectionError, asyncio.TimeoutError, asyncio.IncompleteReadError):
+        except ConnectionError:
             pass
         finally:
             await self._shutdown()
 
     async def _shutdown(self) -> None:
+        """Flush what is buffered, close, and return once the transport has
+        closed; a close that cannot drain within ``write_timeout`` aborts."""
         try:
             await self._flush()
-        except (ConnectionError, asyncio.TimeoutError, OSError, _ClientGone):
+        except ConnectionError:
             pass
-        try:
-            self.writer.close()
-            await self.writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        self.transport.close()
+        deadline = self._loop.time() + self.server.write_timeout
+        while not self._lost:
+            if await self._wait(deadline):
+                self.transport.abort()
 
     def close_if_idle(self) -> None:
         """Drain support: force-close unless a request is in flight (a busy
         connection finishes its response first; the loop then exits because
         the server is draining)."""
         if not self.busy:
-            transport = self.writer.transport
-            if transport is not None:
-                transport.abort()
+            self.transport.abort()
 
     # -- reading -----------------------------------------------------------------
 
     async def _read_request(self) -> Optional[ParsedRequest]:
-        """The next complete request off the socket, or ``None`` for a clean
-        close (EOF or idle timeout between requests).
+        """The next complete request, or ``None`` for a clean close (EOF or
+        idle timeout between requests).
 
         The read deadline is per *request*, armed at its first byte: a
         client may keep an idle connection for ``idle_timeout``, but once a
         request line starts, the whole request must arrive within
         ``read_timeout`` — the slowloris counter-measure.
         """
-        loop = asyncio.get_running_loop()
         deadline: Optional[float] = None
+        started = False
         while True:
             request = self.parser.next_request()
             if request is not None:
@@ -153,27 +231,24 @@ class HTTPConnection:
             # request is already parsed above), so a pipelined batch is
             # answered in one coalesced write.
             await self._flush()
-            if self.parser.idle:
-                timeout: float = self.server.idle_timeout
-            else:
-                if deadline is None:
-                    deadline = loop.time() + self.server.read_timeout
-                timeout = deadline - loop.time()
-                if timeout <= 0:
-                    await self._send_simple(408, "request read timed out")
-                    return None
-            try:
-                data = await asyncio.wait_for(self.reader.read(_READ_SIZE), timeout)
-            except asyncio.TimeoutError:
-                if self.parser.idle:
-                    return None
-                await self._send_simple(408, "request read timed out")
-                return None
-            if not data:
+            if self._eof:
                 if self.parser.idle:
                     return None
                 raise _ClientGone()
-            self.parser.feed(data)
+            if not started and not self.parser.idle:
+                started = True
+                deadline = self._loop.time() + self.server.read_timeout
+            elif deadline is None:
+                deadline = self._loop.time() + self.server.idle_timeout
+            if self._reading_paused:
+                self._reading_paused = False
+                self.transport.resume_reading()
+            if await self._wait(deadline, for_request=True):
+                if started:
+                    await self._send_simple(408, "request read timed out")
+                    return None
+                if self.parser.idle:
+                    return None
 
     # -- serving -----------------------------------------------------------------
 
@@ -202,9 +277,7 @@ class HTTPConnection:
         except PolicyViolation as exc:
             await self._send_simple(403, f"Forbidden: {exc}", keep_alive=keep_alive)
             return keep_alive
-        except (ConnectionError, _ClientGone):
-            raise
-        except asyncio.CancelledError:
+        except ConnectionError:
             raise
         except Exception:  # noqa: BLE001 - a handler bug must not kill the server
             await self._send_simple(500, "internal server error")
@@ -216,9 +289,15 @@ class HTTPConnection:
         self, parsed: ParsedRequest, channel, keep_alive: bool
     ) -> bool:
         head_only = parsed.method == "HEAD"
-        pending = channel.pending_stream
-        if pending is not None:
-            return await self._write_streaming(parsed, channel, keep_alive, head_only)
+        if channel.pending_stream is not None:
+            headers = list(channel.headers)
+            headers.append(("Transfer-Encoding", "chunked"))
+            self._start_response(channel.status, headers, parsed, keep_alive)
+            if head_only:
+                # The GET headers and no body (RFC 9112 §6.3): the stream is
+                # never drained, so nothing crosses the taint boundary.
+                return keep_alive
+            return await self._write_streaming(channel, keep_alive)
         body = channel.body().encode("utf-8")
         headers = list(channel.headers)
         headers.append(("Content-Length", str(len(body))))
@@ -231,18 +310,8 @@ class HTTPConnection:
             await self._flush()
         return keep_alive
 
-    async def _write_streaming(
-        self, parsed: ParsedRequest, channel, keep_alive: bool, head_only: bool
-    ) -> bool:
-        headers = list(channel.headers)
-        headers.append(("Transfer-Encoding", "chunked"))
-        self._start_response(channel.status, headers, parsed, keep_alive)
-        if head_only:
-            # Mirror the GET headers but move no data: the stream is never
-            # drained, so nothing crosses the taint boundary either.
-            self._out += b"0\r\n\r\n"
-            await self._flush()
-            return keep_alive
+    async def _write_streaming(self, channel, keep_alive: bool) -> bool:
+        """Drain the deferred body behind an already buffered head."""
         # Eager chunks the handler wrote before streaming began.
         sent = self._buffer_new(channel, 0)
         try:
@@ -268,11 +337,13 @@ class HTTPConnection:
                         sent = self._buffer_new(channel, sent)
                         if len(self._out) >= _FLUSH_THRESHOLD:
                             await self._flush()
-        except PolicyViolation:
+        except ConnectionError:
+            raise
+        except Exception:  # noqa: BLE001 - a policy violation or a stream bug
             # Headers are gone; the only honest move is to truncate the
             # chunked body (no terminating frame) and drop the connection.
             # Frames already buffered passed their own checks and still
-            # leave; the disallowed piece never crossed channel.write.
+            # leave; a disallowed piece never crossed channel.write.
             await self._flush()
             return False
         self._out += b"0\r\n\r\n"
@@ -325,32 +396,30 @@ class HTTPConnection:
             )
             self._out += body
             await self._flush()
-        except (ConnectionError, asyncio.TimeoutError, OSError):
+        except ConnectionError:
             pass
 
     async def _flush(self) -> None:
         """Hand buffered output to the transport in one write.
 
-        The timeout machinery (``wait_for`` spawns a task and a timer per
-        call) is engaged only when the transport reports unsent backlog —
-        the common case, an empty kernel-accepted buffer, costs one write.
+        The task waits only when the transport has paused writing (its
+        buffer is above the high-water mark), and then for at most
+        ``write_timeout`` before the connection is aborted.
         """
+        if self._lost:
+            raise _ClientGone()
         if self._out:
-            self.writer.write(bytes(self._out))
+            self.transport.write(bytes(self._out))
             del self._out[:]
-        transport = self.writer.transport
-        if transport is not None and transport.get_write_buffer_size() == 0:
+        if not self._writing_paused:
             return
-        await self._drain()
-
-    async def _drain(self) -> None:
-        try:
-            await asyncio.wait_for(self.writer.drain(), self.server.write_timeout)
-        except asyncio.TimeoutError:
-            transport = self.writer.transport
-            if transport is not None:
-                transport.abort()
-            raise _ClientGone() from None
+        deadline = self._loop.time() + self.server.write_timeout
+        while self._writing_paused:
+            if self._lost:
+                raise _ClientGone()
+            if await self._wait(deadline):
+                self.transport.abort()
+                raise _ClientGone()
 
     def __repr__(self) -> str:
         return (

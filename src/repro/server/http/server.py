@@ -10,10 +10,16 @@ stops a connection from being read while its request is queued.  Concurrent
 connections are additionally bounded by ``max_connections`` (excess accepted
 sockets wait unread) and by the listener's ``backlog``.
 
+The listener is ``loop.create_server`` with one
+:class:`~repro.server.http.connection.HTTPConnection` protocol per accepted
+socket; each connection gets one serving task, made when the transport
+connects, and no other task for as long as it lives.
+
 Graceful shutdown mirrors ``AsyncDispatcher.aclose()``: :meth:`aclose`
 stops accepting, force-closes idle keep-alive connections, lets busy ones
 finish the response they are writing (their loop then exits because the
-server is draining), and finally closes the dispatcher it owns.
+server is draining), waits until every connection's transport has closed,
+and finally closes the dispatcher it owns.
 
 :class:`ServerHandle` runs the whole thing on a background thread for
 synchronous callers (examples, benchmarks, the Table 4 harness)::
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from functools import partial
 from typing import Optional, Set
 from urllib.parse import parse_qsl
 
@@ -91,8 +98,8 @@ class HTTPServer:
         if self._server is not None:
             raise RuntimeError("server is already bound")
         self._conn_gate = asyncio.Semaphore(self.max_connections)
-        self._server = await asyncio.start_server(
-            self._client_connected,
+        self._server = await asyncio.get_running_loop().create_server(
+            partial(HTTPConnection, self),
             self.host,
             self._requested_port,
             backlog=self.backlog,
@@ -120,14 +127,14 @@ class HTTPServer:
         self.draining = True
         if self._server is not None:
             self._server.close()
-            try:
-                await self._server.wait_closed()
-            except (asyncio.CancelledError, RuntimeError):  # pragma: no cover
-                pass
         for connection in list(self._connections):
             connection.close_if_idle()
         if self._conn_tasks:
             await asyncio.gather(*list(self._conn_tasks), return_exceptions=True)
+        if self._server is not None:
+            # After the connections: from Python 3.12 this also waits for
+            # every accepted connection to close.
+            await self._server.wait_closed()
         await self.dispatcher.aclose()
 
     async def __aenter__(self) -> "HTTPServer":
@@ -139,21 +146,17 @@ class HTTPServer:
 
     # -- connections -------------------------------------------------------------
 
-    async def _client_connected(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
+    def _connection_made(self, connection: HTTPConnection) -> None:
+        """Start the one task that serves a freshly connected socket."""
+        task = asyncio.get_running_loop().create_task(self._serve(connection))
+        self._conn_tasks.add(task)
+        task.add_done_callback(self._conn_tasks.discard)
+
+    async def _serve(self, connection: HTTPConnection) -> None:
         async with self._conn_gate:
-            if self.draining:
-                writer.close()
-                return
-            connection = HTTPConnection(self, reader, writer)
             self._connections.add(connection)
             try:
-                await connection.serve()
+                await connection.serve()  # returns at once when draining
             finally:
                 self._connections.discard(connection)
 

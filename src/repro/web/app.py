@@ -182,7 +182,7 @@ class WebApplication:
         :class:`~repro.core.request_context.RequestContext` (a contextvars
         binding, task-local), and cancelling the awaiting task unwinds the
         context and its per-request filter overlays.  Sync handlers are
-        called inline — schedule them on an executor (what
+        called inline — run them on a worker thread (what
         :class:`~repro.server.async_dispatcher.AsyncDispatcher` does) when
         they might block the loop.
         """
@@ -193,7 +193,7 @@ class WebApplication:
         """True when ``request`` resolves to an ``async def`` handler — the
         per-route decision :class:`~repro.server.async_dispatcher
         .AsyncDispatcher` uses to keep coroutines on the loop and send
-        everything else to its executor.
+        everything else to its worker threads.
 
         The resolved match is cached on the request, so the dispatch that
         follows does not pay for a second route scan.

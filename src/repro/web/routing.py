@@ -123,7 +123,7 @@ class Route:
     ``routes`` dict); otherwise the route serves exactly the given methods,
     with ``HEAD`` implied by ``GET``.  ``is_coroutine`` records whether the
     handler is an ``async def`` — the dispatchers use it to decide between
-    awaiting the handler on the event loop and sending it to an executor.
+    awaiting the handler on the event loop and sending it to a worker thread.
     """
 
     def __init__(

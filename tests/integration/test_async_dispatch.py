@@ -2,6 +2,7 @@
 backpressure, graceful shutdown, and the Table 4 suite behind it."""
 
 import asyncio
+import sys
 import threading
 import time
 
@@ -291,6 +292,120 @@ class TestBackpressureAndShutdown:
             await server.aclose()              # idempotent
 
         asyncio.run(main())
+
+    @pytest.mark.parametrize("close", ["aclose", "shutdown"])
+    def test_closing_leaves_no_worker_thread_alive(self, close):
+        env = Environment()
+        app = WebApplication(env, "async-threads")
+        barrier = threading.Barrier(4)  # four handlers at once: four threads
+
+        @app.route("/work")
+        def work(request, response):
+            barrier.wait(timeout=5)
+            response.write("ok")
+
+        before = set(threading.enumerate())
+
+        def workers():
+            return [thread for thread in threading.enumerate()
+                    if thread not in before
+                    and thread.name.startswith("resin-async")]
+
+        server = AsyncDispatcher(app, workers=4)
+
+        async def main():
+            await server.dispatch_all(
+                [Request("/work", user=f"u{i}") for i in range(4)])
+            assert len(workers()) == 4
+            if close == "aclose":
+                await server.aclose()
+
+        asyncio.run(main())
+        if close == "shutdown":
+            server.shutdown()
+        assert workers() == []
+
+    def test_pool_serves_each_request_once_under_switch_stress(self):
+        """Three hundred concurrent sync requests through a three-thread
+        pool while threads switch every microsecond: every request is
+        served exactly once, in its own response, by at most ``workers``
+        threads."""
+        env = Environment()
+        app = WebApplication(env, "async-stress")
+        lock = threading.Lock()
+        served = []
+        threads = set()
+
+        @app.route("/n/<int:n>")
+        def number(request, response, n):
+            with lock:
+                served.append(n)
+                threads.add(threading.current_thread().name)
+            response.write(f"n={n}")
+
+        async def main():
+            async with AsyncDispatcher(app, workers=3,
+                                       max_in_flight=12) as server:
+                return await asyncio.wait_for(server.dispatch_all(
+                    [Request(f"/n/{i}") for i in range(300)]), timeout=60)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            responses = asyncio.run(main())
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.body() for r in responses] == [f"n={i}" for i in range(300)]
+        assert sorted(served) == list(range(300))
+        assert 1 <= len(threads) <= 3
+
+    def test_direct_dispatch_racing_aclose_is_served_or_refused(self):
+        """aclose() drains submitted tasks but not direct dispatch()
+        awaiters: one that reaches the pool while aclose() stops it is
+        either served or refused with RuntimeError, never left queued
+        behind the stop, and aclose() returns with no worker alive."""
+        env = Environment()
+        app = WebApplication(env, "async-close-race")
+
+        @app.route("/n/<int:n>")
+        def number(request, response, n):
+            response.write(f"n={n}")
+
+        before = set(threading.enumerate())
+
+        async def one_round():
+            server = AsyncDispatcher(app, workers=2, max_in_flight=2)
+            calls = [asyncio.ensure_future(server.dispatch(Request(f"/n/{i}")))
+                     for i in range(20)]
+            await asyncio.sleep(0)  # two admitted, the rest on the gate
+            await asyncio.wait_for(server.aclose(), timeout=10)
+            return await asyncio.wait_for(
+                asyncio.gather(*calls, return_exceptions=True), timeout=10)
+
+        async def main():
+            # A warm default executor lets a close race the loop closely.
+            await asyncio.get_running_loop().run_in_executor(None, int)
+            return [await one_round() for _ in range(50)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        # Not asyncio.run: a worker that never exits would hang its
+        # executor shutdown instead of failing the test.
+        loop = asyncio.new_event_loop()
+        try:
+            rounds = loop.run_until_complete(main())
+        finally:
+            loop.close()
+            sys.setswitchinterval(interval)
+        for outcomes in rounds:
+            for n, outcome in enumerate(outcomes):
+                if isinstance(outcome, BaseException):
+                    assert isinstance(outcome, RuntimeError)
+                else:
+                    assert outcome.body() == f"n={n}"
+        assert not [thread for thread in threading.enumerate()
+                    if thread not in before
+                    and thread.name.startswith("resin-async")]
 
     def test_disjoint_table_writes_overlap_across_tasks(self):
         """Two asyncio tasks writing different tables: the second completes

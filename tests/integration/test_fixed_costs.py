@@ -3,12 +3,18 @@
 Timing tests flake; these count instead.  Parsing each statement the site
 issues (the users and papers SELECTs of a paper page, the reviews INSERT of
 a review) stays within a budget of Python and C calls, counted with
-``sys.setprofile``; and a served page runs no ``import`` statement once the
+``sys.setprofile``; a served page runs no ``import`` statement once the
 site is warm, counted through ``builtins.__import__`` on both the RESIN and
-the unmodified site.
+the unmodified site; a keep-alive socket request creates no asyncio Task
+and no ``concurrent.futures.Future`` and wakes the event loop from another
+thread exactly once, counted on the serving loop; and a refused request
+leaves no more cyclic garbage than a served one, counted by ``gc.collect``.
 """
 
+import asyncio
 import builtins
+import concurrent.futures
+import gc
 import sys
 
 import pytest
@@ -17,8 +23,11 @@ from repro.apps.hotcrp import HotCRP
 from repro.channels import sqlchan
 from repro.core.exceptions import PolicyViolation
 from repro.environment import Environment
+from repro.server.http import HTTPServer
 from repro.sql.parser import parse
+from repro.web.app import WebApplication
 from repro.web.request import Request
+from repro.web.response import Response
 
 #: Calls one statement's tokenize-and-parse may make.
 PARSE_CALL_BUDGET = 300
@@ -115,3 +124,105 @@ def test_a_served_page_runs_no_import_statement(use_resin, monkeypatch):
         serve_page(site, user)
     monkeypatch.undo()
     assert imports == []
+
+
+def build_socket_app():
+    app = WebApplication(Environment(), "fixed-cost")
+
+    @app.route("/hello")
+    def hello(request, response):
+        return Response("hello")
+
+    @app.route("/deny")
+    def deny(request, response):
+        raise PolicyViolation("denied")
+
+    return app
+
+
+async def exchange(reader, writer, path="/hello"):
+    """One keep-alive GET; returns the response status line."""
+    writer.write(b"GET " + path.encode() + b" HTTP/1.1\r\nHost: h\r\n\r\n")
+    head = await reader.readuntil(b"\r\n\r\n")
+    length = int(head.lower().split(b"content-length: ")[1].split(b"\r\n")[0])
+    await reader.readexactly(length)
+    return head.split(b"\r\n", 1)[0]
+
+
+def test_a_keep_alive_request_wakes_the_loop_once_and_allocates_no_task(
+        monkeypatch):
+    """Fifty keep-alive GETs of a sync route through ``HTTPServer`` on this
+    test's own loop.  Beyond the connection's own task (made before the
+    count starts) they create no asyncio Task and no
+    ``concurrent.futures.Future``, and the worker thread wakes the loop
+    once per request."""
+    requests = 50
+    counts = {"tasks": 0, "futures": 0, "wakeups": 0}
+    future_init = concurrent.futures.Future.__init__
+
+    def counting_future_init(self, *args, **kwargs):
+        counts["futures"] += 1
+        future_init(self, *args, **kwargs)
+
+    def counting_task_factory(loop, coro, **kwargs):
+        counts["tasks"] += 1
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        call_soon_threadsafe = loop.call_soon_threadsafe
+
+        def counting_call_soon_threadsafe(*args, **kwargs):
+            counts["wakeups"] += 1
+            return call_soon_threadsafe(*args, **kwargs)
+
+        async with HTTPServer(build_socket_app(), idle_timeout=5.0) as server:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            await exchange(reader, writer)  # connection task and worker up
+            monkeypatch.setattr(concurrent.futures.Future, "__init__",
+                                counting_future_init)
+            monkeypatch.setattr(loop, "call_soon_threadsafe",
+                                counting_call_soon_threadsafe)
+            loop.set_task_factory(counting_task_factory)
+            try:
+                for _ in range(requests):
+                    assert await exchange(reader, writer) == b"HTTP/1.1 200 OK"
+            finally:
+                loop.set_task_factory(None)
+                monkeypatch.undo()
+            writer.close()
+
+    asyncio.run(scenario())
+    assert counts == {"tasks": 0, "futures": 0, "wakeups": requests}
+
+
+def test_a_refused_request_leaves_no_more_cyclic_garbage_than_a_served_one():
+    """A handler's exception crosses from the worker thread to the loop with
+    its traceback; neither side may keep it in a reference cycle, or every
+    refused request's objects wait for the cycle collector."""
+    requests = 20
+
+    async def garbage_per_batch(reader, writer, path):
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(requests):
+                await exchange(reader, writer, path)
+        finally:
+            gc.enable()
+        return gc.collect()
+
+    async def scenario():
+        async with HTTPServer(build_socket_app(), idle_timeout=5.0) as server:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            assert await exchange(reader, writer, "/deny") == (
+                b"HTTP/1.1 403 Forbidden")
+            served = await garbage_per_batch(reader, writer, "/hello")
+            refused = await garbage_per_batch(reader, writer, "/deny")
+            writer.close()
+        return served, refused
+
+    served, refused = asyncio.run(scenario())
+    assert refused <= served

@@ -8,6 +8,7 @@ disconnects, backpressure, graceful drain, and the ``Resin.serve`` entry
 point.
 """
 
+import asyncio
 import http.client
 import socket
 import threading
@@ -332,7 +333,53 @@ class TestStreaming:
                 b"Connection: close\r\n\r\n")
             assert raw.startswith(b"HTTP/1.1 200 ")
             assert b"s3cret" not in raw
-            assert raw.endswith(b"0\r\n\r\n")  # empty chunked body
+            assert raw.split(b"\r\n\r\n", 1)[1] == b""  # no body at all
+
+    def test_pipelined_head_then_get_reads_as_two_responses(self):
+        """A HEAD response ends at its blank line (RFC 9112 §6.3): no
+        chunked terminator may follow it, or the next response on the
+        connection starts with stray body bytes."""
+        with serve(build_app()) as handle:
+            raw = raw_exchange(
+                handle.port,
+                b"HEAD /leak HTTP/1.1\r\nHost: h\r\n\r\n"
+                b"GET /hello HTTP/1.1\r\nHost: h\r\n"
+                b"Connection: close\r\n\r\n")
+        head, rest = raw.split(b"\r\n\r\n", 1)
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert b"Transfer-Encoding: chunked" in head
+        assert rest.startswith(b"HTTP/1.1 200 ")
+        assert rest.endswith(b"hello over the wire")
+        assert b"s3cret" not in raw
+
+    def test_stream_failing_mid_body_truncates_and_closes(self):
+        """An exception from the stream after the head is buffered ends the
+        response like a mid-stream violation: the frames already cleared
+        leave, no terminating frame and no second status line follow, and
+        the connection closes; the server keeps serving."""
+        app = build_app()
+
+        @app.route("/stream-bug")
+        def stream_bug(request, response):
+            def chunks():
+                yield "first piece\n"
+                raise ValueError("stream bug")
+            return Response().stream(chunks())
+
+        with serve(app) as handle:
+            raw = raw_exchange(
+                handle.port,
+                b"GET /stream-bug HTTP/1.1\r\nHost: h\r\n\r\n"
+                b"GET /hello HTTP/1.1\r\nHost: h\r\n\r\n")
+            head, body = raw.split(b"\r\n\r\n", 1)
+            assert head.startswith(b"HTTP/1.1 200 ")
+            assert b"Transfer-Encoding: chunked" in head
+            assert body == b"c\r\nfirst piece\n\r\n"  # one frame, no terminator
+            assert raw.count(b"HTTP/1.1 ") == 1
+            raw = raw_exchange(handle.port,
+                               b"GET /hello HTTP/1.1\r\nHost: h\r\n\r\n")
+            assert raw.startswith(b"HTTP/1.1 200 ")
+            assert raw.endswith(b"hello over the wire")
 
 
 class TestTimeoutsAndDisconnects:
@@ -354,6 +401,61 @@ class TestTimeoutsAndDisconnects:
             with socket.create_connection(("127.0.0.1", handle.port),
                                           timeout=5) as sock:
                 assert sock.recv(65536) == b""  # EOF, no 408, no noise
+
+    def test_pipelined_requests_then_half_close_get_both_answers(self):
+        """The client sends two keep-alive requests and shuts its sending
+        side: both are answered, then the server closes."""
+        with serve(build_app(), user_header="x-resin-user") as handle:
+            raw = raw_exchange(
+                handle.port,
+                b"GET /hello HTTP/1.1\r\nHost: h\r\n\r\n"
+                b"GET /whoami HTTP/1.1\r\nHost: h\r\n"
+                b"X-Resin-User: bob\r\n\r\n")
+        assert raw.count(b"HTTP/1.1 200 ") == 2
+        assert raw.index(b"hello over the wire") < raw.index(b"user=bob")
+        assert raw.endswith(b"user=bob")
+        assert b"Connection: close" not in raw
+
+    def test_client_that_stops_reading_is_aborted_after_write_timeout(self):
+        """A client that asks for a huge stream and reads nothing stalls its
+        connection only: the loop keeps serving a second connection, and
+        after ``write_timeout`` the stalled one is aborted, its stream no
+        longer drained and its body unterminated."""
+        app = build_app()
+        piece = "x" * 65536
+        produced = []
+
+        @app.route("/flood")
+        def flood(request, response):
+            def chunks():
+                while len(produced) < 1024:  # 64 MiB: far past any buffer
+                    produced.append(1)
+                    yield piece
+            return Response().stream(chunks())
+
+        with serve(app, write_timeout=0.5) as handle:
+            with socket.create_connection(("127.0.0.1", handle.port),
+                                          timeout=10) as stalled:
+                stalled.sendall(b"GET /flood HTTP/1.1\r\nHost: h\r\n\r\n")
+                deadline = time.monotonic() + 5
+                while not produced and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                raw = raw_exchange(handle.port,
+                                   b"GET /hello HTTP/1.1\r\nHost: h\r\n\r\n")
+                assert raw.endswith(b"hello over the wire")
+                time.sleep(1.5)  # past write_timeout, still not reading
+                stopped_at = len(produced)
+                received = b""
+                try:
+                    while True:
+                        data = stalled.recv(1 << 20)
+                        if not data:
+                            break
+                        received += data
+                except ConnectionResetError:
+                    pass  # the abort resets the connection
+        assert 0 < stopped_at == len(produced) < 1024
+        assert not received.endswith(b"0\r\n\r\n")
 
     def test_client_disconnect_mid_body_leaves_server_healthy(self):
         with serve(build_app()) as handle:
@@ -400,6 +502,106 @@ class TestBackpressureAndDrain:
         assert len(outcomes) == 32
         assert all(status == 200 and body == b"slept"
                    for status, body in outcomes)
+
+    def test_connection_reads_nothing_while_its_request_is_dispatched(self):
+        """Bytes that arrive while a request is in its handler pause the
+        transport's reading; the connection reads again once the response
+        is written and it waits for the next request."""
+        app = build_app()
+        entered = threading.Event()
+        release = threading.Event()
+
+        @app.route("/block")
+        def block(request, response):
+            entered.set()
+            release.wait(5)
+            return Response("unblocked")
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            async with HTTPServer(app, idle_timeout=5.0) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                writer.write(b"GET /block HTTP/1.1\r\nHost: h\r\n\r\n")
+                assert await loop.run_in_executor(None, entered.wait, 5)
+                [connection] = server._connections
+                writer.write(b"GET /hello HTTP/1.1\r\nHost: h\r\n\r\n")
+                for _ in range(500):  # until the pipelined bytes arrive
+                    if connection.parser.buffered:
+                        break
+                    await asyncio.sleep(0.01)
+                reading_while_busy = connection.transport.is_reading()
+                release.set()
+                await reader.readuntil(b"unblocked")
+                await reader.readuntil(b"hello over the wire")
+                reading_after = connection.transport.is_reading()
+                writer.close()
+            return reading_while_busy, reading_after
+
+        assert asyncio.run(scenario()) == (False, True)
+
+    def test_connection_waiting_on_a_stalled_write_reads_nothing(self):
+        """A client sends keep-alive requests one at a time and reads no
+        answers until the server's writes stall, then floods the socket.
+        The connection stops reading, so the flood stays in the kernel:
+        the parser holds at most one transport read (256 KiB) of it."""
+        app = build_app()
+
+        @app.route("/page")
+        def page(request, response):
+            # Under the connection's flush threshold: the response leaves
+            # only when the task next waits for a request.
+            return Response("x" * 40000)
+
+        async def scenario():
+            async with HTTPServer(app, idle_timeout=5.0,
+                                  write_timeout=5.0) as server:
+                # The client's stream reader stops reading at its own limit.
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                connection = None
+                for served in range(1, 201):
+                    writer.write(b"GET /page HTTP/1.1\r\nHost: h\r\n\r\n")
+                    for _ in range(500):
+                        if connection is None and server._connections:
+                            [connection] = server._connections
+                        if connection and connection.requests_served == served:
+                            break
+                        await asyncio.sleep(0.005)
+                    if connection._writing_paused:
+                        break
+                stalled = connection._writing_paused
+                writer.write(b"x" * (4 << 20))
+                for _ in range(200):  # until the flood reaches the server
+                    if not connection.transport.is_reading():
+                        break
+                    await asyncio.sleep(0.01)
+                await asyncio.sleep(0.1)  # room for any further reads
+                outcome = (stalled, connection.transport.is_reading(),
+                           connection.parser.buffered)
+                writer.transport.abort()
+            return outcome
+
+        stalled, reading, buffered = asyncio.run(scenario())
+        assert stalled
+        assert not reading
+        assert buffered <= 256 * 1024
+
+    def test_sequential_requests_on_one_connection_start_one_worker(self):
+        before = set(threading.enumerate())
+        with serve(build_app(), workers=4) as handle:
+            conn = http.client.HTTPConnection("127.0.0.1", handle.port,
+                                              timeout=5)
+            try:
+                for _ in range(20):
+                    conn.request("GET", "/hello")
+                    assert conn.getresponse().read() == b"hello over the wire"
+            finally:
+                conn.close()
+            workers = [thread for thread in threading.enumerate()
+                       if thread not in before
+                       and thread.name.startswith("resin-async")]
+        assert len(workers) == 1
 
     def test_drain_closes_idle_keep_alive_connections(self):
         handle = serve(build_app())
