@@ -139,9 +139,10 @@ def test_async_dispatch_throughput(benchmark, page_app, concurrency):
 
         benchmark(round_trip)
 
-    seconds_per_batch = benchmark.stats.stats.mean
     benchmark.extra_info["concurrency"] = concurrency
-    benchmark.extra_info["requests_per_sec"] = round(BATCH / seconds_per_batch, 1)
+    if benchmark.enabled:  # no stats under --benchmark-disable
+        seconds_per_batch = benchmark.stats.stats.mean
+        benchmark.extra_info["requests_per_sec"] = round(BATCH / seconds_per_batch, 1)
 
 
 @pytest.mark.parametrize("concurrency", [1, 4, 16])
@@ -156,9 +157,10 @@ def test_thread_dispatch_throughput(benchmark, page_app, concurrency):
 
         benchmark(round_trip)
 
-    seconds_per_batch = benchmark.stats.stats.mean
     benchmark.extra_info["concurrency"] = concurrency
-    benchmark.extra_info["requests_per_sec"] = round(BATCH / seconds_per_batch, 1)
+    if benchmark.enabled:  # no stats under --benchmark-disable
+        seconds_per_batch = benchmark.stats.stats.mean
+        benchmark.extra_info["requests_per_sec"] = round(BATCH / seconds_per_batch, 1)
 
 
 def test_four_workers_double_throughput(page_app):
@@ -195,9 +197,10 @@ def test_write_contention(benchmark, write_app, layout):
 
         benchmark(round_trip)
 
-    seconds_per_batch = benchmark.stats.stats.mean
     benchmark.extra_info["layout"] = layout
-    benchmark.extra_info["requests_per_sec"] = round(BATCH / seconds_per_batch, 1)
+    if benchmark.enabled:  # no stats under --benchmark-disable
+        seconds_per_batch = benchmark.stats.stats.mean
+        benchmark.extra_info["requests_per_sec"] = round(BATCH / seconds_per_batch, 1)
 
 
 def test_disjoint_tables_scale_vs_single_lock(write_app):

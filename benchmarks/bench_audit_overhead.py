@@ -18,11 +18,12 @@ Groups:
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import pytest
 
 from repro.audit.ledger import AuditLedger, MemoryLedger
-from repro.audit.recorder import AuditRecorder, default_audit
+from repro.audit.recorder import SERVICE_NAME, AuditRecorder
 from repro.evaluation import hotcrp_perf
 
 
@@ -45,6 +46,18 @@ def disk_recorder(tmp_path):
     recorder.close()
 
 
+@contextmanager
+def audited(workload, recorder):
+    """Register ``recorder`` on the workload site's environment for the
+    scope; the site is shared by every test in this module."""
+    services = workload.site.env.services
+    services.register(SERVICE_NAME, recorder)
+    try:
+        yield
+    finally:
+        services.unregister(SERVICE_NAME)
+
+
 # -- single-threaded page render --------------------------------------------------
 
 
@@ -60,7 +73,7 @@ def test_page_render_audit_memory(benchmark, hotcrp_workloads, memory_recorder):
     workload = hotcrp_workloads["resin"]
     benchmark.group = "audit-page-render"
     benchmark.extra_info["audit"] = "memory"
-    with default_audit(memory_recorder):
+    with audited(workload, memory_recorder):
         body = benchmark(workload.generate_page)
     memory_recorder.flush()
     assert "Improving Application Security" in body
@@ -71,7 +84,7 @@ def test_page_render_audit_disk(benchmark, hotcrp_workloads, disk_recorder):
     workload = hotcrp_workloads["resin"]
     benchmark.group = "audit-page-render"
     benchmark.extra_info["audit"] = "disk"
-    with default_audit(disk_recorder):
+    with audited(workload, disk_recorder):
         body = benchmark(workload.generate_page)
     disk_recorder.flush()
     assert "Improving Application Security" in body
@@ -103,7 +116,7 @@ def test_page_render_16_workers(benchmark, hotcrp_workloads, audit):
         else:
             recorder = AuditRecorder(MemoryLedger())
             try:
-                with default_audit(recorder):
+                with audited(workload, recorder):
                     benchmark(lambda: _parallel_render(workload, pool))
             finally:
                 recorder.close()
@@ -132,7 +145,7 @@ def test_audit_overhead_within_1_3x(hotcrp_workloads):
         off = _best_of(render)
         recorder = AuditRecorder(MemoryLedger())
         try:
-            with default_audit(recorder):
+            with audited(workload, recorder):
                 on = _best_of(render)
             recorder.flush()
             assert recorder.events_recorded > 0

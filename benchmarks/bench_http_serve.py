@@ -202,9 +202,10 @@ def test_http_serve_throughput(benchmark, served, discipline):
 
     benchmark(batch)
     total = CONNECTIONS * REQS_PER_CLIENT
-    seconds_per_batch = benchmark.stats.stats.mean
     benchmark.extra_info["connections"] = CONNECTIONS
-    benchmark.extra_info["requests_per_sec"] = round(total / seconds_per_batch, 1)
+    if benchmark.enabled:  # no stats under --benchmark-disable
+        seconds_per_batch = benchmark.stats.stats.mean
+        benchmark.extra_info["requests_per_sec"] = round(total / seconds_per_batch, 1)
     quantiles = statistics.quantiles(latencies, n=100)
     benchmark.extra_info["p99_latency_ms"] = round(quantiles[98] * 1e3, 3)
 
@@ -225,8 +226,9 @@ def test_in_process_throughput(benchmark):
         assert all("record-2;" in r.body() for r in responses)
 
     benchmark(batch)
-    seconds_per_batch = benchmark.stats.stats.mean
-    benchmark.extra_info["requests_per_sec"] = round(total / seconds_per_batch, 1)
+    if benchmark.enabled:  # no stats under --benchmark-disable
+        seconds_per_batch = benchmark.stats.stats.mean
+        benchmark.extra_info["requests_per_sec"] = round(total / seconds_per_batch, 1)
 
 
 def test_keep_alive_beats_close_per_request(served):

@@ -90,9 +90,10 @@ def test_native_async_throughput(benchmark, app, in_flight):
         _serve_batch(app, "/io-native", in_flight)
 
     benchmark(round_trip)
-    seconds_per_batch = benchmark.stats.stats.mean
     benchmark.extra_info["in_flight"] = in_flight
-    benchmark.extra_info["requests_per_sec"] = round(BATCH / seconds_per_batch, 1)
+    if benchmark.enabled:  # no stats under --benchmark-disable
+        seconds_per_batch = benchmark.stats.stats.mean
+        benchmark.extra_info["requests_per_sec"] = round(BATCH / seconds_per_batch, 1)
 
 
 @pytest.mark.parametrize("in_flight", [1, 4, 16])
@@ -103,9 +104,10 @@ def test_executor_throughput(benchmark, app, in_flight):
         _serve_batch(app, "/io-executor", in_flight)
 
     benchmark(round_trip)
-    seconds_per_batch = benchmark.stats.stats.mean
     benchmark.extra_info["in_flight"] = in_flight
-    benchmark.extra_info["requests_per_sec"] = round(BATCH / seconds_per_batch, 1)
+    if benchmark.enabled:  # no stats under --benchmark-disable
+        seconds_per_batch = benchmark.stats.stats.mean
+        benchmark.extra_info["requests_per_sec"] = round(BATCH / seconds_per_batch, 1)
 
 
 def test_native_async_scales_past_the_executor(app):

@@ -92,11 +92,11 @@ def test_wal_commit_durable(benchmark, workers):
 
 
 def _annotate(benchmark, workers, mode):
-    seconds = benchmark.stats.stats.mean
     benchmark.extra_info["mode"] = mode
     benchmark.extra_info["workers"] = workers
-    benchmark.extra_info["inserts_per_sec"] = round(
-        workers * INSERTS / seconds, 1)
+    if benchmark.enabled:  # no stats under --benchmark-disable
+        seconds = benchmark.stats.stats.mean
+        benchmark.extra_info["inserts_per_sec"] = round(workers * INSERTS / seconds, 1)
 
 
 def _throughput(db, workers, rounds=3):

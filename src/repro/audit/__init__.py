@@ -17,7 +17,7 @@ recording call is guarded so an audit failure cannot fail a request.
 """
 
 from .ledger import AuditLedger, MemoryLedger
-from .recorder import SERVICE_NAME, AuditRecorder, default_audit, recorder_for
+from .recorder import SERVICE_NAME, AuditRecorder, recorder_for
 from .query import events, provenance_of
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "AuditRecorder",
     "MemoryLedger",
     "SERVICE_NAME",
-    "default_audit",
     "events",
     "provenance_of",
     "recorder_for",

@@ -1,10 +1,12 @@
 """The audit recorder service: decision capture off the hot path.
 
 :class:`AuditRecorder` is an opt-in service on ``Environment.services``
-(name :data:`SERVICE_NAME`).  Instrumented boundaries —
-:class:`~repro.core.filter.DefaultFilter` export checks,
-``resin.declassify()``, filesystem xattr-policy denials,
-``TaintedStr.__format__`` policy drops — call
+(name :data:`SERVICE_NAME`), and it observes only the environment it is
+registered on: :func:`recorder_for` finds it there or returns ``None``.
+Instrumented boundaries — export checks
+(:func:`~repro.core.filter.check_export`, which default filters and
+application-defined filters run), ``resin.declassify()``, filesystem
+xattr-policy denials, ``TaintedStr.__format__`` policy drops — call
 :meth:`record` with the raw decision; everything expensive (policy and
 range-map serialization, framing, disk I/O) happens on a single background
 writer thread, so the calling thread pays only a queue append.  The
@@ -53,23 +55,19 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..core.policy import Policy
 from ..core.request_context import current_request
 from ..core.serialization import serialize_policy
+from ..core.services import AUDIT_SERVICE as SERVICE_NAME, recorder_for
 from .ledger import AuditLedger, MemoryLedger
 
 __all__ = [
     "SERVICE_NAME",
     "AuditRecorder",
-    "default_audit",
     "recorder_for",
-    "record_event",
 ]
-
-SERVICE_NAME = "audit.recorder"
 
 #: Provenance chains are *compact* by contract: at most this many tainted
 #: segments per event (a page render's rangemap can hold hundreds).  Events
@@ -83,47 +81,6 @@ MAX_PROVENANCE_SEGMENTS = 64
 #: the memo retains ~1.5 MB.  Past the bound each clear refills it: with
 #: 1202 distinct policies 98% of lookups hit, with 2402, 84%.
 _POLICY_MEMO_LIMIT = 1024
-
-#: Process-wide fallback recorder (see :func:`default_audit`).  Harnesses
-#: whose scenarios build their own environments internally (the Table 4
-#: attack suite) install a recorder here so every environment created while
-#: the scope is active reports into it.
-_DEFAULT_AUDIT: Optional["AuditRecorder"] = None
-
-
-@contextmanager
-def default_audit(recorder: "AuditRecorder"):
-    """Make ``recorder`` the process-wide fallback within the scope.
-
-    A module global with restore-on-exit, for harness code that cannot
-    thread a recorder into every internally-constructed environment.
-    """
-    global _DEFAULT_AUDIT
-    previous = _DEFAULT_AUDIT
-    _DEFAULT_AUDIT = recorder
-    try:
-        yield recorder
-    finally:
-        _DEFAULT_AUDIT = previous
-
-
-def recorder_for(env: Any) -> Optional["AuditRecorder"]:
-    """The recorder observing ``env``: its registered service, else the
-    process-wide default, else ``None`` (audit off — the common case)."""
-    if env is not None:
-        services = getattr(env, "services", None)
-        if services is not None:
-            recorder = services.get(SERVICE_NAME)
-            if recorder is not None:
-                return recorder
-    return _DEFAULT_AUDIT
-
-
-def record_event(env: Any, kind: str, **fields: Any) -> None:
-    """Record ``kind`` into ``env``'s recorder, if any.  Never raises."""
-    recorder = recorder_for(env)
-    if recorder is not None:
-        recorder.record(kind, **fields)
 
 
 def _context_field(context: Any, key: str) -> Any:

@@ -7,6 +7,12 @@ interfaces.  When data crosses the boundary the runtime invokes the filter's
 ``filter_read`` / ``filter_write`` / ``filter_func`` method, which can check
 or rewrite the in-transit data — typically by invoking ``export_check`` on
 the policies of the data (the :class:`DefaultFilter` behaviour, Figure 3).
+
+One loop runs ``export_check``, shared by :func:`check_export` (the step
+default filters and application-defined filters take on write) and
+:meth:`DefaultFilter.filter_func` (each tainted argument of a guarded
+call).  It records each verdict when the context's environment has an
+audit recorder (:func:`~repro.core.services.recorder_for`).
 """
 
 from __future__ import annotations
@@ -18,21 +24,7 @@ from ..tracking.propagation import policies_of
 from .context import FilterContext, as_context
 from .policy import Policy
 from .exceptions import FilterError, PolicyViolation
-
-#: Lazily-bound :func:`repro.audit.recorder.recorder_for` (audit imports
-#: core, so core reaches back only on first use, and only if something
-#: enabled audit for this process — the common no-audit path pays one
-#: module-global check).
-_recorder_for = None
-
-
-def _audit_recorder(context):
-    """The recorder observing this boundary's environment, or ``None``."""
-    global _recorder_for
-    if _recorder_for is None:
-        from ..audit.recorder import recorder_for
-        _recorder_for = recorder_for
-    return _recorder_for(getattr(context, "env", None))
+from .services import recorder_for
 
 
 class Filter:
@@ -85,59 +77,64 @@ class DefaultFilter(Filter):
     """
 
     def filter_write(self, data: Any, offset: int = 0) -> Any:
-        policies = policies_of(data)
-        if not policies:
-            return data
-        recorder = _audit_recorder(self.context)
-        if recorder is None:
-            for policy in policies:
-                export_check = getattr(policy, "export_check", None)
-                if callable(export_check):
-                    export_check(self.context)
-            return data
-        # Audited path: same checks, same order, same exceptions — the
-        # recorder only observes the verdict (deny re-raises unchanged).
-        rangemap = getattr(data, "rangemap", None)
-        try:
-            for policy in policies:
-                export_check = getattr(policy, "export_check", None)
-                if callable(export_check):
-                    export_check(self.context)
-        except PolicyViolation as exc:
-            recorder.record("export", verdict="deny", context=self.context,
-                            policies=policies, rangemap=rangemap,
-                            violation=exc)
-            raise
-        recorder.record("export", verdict="allow", context=self.context,
-                        policies=policies, rangemap=rangemap)
-        return data
+        return check_export(data, self.context)
 
     def filter_func(self, func: Callable, args: tuple, kwargs: dict) -> Any:
-        recorder = _audit_recorder(self.context)
+        """Check every tainted argument: a violation records one deny for
+        the failing argument, a pass one allow listing every checked
+        policy."""
+        context = self.context
+        recorder = recorder_for(getattr(context, "env", None))
         checked: list = []
-        for value in list(args) + list(kwargs.values()):
+        for value in (*args, *kwargs.values()):
             policies = policies_of(value)
-            if not policies:
-                continue
-            try:
-                for policy in policies:
-                    export_check = getattr(policy, "export_check", None)
-                    if callable(export_check):
-                        export_check(self.context)
-            except PolicyViolation as exc:
-                if recorder is not None:
-                    recorder.record(
-                        "export", verdict="deny", context=self.context,
-                        policies=policies,
-                        rangemap=getattr(value, "rangemap", None),
-                        violation=exc)
-                raise
-            if recorder is not None:
+            if policies:
+                _export_checks(policies, context, recorder, value)
                 checked.extend(policies)
         if recorder is not None and checked:
-            recorder.record("export", verdict="allow", context=self.context,
+            recorder.record("export", verdict="allow", context=context,
                             policies=checked)
         return func(*args, **kwargs)
+
+
+def check_export(data: Any, context: Optional[dict] = None) -> Any:
+    """Invoke ``export_check`` on every policy of ``data`` with ``context``.
+
+    The enforcement step of :class:`DefaultFilter` on write, offered to
+    application-defined filters too.  Data with no policy passes untouched.
+    When ``context.env`` has an audit recorder, the verdict is recorded as
+    an ``export`` event.  Raises whatever the failing policy raises
+    (normally a :class:`~repro.core.exceptions.PolicyViolation`).
+    """
+    policies = policies_of(data)
+    if not policies:
+        return data
+    context = as_context(context)
+    recorder = recorder_for(context.env)
+    _export_checks(policies, context, recorder, data)
+    if recorder is not None:
+        recorder.record("export", verdict="allow", context=context,
+                        policies=policies,
+                        rangemap=getattr(data, "rangemap", None))
+    return data
+
+
+def _export_checks(policies, context, recorder, value) -> None:
+    """Run each policy's ``export_check``.  A violation is recorded as a
+    deny of ``value`` when ``recorder`` is set, then re-raised unchanged:
+    the recorder only observes the verdict."""
+    try:
+        for policy in policies:
+            export_check = getattr(policy, "export_check", None)
+            if callable(export_check):
+                export_check(context)
+    except PolicyViolation as exc:
+        if recorder is not None:
+            recorder.record("export", verdict="deny", context=context,
+                            policies=policies,
+                            rangemap=getattr(value, "rangemap", None),
+                            violation=exc)
+        raise
 
 
 class DeclassifyFilter(Filter):

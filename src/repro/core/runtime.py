@@ -1,9 +1,9 @@
 """Runtime boundary machinery.
 
-This module implements the pieces of the RESIN runtime that are independent
-of any particular channel: the export-check helper used by default filters,
-and the output buffering mechanism applications use to combine assertions
-with exception handling (Section 5.5).
+This module implements the output buffering mechanism applications use to
+combine assertions with exception handling (Section 5.5).  The export-check
+helper default filters run, :func:`~repro.core.filter.check_export`, lives
+beside :class:`~repro.core.filter.DefaultFilter` and is re-exported here.
 
 The default filter factories of Section 3.2.1 live in
 :mod:`repro.core.registry`: each :class:`~repro.environment.Environment`
@@ -18,29 +18,12 @@ entry point is :class:`repro.runtime_api.Resin`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List
 
-from .context import as_context
 from .exceptions import FilterError
+from .filter import check_export
 
 __all__ = ["check_export", "OutputBuffer"]
-
-
-def check_export(data: Any, context: Optional[dict] = None) -> Any:
-    """Invoke ``export_check`` on every policy of ``data``.
-
-    This is the enforcement step default filters perform on write; exposed as
-    a helper for application-defined filters and for the web substrate.
-    Raises whatever the failing policy raises (normally a
-    :class:`~repro.core.exceptions.PolicyViolation`).
-    """
-    from .api import policy_get
-    ctx = as_context(context)
-    for policy in policy_get(data):
-        export_check = getattr(policy, "export_check", None)
-        if callable(export_check):
-            export_check(ctx)
-    return data
 
 
 class OutputBuffer:

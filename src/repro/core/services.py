@@ -13,7 +13,9 @@ environment A could observe the board of environment B.
 its application singleton resolves it through the environment that owns the
 channel being checked (``context.env``), so N boards in N environments never
 interfere — the same scoping story as the per-environment
-:class:`~repro.core.registry.FilterRegistry`.
+:class:`~repro.core.registry.FilterRegistry`.  The audit recorder is one
+such service: :func:`recorder_for` finds an environment's recorder, and
+only that environment's decisions reach it.
 """
 
 from __future__ import annotations
@@ -81,6 +83,17 @@ class ServiceRegistry:
 
     def __repr__(self) -> str:
         return f"ServiceRegistry({self.names()!r})"
+
+
+#: The name an :class:`~repro.audit.recorder.AuditRecorder` registers under.
+AUDIT_SERVICE = "audit.recorder"
+
+
+def recorder_for(env: Any) -> Any:
+    """The audit recorder registered on ``env``, or ``None`` (audit off,
+    the common case).  Every audited boundary finds its recorder here."""
+    services = getattr(env, "services", None)
+    return None if services is None else services.get(AUDIT_SERVICE)
 
 
 def resolve_service(name: str, context: Any = None, default: Any = None) -> Any:

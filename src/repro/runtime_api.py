@@ -352,9 +352,15 @@ class Resin:
         :class:`~repro.audit.ledger.AuditLedger` under that directory
         (recovered in place if it already exists); without, they stay in a
         bounded in-memory :class:`~repro.audit.ledger.MemoryLedger`.  From
-        then on every export check, declassification and policy violation
-        in this environment is recorded — observation only, verdicts never
-        change.  Returns the recorder (also reachable as ``resin.audit``).
+        then on this environment's export checks (every
+        :func:`~repro.core.filter.check_export`, whether a default filter or
+        an application-defined filter runs it), declassifications,
+        filesystem xattr-policy denials and ``__format__`` policy drops are
+        recorded — observation only, verdicts never change.  A filter that
+        refuses data without an export check (the ``sql-injection`` and
+        ``xss`` guards) leaves no deny event, only the ``allow`` its
+        default filter recorded first.  Returns the recorder (also
+        reachable as ``resin.audit``).
         """
         from .audit.ledger import AuditLedger, MemoryLedger
         from .audit.recorder import AuditRecorder
@@ -563,51 +569,32 @@ class Resin:
                                max_in_flight=max_in_flight)
 
     def serve_async(self, app, host: str = "127.0.0.1", port: int = 0,
-                    durable: Optional[str] = None, **options: Any):
+                    **options: Any):
         """A real HTTP/1.1 socket server
         (:class:`~repro.server.http.HTTPServer`) in front of ``app``, not
         yet bound — ``async with resin.serve_async(app) as server:`` binds
         the listening socket and drains it on exit.  ``options`` are the
         ``HTTPServer`` keyword arguments (workers, timeouts, parser limits,
-        ``user_header`` for trusted harnesses, ...).
-
-        ``durable=<path>`` attaches durable storage at ``path`` (recovering
-        any existing state) before serving — note that recovery mutates the
-        environment, so pass it before the app seeds demo data, or build the
-        app on ``Resin.open(path)`` instead for full control."""
-        self._ensure_durable(durable)
+        ``user_header`` for trusted harnesses, ...).  To serve a durable
+        store, build the app on :meth:`Resin.open`."""
         from .server.http import HTTPServer
         return HTTPServer(app, host=host, port=port, **options)
 
     def serve(self, app, host: str = "127.0.0.1", port: int = 0,
-              durable: Optional[str] = None, **options: Any):
+              **options: Any):
         """Serve ``app`` over a loopback (or given) socket from a
         background event-loop thread, for synchronous callers::
 
-            with resin.serve(app, durable="/var/lib/app") as handle:
+            resin = Resin.open("/var/lib/app")     # or Resin() in memory
+            with resin.serve(app) as handle:
                 conn = http.client.HTTPConnection("127.0.0.1", handle.port)
 
         Returns a started :class:`~repro.server.http.ServerHandle`; leaving
         the ``with`` block (or calling ``handle.close()``) drains the
-        server gracefully.  ``durable=<path>`` attaches durable storage at
-        ``path`` (see :meth:`serve_async`)."""
+        server gracefully."""
         from .server.http.server import ServerHandle
         return ServerHandle(self.serve_async(app, host=host, port=port,
-                                             durable=durable,
                                              **options)).start()
-
-    def _ensure_durable(self, path: Optional[str]) -> None:
-        if path is None:
-            return
-        store = self.durability
-        if store is not None:
-            if store.directory != path:
-                raise FilterError(
-                    f"environment already durable at {store.directory!r}; "
-                    f"cannot also open {path!r}")
-            return
-        from .storage.durability import Durability
-        Durability.open(self.env, path)
 
     def __repr__(self) -> str:
         return f"Resin({self.registry!r})"

@@ -313,12 +313,12 @@ class HTTPConnection(asyncio.Protocol):
     async def _write_streaming(self, channel, keep_alive: bool) -> bool:
         """Drain the deferred body behind an already buffered head."""
         # Eager chunks the handler wrote before streaming began.
-        sent = self._buffer_new(channel, 0)
+        self._buffer_new(channel)
         try:
             for source in channel.pending_stream.chunks:
                 if not is_stream(source):
                     channel.write(source)
-                    sent = self._buffer_new(channel, sent)
+                    self._buffer_new(channel)
                 elif hasattr(source, "__aiter__"):
                     iterator = source.__aiter__()
                     while True:
@@ -330,11 +330,11 @@ class HTTPConnection(asyncio.Protocol):
                         except StopAsyncIteration:
                             break
                         channel.write(piece)
-                        sent = self._buffer_new(channel, sent)
+                        self._buffer_new(channel)
                 else:
                     for piece in source:
                         channel.write(piece)
-                        sent = self._buffer_new(channel, sent)
+                        self._buffer_new(channel)
                         if len(self._out) >= _FLUSH_THRESHOLD:
                             await self._flush()
         except ConnectionError:
@@ -351,14 +351,15 @@ class HTTPConnection(asyncio.Protocol):
             await self._flush()
         return keep_alive
 
-    def _buffer_new(self, channel, sent: int) -> int:
-        """Frame every chunk the channel delivered since index ``sent``."""
-        for text in channel.chunks[sent:]:
+    def _buffer_new(self, channel) -> None:
+        """Frame every chunk the channel delivered, and drop it from the
+        channel: a stream holds one piece at a time, not its whole body."""
+        for text in channel.chunks:
             data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
             if data:  # a zero-length frame would terminate the body
                 # Size line, data and trailing CRLF in one buffer append.
                 self._out += b"%x\r\n%s\r\n" % (len(data), data)
-        return len(channel.chunks)
+        channel.chunks.clear()
 
     def _start_response(
         self,

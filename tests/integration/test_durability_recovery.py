@@ -219,15 +219,6 @@ class TestBasicCycle:
         assert resin2.fs.get_persistent_filter("/f") is None
         resin2.durability.close()
 
-    def test_double_open_guard(self, tmp_path):
-        store = str(tmp_path / "store")
-        resin = Resin.open(store)
-        from repro.core.exceptions import FilterError
-        resin._ensure_durable(store)  # same directory: no-op
-        with pytest.raises(FilterError):
-            resin._ensure_durable(str(tmp_path / "elsewhere"))
-        resin.durability.close()
-
 
 class TestCheckpointCompaction:
     def test_checkpoint_retires_segments(self, tmp_path):

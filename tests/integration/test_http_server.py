@@ -325,6 +325,31 @@ class TestStreaming:
         assert seen["query"] == "refused"
         assert seen["drain_ctx"] is seen["handler_ctx"]
 
+    def test_streamed_pieces_leave_the_channel_once_framed(self):
+        """Each piece is dropped from the channel once it is framed, so a
+        long stream holds the piece being written, not the body so far."""
+        app = build_app()
+        held = []
+
+        @app.route("/long-stream")
+        def long_stream(request, response):
+            def chunks():
+                for index in range(200):
+                    held.append(len(current_request().http.chunks))
+                    yield f"piece-{index};"
+            return Response("eager;").stream(chunks())
+
+        with serve(app) as handle:
+            raw = raw_exchange(
+                handle.port,
+                b"GET /long-stream HTTP/1.1\r\nHost: h\r\n"
+                b"Connection: close\r\n\r\n")
+        body = raw.split(b"\r\n\r\n", 1)[1]
+        assert body.startswith(b"6\r\neager;\r\n")
+        assert body.count(b"piece-") == 200
+        assert body.endswith(b"0\r\n\r\n")
+        assert len(held) == 200 and max(held) <= 1
+
     def test_head_on_streaming_route_never_drains_the_stream(self):
         with serve(build_app()) as handle:
             raw = raw_exchange(

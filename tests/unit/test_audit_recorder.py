@@ -14,7 +14,8 @@ import pytest
 
 from repro.audit import recorder as recorder_module
 from repro.audit.ledger import AuditLedger, MemoryLedger
-from repro.audit.recorder import AuditRecorder, default_audit, recorder_for
+from repro.audit.recorder import AuditRecorder, recorder_for
+from repro.core import Filter, check_export
 from repro.core.exceptions import DisclosureViolation, ResinWarning
 from repro.core.policy import Policy
 from repro.core.serialization import serialize_policy
@@ -108,6 +109,33 @@ class TestExportEvents:
         with resin.request(user="alice") as http:
             http.write("plain text, no policies")
         assert list(recorder.events()) == []
+
+    def test_check_export_is_recorded_like_a_default_filter(self, resin, recorder):
+        """An application-defined filter that runs ``check_export`` with its
+        channel's context records the event the default filter records."""
+
+        class AppFilter(Filter):
+            def filter_write(self, data, offset=0):
+                return check_export(data, self.context)
+
+        pw = resin.taint("s3cret", PasswordPolicy("a@b.c"))
+        for user, chair in [("alice", False), ("chair", True)]:
+            channel = resin.channel("http", user=user, priv_chair=chair)
+            channel.add_filter(AppFilter())
+            default, app_filter = channel.filter.filters
+            for flt in (default, app_filter):
+                try:
+                    flt.filter_write(pw)
+                except DisclosureViolation:
+                    pass
+        events = [
+            {key: value for key, value in event.items() if key not in ("seq", "ts")}
+            for event in recorder.events(kind="export")
+        ]
+        assert [e["verdict"] for e in events] == ["deny", "deny", "allow", "allow"]
+        assert events[1] == events[0] and events[3] == events[2]
+        assert events[1]["principal"] == "alice"
+        assert events[1]["violation"]["type"] == "DisclosureViolation"
 
     def test_declassify_is_recorded(self, resin, recorder):
         pw = resin.taint("s3cret", PasswordPolicy("a@b.c"))
@@ -337,19 +365,6 @@ class TestServiceWiring:
 
     def test_recorder_for_none_without_audit(self):
         assert recorder_for(Resin().env) is None
-
-    def test_default_audit_hook_scopes_and_restores(self, resin):
-        other = Resin()
-        recorder = AuditRecorder(MemoryLedger())
-        assert recorder_for(other.env) is None
-        with default_audit(recorder):
-            assert recorder_for(other.env) is recorder
-            # An env-registered recorder still wins over the default.
-            own = resin.enable_audit()
-            assert recorder_for(resin.env) is own
-            own.close()
-        assert recorder_for(other.env) is None
-        recorder.close()
 
     def test_enable_audit_is_idempotent(self, resin):
         first = resin.enable_audit()
