@@ -31,6 +31,7 @@ import pytest
 from repro.environment import Environment
 from repro.server.async_dispatcher import AsyncDispatcher
 from repro.server.dispatcher import Dispatcher
+from repro.tracking.propagation import concat
 from repro.web.app import WebApplication
 from repro.web.request import Request
 from repro.web.sanitize import html_escape, sql_quote
@@ -54,10 +55,14 @@ def _build_page_app():
     env = Environment()
     env.db.execute_unchecked("CREATE TABLE pages (id INTEGER, title TEXT, body TEXT)")
     for page_id in range(8):
-        quoted = sql_quote("lorem ipsum dolor sit amet ")
+        # concat keeps the quoted body's SQLSanitized; an f-string drops it.
         env.db.query(
-            f"INSERT INTO pages (id, title, body) "
-            f"VALUES ({page_id}, 'title {page_id}', '{quoted}')"
+            concat(
+                "INSERT INTO pages (id, title, body) "
+                f"VALUES ({page_id}, 'title {page_id}', '",
+                sql_quote("lorem ipsum dolor sit amet "),
+                "')",
+            )
         )
     app = WebApplication(env, "bench-async")
 

@@ -150,22 +150,38 @@ class PolicyCells(StoredCells):
     def viewer(self, table, exprs):
         read = {}
         for expr in exprs:
+            if isinstance(expr, nodes.SelectItem):
+                expr = expr.expr
+            if isinstance(expr, nodes.ColumnRef):
+                read[expr.name] = None
+                continue
             for node in walk(expr):
                 if isinstance(node, nodes.ColumnRef):
                     read[node.name] = None
                 elif isinstance(node, nodes.Star):
                     read.update(dict.fromkeys(self.columns(table)))
-        pairs = [(name, policy_column(name)) for name in read
-                 if table.has_column(name) and not is_policy_column(name)]
-        if not pairs:
+        # The view holds only the columns read: data columns with their
+        # policies attached, policy columns raw.  A column the table lacks
+        # stays out, so evaluating it still raises.
+        present = table.column_names
+        attach, raw = [], []
+        for name in read:
+            if name in present:
+                if name.startswith(POLICY_COLUMN_PREFIX):
+                    raw.append(name)
+                else:
+                    attach.append((name, POLICY_COLUMN_PREFIX + name))
+        if not attach:
             return None
         tolerant = self.db.tolerant_policies
 
         def view(row):
-            viewed = dict(row)
-            for name, policy in pairs:
+            viewed = {}
+            for name, policy in attach:
                 viewed[name] = apply_cell_policies(
                     row[name], row.get(policy), tolerant=tolerant)
+            for name in raw:
+                viewed[name] = row[name]
             return viewed
 
         return view

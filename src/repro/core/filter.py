@@ -199,10 +199,16 @@ class FilterChain(Filter):
         return data
 
     def filter_func(self, func: Callable, args: tuple, kwargs: dict) -> Any:
+        """Call the first filter directly, with the rest of the chain as its
+        function: one partial per later filter, the last one around
+        ``func``."""
+        filters = self.filters
+        if not filters:
+            return func(*args, **kwargs)
         call = func
-        for flt in reversed(self.filters):
+        for flt in filters[:0:-1]:
             call = functools.partial(_apply_func_filter, flt, call)
-        return call(*args, **kwargs)
+        return filters[0].filter_func(call, args, kwargs)
 
 
 def _apply_func_filter(flt: Filter, func: Callable, *args, **kwargs):

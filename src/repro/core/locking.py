@@ -44,8 +44,8 @@ class OrderedLockRegistry:
         #: across the structural mutation, never while waiting for a named
         #: lock.
         self.registry_lock = threading.RLock()
-        #: Per-thread stack of the name sets currently held via
-        #: :meth:`locked` — what lets an ordering violation fail fast.
+        #: Per-thread stack of the names each open :meth:`locked` holds —
+        #: what lets an ordering violation fail fast.
         self._held = threading.local()
 
     def lock(self, name: str) -> threading.RLock:
@@ -74,21 +74,24 @@ class OrderedLockRegistry:
         acquisition that sorts earlier would break the global ordering and
         could deadlock against another thread, so it raises immediately.
         """
-        wanted = sorted(set(names))
+        # One name (every SQL statement) needs no dedupe and no sort.
+        wanted = names if len(names) < 2 else sorted(set(names))
         stack = getattr(self._held, "stack", None)
         if stack is None:
             stack = self._held.stack = []
-        held = set().union(*stack) if stack else set()
-        fresh = [name for name in wanted if name not in held]
-        if fresh and held and min(fresh) < max(held):
-            raise self._error(
-                f"lock ordering violation: cannot acquire {self._noun}(s) "
-                f"{fresh!r} while holding {sorted(held)!r}; {self._hint}"
-            )
+        elif stack:
+            # Only a thread already inside locked() can break the order.
+            held = set().union(*stack)
+            fresh = [name for name in wanted if name not in held]
+            if fresh and held and min(fresh) < max(held):
+                raise self._error(
+                    f"lock ordering violation: cannot acquire {self._noun}(s) "
+                    f"{fresh!r} while holding {sorted(held)!r}; {self._hint}"
+                )
         locks = [self.lock(name) for name in wanted]
         for lock in locks:
             lock.acquire()
-        stack.append(set(wanted))
+        stack.append(wanted)
         try:
             yield
         finally:

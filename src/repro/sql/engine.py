@@ -188,6 +188,10 @@ class Engine:
         :class:`~repro.core.exceptions.SQLError` immediately instead.  Name
         every table a compound operation touches in its outermost
         ``locked``/``transaction`` call.
+
+        The engine's own statements, whose table names are strings already,
+        enter the registry's context manager directly instead: one context
+        manager per statement.
         """
         with self._locking.locked(*(str(name) for name in names)):
             yield self
@@ -218,7 +222,7 @@ class Engine:
         if isinstance(statement, nodes.Explain):
             return self._explain(statement.statement)
         if isinstance(statement, nodes.Select):
-            with self.locked(*self.statement_tables(statement)):
+            with self._locking.locked(*self.statement_tables(statement)):
                 plan = self.planner.plan_select(statement)
                 return self.executor.execute(plan, cells)
         # Around the table locks _execute_mutation takes (see durable).
@@ -240,7 +244,7 @@ class Engine:
         if isinstance(statement, nodes.Explain):
             statement = statement.statement
         tables = self.statement_tables(statement)
-        with self.locked(*tables):
+        with self._locking.locked(*tables):
             return self.planner.plan(statement).explain()
 
     def _explain(self, statement) -> Result:
@@ -248,24 +252,24 @@ class Engine:
 
     def _execute_mutation(self, statement, cells: StoredCells) -> Result:
         if isinstance(statement, nodes.CreateIndex):
-            with self.locked(statement.table):
+            with self._locking.locked(statement.table):
                 return self._create_index(statement)
         if isinstance(statement, nodes.DropIndex):
             return self._drop_index(statement)
         if isinstance(statement, nodes.CreateTable):
-            with self.locked(statement.table), self.catalog_lock:
+            with self._locking.locked(statement.table), self.catalog_lock:
                 return self._create(statement)
         if isinstance(statement, nodes.DropTable):
-            with self.locked(statement.table), self.catalog_lock:
+            with self._locking.locked(statement.table), self.catalog_lock:
                 return self._drop(statement)
         if isinstance(statement, nodes.Insert):
-            with self.locked(statement.table):
+            with self._locking.locked(statement.table):
                 return self._insert(statement, cells)
         if isinstance(statement, nodes.Update):
-            with self.locked(statement.table):
+            with self._locking.locked(statement.table):
                 return self._update(statement, cells)
         if isinstance(statement, nodes.Delete):
-            with self.locked(statement.table):
+            with self._locking.locked(statement.table):
                 return self._delete(statement)
         raise SQLError(f"cannot execute {type(statement).__name__}")
 
@@ -336,7 +340,7 @@ class Engine:
             if stmt.if_exists:
                 return Result()
             raise SQLError(f"no such index: {stmt.name}")
-        with self.locked(owner):
+        with self._locking.locked(owner):
             table = self.tables.get(owner)
             if table is None or stmt.name not in table.indexes:
                 if stmt.if_exists:

@@ -364,7 +364,7 @@ def evaluate_aggregate(expr: nodes.Expr, rows: List[Dict[str, Any]], table) -> A
 Pair = Tuple[int, Dict[str, Any]]
 
 
-def _project(items, row: Dict[str, Any], table, star: List[str]) -> List[Any]:
+def _project(items, row: Dict[str, Any], table, star: Optional[List[str]]) -> List[Any]:
     """One row's values of the SELECT ``items``; ``*`` expands to ``star``."""
     values: List[Any] = []
     for item in items:
@@ -411,10 +411,12 @@ class Executor:
             ]
             return Result(columns, [values])
 
-        star = cells.columns(table)
+        star = None  # what ``*`` expands to, asked only if an item is ``*``
         columns = []
         for item in plan.items:
             if isinstance(item.expr, nodes.Star):
+                if star is None:
+                    star = cells.columns(table)
                 columns.extend(star)
             else:
                 columns.append(item.output_name)

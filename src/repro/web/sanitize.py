@@ -49,6 +49,12 @@ def _escape_chars(text: TaintedStr, replacements, metachars) -> TaintedStr:
     return TaintedStr("").join(pieces)
 
 
+#: The markers the sanitizers attach, built at import: a policy is a value
+#: object, so one instance serves every call and hashes its identity once.
+_SQL_QUOTED = SQLSanitized("sql_quote")
+_HTML_ESCAPED = HTMLSanitized("html_escape")
+_JSON_ENCODED = JSONSanitized("json_encode")
+
 _SQL_REPLACEMENTS = {"'": "''"}
 _SQL_METACHARS = re.compile("'")
 
@@ -58,7 +64,7 @@ def sql_quote(value) -> TaintedStr:
     mark it ``SQLSanitized``."""
     text = to_tainted_str(value)
     escaped = _escape_chars(text, _SQL_REPLACEMENTS, _SQL_METACHARS)
-    return escaped.with_policy(SQLSanitized("sql_quote")) if escaped else escaped
+    return escaped.with_policy(_SQL_QUOTED) if escaped else escaped
 
 
 _HTML_REPLACEMENTS = {
@@ -77,7 +83,7 @@ def html_escape(value) -> TaintedStr:
     text = _escape_chars(text, _HTML_REPLACEMENTS, _HTML_METACHARS)
     if not text:
         return text
-    return text.with_policy(HTMLSanitized("html_escape"))
+    return text.with_policy(_HTML_ESCAPED)
 
 
 def json_encode(value) -> TaintedStr:
@@ -90,7 +96,7 @@ def json_encode(value) -> TaintedStr:
     # original policies plus the sanitized marker so tracking continues.
     for policy in text.policies():
         encoded = encoded.with_policy(policy)
-    return encoded.with_policy(JSONSanitized("json_encode"))
+    return encoded.with_policy(_JSON_ENCODED)
 
 
 def strip_tags(value) -> TaintedStr:

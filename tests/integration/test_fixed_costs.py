@@ -3,9 +3,11 @@
 Timing tests flake; these count instead.  Parsing each statement the site
 issues (the users and papers SELECTs of a paper page, the reviews INSERT of
 a review) stays within a budget of Python and C calls, counted with
-``sys.setprofile``; a served page runs no ``import`` statement once the
-site is warm, counted through ``builtins.__import__`` on both the RESIN and
-the unmodified site; a keep-alive socket request creates no asyncio Task
+``sys.setprofile``, and so does running each paper-page SELECT through the
+RESIN site's policy cells; a served page runs no ``import`` statement once
+the site is warm, counted through ``builtins.__import__``, and computes no
+fresh ``Policy._identity``, counted on the base class, both on the RESIN
+and the unmodified site; a keep-alive socket request creates no asyncio Task
 and no ``concurrent.futures.Future`` and wakes the event loop from another
 thread exactly once, counted on the serving loop; and a refused request
 leaves no more cyclic garbage than a served one, counted by ``gc.collect``.
@@ -22,6 +24,7 @@ import pytest
 from repro.apps.hotcrp import HotCRP
 from repro.channels import sqlchan
 from repro.core.exceptions import PolicyViolation
+from repro.core.policy import Policy
 from repro.environment import Environment
 from repro.server.http import HTTPServer
 from repro.sql.parser import parse
@@ -31,6 +34,10 @@ from repro.web.response import Response
 
 #: Calls one statement's tokenize-and-parse may make.
 PARSE_CALL_BUDGET = 300
+
+#: Calls one paper-page SELECT's lock, plan and execution may make, with the
+#: policies of every cell it reads attached.
+EXEC_CALL_BUDGET = 250
 
 PRINCIPALS = ("pc@example.org", "chair@example.org", "author@example.org",
               "outsider@example.org")
@@ -105,6 +112,45 @@ def test_parsing_a_hotcrp_statement_stays_within_its_call_budget(
     for sql in statements:
         parse(sql)  # warm
         assert count_calls(parse, sql) <= PARSE_CALL_BUDGET
+
+
+@pytest.mark.parametrize("prefix", [
+    "SELECT email, password, is_pc, priv_chair FROM users",
+    "SELECT id, title, abstract, authors, anonymous FROM papers",
+])
+def test_running_a_paper_page_select_stays_within_its_call_budget(
+        hotcrp_statements, prefix):
+    db = build_site(use_resin=True).env.db
+    statements = [parse(sql) for sql in hotcrp_statements
+                  if str(sql).startswith(prefix)]
+    assert statements, f"the site issued no {prefix!r} statement"
+    for statement in statements:
+        assert db.engine.run(statement, db.cells).rows  # warm
+        assert (count_calls(db.engine.run, statement, db.cells)
+                <= EXEC_CALL_BUDGET)
+
+
+@pytest.mark.parametrize("use_resin", [True, False], ids=["resin", "plain"])
+def test_a_served_page_computes_no_fresh_policy_identity(use_resin,
+                                                         monkeypatch):
+    """The sanitizers attach markers built at import, so a warm page hashes
+    no policy it has not hashed before."""
+    site = build_site(use_resin)
+    for user in PRINCIPALS:
+        serve_page(site, user)  # warm-up
+    fresh = []
+    original = Policy._identity
+
+    def counting(self):
+        if "_identity_cache" not in self.__dict__:
+            fresh.append(type(self).__name__)
+        return original(self)
+
+    monkeypatch.setattr(Policy, "_identity", counting)
+    for user in PRINCIPALS:
+        serve_page(site, user)
+    monkeypatch.undo()
+    assert fresh == []
 
 
 @pytest.mark.parametrize("use_resin", [True, False], ids=["resin", "plain"])

@@ -138,6 +138,7 @@ SELECTS = [
     "SELECT DISTINCT upper(b) AS u FROM t ORDER BY b LIMIT 2 OFFSET 1",
     "SELECT a, n FROM t ORDER BY n DESC, a LIMIT 2",
     "SELECT upper(a) AS u FROM t WHERE b IS NOT NULL ORDER BY a LIMIT 3",
+    "SELECT a, upper(a) AS u, __policy_a FROM t",
 ]
 
 UPDATES = [

@@ -140,6 +140,30 @@ class TestFilterComposition:
         chain.filter_read("data")
         assert calls == ["b", "a"]
 
+    def test_chain_func_passes_the_call_through_each_filter_in_order(self):
+        calls = []
+
+        def target(*args, **kwargs):
+            calls.append(("target", args, kwargs))
+            return "done"
+
+        class Recorder(Filter):
+            def __init__(self, name):
+                super().__init__()
+                self.name = name
+
+            def filter_func(self, func, args, kwargs):
+                calls.append((self.name, args, kwargs))
+                if self.name == "c":
+                    assert func is target
+                return func(*args, **kwargs)
+
+        chain = FilterChain([Recorder("a"), Recorder("b"), Recorder("c")])
+        assert chain.filter_func(target, (1, 2), {"k": 3}) == "done"
+        assert calls == [(name, (1, 2), {"k": 3})
+                         for name in ("a", "b", "c", "target")]
+        assert FilterChain([]).filter_func(target, (4,), {}) == "done"
+
     def test_chain_rejects_non_filters(self):
         with pytest.raises(FilterError):
             FilterChain(["nope"])
