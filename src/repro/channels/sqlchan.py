@@ -36,7 +36,7 @@ from ..sql.engine import Engine
 from ..sql.executor import Result, StoredCells, stored_value
 from ..sql.parser import parse
 from ..sql.planner import bind_parameters, collect_params, walk
-from ..sql.tokenizer import PARAM, tokenize
+from ..sql.tokenizer import PARAM, names_no_param, tokenize
 from ..tracking.propagation import policies_of
 from ..tracking.ranges import RangeMap
 from ..tracking.tainted_number import TaintedFloat, TaintedInt
@@ -344,13 +344,14 @@ class Database:
 def _query_param_names(sql) -> FrozenSet[str]:
     """The ``:name`` parameters a query mentions.
 
-    Cheap on the hot path: SQL text without a ``:`` has no parameters and
-    skips tokenization entirely.  Text that fails to tokenize is reported
-    as parameterless — the filter chain may rewrite it into valid SQL (the
-    auto-sanitizing filter does), so errors are left to the execution path,
-    which sees exactly what the chain produced."""
+    Cheap on the hot path: SQL text whose every ``:`` sits inside a string
+    literal (or that has none) has no parameters and skips tokenization
+    entirely.  Text that fails to tokenize is reported as parameterless —
+    the filter chain may rewrite it into valid SQL (the auto-sanitizing
+    filter does), so errors are left to the execution path, which sees
+    exactly what the chain produced."""
     if isinstance(sql, str):
-        if ":" not in str(sql):
+        if names_no_param(sql):
             return frozenset()
         try:
             return frozenset(str(token.value) for token in tokenize(sql)

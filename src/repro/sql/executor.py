@@ -63,11 +63,15 @@ __all__ = [
 
 
 class Row(dict):
-    """A result row: a dict that also supports positional access."""
+    """A result row: a dict that also supports positional access.
+
+    ``columns`` is kept, not copied: the rows of one :class:`Result` share
+    its column list.
+    """
 
     def __init__(self, columns: Sequence[str], values: Sequence[Any]):
         super().__init__(zip(columns, values))
-        self.columns = list(columns)
+        self.columns = columns
 
     def __getitem__(self, key):
         if isinstance(key, int):

@@ -6,10 +6,13 @@ SELECT (WHERE / ORDER BY / LIMIT / aggregates), UPDATE and DELETE, with the
 usual comparison operators, ``AND``/``OR``/``NOT``, ``LIKE``, ``IN`` and
 ``IS [NOT] NULL``.
 
-Each token has one *kind*: a keyword's, operator's or punctuation's value
-(``"select"``, ``"!="``, ``"("``) and any other token's type (``IDENT``,
-also for a backquoted name spelled like a keyword, ``STRING``, ``NUMBER``,
-``PARAM``, ``EOF``), so every grammar decision is one list lookup.
+The parser reads the arrays of token kinds and values that one scan of
+the statement fills (:func:`~repro.sql.tokenizer.scan`) and builds no token
+object.  Each token has one *kind*: a keyword's, operator's or
+punctuation's value (``"select"``, ``"!="``, ``"("``) and any other token's
+type (``IDENT``, also for a backquoted name spelled like a keyword,
+``STRING``, ``NUMBER``, ``PARAM``, ``EOF``), so every grammar decision is
+one list lookup.
 """
 
 from __future__ import annotations
@@ -18,17 +21,15 @@ from typing import List, Optional, Tuple
 
 from ..core.exceptions import SQLError
 from . import nodes
-from .tokenizer import EOF, IDENT, KEYWORD, NUMBER, OP, PARAM, PUNCT, STRING, tokenize
+from .tokenizer import EOF, IDENT, KEYWORDS, NUMBER, OPERATORS, PARAM, STRING, scan
 
 _TYPE_KEYWORDS = {"integer", "int", "text", "real", "float", "varchar", "char"}
 _AGGREGATES = {"count", "min", "max", "sum", "avg"}
 _FUNCTIONS = _AGGREGATES | {"lower", "upper", "length"}
 
-#: Token types whose kind is their value.
-_VALUED = (KEYWORD, OP, PUNCT)
-#: Token types that name a table or column (unreserved keywords may double
-#: as identifiers, e.g. a column named "key").
-_NAMES = (IDENT, KEYWORD)
+#: The kinds of tokens that name a table or column (unreserved keywords may
+#: double as identifiers, e.g. a column named "key").
+_NAMES = KEYWORDS | {IDENT}
 #: Column constraints: (second keyword or None, constraint text).
 _CONSTRAINTS = {
     "primary": ("key", "PRIMARY KEY"),
@@ -45,33 +46,30 @@ class Parser:
 
     def __init__(self, sql):
         self.sql = sql
-        self.tokens = tokenize(sql)
-        self.kinds = [
-            token.value if token.type in _VALUED else token.type
-            for token in self.tokens
-        ]
+        self.kinds, self.values, _ = scan(sql)
         self.position = 0
         self.depth = 0
 
     # -- token helpers ---------------------------------------------------------
 
     def expect(self, kind: str):
-        """Consume the current token, which must be of ``kind``."""
-        token = self.tokens[self.position]
+        """Consume the current token, which must be of ``kind``; returns its
+        value."""
+        value = self.values[self.position]
         if self.kinds[self.position] != kind:
             raise SQLError(
-                f"expected {kind!r}, found {token.value!r} in "
+                f"expected {kind!r}, found {value!r} in "
                 f"query: {str(self.sql)[:200]}"
             )
         self.position += 1
-        return token
+        return value
 
     def expect_ident(self) -> str:
-        token = self.tokens[self.position]
-        if token.type not in _NAMES:
-            raise SQLError(f"expected identifier, found {token.value!r}")
+        value = self.values[self.position]
+        if self.kinds[self.position] not in _NAMES:
+            raise SQLError(f"expected identifier, found {value!r}")
         self.position += 1
-        return token.value
+        return value
 
     def _list(self, read) -> list:
         """``read()`` once, then again after every comma."""
@@ -107,7 +105,7 @@ class Parser:
             self.position += 1
         if self.kinds[self.position] != EOF:
             raise SQLError(
-                f"unexpected trailing input near {self.tokens[self.position].value!r}"
+                f"unexpected trailing input near {self.values[self.position]!r}"
             )
         return statement
 
@@ -232,7 +230,7 @@ class Parser:
         return nodes.Select(items, table, where, order_by, limit, offset, distinct)
 
     def _row_count(self, clause: str) -> int:
-        value = self.expect(NUMBER).value
+        value = self.expect(NUMBER)
         if not isinstance(value, int):
             raise SQLError(f"{clause} must be an integer, found {value!r}")
         return value
@@ -248,7 +246,7 @@ class Parser:
             self.position += 1
             alias = self.expect_ident()
         elif kind == IDENT:
-            alias = self.tokens[self.position].value
+            alias = self.values[self.position]
             self.position += 1
         return nodes.SelectItem(expr, alias)
 
@@ -304,7 +302,7 @@ class Parser:
             return nodes.UnaryOp("not", self._nested(self._comparison))
         left = self._primary()
         kind = kinds[self.position]
-        if self.tokens[self.position].type == OP:
+        if kind in OPERATORS:
             self.position += 1
             return nodes.BinaryOp(kind, left, self._primary())
         if kind == "like":
@@ -341,10 +339,10 @@ class Parser:
     def _primary(self) -> nodes.Expr:
         kinds = self.kinds
         kind = kinds[self.position]
-        token = self.tokens[self.position]
+        value = self.values[self.position]
         if kind == STRING or kind == NUMBER:
             self.position += 1
-            return nodes.Literal(token.value)
+            return nodes.Literal(value)
         if kind == "(":
             self.position += 1
             expr = self._nested(self._expression)
@@ -365,24 +363,24 @@ class Parser:
             return nodes.Literal(None)
         if kind == PARAM:
             self.position += 1
-            return nodes.Param(token.value)
-        if token.type in _NAMES:
+            return nodes.Param(value)
+        if kind in _NAMES:
             self.position += 1
             following = kinds[self.position]
-            if following == "(" and token.value.lower() in _FUNCTIONS:
+            if following == "(" and value.lower() in _FUNCTIONS:
                 if kinds[self.position + 1] == "*":
                     self.position += 2
                     self.expect(")")
-                    return nodes.FuncCall(token.value, [], star=True)
-                return nodes.FuncCall(token.value, self._nested(self._arguments))
+                    return nodes.FuncCall(value, [], star=True)
+                return nodes.FuncCall(value, self._nested(self._arguments))
             if following == ".":
                 self.position += 1
                 if kinds[self.position] == "*":
                     self.position += 1
-                    return nodes.Star(token.value)
-                return nodes.ColumnRef(self.expect_ident(), table=token.value)
-            return nodes.ColumnRef(token.value)
-        raise SQLError(f"unexpected token {token.value!r} in expression")
+                    return nodes.Star(value)
+                return nodes.ColumnRef(self.expect_ident(), table=value)
+            return nodes.ColumnRef(value)
+        raise SQLError(f"unexpected token {value!r} in expression")
 
 
 #: The parser of each statement, by its first keyword (already consumed).

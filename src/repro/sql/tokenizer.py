@@ -8,15 +8,17 @@ the SQL-injection filter can ask "does any character of the query's
 and a string literal's cooked value keeps the policies of its characters,
 so the persistence filter can recover them.
 
-Words, numbers, operators and punctuation, with the whitespace before
-them, are read by one match of one compiled pattern; string literals,
-backquoted identifiers, ``:params`` and comments keep their own branches.
+A statement is read by one scan (:func:`scan`): one ``finditer`` of one
+compiled pattern, which matches every token, comment and malformed input
+with the whitespace before it, fills the arrays of token kinds and values
+the parser reads.  :func:`tokenize` builds :class:`Token` objects from the
+same scan.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List
+from typing import List, Tuple
 
 from ..core.exceptions import SQLError
 from ..tracking.tainted_str import TaintedStr
@@ -39,20 +41,144 @@ PUNCT = "PUNCT"
 PARAM = "PARAM"
 EOF = "EOF"
 
-#: Leading whitespace, then optionally one common token in its own group.
-#: ``\w`` is ``str.isalnum()`` or ``_``, ``\d`` is ``str.isdecimal()`` (what
-#: ``int()`` accepts) and ``\s`` is ``str.isspace()``; the scan loop checks
-#: that a word starts with a letter or ``_``.  A ``-`` that starts a ``--``
-#: comment is left to the comment branch.
-_SCAN = re.compile(
+#: A ``'…'`` string literal with ``''`` escapes.  It cannot end on the first
+#: quote of an escape, so it matches the whole literal or nothing.
+_LITERAL = r"'[^']*(?:''[^']*)*'(?!')"
+
+#: One match per token, comment or malformed character, with the whitespace
+#: before it; at the end of the text, the trailing whitespace alone.  ``\w``
+#: is ``str.isalnum()`` or ``_``, ``\d`` is ``str.isdecimal()`` (what
+#: ``int()`` accepts) and ``\s`` is ``str.isspace()``; :func:`scan` checks
+#: that a word starts with a letter or ``_``.  An unterminated literal,
+#: backquoted name or comment falls through to the last group, which
+#: reports it.
+_TOKENS = re.compile(
     r"\s*(?:"
     r"([^\W\d]\w*)"  # 1: word
     r"|(\d+(?:\.\d*)?|\.\d+)"  # 2: number
-    r"|(<>|!=|<=|>=|[=<>+]|-(?!-))"  # 3: operator
-    r"|([(),.;*])"  # 4: punctuation
-    r")?"
-).match
-_WORD, _NUMBER, _OPERATOR = 1, 2, 3
+    r"|(" + _LITERAL + r")"  # 3: string literal
+    r"|(<>)"  # 4: the operator spelled "!="
+    r"|(!=|<=|>=|[=<>+]|-(?!-)|[(),.;*])"  # 5: other operator, punctuation
+    r"|(`[^`]*`)"  # 6: backquoted name
+    r"|(:\w+)"  # 7: parameter
+    r"|--[^\n]*\n?|/\*.*?\*/"  # comment
+    r"|(.)"  # 8: malformed
+    r")?",
+    re.DOTALL,
+)
+
+#: Text whose every ``:`` sits inside a string literal, with no backquote
+#: or comment that could hide a quote.  Each step after a run of plain
+#: characters starts on a character the run excludes, and quotes pair into
+#: literals one way only, so a failed match backtracks in linear time.
+_NO_PARAMS = re.compile(
+    r"[^':`/-]*(?:(?:" + _LITERAL + r"|-(?!-)|/(?!\*))[^':`/-]*)*"
+)
+
+#: The kinds (values) of operator tokens.
+OPERATORS = frozenset(("!=", "<=", ">=", "=", "<", ">", "+", "-"))
+
+#: The token type of each kind (see :func:`scan`).
+_TYPES = {
+    **dict.fromkeys(KEYWORDS, KEYWORD),
+    **dict.fromkeys(OPERATORS, OP),
+    **dict.fromkeys("(),.;*", PUNCT),
+    **{type: type for type in (IDENT, STRING, NUMBER, PARAM, EOF)},
+}
+
+
+def scan(sql) -> Tuple[List[str], list, List[Tuple[int, int]]]:
+    """Read every token of ``sql`` in one pass; EOF comes last.
+
+    Returns three arrays with one entry per token: its *kind* (a keyword's,
+    operator's or punctuation's value, such as ``"select"``, ``"!="`` or
+    ``"("``, and any other token's type: ``IDENT``, also for a backquoted
+    name spelled like a keyword, ``STRING``, ``NUMBER``, ``PARAM``,
+    ``EOF``), its cooked value (unescaped string content, int/float for
+    numbers, lower-cased text for keywords) and its ``(start, end)`` span.
+    """
+    if not isinstance(sql, TaintedStr):
+        sql = TaintedStr(sql)
+    text = str(sql)
+    kinds: List[str] = []
+    values: list = []
+    spans: List[Tuple[int, int]] = []
+    for match in _TOKENS.finditer(text):
+        group = match.lastindex
+        if group is None:  # a comment, or the whitespace at the end
+            continue
+        lexeme = match[group]
+        if group == 1:
+            lowered = lexeme.lower()
+            if lowered in KEYWORDS:
+                kinds.append(lowered)
+                values.append(lowered)
+            elif lexeme[0].isalpha() or lexeme[0] == "_":
+                kinds.append(IDENT)
+                values.append(lexeme)
+            else:
+                _malformed(text, match.start(group))
+        elif group == 5:
+            kinds.append(lexeme)
+            values.append(lexeme)
+        elif group == 3:
+            kinds.append(STRING)
+            values.append(_cook(sql, lexeme, match.start(group)))
+        elif group == 2:
+            kinds.append(NUMBER)
+            values.append(float(lexeme) if "." in lexeme else int(lexeme))
+        elif group == 4:
+            kinds.append("!=")
+            values.append("!=")
+        elif group == 6:
+            kinds.append(IDENT)
+            values.append(lexeme[1:-1])
+        elif group == 7:
+            kinds.append(PARAM)
+            values.append(lexeme[1:])
+        else:
+            _malformed(text, match.start(group))
+        spans.append(match.span(group))
+    length = len(text)
+    kinds.append(EOF)
+    values.append(None)
+    spans.append((length, length))
+    return kinds, values, spans
+
+
+def _cook(sql: TaintedStr, literal: str, start: int) -> TaintedStr:
+    """The value of the string ``literal`` read at ``start`` of ``sql``.
+
+    The value is cut from the source so that its characters keep their
+    policies: one slice per run between ``''`` escapes (each run keeps the
+    first quote of its escape), joined once.
+    """
+    end = start + len(literal) - 1
+    if "''" not in literal:
+        return sql[start + 1 : end]
+    pieces = []
+    cursor = 1
+    quote = literal.find("''", cursor)
+    while quote >= 0:
+        pieces.append(sql[start + cursor : start + quote + 1])
+        cursor = quote + 2
+        quote = literal.find("''", cursor)
+    pieces.append(sql[start + cursor : end])
+    return TaintedStr("").join(pieces)
+
+
+def _malformed(text: str, index: int):
+    """Raise the error of the malformed input at ``index``."""
+    char = text[index]
+    if char == "'":
+        raise SQLError("unterminated string literal")
+    if char == "`":
+        raise SQLError("unterminated quoted identifier")
+    if char == ":":
+        raise SQLError(f"expected parameter name after ':' at position {index}")
+    if text.startswith("/*", index):
+        raise SQLError("unterminated comment")
+    raise SQLError(f"unexpected character {char!r} at position {index}")
 
 
 class Token:
@@ -85,96 +211,15 @@ def tokenize(sql) -> List[Token]:
     """Tokenize ``sql`` into a list of tokens ending with an EOF token."""
     if not isinstance(sql, TaintedStr):
         sql = TaintedStr(sql)
-    tokens: List[Token] = []
-    index = 0
-    length = len(sql)
-    text = str(sql)
-
-    while True:
-        match = _SCAN(text, index)
-        group = match.lastindex
-        if group is not None:
-            start, index = match.span(group)
-            lexeme = text[start:index]
-            if group == _WORD:
-                lowered = lexeme.lower()
-                if lowered in KEYWORDS:
-                    tokens.append(Token(KEYWORD, lowered, sql, start, index))
-                    continue
-                if not (lexeme[0].isalpha() or lexeme[0] == "_"):
-                    raise SQLError(
-                        f"unexpected character {lexeme[0]!r} at position {start}"
-                    )
-                tokens.append(Token(IDENT, lexeme, sql, start, index))
-            elif group == _NUMBER:
-                value = float(lexeme) if "." in lexeme else int(lexeme)
-                tokens.append(Token(NUMBER, value, sql, start, index))
-            elif group == _OPERATOR:
-                value = "!=" if lexeme == "<>" else lexeme
-                tokens.append(Token(OP, value, sql, start, index))
-            else:
-                tokens.append(Token(PUNCT, lexeme, sql, start, index))
-            continue
-
-        index = match.end()
-        if index >= length:
-            break
-        char = text[index]
-
-        if text.startswith("--", index):
-            newline = text.find("\n", index)
-            index = length if newline < 0 else newline + 1
-        elif text.startswith("/*", index):
-            end = text.find("*/", index + 2)
-            if end < 0:
-                raise SQLError("unterminated comment")
-            index = end + 2
-        elif char == "'":
-            token, index = _read_string(sql, text, index)
-            tokens.append(token)
-        elif char == "`":
-            close = text.find("`", index + 1)
-            if close < 0:
-                raise SQLError("unterminated quoted identifier")
-            name = text[index + 1 : close]
-            tokens.append(Token(IDENT, name, sql, index, close + 1))
-            index = close + 1
-        elif char == ":":
-            start = index
-            index += 1
-            while index < length and (text[index].isalnum() or text[index] == "_"):
-                index += 1
-            if index == start + 1:
-                raise SQLError(f"expected parameter name after ':' at position {start}")
-            tokens.append(Token(PARAM, text[start + 1 : index], sql, start, index))
-        else:
-            raise SQLError(f"unexpected character {char!r} at position {index}")
-
-    tokens.append(Token(EOF, None, sql, length, length))
-    return tokens
+    kinds, values, spans = scan(sql)
+    return [
+        Token(_TYPES[kind], value, sql, start, end)
+        for kind, value, (start, end) in zip(kinds, values, spans)
+    ]
 
 
-def _read_string(sql: TaintedStr, text: str, index: int):
-    """Read a single-quoted string literal with ``''`` escaping.
-
-    The cooked value is assembled from tainted slices of the source so that
-    the literal's characters keep their policies: one slice per run between
-    ``''`` escapes (each run keeps the first quote of its escape), joined
-    once.
-    """
-    start = index
-    cursor = index + 1
-    pieces = []
-    while True:
-        quote = text.find("'", cursor)
-        if quote < 0:
-            raise SQLError("unterminated string literal")
-        if not text.startswith("'", quote + 1):
-            break
-        pieces.append(sql[cursor : quote + 1])
-        cursor = quote + 2
-    value = sql[cursor:quote]
-    if pieces:
-        pieces.append(value)
-        value = TaintedStr("").join(pieces)
-    return Token(STRING, value, sql, start, quote + 1), quote + 1
+def names_no_param(sql) -> bool:
+    """True when ``sql`` certainly names no ``:param``: every ``:`` in it
+    sits inside a string literal, or there is none.  False means only that
+    the text must be tokenized to tell."""
+    return ":" not in sql or _NO_PARAMS.fullmatch(sql) is not None

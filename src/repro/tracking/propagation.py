@@ -15,7 +15,7 @@ from .merge import merge_many
 from .ranges import RangeMap
 from .tainted_bytes import TaintedBytes
 from .tainted_number import TaintedFloat, TaintedInt
-from .tainted_str import TaintedStr
+from .tainted_str import TaintedStr, _concat_all
 
 __all__ = [
     "policies_of",
@@ -63,11 +63,15 @@ def to_tainted_str(value: Any) -> TaintedStr:
 
 
 def concat(*values: Any) -> TaintedStr:
-    """Concatenate values as strings, preserving character-level policies."""
-    result = TaintedStr("")
-    for value in values:
-        result = result + to_tainted_str(value)
-    return result
+    """Concatenate values as strings, preserving character-level policies.
+
+    The text is joined once, under one rope node over the values' maps.
+    """
+    pieces = [
+        value if isinstance(value, str) else to_tainted_str(value)
+        for value in values
+    ]
+    return _concat_all(pieces)
 
 
 def interpolate(template: str, *args: Any, **kwargs: Any) -> TaintedStr:

@@ -111,6 +111,13 @@ def _emit(
             out.append(PolicyRange(start, stop, policies))
 
 
+def _union(ranges: Tuple[PolicyRange, ...]) -> PolicySet:
+    result = PolicySet.empty()
+    for rng in ranges:
+        result = result.union(rng.policies)
+    return result
+
+
 def _sliced_ranges(
     ranges: Tuple[PolicyRange, ...], lo: int, hi: int
 ) -> List[PolicyRange]:
@@ -154,15 +161,17 @@ class RangeMap:
 
     @classmethod
     def empty(cls, length: int) -> "RangeMap":
-        return cls(length)
+        if length < 0:
+            raise ValueError("length must be non-negative")
+        return cls._trusted(length, ())
 
     @classmethod
     def uniform(cls, length: int, policies) -> "RangeMap":
         """A map in which every position carries ``policies``."""
         pset = as_policyset(policies)
         if length == 0 or not pset:
-            return cls(length)
-        return cls(length, [PolicyRange(0, length, pset)])
+            return cls.empty(length)
+        return cls._trusted(length, (PolicyRange(0, length, pset),))
 
     @classmethod
     def _deferred(cls, length: int, node, empty: Optional[bool]) -> "RangeMap":
@@ -323,10 +332,21 @@ class RangeMap:
         return PolicySet.empty()
 
     def all_policies(self) -> PolicySet:
-        """Union of the policies of every position."""
+        """Union of the policies of every position.
+
+        A concatenation of flat children answers from their ranges without
+        flattening; any other rope node is flattened first.
+        """
+        node = self._node
+        if node is None or node[0] != _CAT:
+            return _union(self._materialize())
         result = PolicySet.empty()
-        for rng in self._materialize():
-            result = result.union(rng.policies)
+        for child in node[1]:
+            ranges = child._ranges
+            if ranges is None:
+                return _union(self._materialize())
+            for rng in ranges:
+                result = result.union(rng.policies)
         return result
 
     def covered(self) -> int:
@@ -448,18 +468,23 @@ class RangeMap:
     def concat_many(cls, maps: Iterable["RangeMap"]) -> "RangeMap":
         """Range map for the concatenation of several strings — one rope
         node over all the pieces, however many there are."""
-        children = [m for m in maps if m.length]
-        if not children:
-            return cls(0)
+        children = []
+        total = 0
+        # True while every child is known empty, False once one is known
+        # not to be, None otherwise.
+        empty: Optional[bool] = True
+        for m in maps:
+            if m.length:
+                children.append(m)
+                total += m.length
+                if m._empty is False:
+                    empty = False
+                elif m._empty is None and empty:
+                    empty = None
         if len(children) == 1:
             return children[0]
-        total = sum(m.length for m in children)
-        if all(m._empty is True for m in children):
-            return cls(total)
-        if any(m._empty is False for m in children):
-            empty: Optional[bool] = False
-        else:
-            empty = None
+        if empty:
+            return cls.empty(total)
         return cls._deferred(total, (_CAT, tuple(children)), empty)
 
     def repeat(self, count: int) -> "RangeMap":
@@ -486,7 +511,10 @@ class RangeMap:
         )
         if len(new_range) == 0:
             return self
-        return RangeMap(self.length, list(self._materialize()) + [new_range])
+        ranges = self._materialize()
+        if not ranges:
+            return RangeMap._trusted(self.length, (new_range,))
+        return RangeMap(self.length, list(ranges) + [new_range])
 
     def remove_policy(self, policy: Policy) -> "RangeMap":
         """Remove ``policy`` from every position."""

@@ -548,10 +548,9 @@ def _as_tainted(value) -> TaintedStr:
     raise TypeError(f"expected str, got {type(value).__name__}")
 
 
-def _concat_all(pieces: Iterable[TaintedStr]) -> TaintedStr:
+def _concat_all(pieces: Iterable[str]) -> TaintedStr:
     pieces = list(pieces)
-    text = "".join(str(p) for p in pieces)
-    return TaintedStr(text, RangeMap.concat_many(rangemap_of(p) for p in pieces))
+    return TaintedStr("".join(pieces), RangeMap.concat_many(map(rangemap_of, pieces)))
 
 
 def _format_value(obj, spec: str) -> TaintedStr:

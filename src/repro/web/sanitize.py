@@ -63,8 +63,9 @@ def sql_quote(value) -> TaintedStr:
     """Escape a value for inclusion inside a single-quoted SQL literal and
     mark it ``SQLSanitized``."""
     text = to_tainted_str(value)
-    escaped = _escape_chars(text, _SQL_REPLACEMENTS, _SQL_METACHARS)
-    return escaped.with_policy(_SQL_QUOTED) if escaped else escaped
+    if "'" in text:
+        text = _escape_chars(text, _SQL_REPLACEMENTS, _SQL_METACHARS)
+    return text.with_policy(_SQL_QUOTED) if text else text
 
 
 _HTML_REPLACEMENTS = {

@@ -3,8 +3,10 @@
 Timing tests flake; these count instead.  Parsing each statement the site
 issues (the users and papers SELECTs of a paper page, the reviews INSERT of
 a review) stays within a budget of Python and C calls, counted with
-``sys.setprofile``, and so does running each paper-page SELECT through the
-RESIN site's policy cells; a served page runs no ``import`` statement once
+``sys.setprofile``, and builds no ``Token``; so does running each
+paper-page SELECT through the RESIN site's policy cells; the SQL channel's
+check of a query built by ``concat`` leaves its range map unflattened; a
+served page runs no ``import`` statement once
 the site is warm, counted through ``builtins.__import__``, and computes no
 fresh ``Policy._identity``, counted on the base class, both on the RESIN
 and the unmodified site; a keep-alive socket request creates no asyncio Task
@@ -25,12 +27,16 @@ from repro.apps.hotcrp import HotCRP
 from repro.channels import sqlchan
 from repro.core.exceptions import PolicyViolation
 from repro.core.policy import Policy
+from repro.core.policyset import PolicySet
 from repro.environment import Environment
 from repro.server.http import HTTPServer
+from repro.sql import tokenizer
 from repro.sql.parser import parse
+from repro.tracking.propagation import concat
 from repro.web.app import WebApplication
 from repro.web.request import Request
 from repro.web.response import Response
+from repro.web.sanitize import sql_quote
 
 #: Calls one statement's tokenize-and-parse may make.
 PARSE_CALL_BUDGET = 300
@@ -112,6 +118,49 @@ def test_parsing_a_hotcrp_statement_stays_within_its_call_budget(
     for sql in statements:
         parse(sql)  # warm
         assert count_calls(parse, sql) <= PARSE_CALL_BUDGET
+
+
+@pytest.mark.parametrize("prefix", [
+    "SELECT email, password, is_pc, priv_chair FROM users",
+    "SELECT id, title, abstract, authors, anonymous FROM papers",
+    "INSERT INTO reviews",
+])
+def test_parsing_a_hotcrp_statement_builds_no_token(hotcrp_statements, prefix,
+                                                     monkeypatch):
+    """The parser reads the scan's arrays of kinds and values."""
+    statements = [sql for sql in hotcrp_statements
+                  if str(sql).startswith(prefix)]
+    assert statements, f"the site issued no {prefix!r} statement"
+    built = []
+    original = tokenizer.Token.__init__
+
+    def counting(self, *args):
+        built.append(args[0])
+        original(self, *args)
+
+    monkeypatch.setattr(tokenizer.Token, "__init__", counting)
+    for sql in statements:
+        parse(sql)
+    monkeypatch.undo()
+    assert built == []
+
+
+@pytest.mark.parametrize("user", ["pc@example.org", "o'brien@example.org"])
+def test_the_sql_chains_check_leaves_a_concatenated_query_lazy(user):
+    """The export check asks a query built from flat pieces for its policies
+    without flattening its rope, and the answer is the flattened union."""
+    db = build_site(use_resin=True).env.db
+    query = concat("SELECT email, password, is_pc, priv_chair FROM users "
+                   "WHERE email = '", sql_quote(user), "'")
+    checked = []
+    db._effective_chain().filter_func(checked.append, (query,), {})
+    assert checked == [query]
+    assert not query.rangemap.is_materialized()
+    flattened = PolicySet.empty()
+    for rng in query.rangemap.ranges:
+        flattened = flattened.union(rng.policies)
+    assert query.policies() == flattened
+    assert flattened
 
 
 @pytest.mark.parametrize("prefix", [

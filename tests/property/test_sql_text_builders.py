@@ -20,7 +20,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.exceptions import InjectionViolation, SQLError
 from repro.policies import HTMLSanitized, SQLSanitized, UntrustedData
@@ -322,6 +322,16 @@ class TestSanitizers:
 class TestTokenizer:
     @settings(max_examples=300)
     @given(sql=sql_texts)
+    @example(sql="SELECT a -- trailing comment")
+    @example(sql="a-b")
+    @example(sql="SELECT /* one\ntwo */ a")
+    @example(sql="''")
+    @example(sql="''''")
+    @example(sql="SELECT a FROM t WHERE a = :")
+    @example(sql="\u00b2a")
+    @example(sql="SELECT a \n\t ")
+    @example(sql="SELECT 'a''' , 'b'")
+    @example(sql="SELECT 'a''")
     def test_tokens_match_reference(self, sql):
         actual = outcome(tokenize, sql)
         expected = outcome(tokenize_reference, sql)
@@ -341,7 +351,8 @@ class TestTokenizer:
 
     @pytest.mark.parametrize(
         "sql",
-        ["SELECT 'oops", "SELECT a FROM `t", "SELECT /* x", "SELECT :", "SELECT @"],
+        ["SELECT 'oops", "SELECT a FROM `t", "SELECT /* x", "SELECT :", "SELECT @",
+         "SELECT a FROM t WHERE a = :", "\u00b2a", "SELECT 'a''"],
     )
     def test_error_messages_match_reference(self, sql):
         with pytest.raises(SQLError) as actual:

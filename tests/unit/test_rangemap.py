@@ -54,6 +54,18 @@ class TestNormalization:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             RangeMap(-1)
+        with pytest.raises(ValueError):
+            RangeMap.empty(-1)
+        with pytest.raises(ValueError):
+            RangeMap.uniform(-1, None)
+        with pytest.raises(ValueError):
+            RangeMap.uniform(-1, U)
+
+    def test_add_policy_to_an_empty_map_rejects_a_reversed_range(self):
+        with pytest.raises(ValueError):
+            RangeMap.empty(10).add_policy(U, 6, 2)
+        assert RangeMap.empty(10).add_policy(U, 2, 6) == RangeMap(
+            10, [PolicyRange(2, 6, PolicySet.of(U))])
 
 
 class TestQueries:
@@ -76,6 +88,36 @@ class TestQueries:
         rmap = RangeMap(10, [PolicyRange(0, 2, PolicySet.of(U)),
                              PolicyRange(8, 10, PolicySet.of(S))])
         assert rmap.all_policies() == PolicySet.of(U, S)
+
+    def test_all_policies_of_flat_children_leaves_the_concatenation_lazy(self):
+        left = RangeMap.uniform(3, U)
+        right = RangeMap(5, [PolicyRange(1, 2, PolicySet.of(S)),
+                             PolicyRange(3, 5, PolicySet.of(U, H))])
+        rmap = RangeMap.concat_many([left, RangeMap.empty(4), right])
+        assert rmap.all_policies() == PolicySet.of(U, S, H)
+        assert not rmap.is_materialized()
+        assert rmap.all_policies() == PolicySet.of(U, S, H)
+        assert not rmap.is_materialized()
+        flattened = PolicySet.empty()
+        for rng in rmap.ranges:
+            flattened = flattened.union(rng.policies)
+        assert flattened == PolicySet.of(U, S, H)
+
+    def test_all_policies_of_a_concatenation_of_ropes_flattens(self):
+        inner = RangeMap.uniform(2, U).concat(RangeMap.uniform(2, S))
+        rmap = inner.concat(RangeMap.uniform(2, H))
+        assert rmap.all_policies() == PolicySet.of(U, S, H)
+        assert rmap.is_materialized()
+
+    def test_all_policies_of_a_deep_concat_chain_does_not_recurse(self):
+        rmap = RangeMap.empty(0)
+        for index in range(10_000):
+            rmap = rmap.concat(RangeMap.uniform(1, (U, S, H)[index % 3]))
+        policies = rmap.all_policies()
+        flattened = PolicySet.empty()
+        for rng in rmap.ranges:
+            flattened = flattened.union(rng.policies)
+        assert policies == flattened == PolicySet.of(U, S, H)
 
     def test_covered(self):
         rmap = RangeMap(10, [PolicyRange(0, 2, PolicySet.of(U)),

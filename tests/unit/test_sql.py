@@ -1,15 +1,18 @@
 """Unit tests for the SQL substrate: tokenizer, parser, engine."""
 
-import pytest
+import sys
 
-from repro.channels.sqlchan import _query_param_names
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.channels.sqlchan import Database, _query_param_names
 from repro.core.exceptions import SQLError
 from repro.core.policyset import PolicySet
 from repro.policies import UntrustedData
 from repro.security.assertions import SQLGuardFilter
 from repro.sql import nodes, parse, tokenize
 from repro.sql.engine import Engine
-from repro.sql.tokenizer import IDENT, KEYWORD, NUMBER, OP, PUNCT, STRING
+from repro.sql.tokenizer import IDENT, KEYWORD, NUMBER, OP, PARAM, PUNCT, STRING, scan
 from repro.tracking.propagation import concat
 from repro.tracking.tainted_str import TaintedStr, taint_str
 
@@ -220,6 +223,76 @@ class TestMalformedStatements:
         assert str(raised.value) == "EXPLAIN cannot be nested"
 
 
+def count_scans(fn, *args):
+    """Calls of the tokenizer's one scan while ``fn(*args)`` runs."""
+    scans = 0
+
+    def profile(frame, event, arg):
+        nonlocal scans
+        if event == "call" and frame.f_code is scan.__code__:
+            scans += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return scans
+
+
+def tokenized_param_names(sql):
+    try:
+        return frozenset(str(t.value) for t in tokenize(sql) if t.type == PARAM)
+    except SQLError:
+        return frozenset()
+
+
+class TestParamNames:
+    @pytest.fixture
+    def db(self):
+        db = Database(Engine())
+        db.execute_unchecked("CREATE TABLE t (a TEXT)")
+        db.execute_unchecked("INSERT INTO t (a) VALUES ('10:30')")
+        return db
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT a FROM t WHERE a = '10:30'",
+        "SELECT a FROM t WHERE a = 'it''s :x' OR a = '10:30'",
+        "SELECT a FROM t WHERE a = '10:30' AND a <> 'http://example.org/'",
+    ])
+    def test_colons_only_inside_literals_scan_the_query_once(self, db, sql):
+        assert count_scans(db.query, sql) == 1
+        assert [str(row["a"]) for row in db.query(sql)] == ["10:30"]
+
+    def test_a_real_parameter_is_found_and_bound(self, db):
+        sql = "SELECT a FROM t WHERE a = :when AND a <> '11:30'"
+        assert _query_param_names(sql) == frozenset({"when"})
+        prepared = db.query(sql)
+        assert prepared.run(when="10:30").rows[0]["a"] == "10:30"
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT `a'` , :p , `'`",
+        "SELECT a -- ' :p\n, :q, 'x'",
+        "SELECT a /* ' */ , :p , '/*'",
+        "SELECT a - :p , 'b:c'",
+        "SELECT ':' , :p",
+        "SELECT 'a' ':b'",
+        "SELECT 'unterminated :p",
+        "SELECT :p FROM t WHERE a = \u00b2",
+        "SELECT '" + "ab''" * 40 + "' , :p",
+    ])
+    def test_names_match_the_tokenizer_on_tricky_text(self, sql):
+        assert _query_param_names(sql) == tokenized_param_names(sql)
+
+    @settings(max_examples=300)
+    @given(sql=st.lists(st.sampled_from([
+        "SELECT", " ", "a", "'", "''", "'x:y'", ":", ":p", ":q1", "`", "`c'`",
+        "--", "\n", "/*", "*/", "-", "/", "=", ",", "1", "\u00b2",
+    ]), max_size=12).map("".join))
+    def test_names_match_the_tokenizer(self, sql):
+        assert _query_param_names(sql) == tokenized_param_names(sql)
+
+
 class TestEngine:
     @pytest.fixture
     def engine(self):
@@ -233,6 +306,16 @@ class TestEngine:
         result = engine.run("SELECT * FROM users")
         assert len(result) == 3
         assert result.columns == ["id", "name", "age"]
+
+    def test_rows_share_the_result_column_list(self, engine):
+        result = engine.run("SELECT name, age, id FROM users ORDER BY id")
+        assert all(row.columns is result.columns for row in result.rows)
+        first = result.rows[0]
+        assert (first[0], first[1], first[2]) == ("alice", 30, 1)
+        assert first.values_list() == ["alice", 30, 1]
+        assert first == {"name": "alice", "age": 30, "id": 1}
+        assert [row.values_list() for row in result.rows] == [
+            ["alice", 30, 1], ["bob", 25, 2], ["carol", 35, 3]]
 
     def test_select_where(self, engine):
         result = engine.run("SELECT name FROM users WHERE age > 26")
