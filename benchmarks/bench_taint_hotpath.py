@@ -13,7 +13,9 @@ Groups:
 * ``taint-page-render``    — real HotCRP and phpBB page renders
 * ``taint-micro:<op>``     — concat / slice / join / merge at 1/4/16 workers
 * ``taint-merge-many``     — regression case for the quadratic merge fold
-* ``taint-sql-text``       — ``sql_quote`` + ``parse`` of the HotCRP users query
+* ``taint-sql-text``       — ``sql_quote`` + ``parse`` of the HotCRP users query,
+  with the parser's template memo warm (a hit) and cleared every round (a
+  miss: scan, parse and keep the template)
 """
 
 import time
@@ -25,6 +27,7 @@ from repro.core.policyset import PolicySet
 from repro.evaluation import hotcrp_perf
 from repro.policies import UntrustedData
 from repro.sql import nodes, parse
+from repro.sql.parser import clear_templates
 from repro.tracking import (
     TaintedStr,
     clear_merge_cache,
@@ -237,27 +240,50 @@ def test_merge_many_fold_uses_fast_paths():
 # -- SQL text building: quote and parse the HotCRP users query -------------------
 
 
-@pytest.mark.parametrize("literal_length", [32, 512, 4096])
-def test_sql_quote_and_parse(benchmark, literal_length):
-    """The login lookup ``HotCRP._user`` runs on every request, with a
-    tainted e-mail literal of ``literal_length`` characters and one ``''``
-    escape."""
-    email = taint_str("o'" + "x" * (literal_length - 14) + "@example.org", AUTHOR)
-    benchmark.group = "taint-sql-text"
-    benchmark.extra_info["literal_length"] = literal_length
+def _tainted_email(literal_length):
+    return taint_str("o'" + "x" * (literal_length - 14) + "@example.org", AUTHOR)
 
-    def quote_and_parse():
-        return parse(
-            concat(
-                "SELECT email, password, is_pc, priv_chair FROM users "
-                "WHERE email = '",
-                sql_quote(email),
-                "'",
-            )
+
+def _quote_and_parse(email):
+    return parse(
+        concat(
+            "SELECT email, password, is_pc, priv_chair FROM users WHERE email = '",
+            sql_quote(email),
+            "'",
         )
+    )
 
-    statement = benchmark(quote_and_parse)
+
+def _check_email_literal(statement, email):
     literal = statement.where.right
     assert isinstance(literal, nodes.Literal)
     assert str(literal.value) == email
     assert literal.value.policies() == sql_quote(email).policies()
+
+
+@pytest.mark.parametrize("literal_length", [32, 512, 4096])
+def test_sql_quote_and_parse(benchmark, literal_length):
+    """The login lookup ``HotCRP._user`` runs on every request, with a
+    tainted e-mail literal of ``literal_length`` characters and one ``''``
+    escape.  Every round after the first binds the parser's template."""
+    email = _tainted_email(literal_length)
+    benchmark.group = "taint-sql-text"
+    benchmark.extra_info["literal_length"] = literal_length
+    statement = benchmark(_quote_and_parse, email)
+    _check_email_literal(statement, email)
+
+
+@pytest.mark.parametrize("literal_length", [32, 512, 4096])
+def test_sql_quote_and_parse_a_new_shape(benchmark, literal_length):
+    """The same statement with the template memo cleared every round, so
+    each round scans and parses it and keeps its template."""
+    email = _tainted_email(literal_length)
+    benchmark.group = "taint-sql-text"
+    benchmark.extra_info["literal_length"] = literal_length
+
+    def first_seen():
+        clear_templates()
+        return _quote_and_parse(email)
+
+    statement = benchmark(first_seen)
+    _check_email_literal(statement, email)

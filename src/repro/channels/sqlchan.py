@@ -34,9 +34,8 @@ from ..core.serialization import (deserialize_policyset, deserialize_rangemap,
 from ..sql import nodes
 from ..sql.engine import Engine
 from ..sql.executor import Result, StoredCells, stored_value
-from ..sql.parser import parse
+from ..sql.parser import param_names, parse
 from ..sql.planner import bind_parameters, collect_params, walk
-from ..sql.tokenizer import PARAM, names_no_param, tokenize
 from ..tracking.propagation import policies_of
 from ..tracking.ranges import RangeMap
 from ..tracking.tainted_number import TaintedFloat, TaintedInt
@@ -344,20 +343,16 @@ class Database:
 def _query_param_names(sql) -> FrozenSet[str]:
     """The ``:name`` parameters a query mentions.
 
-    Cheap on the hot path: SQL text whose every ``:`` sits inside a string
-    literal (or that has none) has no parameters and skips tokenization
-    entirely.  Text that fails to tokenize is reported as parameterless —
-    the filter chain may rewrite it into valid SQL (the auto-sanitizing
-    filter does), so errors are left to the execution path, which sees
-    exactly what the chain produced."""
+    SQL text with no ``:`` has none.  Other text asks the parser's template
+    memo, so it is scanned once on a miss and never on a hit.  Text that
+    fails to tokenize is reported as parameterless — the filter chain may
+    rewrite it into valid SQL (the auto-sanitizing filter does), so errors
+    are left to the execution path, which sees exactly what the chain
+    produced."""
     if isinstance(sql, str):
-        if names_no_param(sql):
+        if ":" not in sql:
             return frozenset()
-        try:
-            return frozenset(str(token.value) for token in tokenize(sql)
-                             if token.type == PARAM)
-        except SQLError:
-            return frozenset()
+        return param_names(sql)
     return frozenset(collect_params(sql))
 
 

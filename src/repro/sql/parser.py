@@ -13,15 +13,45 @@ punctuation's value (``"select"``, ``"!="``, ``"("``) and any other token's
 type (``IDENT``, also for a backquoted name spelled like a keyword,
 ``STRING``, ``NUMBER``, ``PARAM``, ``EOF``), so every grammar decision is
 one list lookup.
+
+:func:`parse` parses each statement *shape* once.  A process-wide memo
+keeps, by skeleton (:func:`~repro.sql.tokenizer.skeleton`: the text with
+every string literal and number cut out, plus each one's kind), a
+*template*: the first parse's tree with ``None`` where each slot's
+``Literal`` was, and the *spine*, the paths that lead there.  A later
+statement with the same skeleton is not scanned: each slot's value is cut
+from its own text (:func:`~repro.sql.tokenizer.slot_values`) and bound into
+a copy of the template's spine only; the rest of the tree is shared, and
+nothing mutates a parsed tree.  A template is kept only when the scan read
+each slot as one STRING or NUMBER token of the same span, and the parser
+put each such token, unchanged, into exactly one ``Literal`` of the tree.
+Then every text with that skeleton tokenizes and parses the same way, up to
+the slots' values.  A negated number, ``LIMIT``/``OFFSET``, a type width or
+a ``DEFAULT`` does not land in a ``Literal`` unchanged, so its statement is
+parsed every time.  A template holds no value of the statement that made
+it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import threading
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..core.exceptions import SQLError
 from . import nodes
-from .tokenizer import EOF, IDENT, KEYWORDS, NUMBER, OPERATORS, PARAM, STRING, scan
+from .tokenizer import (
+    EOF,
+    IDENT,
+    KEYWORDS,
+    NUMBER,
+    OPERATORS,
+    PARAM,
+    SLOTS,
+    STRING,
+    scan,
+    skeleton,
+    slot_values,
+)
 
 _TYPE_KEYWORDS = {"integer", "int", "text", "real", "float", "varchar", "char"}
 _AGGREGATES = {"count", "min", "max", "sum", "avg"}
@@ -40,15 +70,52 @@ _CONSTRAINTS = {
 #: How deep parentheses, NOT, signs, function arguments and IN lists nest.
 _MAX_NESTING = 100
 
+#: Bound on the template memo, which is cleared, not evicted, when full
+#: (like the SQL channel's decoded-blob memo).
+_TEMPLATE_LIMIT = 1024
+#: How deep in a tree a slot's ``Literal`` may sit for its statement to
+#: keep a template; it bounds the recursion of :func:`_spine` and
+#: :func:`_rebind` (an ``AND`` chain nests without bound).
+_MAX_SPINE = 64
+#: What :func:`_spine` descends into: the containers and the nodes whose
+#: fields can hold an expression.  A slot below any other node is not
+#: found, so its statement keeps no template.
+_BRANCHES = frozenset(
+    (
+        list,
+        tuple,
+        nodes.Select,
+        nodes.SelectItem,
+        nodes.OrderBy,
+        nodes.Insert,
+        nodes.Update,
+        nodes.Delete,
+        nodes.Explain,
+        nodes.BinaryOp,
+        nodes.UnaryOp,
+        nodes.InList,
+        nodes.IsNull,
+        nodes.FuncCall,
+    )
+)
+
+# Statement templates by skeleton.  Process-wide like the blob memo: a
+# template holds only a statement's shape, never a value.  Reads take no
+# lock; an insert takes it to bound the size.  A template is never mutated.
+_templates: Dict[tuple, "_Template"] = {}
+_templates_lock = threading.Lock()
+
 
 class Parser:
     """Parses one SQL statement."""
 
     def __init__(self, sql):
         self.sql = sql
-        self.kinds, self.values, _ = scan(sql)
+        self.kinds, self.values, self.spans = scan(sql)
         self.position = 0
         self.depth = 0
+        #: The ``Literal`` read from each STRING or NUMBER token, by index.
+        self.literals: Dict[int, nodes.Literal] = {}
 
     # -- token helpers ---------------------------------------------------------
 
@@ -341,8 +408,9 @@ class Parser:
         kind = kinds[self.position]
         value = self.values[self.position]
         if kind == STRING or kind == NUMBER:
+            literal = self.literals[self.position] = nodes.Literal(value)
             self.position += 1
-            return nodes.Literal(value)
+            return literal
         if kind == "(":
             self.position += 1
             expr = self._nested(self._expression)
@@ -395,5 +463,144 @@ _STATEMENTS = {
 
 
 def parse(sql) -> nodes.Statement:
-    """Parse one SQL statement into an AST."""
-    return Parser(sql).parse()
+    """Parse one SQL statement into an AST (once per statement shape)."""
+    parts = SLOTS.split(sql)
+    key = skeleton(parts)
+    template = _templates.get(key)
+    if template is not None:
+        literals = [nodes.Literal(value) for value in slot_values(sql, parts)]
+        return _rebind(template.tree, template.spine, literals)
+    parser = Parser(sql)
+    statement = parser.parse()
+    _remember(key, parts, parser, statement)
+    return statement
+
+
+def param_names(sql) -> FrozenSet[str]:
+    """The names of the ``PARAM`` tokens of ``sql``: none when it does not
+    scan.  A statement that parses leaves its template for the parse that
+    follows."""
+    parts = SLOTS.split(sql)
+    key = skeleton(parts)
+    template = _templates.get(key)
+    if template is not None:
+        return template.params
+    try:
+        parser = Parser(sql)
+    except SQLError:
+        return frozenset()
+    try:
+        statement = parser.parse()
+    except SQLError:
+        return _params(parser)
+    return _remember(key, parts, parser, statement)
+
+
+def clear_templates() -> None:
+    """Forget every statement template."""
+    with _templates_lock:
+        _templates.clear()
+
+
+class _Template:
+    """One statement shape: the tree of its first parse with ``None`` where
+    each slot's ``Literal`` was, the spine leading there (see
+    :func:`_rebind`) and the statement's parameter names."""
+
+    __slots__ = ("tree", "spine", "params")
+
+    def __init__(self, tree, spine: tuple, params: FrozenSet[str]):
+        self.tree = tree
+        self.spine = spine
+        self.params = params
+
+
+def _params(parser: Parser) -> FrozenSet[str]:
+    kinds = parser.kinds
+    if PARAM not in kinds:
+        return frozenset()
+    return frozenset(
+        value for kind, value in zip(kinds, parser.values) if kind == PARAM
+    )
+
+
+def _remember(key: tuple, parts: list, parser: Parser, statement) -> FrozenSet[str]:
+    """Keep the template of ``statement`` under ``key`` when each slot of
+    ``parts`` is one STRING or NUMBER token of ``parser`` that landed
+    unchanged in exactly one ``Literal`` of ``statement``; returns the
+    statement's parameter names."""
+    params = _params(parser)
+    slots = []
+    offset = 0
+    for index, part in enumerate(parts):
+        end = offset + len(part)
+        if index % 2:
+            slots.append((offset, end))
+        offset = end
+    # Every STRING or NUMBER token became a Literal, and those tokens are
+    # the slots.
+    literals = parser.literals
+    kinds, spans = parser.kinds, parser.spans
+    if (
+        kinds.count(STRING) + kinds.count(NUMBER) != len(literals)
+        or [spans[index] for index in literals] != slots
+    ):
+        return params
+    holes = {id(literal): slot for slot, literal in enumerate(literals.values())}
+    found: List[int] = []
+    spine = _spine(statement, holes, found, _MAX_SPINE)
+    if len(found) != len(holes) or len(set(found)) != len(holes):
+        return params
+    template = _Template(_rebind(statement, spine, [None] * len(holes)), spine, params)
+    with _templates_lock:
+        if len(_templates) >= _TEMPLATE_LIMIT:
+            _templates.clear()
+        _templates[key] = template
+    return params
+
+
+def _spine(value, holes: Dict[int, int], found: List[int], depth: int) -> tuple:
+    """The spine from ``value``, one of ``_BRANCHES``, to each ``Literal``
+    of ``holes`` (slot numbers by id) below it, down to ``depth`` levels:
+    one ``(step, slot or spine)`` pair per field or index leading to one.
+    Appends each slot it reaches to ``found``."""
+    if type(value) is list or type(value) is tuple:
+        children = enumerate(value)
+    else:
+        children = [(name, getattr(value, name)) for name in type(value).__slots__]
+    spine = []
+    for step, child in children:
+        if type(child) is nodes.Literal:
+            slot = holes.get(id(child))
+            if slot is not None:
+                found.append(slot)
+                spine.append((step, slot))
+        elif depth > 1 and type(child) in _BRANCHES:
+            branch = _spine(child, holes, found, depth - 1)
+            if branch:
+                spine.append((step, branch))
+    return tuple(spine)
+
+
+def _rebind(node, spine: tuple, literals: list):
+    """A copy of ``node`` in which each step of ``spine`` is copied in turn,
+    down to the slot it ends on, which takes that slot's literal; every
+    other branch is shared.  A node is copied slot by slot."""
+    cls = type(node)
+    if cls is list or cls is tuple:  # a tuple: an UPDATE's (column, value)
+        fields = list(node)
+    else:
+        fields = {name: getattr(node, name) for name in cls.__slots__}
+    for step, branch in spine:
+        if type(branch) is int:
+            fields[step] = literals[branch]
+        else:
+            fields[step] = _rebind(fields[step], branch, literals)
+    if cls is list:
+        return fields
+    if cls is tuple:
+        return tuple(fields)
+    copy = object.__new__(cls)
+    for name, value in fields.items():
+        setattr(copy, name, value)
+    return copy

@@ -13,6 +13,11 @@ compiled pattern, which matches every token, comment and malformed input
 with the whitespace before it, fills the arrays of token kinds and values
 the parser reads.  :func:`tokenize` builds :class:`Token` objects from the
 same scan.
+
+The parser's template memo keys a statement on its *skeleton*
+(:func:`skeleton`): the text cut at its slots (:data:`SLOTS`: each string
+literal and number) plus each slot's kind.  :func:`slot_values` reads each
+slot of a statement as :func:`scan` reads its token.
 """
 
 from __future__ import annotations
@@ -45,6 +50,10 @@ EOF = "EOF"
 #: quote of an escape, so it matches the whole literal or nothing.
 _LITERAL = r"'[^']*(?:''[^']*)*'(?!')"
 
+#: A number: decimal digits with at most one ``.``.  Greedy, so it ends
+#: where no digit (or first ``.``) follows.
+_NUMBER = r"\d+(?:\.\d*)?|\.\d+"
+
 #: One match per token, comment or malformed character, with the whitespace
 #: before it; at the end of the text, the trailing whitespace alone.  ``\w``
 #: is ``str.isalnum()`` or ``_``, ``\d`` is ``str.isdecimal()`` (what
@@ -55,7 +64,7 @@ _LITERAL = r"'[^']*(?:''[^']*)*'(?!')"
 _TOKENS = re.compile(
     r"\s*(?:"
     r"([^\W\d]\w*)"  # 1: word
-    r"|(\d+(?:\.\d*)?|\.\d+)"  # 2: number
+    r"|(" + _NUMBER + r")"  # 2: number
     r"|(" + _LITERAL + r")"  # 3: string literal
     r"|(<>)"  # 4: the operator spelled "!="
     r"|(!=|<=|>=|[=<>+]|-(?!-)|[(),.;*])"  # 5: other operator, punctuation
@@ -67,13 +76,25 @@ _TOKENS = re.compile(
     re.DOTALL,
 )
 
-#: Text whose every ``:`` sits inside a string literal, with no backquote
-#: or comment that could hide a quote.  Each step after a run of plain
-#: characters starts on a character the run excludes, and quotes pair into
-#: literals one way only, so a failed match backtracks in linear time.
-_NO_PARAMS = re.compile(
-    r"[^':`/-]*(?:(?:" + _LITERAL + r"|-(?!-)|/(?!\*))[^':`/-]*)*"
+#: The *slots* of a statement: each ``'…'`` literal (as :data:`_LITERAL`)
+#: and each number of ASCII digits (as :data:`_NUMBER`).  A digit or ``.``
+#: after a word character or a ``.`` starts no slot, since the scan reads
+#: it as part of a word or parameter, or from the ``.`` on (``a1``,
+#: ``:p1``, ``x.5``).  ``split`` returns the pieces between slots at even
+#: indices and the slots at odd ones.  The first character is matched by one
+#: set, so ``re`` skips the text between slots in C; lookbehinds after it
+#: check what precedes a number.  A slot in a comment or a backquoted name,
+#: or a number with a non-ASCII digit, is no STRING or NUMBER token of the
+#: same span: the parser then keeps no template (see ``parser._remember``).
+SLOTS = re.compile(
+    r"(['0-9.]"
+    r"(?:(?<=')[^']*(?:''[^']*)*'(?!')"  # the rest of a string literal
+    r"|(?<=[0-9])(?<![\w.][0-9])[0-9]*(?:\.[0-9]*)?"  # a number from a digit
+    r"|(?<=\.)(?<![\w.]\.)[0-9]+))"  # a number from its point
 )
+
+#: The kind of a slot in a skeleton: a string, a decimal or an integer.
+_STRING_SLOT, _DECIMAL_SLOT, _INTEGER_SLOT = "'", ".", "0"
 
 #: The kinds (values) of operator tokens.
 OPERATORS = frozenset(("!=", "<=", ">=", "=", "<", ">", "+", "-"))
@@ -146,6 +167,39 @@ def scan(sql) -> Tuple[List[str], list, List[Tuple[int, int]]]:
     return kinds, values, spans
 
 
+def skeleton(parts: list) -> tuple:
+    """The skeleton of a statement cut into ``parts`` by ``SLOTS.split``:
+    its pieces between slots, with each slot replaced by its kind.  Integer
+    and decimal slots differ, as ``LIMIT 2`` and ``LIMIT 2.5`` do."""
+    key = parts.copy()
+    for index in range(1, len(parts), 2):
+        slot = parts[index]
+        if slot[0] == "'":
+            key[index] = _STRING_SLOT
+        else:
+            key[index] = _DECIMAL_SLOT if "." in slot else _INTEGER_SLOT
+    return tuple(key)
+
+
+def slot_values(sql, parts: list) -> list:
+    """The value of each slot of ``parts`` (``SLOTS.split(sql)``), read as
+    :func:`scan` reads a STRING or NUMBER token: a string is cut from
+    ``sql``, so it keeps the policies of its characters."""
+    values = []
+    offset = 0
+    for index in range(1, len(parts), 2):
+        offset += len(parts[index - 1])
+        slot = parts[index]
+        if slot[0] == "'":
+            if not isinstance(sql, TaintedStr):
+                sql = TaintedStr(sql)
+            values.append(_cook(sql, slot, offset))
+        else:
+            values.append(float(slot) if "." in slot else int(slot))
+        offset += len(slot)
+    return values
+
+
 def _cook(sql: TaintedStr, literal: str, start: int) -> TaintedStr:
     """The value of the string ``literal`` read at ``start`` of ``sql``.
 
@@ -216,10 +270,3 @@ def tokenize(sql) -> List[Token]:
         Token(_TYPES[kind], value, sql, start, end)
         for kind, value, (start, end) in zip(kinds, values, spans)
     ]
-
-
-def names_no_param(sql) -> bool:
-    """True when ``sql`` certainly names no ``:param``: every ``:`` in it
-    sits inside a string literal, or there is none.  False means only that
-    the text must be tokenized to tell."""
-    return ":" not in sql or _NO_PARAMS.fullmatch(sql) is not None

@@ -514,7 +514,36 @@ class RangeMap:
         ranges = self._materialize()
         if not ranges:
             return RangeMap._trusted(self.length, (new_range,))
-        return RangeMap(self.length, list(ranges) + [new_range])
+        # One pass over the normalized ranges: the part of each range
+        # outside [lo, hi) as it is, the part inside with the policy added,
+        # and the gaps inside [lo, hi) with the policy alone.
+        lo, hi, added = new_range.start, new_range.stop, new_range.policies
+        out: List[PolicyRange] = []
+        cursor = lo  # where the uncovered part of [lo, hi) starts
+
+        def push(start: int, stop: int, policies: PolicySet) -> None:
+            if out and out[-1].stop == start and out[-1].policies == policies:
+                out[-1] = PolicyRange(out[-1].start, stop, policies)
+            else:
+                out.append(PolicyRange(start, stop, policies))
+
+        for rng in ranges:
+            if rng.start < lo:
+                push(rng.start, min(rng.stop, lo), rng.policies)
+            start, stop = max(rng.start, lo), min(rng.stop, hi)
+            if start < stop:
+                if cursor < start:
+                    push(cursor, start, added)
+                push(start, stop, rng.policies.union(added))
+                cursor = stop
+            if rng.stop > hi:
+                if cursor < hi:
+                    push(cursor, hi, added)
+                    cursor = hi
+                push(max(rng.start, hi), rng.stop, rng.policies)
+        if cursor < hi:
+            push(cursor, hi, added)
+        return RangeMap._trusted(self.length, tuple(out))
 
     def remove_policy(self, policy: Policy) -> "RangeMap":
         """Remove ``policy`` from every position."""

@@ -1,5 +1,6 @@
 """Property-based tests for RangeMap algebra and the merge protocol."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.policyset import PolicySet
@@ -84,6 +85,27 @@ class TestRangeMapAlgebra:
     def test_segments_roundtrip(self, rmap):
         assert RangeMap.from_segments(rmap.length,
                                       rmap.to_segments()) == rmap
+
+    @given(rmap=st.one_of(rangemaps(), st.tuples(rangemaps(), rangemaps()).map(
+               lambda maps: maps[0].concat(maps[1]))),
+           policy=policies, start=st.integers(-5, 65),
+           stop=st.none() | st.integers(-5, 65))
+    def test_add_policy_matches_eager_normalization(self, rmap, policy, start,
+                                                    stop):
+        lo = max(0, start)
+        hi = min(rmap.length, rmap.length if stop is None else stop)
+        if hi < lo:
+            with pytest.raises(ValueError):
+                rmap.add_policy(policy, start, stop)
+            return
+        added = rmap.add_policy(policy, start, stop)
+        if hi == lo:
+            assert added is rmap
+            return
+        eager = RangeMap(rmap.length, list(rmap.ranges)
+                         + [PolicyRange(lo, hi, PolicySet.of(policy))])
+        assert added.length == eager.length
+        assert added.ranges == eager.ranges
 
 
 class TestMergeProperties:

@@ -11,6 +11,11 @@ string literals included), and on token soups that drive the error paths,
 the same ``to_sql()`` text with the same range map, and raise ``SQLError``
 with the same message.
 
+Each statement and soup is parsed twice: as drawn, and relabeled with the
+same skeleton but other literals carrying other policies, which the
+parser's template memo answers without parsing when the first statement
+left a template.  Both parses must match the reference.
+
 The reference keeps defects the parser no longer has, so none is drawn
 here: it truncates a fractional ``LIMIT``/``OFFSET``, and it recurses once
 per nesting level and per stacked ``EXPLAIN`` without bound.
@@ -19,13 +24,25 @@ per nesting level and per stacked ``EXPLAIN`` without bound.
 
 from typing import List, Optional, Tuple
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.exceptions import SQLError
 from repro.policies import UntrustedData
-from repro.sql import nodes
+from repro.sql import nodes, parser
 from repro.sql.parser import parse
-from repro.sql.tokenizer import EOF, IDENT, KEYWORD, NUMBER, OP, PARAM, PUNCT, STRING
+from repro.sql.tokenizer import (
+    EOF,
+    IDENT,
+    KEYWORD,
+    NUMBER,
+    OP,
+    PARAM,
+    PUNCT,
+    SLOTS,
+    STRING,
+    skeleton,
+)
 from repro.tracking.tainted_str import TaintedStr, taint_str
 
 from test_sql_text_builders import tokenize_reference
@@ -413,7 +430,7 @@ def shape(value):
     """The node class tree with every field; tainted strings with their
     range maps."""
     if isinstance(value, nodes.Node):
-        fields = {name: shape(field) for name, field in vars(value).items()}
+        fields = {name: shape(getattr(value, name)) for name in value.__slots__}
         return (type(value).__name__, fields)
     if isinstance(value, (list, tuple)):
         return (type(value).__name__, [shape(item) for item in value])
@@ -431,14 +448,43 @@ def outcome(parser, sql):
     return ("ok", shape(statement), str(text), text.rangemap)
 
 
+def relabel(sql):
+    """``sql`` with each slot replaced by another of its kind: a string
+    literal by its body reversed plus ``v``, which carries ``RELABELED``
+    too if it carried a policy (a ``DEFAULT`` takes only plain text); a
+    number by a different one.  The skeleton stays the same."""
+    parts = SLOTS.split(sql)
+    pieces = []
+    offset = 0
+    for index, part in enumerate(parts):
+        if index % 2 == 0:
+            pieces.append(sql[offset : offset + len(part)])
+        elif part[0] == "'":
+            body = sql[offset + 1 : offset + len(part) - 1][::-1] + "v"
+            if isinstance(body, TaintedStr) and body.policies():
+                body = taint_str(body, [RELABELED])
+            pieces.append("'" + body + "'")
+        elif "." in part:
+            pieces.append("7.25" if part != "7.25" else ".5")
+        else:
+            pieces.append(str(int(part) + 7))
+        offset += len(part)
+    variant = TaintedStr("").join(pieces)
+    assert skeleton(SLOTS.split(variant)) == skeleton(parts)
+    return variant
+
+
 def assert_same_outcome(sql):
     assert outcome(parse, sql) == outcome(parse_reference, sql)
+    variant = relabel(sql)
+    assert outcome(parse, variant) == outcome(parse_reference, variant)
 
 
 # -- the statement grammar ---------------------------------------------------------
 
 U1 = UntrustedData("form")
 U2 = UntrustedData("cookie")
+RELABELED = UntrustedData("relabeled")
 
 
 def words(*parts):
@@ -659,3 +705,38 @@ class TestParserParity:
     @given(sql=soups)
     def test_token_soups_match_reference(self, sql):
         assert_same_outcome(sql)
+
+
+# Slots that are no STRING or NUMBER token of the same span, or that do not
+# land unchanged in one Literal: such statements keep no template.
+NO_TEMPLATE = [
+    "SELECT a /* 'x' 1 */ FROM t WHERE b = 2",  # in a comment
+    "SELECT a -- 'x' 1\n FROM t WHERE b = 2",
+    "SELECT `a 1`, `'x'` FROM t WHERE b = 2",  # in a backquoted name
+    "SELECT a FROM t WHERE b = \u0661\u0662",  # a non-ASCII number
+    "SELECT a FROM t WHERE b = 'x' AND c = -1",  # a negated number
+    "SELECT a FROM t WHERE b = 'x' LIMIT 2 OFFSET 3",  # row counts
+    "CREATE TABLE t (a varchar(8), b TEXT)",  # a type width
+    "CREATE TABLE t (a TEXT DEFAULT 'x')",  # a default
+]
+# Statements whose every slot is a literal of the tree, near text that is
+# no slot: a word, parameter or qualified name holding a digit, a sign.
+TEMPLATE = [
+    "SELECT :p1, t.a1, a2, b_3 FROM t WHERE b = '\u0661\u0662' AND c = +1",
+    "UPDATE t SET a = 'x''y', b = 2.5 WHERE c IN (1, .5, 'z') OR d = 10.",
+    "EXPLAIN DELETE FROM t WHERE a = 1 AND b LIKE '%x%'",
+]
+
+
+class TestTemplates:
+    @pytest.mark.parametrize("sql", NO_TEMPLATE)
+    def test_statements_that_keep_no_template_match_reference(self, sql):
+        parser.clear_templates()
+        assert_same_outcome(sql)
+        assert not parser._templates
+
+    @pytest.mark.parametrize("sql", TEMPLATE)
+    def test_statements_that_keep_a_template_match_reference(self, sql):
+        parser.clear_templates()
+        assert_same_outcome(sql)
+        assert list(parser._templates) == [skeleton(SLOTS.split(sql))]

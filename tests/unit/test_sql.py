@@ -1,6 +1,8 @@
 """Unit tests for the SQL substrate: tokenizer, parser, engine."""
 
+import gc
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,7 @@ from repro.core.exceptions import SQLError
 from repro.core.policyset import PolicySet
 from repro.policies import UntrustedData
 from repro.security.assertions import SQLGuardFilter
-from repro.sql import nodes, parse, tokenize
+from repro.sql import nodes, parse, parser, tokenize
 from repro.sql.engine import Engine
 from repro.sql.tokenizer import IDENT, KEYWORD, NUMBER, OP, PARAM, PUNCT, STRING, scan
 from repro.tracking.propagation import concat
@@ -247,6 +249,12 @@ def tokenized_param_names(sql):
         return frozenset()
 
 
+@pytest.fixture
+def no_templates():
+    """Start from an empty statement-template memo."""
+    parser.clear_templates()
+
+
 class TestParamNames:
     @pytest.fixture
     def db(self):
@@ -260,8 +268,10 @@ class TestParamNames:
         "SELECT a FROM t WHERE a = 'it''s :x' OR a = '10:30'",
         "SELECT a FROM t WHERE a = '10:30' AND a <> 'http://example.org/'",
     ])
-    def test_colons_only_inside_literals_scan_the_query_once(self, db, sql):
+    def test_colons_only_inside_literals_scan_the_query_once(self, db, sql,
+                                                            no_templates):
         assert count_scans(db.query, sql) == 1
+        assert count_scans(db.query, sql) == 0
         assert [str(row["a"]) for row in db.query(sql)] == ["10:30"]
 
     def test_a_real_parameter_is_found_and_bound(self, db):
@@ -269,6 +279,13 @@ class TestParamNames:
         assert _query_param_names(sql) == frozenset({"when"})
         prepared = db.query(sql)
         assert prepared.run(when="10:30").rows[0]["a"] == "10:30"
+
+    def test_a_query_naming_a_parameter_is_scanned_once(self, db,
+                                                        no_templates):
+        sql = "SELECT a FROM t WHERE a = :x"
+        assert count_scans(db.query, sql, {"x": "10:30"}) == 1
+        assert count_scans(db.query, sql, {"x": "10:30"}) == 0
+        assert db.query(sql, {"x": "10:30"}).rows[0]["a"] == "10:30"
 
     @pytest.mark.parametrize("sql", [
         "SELECT `a'` , :p , `'`",
@@ -281,7 +298,9 @@ class TestParamNames:
         "SELECT :p FROM t WHERE a = \u00b2",
         "SELECT '" + "ab''" * 40 + "' , :p",
     ])
-    def test_names_match_the_tokenizer_on_tricky_text(self, sql):
+    def test_names_match_the_tokenizer_on_tricky_text(self, sql, no_templates):
+        # The second call answers from the template the first one left.
+        assert _query_param_names(sql) == tokenized_param_names(sql)
         assert _query_param_names(sql) == tokenized_param_names(sql)
 
     @settings(max_examples=300)
@@ -291,6 +310,129 @@ class TestParamNames:
     ]), max_size=12).map("".join))
     def test_names_match_the_tokenizer(self, sql):
         assert _query_param_names(sql) == tokenized_param_names(sql)
+        assert _query_param_names(sql) == tokenized_param_names(sql)
+
+
+def literals(value):
+    """The ``Literal`` nodes below ``value``, in the order the SQL names
+    them."""
+    if isinstance(value, nodes.Literal):
+        return [value]
+    if isinstance(value, nodes.Node):
+        children = [getattr(value, name) for name in value.__slots__]
+    elif isinstance(value, (list, tuple)):
+        children = value
+    else:
+        return []
+    return [literal for child in children for literal in literals(child)]
+
+
+class TestStatementTemplates:
+    """The parser's memo of statement shapes (``parser._templates``)."""
+
+    def test_a_hit_binds_the_values_and_maps_of_its_own_text(self, no_templates):
+        first = parse(concat("SELECT a FROM t WHERE b = '", taint_str("x", U),
+                             "' AND c = 1"))
+        other = UntrustedData("other")
+        value = taint_str("it''s", other)
+        second = parse(concat("SELECT a FROM t WHERE b = '", value,
+                              "' AND c = 22"))
+        assert len(parser._templates) == 1
+        assert [literal.value for literal in literals(second)] == ["it's", 22]
+        assert literals(second)[0].value.policies() == PolicySet.of(other)
+        assert literals(first)[0].value.policies() == PolicySet.of(U)
+        assert [literal.value for literal in literals(first)] == ["x", 1]
+        assert second is not first and second.where is not first.where
+        # An integer and a decimal slot are different shapes.
+        decimal = parse("SELECT a FROM t WHERE b = 'y' AND c = 2.5")
+        assert [literal.value for literal in literals(decimal)] == ["y", 2.5]
+        assert len(parser._templates) == 2
+
+    def test_a_fractional_limit_raises_after_an_integer_one(self, no_templates):
+        assert parse("SELECT a FROM t LIMIT 2").limit == 2
+        with pytest.raises(SQLError) as raised:
+            parse("SELECT a FROM t LIMIT 2.5")
+        assert str(raised.value) == "LIMIT must be an integer, found 2.5"
+
+    def test_a_slot_deep_in_a_chain_keeps_no_template(self, no_templates):
+        # An OR chain nests one level per term, without the parser's bound.
+        chain = " OR ".join(f"a = {index}" for index in range(3000))
+        statement = parse(f"SELECT a FROM t WHERE {chain}")
+        assert not parser._templates
+        assert statement.where.right.right.value == 2999
+
+    def test_each_thread_binds_its_own_values(self, no_templates):
+        threads_count = 4
+        rounds = 200
+        errors = []
+
+        def parse_own(index):
+            policy = UntrustedData(f"thread-{index}")
+            try:
+                for round_ in range(rounds):
+                    text = taint_str(f"value {index} {round_}", policy)
+                    statement = parse(concat(
+                        "SELECT a FROM t WHERE b = '", text, "' AND c = ",
+                        str(index * rounds + round_)))
+                    bound = literals(statement)
+                    assert [literal.value for literal in bound] == [
+                        text, index * rounds + round_]
+                    assert bound[0].value.rangemap == text.rangemap
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=parse_own, args=(index,))
+                   for index in range(threads_count)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(parser._templates) == 1
+
+    def test_a_full_memo_is_cleared_and_stays_correct(self, no_templates):
+        for index in range(parser._TEMPLATE_LIMIT):
+            parse(f"SELECT c{index} FROM t WHERE a = {index}")
+        assert len(parser._templates) == parser._TEMPLATE_LIMIT
+        statement = parse("SELECT c0 FROM t WHERE a = 'after'")
+        assert len(parser._templates) == 1
+        assert literals(statement)[0].value == "after"
+        hit = parse("SELECT c0 FROM t WHERE a = 'again'")
+        miss = parse("SELECT c1 FROM t WHERE a = 7")
+        assert str(hit.to_sql()) == "SELECT c0 FROM t WHERE (a = 'again')"
+        assert str(miss.to_sql()) == "SELECT c1 FROM t WHERE (a = 7)"
+        assert len(parser._templates) == 2
+
+    def test_no_template_keeps_a_literal_of_the_statement_it_came_from(
+            self, no_templates):
+        secret = taint_str("hunter2-secret", U)
+        statement = parse(concat(
+            "INSERT INTO users (email, password, n) VALUES ('a@b.org', '",
+            secret, "', 987654321)"))
+        parse(concat("UPDATE t SET a = '", secret, "' WHERE b IN (987654321, 'c')"))
+        assert len(parser._templates) == 2
+        values = [literal.value for literal in literals(statement)]
+        assert values == ["a@b.org", secret, 987654321]
+        seen = set()
+        pending = [parser._templates]
+        while pending:
+            item = pending.pop()
+            if id(item) in seen or isinstance(item, type):
+                continue
+            seen.add(id(item))
+            assert not any(item is value for value in values)
+            if isinstance(item, str):
+                assert "hunter2" not in item and "a@b.org" not in item
+            elif isinstance(item, int):
+                assert item != 987654321
+            else:
+                pending.extend(gc.get_referents(item))
 
 
 class TestEngine:
