@@ -13,7 +13,7 @@ HotCRP password-reminder e-mail both ways and reports
 import pytest
 
 from repro.core.api import policy_add, policy_get
-from repro.core.runtime import check_export
+from repro.core.filter import check_export
 from repro.core.exceptions import PolicyViolation
 from repro.policies import PasswordPolicy
 from repro.tracking.propagation import concat, spread_policies

@@ -9,7 +9,7 @@ from .exceptions import (AccessDenied, ChannelError, DisclosureViolation,
                          ResinError, ScriptInjectionViolation,
                          SerializationError, SQLError)
 from .filter import (DeclassifyFilter, DefaultFilter, Filter, FilterChain,
-                     filter_of, guard_function)
+                     check_export, filter_of, guard_function)
 from .policy import Policy
 from .policyset import PolicySet, as_policyset
 from .registry import CHANNEL_TYPES, FilterRegistry, default_filter
@@ -17,7 +17,7 @@ from .locking import OrderedLockRegistry
 from .request_context import (RequestContext, current_request,
                               request_scoped_context)
 from .services import ServiceRegistry, resolve_service
-from .runtime import OutputBuffer, check_export
+from .runtime import OutputBuffer
 from .serialization import (deserialize_policy, deserialize_policyset,
                             deserialize_rangemap, dumps_policyset,
                             dumps_rangemap, loads_policyset, loads_rangemap,

@@ -1,9 +1,7 @@
 """Runtime boundary machinery.
 
 This module implements the output buffering mechanism applications use to
-combine assertions with exception handling (Section 5.5).  The export-check
-helper default filters run, :func:`~repro.core.filter.check_export`, lives
-beside :class:`~repro.core.filter.DefaultFilter` and is re-exported here.
+combine assertions with exception handling (Section 5.5).
 
 The default filter factories of Section 3.2.1 live in
 :mod:`repro.core.registry`: each :class:`~repro.environment.Environment`
@@ -21,9 +19,8 @@ from __future__ import annotations
 from typing import Any, Callable, List
 
 from .exceptions import FilterError
-from .filter import check_export
 
-__all__ = ["check_export", "OutputBuffer"]
+__all__ = ["OutputBuffer"]
 
 
 class OutputBuffer:

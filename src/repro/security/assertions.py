@@ -13,17 +13,22 @@ tens of lines — and they reuse the application's own code and data structures
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional
+import re
+from html.parser import HTMLParser
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+from ..core.api import policy_add
 from ..core.exceptions import AccessDenied, InjectionViolation, SerializationError
 from ..core.filter import Filter
 from ..core.request_context import request_scoped_context
 from ..policies.acl import ACL
 from ..policies.code_approval import CodeApproval
-from ..policies.untrusted import HTMLSanitized, SQLSanitized, UntrustedData
-from ..sql.tokenizer import NUMBER, STRING, tokenize
+from ..policies.untrusted import (HTMLSanitized, JSONSanitized, SQLSanitized,
+                                  UntrustedData)
+from ..sql.tokenizer import NUMBER, STRING, scan
 from ..tracking.tainted_str import TaintedStr
 from ..web.request import Request
+from ..web.sanitize import sql_quote
 
 __all__ = [
     "mark_untrusted", "mark_request_untrusted", "UntrustedInputFilter",
@@ -36,7 +41,6 @@ __all__ = [
 
 def mark_untrusted(value, source: str = "input"):
     """Attach an ``UntrustedData`` policy to ``value``."""
-    from ..core.api import policy_add
     return policy_add(value, UntrustedData(source))
 
 
@@ -63,6 +67,49 @@ class UntrustedInputFilter(Filter):
         return mark_untrusted(data, self.source)
 
 
+def _untrusted_ranges(data: TaintedStr, unless: Optional[type] = None):
+    """The ``(start, stop)`` of each range of ``data`` that carries
+    ``UntrustedData`` (and no ``unless`` marker): how every guard below
+    finds untrusted characters."""
+    return [(rng.start, rng.stop) for rng in data.rangemap.ranges
+            if rng.policies.has_type(UntrustedData)
+            and not (unless and rng.policies.has_type(unless))]
+
+
+def _mask(length: int, spans) -> bytearray:
+    """One byte per position of a text of ``length``: 1 inside ``spans``."""
+    mask = bytearray(length)
+    for start, stop in spans:
+        mask[start:stop] = b"\1" * (stop - start)
+    return mask
+
+
+def _check_sanitized(data: TaintedStr, marker: type, output: str,
+                     context) -> None:
+    """The sanitizer strategy of Section 5.3: every untrusted character of
+    ``data`` must carry the ``marker`` its sanitizer attaches."""
+    unsanitized = _untrusted_ranges(data, marker)
+    if unsanitized:
+        start, stop = unsanitized[0]
+        raise InjectionViolation(
+            f"unsanitized user input in {output} near "
+            f"{str(data)[start:stop][:40]!r}", context=context)
+
+
+def _check_sql_structure(sql: TaintedStr, context) -> None:
+    """The structure strategy of Section 5.3: no untrusted character of
+    ``sql`` in a token that :func:`~repro.sql.tokenizer.scan` reads, unless
+    the token is a string literal or a number."""
+    kinds, _, spans = scan(sql)
+    untrusted = _mask(len(sql), _untrusted_ranges(sql))
+    for kind, (start, end) in zip(kinds, spans):
+        if kind not in (STRING, NUMBER) and untrusted.find(1, start, end) >= 0:
+            raise InjectionViolation(
+                "user input reached SQL query structure near "
+                f"{str(sql)[start:end][:40]!r}",
+                context=request_scoped_context(context))
+
+
 class SQLGuardFilter(Filter):
     """SQL-injection assertion (Data Flow Assertion 1).
 
@@ -73,8 +120,8 @@ class SQLGuardFilter(Filter):
       ``UntrustedData`` must also carry ``SQLSanitized`` (i.e. user input
       must have passed through the quoting function);
     * ``"structure"`` — characters belonging to the query's *structure*
-      (keywords, identifiers, operators, punctuation — everything except the
-      contents of string literals) must not carry ``UntrustedData`` at all.
+      (the tokens the engine's tokenizer reads, except string literals,
+      quotes included, and numbers) must not carry ``UntrustedData`` at all.
     """
 
     def __init__(self, strategy: str = "structure",
@@ -93,32 +140,10 @@ class SQLGuardFilter(Filter):
         if not isinstance(sql, TaintedStr):
             return
         if self.strategy == "sanitizer":
-            self._check_sanitizer(sql)
+            _check_sanitized(sql, SQLSanitized, "SQL query",
+                             request_scoped_context(self.context))
         else:
-            self._check_structure(sql)
-
-    def _check_sanitizer(self, sql: TaintedStr) -> None:
-        for rng in sql.rangemap.ranges:
-            if (rng.policies.has_type(UntrustedData)
-                    and not rng.policies.has_type(SQLSanitized)):
-                raise InjectionViolation(
-                    "unsanitized user input in SQL query near "
-                    f"{str(sql)[rng.start:rng.stop][:40]!r}",
-                    context=request_scoped_context(self.context))
-
-    def _check_structure(self, sql: TaintedStr) -> None:
-        for token in tokenize(sql):
-            if token.type in (STRING, NUMBER):
-                # Literals are data, not structure: untrusted data is allowed
-                # to appear as a string literal's contents or a bare number —
-                # it just may not change keywords, identifiers or operators.
-                continue
-            text = token.text
-            if isinstance(text, TaintedStr) and text.has_policy_type(UntrustedData):
-                raise InjectionViolation(
-                    "user input reached SQL query structure near "
-                    f"{str(text)[:40]!r}",
-                    context=request_scoped_context(self.context))
+            _check_sql_structure(sql, self.context)
 
 
 class HTMLGuardFilter(Filter):
@@ -132,13 +157,7 @@ class HTMLGuardFilter(Filter):
 
     def filter_write(self, data: Any, offset: int = 0) -> Any:
         if isinstance(data, TaintedStr):
-            for rng in data.rangemap.ranges:
-                if (rng.policies.has_type(UntrustedData)
-                        and not rng.policies.has_type(HTMLSanitized)):
-                    raise InjectionViolation(
-                        "unsanitized user input in HTML output near "
-                        f"{str(data)[rng.start:rng.stop][:40]!r}",
-                        context=self.context)
+            _check_sanitized(data, HTMLSanitized, "HTML output", self.context)
         return data
 
 
@@ -150,8 +169,9 @@ class AutoSanitizingSQLFilter(Filter):
 
     Contiguous untrusted characters that appear *outside* string literals are
     rewritten into a quoted SQL literal; untrusted characters inside string
-    literals are left alone (the quoting already confines them).  The
-    rewritten query is what actually reaches the database.
+    literals are escaped.  The rewritten query is what reaches the database,
+    once it passes the structure check: a run that the template puts in a
+    comment or a backquoted name may still end it.
     """
 
     def filter_func(self, func: Callable, args: tuple, kwargs: dict) -> Any:
@@ -160,30 +180,31 @@ class AutoSanitizingSQLFilter(Filter):
         return func(*args, **kwargs)
 
     def _rewrite(self, sql: TaintedStr) -> TaintedStr:
-        """Walk the query as alternating runs of trusted and untrusted
-        characters.  Adjacent untrusted ranges form one run (one
-        ``sql_quote`` call); a trusted run flips the template's quote parity
-        once per ``'`` it contains."""
-        from ..web.sanitize import sql_quote
+        """Adjacent untrusted ranges form one run (one ``sql_quote`` call).
+        The trusted *template*, the query with each untrusted character a
+        space, says which runs sit in a string literal, as
+        :func:`~repro.sql.tokenizer.scan` reads it."""
         runs = []
-        for rng in sql.rangemap.ranges:
-            if rng.policies.has_type(UntrustedData):
-                if runs and runs[-1][1] == rng.start:
-                    runs[-1][1] = rng.stop
-                else:
-                    runs.append([rng.start, rng.stop])
+        for start, stop in _untrusted_ranges(sql):
+            if runs and runs[-1][1] == start:
+                runs[-1][1] = stop
+            else:
+                runs.append([start, stop])
         if not runs:
             return sql
+        template = list(str(sql))
+        for start, stop in runs:
+            template[start:stop] = " " * (stop - start)
+        kinds, _, spans = scan("".join(template))
+        in_literal = _mask(len(sql), (span for kind, span in zip(kinds, spans)
+                                      if kind == STRING))
         pieces = []
-        inside_literal = False      # quote parity of the *trusted* template
         cursor = 0
         for start, stop in runs:
             if cursor < start:
                 pieces.append(sql[cursor:start])
-                if sql.count("'", cursor, start) % 2:
-                    inside_literal = not inside_literal
             run = sql_quote(sql[start:stop])
-            if inside_literal:
+            if in_literal[start]:
                 # The template already supplies the enclosing quotes;
                 # escaping the run keeps it confined to that literal.
                 pieces.append(run)
@@ -193,40 +214,96 @@ class AutoSanitizingSQLFilter(Filter):
             cursor = stop
         if cursor < len(sql):
             pieces.append(sql[cursor:])
-        return TaintedStr("").join(pieces)
+        rewritten = TaintedStr("").join(pieces)
+        _check_sql_structure(rewritten, self.context)
+        return rewritten
+
+
+class _Diverged(Exception):
+    """html.parser reads the rest of the write unlike HTML5."""
+
+
+class _TextContent(HTMLParser):
+    """The ``spans`` of an HTML write's text content: data and character
+    references outside raw text (``script`` and ``style``).  The write is
+    fed once and the parser never closed, which would flush an unfinished
+    ``<a href="…`` as data.  What it leaves unread is no text, but for a
+    trailing ``&…`` without ``<``: a character reference cut short."""
+
+    def __init__(self, text: str):
+        super().__init__(convert_charrefs=False)
+        self.spans: List[Tuple[int, int]] = []
+        self._source = text
+        self._lines = [0] + [match.end() for match in re.finditer("\n", text)]
+        try:
+            self.feed(text)
+        except (AssertionError, NotImplementedError, _Diverged):
+            # The parser stops at an unknown ``<![`` section (Python 3.9
+            # raises NotImplementedError): the rest is no text.
+            return
+        rest = self.rawdata
+        if rest.startswith("&") and "<" not in rest and not self.cdata_elem:
+            self.spans.append((len(text) - len(rest), len(text)))
+
+    def _start(self) -> int:
+        line, column = self.getpos()
+        return self._lines[line - 1] + column
+
+    def handle_startendtag(self, tag: str, attrs) -> None:
+        # HTML5 ignores the "/" of ``<script/>``: raw text still follows.
+        if tag in self.CDATA_CONTENT_ELEMENTS:
+            self.set_cdata_mode(tag)
+
+    def handle_endtag(self, tag: str) -> None:
+        # The parser also ends raw text at ``</ script>``; HTML5 does not.
+        start = self._start() + len("</")
+        if self.cdata_elem and self._source[start:start + len(tag)].lower() != tag:
+            raise _Diverged
+
+    def handle_data(self, data: str) -> None:
+        if self.cdata_elem:
+            return
+        if len(data) > 1 and data[0] == "<":
+            raise _Diverged  # a start tag it gave up on, as ``<a\0 x=y>``
+        start = self._start()
+        self.spans.append((start, start + len(data)))
+
+    def handle_charref(self, name: str) -> None:
+        self._reference("&#" + name)
+
+    def handle_entityref(self, name: str) -> None:
+        self._reference("&" + name)
+
+    def _reference(self, reference: str) -> None:
+        start = self._start()
+        stop = start + len(reference)
+        if self._source.startswith(";", stop):
+            stop += 1
+        self.spans.append((start, stop))
 
 
 class HTMLStructureGuardFilter(Filter):
     """The structure-checking flavour of the XSS assertion (Section 5.3,
     second strategy): untrusted characters may appear in HTML output only as
-    text content — never as markup structure (``<``, ``>``, quotes inside a
-    tag, or anywhere inside a ``<script>`` element)."""
-
-    _SCRIPT_OPEN = "<script"
-    _SCRIPT_CLOSE = "</script>"
+    text content, as stdlib :mod:`html.parser` reads each write alone —
+    never in markup structure: a tag, a comment, ``<script>`` or ``<style>``
+    content, or a construct the write leaves unfinished."""
 
     def filter_write(self, data: Any, offset: int = 0) -> Any:
         if not isinstance(data, TaintedStr):
             return data
+        untrusted = _untrusted_ranges(data)
+        if not untrusted:
+            return data
         text = str(data)
-        lowered = text.lower()
-        in_script = False
-        in_tag = False
-        for index, char in enumerate(text):
-            untrusted = data.policies_at(index).has_type(UntrustedData)
-            if lowered.startswith(self._SCRIPT_OPEN, index):
-                in_script = True
-            if lowered.startswith(self._SCRIPT_CLOSE, index):
-                in_script = False
-            if char == "<":
-                in_tag = True
-            if untrusted and (char in "<>" or in_tag or in_script):
+        text_content = _mask(len(text), _TextContent(text).spans)
+        for start, stop in untrusted:
+            index = text_content.find(0, start, stop)
+            if index >= 0:
                 raise InjectionViolation(
                     "untrusted data in HTML structure near "
                     f"{text[max(0, index - 10):index + 10]!r}",
                     context=self.context)
-            if char == ">":
-                in_tag = False
         return data
 
 
@@ -236,15 +313,8 @@ class JSONGuardFilter(Filter):
     change the structure of the client-side data (or smuggle script)."""
 
     def filter_write(self, data: Any, offset: int = 0) -> Any:
-        from ..policies.untrusted import JSONSanitized
         if isinstance(data, TaintedStr):
-            for rng in data.rangemap.ranges:
-                if (rng.policies.has_type(UntrustedData)
-                        and not rng.policies.has_type(JSONSanitized)):
-                    raise InjectionViolation(
-                        "unsanitized user input in JSON output near "
-                        f"{str(data)[rng.start:rng.stop][:40]!r}",
-                        context=self.context)
+            _check_sanitized(data, JSONSanitized, "JSON output", self.context)
         return data
 
 
@@ -255,10 +325,8 @@ class ResponseSplittingFilter(Filter):
     def filter_write(self, data: Any, offset: int = 0) -> Any:
         if isinstance(data, TaintedStr):
             text = str(data)
-            for index in range(len(text)):
-                if text[index] not in "\r\n":
-                    continue
-                if data.policies_at(index).has_type(UntrustedData):
+            for start, stop in _untrusted_ranges(data):
+                if "\r" in text[start:stop] or "\n" in text[start:stop]:
                     raise InjectionViolation(
                         "user-supplied CR/LF in HTTP output (response "
                         "splitting attempt)", context=self.context)

@@ -7,7 +7,6 @@ from .executor import Executor, Result, Row
 from .indexes import SecondaryIndex
 from .parser import Parser, parse
 from .planner import Plan, Planner, bind_parameters, collect_params
-from .tokenizer import Token, tokenize
 
 __all__ = [
     "nodes",
@@ -17,8 +16,6 @@ __all__ = [
     "Table",
     "Parser",
     "parse",
-    "Token",
-    "tokenize",
     "Plan",
     "Planner",
     "Executor",

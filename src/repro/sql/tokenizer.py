@@ -1,18 +1,17 @@
 """SQL tokenizer.
 
 Tokenizes a (possibly tainted) SQL query string while preserving the
-character-level policies of every token: each token can cut the
-:class:`~repro.tracking.tainted_str.TaintedStr` slice it was read from, so
-the SQL-injection filter can ask "does any character of the query's
+character-level policies of every token: each token's span says where in
+the :class:`~repro.tracking.tainted_str.TaintedStr` it was read, so the
+SQL-injection filters can ask "does any character of the query's
 *structure* carry ``UntrustedData``?" (the second strategy of Section 5.3),
 and a string literal's cooked value keeps the policies of its characters,
 so the persistence filter can recover them.
 
 A statement is read by one scan (:func:`scan`): one ``finditer`` of one
 compiled pattern, which matches every token, comment and malformed input
-with the whitespace before it, fills the arrays of token kinds and values
-the parser reads.  :func:`tokenize` builds :class:`Token` objects from the
-same scan.
+with the whitespace before it, fills the arrays of token kinds, values and
+spans that the parser and the injection assertions read.
 
 The parser's template memo keys a statement on its *skeleton*
 (:func:`skeleton`): the text cut at its slots (:data:`SLOTS`: each string
@@ -36,13 +35,10 @@ KEYWORDS = frozenset("""
     using
 """.split())
 
-#: Token types.
-KEYWORD = "KEYWORD"
+#: The kinds of tokens other than keywords, operators and punctuation.
 IDENT = "IDENT"
 STRING = "STRING"
 NUMBER = "NUMBER"
-OP = "OP"
-PUNCT = "PUNCT"
 PARAM = "PARAM"
 EOF = "EOF"
 
@@ -98,14 +94,6 @@ _STRING_SLOT, _DECIMAL_SLOT, _INTEGER_SLOT = "'", ".", "0"
 
 #: The kinds (values) of operator tokens.
 OPERATORS = frozenset(("!=", "<=", ">=", "=", "<", ">", "+", "-"))
-
-#: The token type of each kind (see :func:`scan`).
-_TYPES = {
-    **dict.fromkeys(KEYWORDS, KEYWORD),
-    **dict.fromkeys(OPERATORS, OP),
-    **dict.fromkeys("(),.;*", PUNCT),
-    **{type: type for type in (IDENT, STRING, NUMBER, PARAM, EOF)},
-}
 
 
 def scan(sql) -> Tuple[List[str], list, List[Tuple[int, int]]]:
@@ -233,40 +221,3 @@ def _malformed(text: str, index: int):
     if text.startswith("/*", index):
         raise SQLError("unterminated comment")
     raise SQLError(f"unexpected character {char!r} at position {index}")
-
-
-class Token:
-    """One lexical token.
-
-    ``text`` is the tainted source slice (including quotes for strings),
-    cut from ``source`` only when asked for; ``value`` is the cooked value
-    (unescaped string content, int/float for numbers, lower-cased text for
-    keywords).
-    """
-
-    __slots__ = ("type", "value", "source", "start", "end")
-
-    def __init__(self, type: str, value, source: TaintedStr, start: int, end: int):
-        self.type = type
-        self.value = value
-        self.source = source
-        self.start = start
-        self.end = end
-
-    @property
-    def text(self) -> TaintedStr:
-        return self.source[self.start : self.end]
-
-    def __repr__(self) -> str:
-        return f"Token({self.type}, {self.value!r})"
-
-
-def tokenize(sql) -> List[Token]:
-    """Tokenize ``sql`` into a list of tokens ending with an EOF token."""
-    if not isinstance(sql, TaintedStr):
-        sql = TaintedStr(sql)
-    kinds, values, spans = scan(sql)
-    return [
-        Token(_TYPES[kind], value, sql, start, end)
-        for kind, value, (start, end) in zip(kinds, values, spans)
-    ]

@@ -15,7 +15,7 @@ from .routing import (
     SessionMiddleware,
     UntrustedInputMiddleware,
 )
-from .sanitize import html_escape, json_encode, sql_quote, strip_tags
+from .sanitize import html_escape, json_encode, sql_quote
 from .session import Session, SessionStore
 
 __all__ = [
@@ -37,5 +37,4 @@ __all__ = [
     "sql_quote",
     "html_escape",
     "json_encode",
-    "strip_tags",
 ]

@@ -20,7 +20,7 @@ from ..policies.untrusted import HTMLSanitized, JSONSanitized, SQLSanitized
 from ..tracking.propagation import spread_policies, to_tainted_str
 from ..tracking.tainted_str import TaintedStr
 
-__all__ = ["sql_quote", "html_escape", "json_encode", "strip_tags"]
+__all__ = ["sql_quote", "html_escape", "json_encode"]
 
 
 def _escape_chars(text: TaintedStr, replacements, metachars) -> TaintedStr:
@@ -98,28 +98,3 @@ def json_encode(value) -> TaintedStr:
     for policy in text.policies():
         encoded = encoded.with_policy(policy)
     return encoded.with_policy(_JSON_ENCODED)
-
-
-def strip_tags(value) -> TaintedStr:
-    """Remove anything that looks like an HTML tag (a second-line sanitizer
-    some of the forum code paths use before quoting message bodies).
-
-    A tag runs from a ``<`` to the next ``>``; an unclosed tag runs to the
-    end.  The result is one slice per run of text outside tags.
-    """
-    text = to_tainted_str(value)
-    start = text.find("<")
-    if start < 0:
-        return text
-    pieces = []
-    cursor = 0
-    while start >= 0:
-        if cursor < start:
-            pieces.append(text[cursor:start])
-        cursor = text.find(">", start + 1) + 1
-        if not cursor:
-            return TaintedStr("").join(pieces)
-        start = text.find("<", cursor)
-    if cursor < len(text):
-        pieces.append(text[cursor:])
-    return TaintedStr("").join(pieces)

@@ -4,7 +4,7 @@ Timing tests flake; these count instead.  Parsing each statement the site
 issues (the users and papers SELECTs of a paper page, the reviews INSERT of
 a review) stays within a budget of Python and C calls, counted with
 ``sys.setprofile``, the first time its shape is seen and within a smaller
-one after, and builds no ``Token``; so does running each
+one after; so does running each
 paper-page SELECT through the RESIN site's policy cells; the SQL channel's
 check of a query built by ``concat`` leaves its range map unflattened; a
 served page runs no ``import`` statement once
@@ -31,7 +31,7 @@ from repro.core.policy import Policy
 from repro.core.policyset import PolicySet
 from repro.environment import Environment
 from repro.server.http import HTTPServer
-from repro.sql import parser, tokenizer
+from repro.sql import parser
 from repro.sql.parser import parse
 from repro.tracking.propagation import concat
 from repro.web.app import WebApplication
@@ -124,31 +124,6 @@ def test_parsing_a_hotcrp_statement_stays_within_its_call_budget(
         parser.clear_templates()
         assert count_calls(parse, sql) <= PARSE_CALL_BUDGET
         assert count_calls(parse, sql) <= PARSE_HIT_CALL_BUDGET
-
-
-@pytest.mark.parametrize("prefix", [
-    "SELECT email, password, is_pc, priv_chair FROM users",
-    "SELECT id, title, abstract, authors, anonymous FROM papers",
-    "INSERT INTO reviews",
-])
-def test_parsing_a_hotcrp_statement_builds_no_token(hotcrp_statements, prefix,
-                                                     monkeypatch):
-    """The parser reads the scan's arrays of kinds and values."""
-    statements = [sql for sql in hotcrp_statements
-                  if str(sql).startswith(prefix)]
-    assert statements, f"the site issued no {prefix!r} statement"
-    built = []
-    original = tokenizer.Token.__init__
-
-    def counting(self, *args):
-        built.append(args[0])
-        original(self, *args)
-
-    monkeypatch.setattr(tokenizer.Token, "__init__", counting)
-    for sql in statements:
-        parse(sql)
-    monkeypatch.undo()
-    assert built == []
 
 
 @pytest.mark.parametrize("user", ["pc@example.org", "o'brien@example.org"])

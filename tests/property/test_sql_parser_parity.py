@@ -31,21 +31,10 @@ from repro.core.exceptions import SQLError
 from repro.policies import UntrustedData
 from repro.sql import nodes, parser
 from repro.sql.parser import parse
-from repro.sql.tokenizer import (
-    EOF,
-    IDENT,
-    KEYWORD,
-    NUMBER,
-    OP,
-    PARAM,
-    PUNCT,
-    SLOTS,
-    STRING,
-    skeleton,
-)
+from repro.sql.tokenizer import EOF, IDENT, NUMBER, PARAM, SLOTS, STRING, skeleton
 from repro.tracking.tainted_str import TaintedStr, taint_str
 
-from test_sql_text_builders import tokenize_reference
+from test_sql_text_builders import KEYWORD, OP, PUNCT, tokenize_reference
 
 _TYPE_KEYWORDS = {"integer", "int", "text", "real", "float", "varchar", "char"}
 _AGGREGATES = {"count", "min", "max", "sum", "avg"}

@@ -1,22 +1,22 @@
 """Differential tests for the per-run builders of tainted strings on the SQL
-path.
+path, and for the SQL injection assertions that read the tokenizer.
 
-``sql_quote``, ``html_escape``, ``strip_tags``, the tokenizer's string
-literals and lazy token text, and ``AutoSanitizingSQLFilter._rewrite`` build
-their results from one tainted slice per run of characters.  The
-per-character builders they replaced are kept below as the reference
-semantics (``escape_reference``, ``strip_tags_reference``,
+``sql_quote``, ``html_escape``, the tokenizer's string literals and
+``AutoSanitizingSQLFilter._rewrite`` build their results from one tainted
+slice per run of characters.  The per-character builders they replaced are
+kept below as the reference semantics (``escape_reference``,
 ``tokenize_reference``, ``rewrite_reference``): each walks the input one
 character at a time and concatenates one tainted character at a time.  On a
 hypothesis corpus of mixed-taint text with ``''`` escapes, HTML
 metacharacters and unterminated literals, both must produce the same text,
 the same range maps, the same tokens, the same ``SQLError`` messages and the
-same ``SQLGuardFilter`` verdicts.  A count-based guard pins the per-run
-shape: quoting and tokenizing a literal builds as many ``TaintedStr``
-objects at 4096 characters as at 64.
+same ``SQLGuardFilter`` verdicts and messages, against reference guards
+over ``tokenize_reference``.  A property checks that a rewritten query
+leaves no untrusted character in its structure.  A count-based guard pins
+the per-run shape: quoting and scanning a literal builds as many
+``TaintedStr`` objects at 4096 characters as at 64.
 """
 
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -24,20 +24,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core.exceptions import InjectionViolation, SQLError
 from repro.policies import HTMLSanitized, SQLSanitized, UntrustedData
-from repro.security import assertions
 from repro.security.assertions import AutoSanitizingSQLFilter, SQLGuardFilter
-from repro.sql.tokenizer import (
-    EOF,
-    IDENT,
-    KEYWORD,
-    KEYWORDS,
-    NUMBER,
-    OP,
-    PARAM,
-    PUNCT,
-    STRING,
-    tokenize,
-)
+from repro.sql.tokenizer import EOF, IDENT, KEYWORDS, NUMBER, PARAM, STRING, scan
 from repro.tracking.propagation import spread_policies, to_tainted_str
 from repro.tracking.tainted_str import TaintedStr, taint_str
 from repro.web.sanitize import (
@@ -46,7 +34,6 @@ from repro.web.sanitize import (
     _escape_chars,
     html_escape,
     sql_quote,
-    strip_tags,
 )
 
 U1 = UntrustedData("form")
@@ -55,6 +42,10 @@ S = SQLSanitized("upstream")
 
 
 # -- the per-character reference builders ----------------------------------------
+
+#: The reference's token types for keywords, operators and punctuation;
+#: ``scan`` gives each such token its value as its kind instead.
+KEYWORD, OP, PUNCT = "KEYWORD", "OP", "PUNCT"
 
 #: Multi- and single-character operators, longest first, and punctuation.
 _OPERATORS = ("<>", "!=", "<=", ">=", "=", "<", ">", "+", "-")
@@ -87,21 +78,6 @@ def html_escape_reference(value):
     }
     text = escape_reference(to_tainted_str(value), replacements)
     return text.with_policy(HTMLSanitized("html_escape")) if text else text
-
-
-def strip_tags_reference(value):
-    result = TaintedStr("")
-    in_tag = False
-    for char in to_tainted_str(value):
-        if char == "<":
-            in_tag = True
-            continue
-        if char == ">" and in_tag:
-            in_tag = False
-            continue
-        if not in_tag:
-            result = result + char
-    return result
 
 
 def tokenize_reference(sql):
@@ -202,26 +178,71 @@ def tokenize_reference(sql):
     return tokens
 
 
+def structure_guard_reference(sql):
+    """``SQLGuardFilter``'s structure strategy over ``tokenize_reference``:
+    every token but a string literal or a number is structure."""
+    for type, _, _, _, text in tokenize_reference(sql):
+        if type not in (STRING, NUMBER) and text.has_policy_type(UntrustedData):
+            raise InjectionViolation(
+                f"user input reached SQL query structure near {str(text)[:40]!r}"
+            )
+
+
+def sanitizer_guard_reference(sql):
+    """``SQLGuardFilter``'s sanitizer strategy, one character at a time: the
+    message shows the run of equal policy sets from the first untrusted
+    character without ``SQLSanitized``."""
+    policies = [sql.policies_at(index) for index in range(len(sql))]
+    for start, here in enumerate(policies):
+        if here.has_type(UntrustedData) and not here.has_type(SQLSanitized):
+            stop = start
+            while stop < len(sql) and policies[stop] == here:
+                stop += 1
+            raise InjectionViolation(
+                f"unsanitized user input in SQL query near {str(sql)[start:stop][:40]!r}"
+            )
+
+
+def guard_reference(strategy, sql):
+    if strategy == "sanitizer":
+        sanitizer_guard_reference(sql)
+    else:
+        structure_guard_reference(sql)
+
+
 def rewrite_reference(sql):
-    rewritten = TaintedStr("")
+    """Each maximal run of untrusted characters, escaped where the trusted
+    template (the query with each untrusted character a space) has a string
+    literal, and quoted as a literal elsewhere; the result must pass the
+    structure guard.  A query without untrusted characters comes back as it
+    is."""
     text = str(sql)
-    inside_literal = False
+    untrusted = [sql.policies_at(index).has_type(UntrustedData) for index in range(len(sql))]
+    if not any(untrusted):
+        return sql
+    template = ""
+    for index, char in enumerate(text):
+        template += " " if untrusted[index] else char
+    in_literal = [False] * len(template)
+    for type, _, start, end, _ in tokenize_reference(template):
+        if type == STRING:
+            in_literal[start:end] = [True] * (end - start)
+    rewritten = TaintedStr("")
     index = 0
     while index < len(sql):
-        if sql.policies_at(index).has_type(UntrustedData):
+        if untrusted[index]:
             run_start = index
-            while index < len(sql) and sql.policies_at(index).has_type(UntrustedData):
+            while index < len(sql) and untrusted[index]:
                 index += 1
             run = sql_quote_reference(sql[run_start:index])
-            if inside_literal:
+            if in_literal[run_start]:
                 rewritten = rewritten + run
             else:
                 rewritten = rewritten + "'" + run + "'"
             continue
-        if text[index] == "'":
-            inside_literal = not inside_literal
         rewritten = rewritten + sql[index]
         index += 1
+    structure_guard_reference(rewritten)
     return rewritten
 
 
@@ -308,15 +329,9 @@ class TestSanitizers:
     def test_html_escape_matches_reference(self, text):
         assert_same_str(html_escape(text), html_escape_reference(text))
 
-    @settings(max_examples=200)
-    @given(text=html_texts)
-    def test_strip_tags_matches_reference(self, text):
-        assert_same_str(strip_tags(text), strip_tags_reference(text))
-
     def test_plain_input_without_metacharacters_is_returned_as_is(self):
         text = taint_str("no metacharacters here", U1)
         assert _escape_chars(text, _HTML_REPLACEMENTS, _HTML_METACHARS) is text
-        assert strip_tags(text) is text
 
 
 class TestTokenizer:
@@ -333,21 +348,27 @@ class TestTokenizer:
     @example(sql="SELECT 'a''' , 'b'")
     @example(sql="SELECT 'a''")
     def test_tokens_match_reference(self, sql):
-        actual = outcome(tokenize, sql)
+        actual = outcome(scan, sql)
         expected = outcome(tokenize_reference, sql)
         assert actual[0] == expected[0]
         if actual[0] != "ok":
             assert actual[1] == expected[1]
             return
-        assert len(actual[1]) == len(expected[1])
-        for token, (type, value, start, end, text) in zip(actual[1], expected[1]):
-            assert (token.type, token.start, token.end) == (type, start, end)
-            assert type_of(token.value) is type_of(value)
+        kinds, values, spans = actual[1]
+        assert len(kinds) == len(values) == len(spans) == len(expected[1])
+        sql = TaintedStr(sql)
+        for kind, scanned, (scan_start, scan_end), token in zip(
+            kinds, values, spans, expected[1]
+        ):
+            type, value, start, end, text = token
+            assert kind == (value if type in (KEYWORD, OP, PUNCT) else type)
+            assert (scan_start, scan_end) == (start, end)
+            assert type_of(scanned) is type_of(value)
             if type == STRING:
-                assert_same_str(token.value, value)
+                assert_same_str(scanned, value)
             else:
-                assert token.value == value
-            assert_same_str(token.text, text)
+                assert scanned == value
+            assert_same_str(sql[scan_start:scan_end], text)
 
     @pytest.mark.parametrize(
         "sql",
@@ -356,30 +377,83 @@ class TestTokenizer:
     )
     def test_error_messages_match_reference(self, sql):
         with pytest.raises(SQLError) as actual:
-            tokenize(sql)
+            scan(sql)
         with pytest.raises(SQLError) as expected:
             tokenize_reference(sql)
         assert str(actual.value) == str(expected.value)
+
+
+# Rewrite corpus: trusted templates with comments that hold quotes, ``''``
+# escapes and backquoted names, around untrusted payloads that hold quotes,
+# newlines and comment openers.
+REWRITE_TEMPLATES = [
+    "SELECT a FROM t WHERE b = ", " AND c = ", "/* it's */", "-- x\n",
+    "-- it's\n", "'it''s'", "'", "`it's`", "`", " ", "1", "(", ")", "\n", "--",
+]
+REWRITE_PAYLOADS = [
+    "'", "''", "\n", "--", "/*", "*/", "1 OR 1=1", "x", " ", "`", ";", "\n OR 1=1 --",
+]
+template_texts = st.lists(st.sampled_from(REWRITE_TEMPLATES), max_size=4).map("".join)
+payload_texts = st.lists(
+    st.sampled_from(REWRITE_PAYLOADS), min_size=1, max_size=3
+).map("".join)
+rewrite_pieces = st.tuples(
+    st.lists(st.tuples(template_texts, payload_texts), min_size=1, max_size=3),
+    template_texts,
+).map(lambda parts: [piece for pair in parts[0] for piece in pair] + [parts[1]])
+
+
+def alternating(pieces):
+    """The query of ``pieces``: even ones trusted, odd ones untrusted."""
+    return _tainted(
+        (piece, (U1,) if index % 2 else ()) for index, piece in enumerate(pieces)
+    )
 
 
 class TestAutoSanitizingRewrite:
     @settings(max_examples=200)
     @given(sql=sql_texts)
     def test_rewrite_matches_reference(self, sql):
-        assert_same_str(AutoSanitizingSQLFilter()._rewrite(sql), rewrite_reference(sql))
+        actual = outcome(AutoSanitizingSQLFilter()._rewrite, sql)
+        expected = outcome(rewrite_reference, sql)
+        assert actual[0] == expected[0]
+        if actual[0] == "ok":
+            assert_same_str(actual[1], expected[1])
+        else:
+            assert actual[1] == expected[1]
+
+    @settings(max_examples=300)
+    @given(pieces=rewrite_pieces)
+    @example(pieces=["/* it's */", "1 OR 1=1"])
+    @example(pieces=["-- it's\n", "1 OR 1=1"])
+    @example(pieces=["SELECT a FROM t WHERE b = 'x' -- ", "x\n OR 1=1 --", "\n"])
+    @example(pieces=["SELECT `a ", "` OR 1=1 --", " b` FROM t"])
+    def test_rewrite_leaves_no_untrusted_structure(self, pieces):
+        sql = alternating(pieces)
+        try:
+            rewritten = AutoSanitizingSQLFilter()._rewrite(sql)
+        except (InjectionViolation, SQLError):
+            return
+        for type, _, _, _, text in tokenize_reference(rewritten):
+            assert type in (STRING, NUMBER) or not text.has_policy_type(UntrustedData)
+
+    @pytest.mark.parametrize(
+        "pieces",
+        [
+            ["SELECT `a ", "` OR 1=1 --", " b` FROM t"],
+            ["SELECT a FROM t /* ", "*/ OR 1=1 /*", " */"],
+        ],
+        ids=["ends-a-backquoted-name", "ends-a-block-comment"],
+    )
+    def test_a_run_that_still_reaches_structure_raises(self, pieces):
+        with pytest.raises(InjectionViolation):
+            AutoSanitizingSQLFilter()._rewrite(alternating(pieces))
 
     def test_adjacent_untrusted_ranges_form_one_run(self):
         sql = _tainted([("x = ", ()), ("ab", (U1,)), ("c'd", (U2,)), (" y", ())])
         rewritten = AutoSanitizingSQLFilter()._rewrite(sql)
         assert str(rewritten) == "x = 'abc''d' y"
         assert_same_str(rewritten, rewrite_reference(sql))
-
-
-def _reference_tokens(sql):
-    return [
-        SimpleNamespace(type=type, text=text)
-        for type, _, _, _, text in tokenize_reference(sql)
-    ]
 
 
 class TestGuardVerdicts:
@@ -395,8 +469,7 @@ class TestGuardVerdicts:
         query = template + "'" + sql_quote(payload) + "' " + raw
         actual = outcome(guard._check_query, query)
         reference_query = template + "'" + sql_quote_reference(payload) + "' " + raw
-        with mock.patch.object(assertions, "tokenize", _reference_tokens):
-            expected = outcome(guard._check_query, reference_query)
+        expected = outcome(guard_reference, strategy, reference_query)
         assert actual == expected
 
 
@@ -417,19 +490,19 @@ def _tainted_strs_built(fn):
     return built
 
 
-def _quote_and_tokenize(length, escapes=4):
+def _quote_and_scan(length, escapes=4):
     run = "x" * (length // escapes - 1) + "'"
     payload = taint_str(run * escapes, U1)
 
     def work():
         query = "SELECT email FROM users WHERE email = '" + sql_quote(payload) + "'"
-        tokens = tokenize(query)
-        assert str(tokens[-2].value) == str(payload)
+        _, values, _ = scan(query)
+        assert str(values[-2]) == str(payload)
 
     return work
 
 
 def test_tainted_str_count_does_not_grow_with_literal_length():
-    short = _tainted_strs_built(_quote_and_tokenize(64))
-    long = _tainted_strs_built(_quote_and_tokenize(4096))
+    short = _tainted_strs_built(_quote_and_scan(64))
+    long = _tainted_strs_built(_quote_and_scan(4096))
     assert short == long

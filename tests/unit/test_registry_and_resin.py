@@ -131,12 +131,31 @@ class TestProcessWideRegistry:
         for module in (repro, repro.core, repro.core.runtime):
             for name in ("make_default_filter", "get_default_filter_factory"):
                 assert not hasattr(module, name)
+        # check_export has one home, core/filter.py, re-exported by packages.
+        assert not hasattr(repro.core.runtime, "check_export")
+        assert "check_export" not in repro.core.runtime.__all__
+        assert repro.core.check_export is repro.core.filter.check_export
         for name in ("parent", "child", "has_override"):
             assert not hasattr(FilterRegistry(), name)
         with pytest.raises(TypeError):
             FilterRegistry(parent=FilterRegistry())
         with pytest.raises(TypeError):
             Environment(registry=FilterRegistry())
+
+    def test_second_lexers_are_removed(self):
+        # Each injection assertion reads its language through one lexer:
+        # sql.tokenizer.scan for SQL, stdlib html.parser for HTML.
+        import repro.sql
+        import repro.sql.tokenizer
+        import repro.web
+        import repro.web.sanitize
+        for module in (repro.sql, repro.sql.tokenizer):
+            for name in ("tokenize", "Token"):
+                assert not hasattr(module, name)
+        assert "tokenize" not in repro.sql.__all__
+        for module in (repro.web, repro.web.sanitize):
+            assert not hasattr(module, "strip_tags")
+            assert "strip_tags" not in module.__all__
 
     def test_environment_override_does_not_leak_to_process(self):
         env = Environment()

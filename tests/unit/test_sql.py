@@ -12,9 +12,9 @@ from repro.core.exceptions import SQLError
 from repro.core.policyset import PolicySet
 from repro.policies import UntrustedData
 from repro.security.assertions import SQLGuardFilter
-from repro.sql import nodes, parse, parser, tokenize
+from repro.sql import nodes, parse, parser
 from repro.sql.engine import Engine
-from repro.sql.tokenizer import IDENT, KEYWORD, NUMBER, OP, PARAM, PUNCT, STRING, scan
+from repro.sql.tokenizer import EOF, IDENT, NUMBER, OPERATORS, PARAM, STRING, scan
 from repro.tracking.propagation import concat
 from repro.tracking.tainted_str import TaintedStr, taint_str
 
@@ -23,65 +23,65 @@ U = UntrustedData("test")
 
 class TestTokenizer:
     def test_basic_tokens(self):
-        tokens = tokenize("SELECT a, b FROM t WHERE x = 1")
-        kinds = [t.type for t in tokens]
-        assert kinds[:4] == [KEYWORD, IDENT, PUNCT, IDENT]
-        assert tokens[-1].type == "EOF"
+        kinds, _, _ = scan("SELECT a, b FROM t WHERE x = 1")
+        assert kinds[:4] == ["select", IDENT, ",", IDENT]
+        assert kinds[-1] == EOF
 
     def test_keywords_case_insensitive(self):
-        assert tokenize("select")[0].value == "select"
-        assert tokenize("SeLeCt")[0].value == "select"
+        assert scan("select")[1][0] == "select"
+        assert scan("SeLeCt")[1][0] == "select"
 
     def test_string_literal_with_escaped_quote(self):
-        token = tokenize("'it''s'")[0]
-        assert token.type == STRING
-        assert str(token.value) == "it's"
+        kinds, values, _ = scan("'it''s'")
+        assert kinds[0] == STRING
+        assert str(values[0]) == "it's"
 
     def test_string_literal_keeps_policies(self):
         query = concat("SELECT * FROM t WHERE name = '", taint_str("bob", U),
                        "'")
-        strings = [t for t in tokenize(query) if t.type == STRING]
-        assert strings[0].value.policies() == PolicySet.of(U)
+        kinds, values, _ = scan(query)
+        strings = [value for kind, value in zip(kinds, values) if kind == STRING]
+        assert strings[0].policies() == PolicySet.of(U)
 
     def test_structure_tokens_keep_policies(self):
         query = concat("SELECT * FROM t WHERE x = ", taint_str("1 OR 1=1", U))
-        structural = [t for t in tokenize(query)
-                      if t.type in (KEYWORD, IDENT, OP, NUMBER)]
-        tainted = [t for t in structural
-                   if getattr(t.text, "policies", lambda: PolicySet.empty())()]
-        assert tainted  # the injected OR / 1 tokens carry the taint
+        kinds, _, spans = scan(query)
+        tainted = [kind for kind, (start, end) in zip(kinds, spans)
+                   if query[start:end].policies()]
+        # the injected OR / 1 tokens carry the taint
+        assert tainted == [NUMBER, "or", NUMBER, "=", NUMBER]
 
     def test_numbers(self):
-        tokens = tokenize("42 3.14")
-        assert tokens[0].value == 42
-        assert tokens[1].value == pytest.approx(3.14)
+        _, values, _ = scan("42 3.14")
+        assert values[0] == 42
+        assert values[1] == pytest.approx(3.14)
 
     def test_comments_skipped(self):
-        tokens = tokenize("SELECT a FROM t -- trailing comment")
-        assert tokens[-2].value == "t"
-        tokens = tokenize("SELECT /* inline */ a FROM t")
-        assert [t.value for t in tokens if t.type == IDENT] == ["a", "t"]
+        _, values, _ = scan("SELECT a FROM t -- trailing comment")
+        assert values[-2] == "t"
+        kinds, values, _ = scan("SELECT /* inline */ a FROM t")
+        assert [v for k, v in zip(kinds, values) if k == IDENT] == ["a", "t"]
 
     def test_operators(self):
-        values = [t.value for t in tokenize("a <> b != c <= d >= e < f > g")
-                  if t.type == OP]
-        assert values == ["!=", "!=", "<=", ">=", "<", ">"]
+        kinds, values, _ = scan("a <> b != c <= d >= e < f > g")
+        assert [v for k, v in zip(kinds, values) if k in OPERATORS] == [
+            "!=", "!=", "<=", ">=", "<", ">"]
 
     def test_backquoted_identifier(self):
-        tokens = tokenize("SELECT `weird name` FROM t")
-        assert tokens[1].type == IDENT and str(tokens[1].value) == "weird name"
+        kinds, values, _ = scan("SELECT `weird name` FROM t")
+        assert kinds[1] == IDENT and str(values[1]) == "weird name"
 
     def test_unterminated_string(self):
         with pytest.raises(SQLError):
-            tokenize("SELECT 'oops")
+            scan("SELECT 'oops")
 
     def test_unterminated_quoted_identifier(self):
         with pytest.raises(SQLError, match="unterminated quoted identifier"):
-            tokenize("SELECT a FROM `t")
+            scan("SELECT a FROM `t")
 
     def test_unexpected_character(self):
         with pytest.raises(SQLError):
-            tokenize("SELECT @foo")
+            scan("SELECT @foo")
 
 
 class TestParser:
@@ -171,12 +171,12 @@ class TestMalformedStatements:
             parse(f"SELECT a FROM t WHERE a = {char}")
         assert str(raised.value) == f"unexpected character {char!r} at position 26"
         with pytest.raises(SQLError) as raised:
-            tokenize(f"SELECT 1{char}")
+            scan(f"SELECT 1{char}")
         assert str(raised.value) == f"unexpected character {char!r} at position 8"
 
     def test_decimal_digits_of_any_script_are_numbers(self):
-        tokens = tokenize("\u0661\u0662 \u0661.\u0665 a\u00b2")
-        assert [(t.type, t.value) for t in tokens[:3]] == [
+        kinds, values, _ = scan("\u0661\u0662 \u0661.\u0665 a\u00b2")
+        assert list(zip(kinds, values))[:3] == [
             (NUMBER, 12), (NUMBER, 1.5), (IDENT, "a\u00b2")]
 
     def test_param_scan_and_structure_guard_report_sql_error(self):
@@ -244,7 +244,8 @@ def count_scans(fn, *args):
 
 def tokenized_param_names(sql):
     try:
-        return frozenset(str(t.value) for t in tokenize(sql) if t.type == PARAM)
+        kinds, values, _ = scan(sql)
+        return frozenset(str(v) for k, v in zip(kinds, values) if k == PARAM)
     except SQLError:
         return frozenset()
 

@@ -20,7 +20,7 @@ from repro.security.assertions import (HTMLGuardFilter,
 from repro.tracking.propagation import concat
 from repro.tracking.tainted_str import TaintedStr, taint_str
 from repro.web import (Request, SessionStore, WebApplication, html_escape,
-                       json_encode, sql_quote, strip_tags)
+                       json_encode, sql_quote)
 
 
 class TestSanitizers:
@@ -42,11 +42,6 @@ class TestSanitizers:
         result = json_encode(mark_untrusted('say "hi"'))
         assert str(result) == '"say \\"hi\\""'
         assert result.has_policy_type(UntrustedData)
-
-    def test_strip_tags(self):
-        result = strip_tags(taint_str("<b>bold</b> text", UntrustedData()))
-        assert str(result) == "bold text"
-        assert result.has_policy_type(UntrustedData, every_char=True)
 
 
 class TestRequestAndSession:
