@@ -16,6 +16,9 @@ Groups:
 * ``taint-sql-text``       — ``sql_quote`` + ``parse`` of the HotCRP users query,
   with the parser's template memo warm (a hit) and cleared every round (a
   miss: scan, parse and keep the template)
+* ``taint-plain-floor``    — what policy-free data still pays: a page's plain
+  writes through the HTTP channel's filter chain, and ``sql_quote`` of a
+  plain e-mail with and without a ``'``
 """
 
 import time
@@ -23,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.channels.httpout import HTTPOutputChannel
 from repro.core.policyset import PolicySet
 from repro.evaluation import hotcrp_perf
 from repro.policies import UntrustedData
@@ -287,3 +291,49 @@ def test_sql_quote_and_parse_a_new_shape(benchmark, literal_length):
 
     statement = benchmark(first_seen)
     _check_email_literal(statement, email)
+
+
+# -- the plain floor: policy-free data on the HTTP and SQL paths -----------------
+
+#: The plain literals a HotCRP paper page writes, in order.
+_PAGE_LITERALS = [
+    "<html><head><title>HotCRP: paper ",
+    "1",
+    "</title></head><body>\n",
+    "<div class='banner'>HotCRP</div>\n",
+    "<h1>",
+    "</h1>\n<div class='abstract'><p>",
+    "</p></div>\n<div class='authors'>Authors: ",
+    "Anonymous",
+    "</div>\n",
+    "<div class='footer'>HotCRP</div>\n",
+    "</body></html>\n",
+]
+
+
+def test_http_write_of_plain_text(benchmark):
+    """A page's plain writes: each crosses the channel's filter chain and is
+    delivered as the ``str`` it is."""
+    benchmark.group = "taint-plain-floor"
+    benchmark.extra_info["writes"] = len(_PAGE_LITERALS)
+
+    def page():
+        channel = HTTPOutputChannel()
+        for literal in _PAGE_LITERALS:
+            channel.write(literal)
+        return channel
+
+    channel = benchmark(page)
+    assert channel.body() == "".join(_PAGE_LITERALS)
+    assert all(type(chunk) is str for chunk in channel.chunks)
+
+
+@pytest.mark.parametrize("email", ["pc@example.org", "o'brien@example.org"])
+def test_sql_quote_of_plain_text(benchmark, email):
+    """``sql_quote`` of a plain e-mail: one escape and one ``TaintedStr``
+    carrying the constant ``SQLSanitized`` marker set."""
+    benchmark.group = "taint-plain-floor"
+    benchmark.extra_info["quote"] = "'" in email
+    quoted = benchmark(sql_quote, email)
+    assert quoted.plain() == email.replace("'", "''")
+    assert quoted.policies() == sql_quote(TaintedStr(email)).policies()

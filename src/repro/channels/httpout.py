@@ -5,6 +5,13 @@ of the paper's assertions care about (password disclosure, ACL checks,
 cross-site scripting), and it implements the output-buffering mechanism of
 Section 5.5 so applications can drive access checks from assertion
 exceptions.
+
+Body writes, header values and a discarded buffer's alternate output all
+cross the filter chain as text.  A ``str`` crosses as it is, a
+``TaintedStr`` with its policies; plain text is not wrapped in a
+``TaintedStr``, since it carries no policy for a filter to find.  Bytes
+are decoded as UTF-8 (``"replace"``), a ``TaintedBytes`` keeping its
+policies.  A delivered chunk is a plain ``str``.
 """
 
 from __future__ import annotations
@@ -13,7 +20,19 @@ from typing import Any, List, Optional
 
 from ..core.runtime import OutputBuffer
 from ..tracking.propagation import to_tainted_str
+from ..tracking.tainted_bytes import TaintedBytes
 from .base import Channel
+
+
+def _as_text(data: Any) -> Any:
+    """``data`` as the text that crosses the filter chain."""
+    if isinstance(data, str):
+        return data
+    if isinstance(data, TaintedBytes):
+        return data.decode("utf-8", "replace")
+    if isinstance(data, (bytes, bytearray)):
+        return bytes(data).decode("utf-8", "replace")
+    return to_tainted_str(data)
 
 
 class HTTPOutputChannel(Channel):
@@ -47,9 +66,10 @@ class HTTPOutputChannel(Channel):
     # -- output -------------------------------------------------------------------------
 
     def _deliver(self, data: Any) -> None:
-        if isinstance(data, bytes):
-            data = bytes(data).decode("utf-8", "replace")
-        self.chunks.append(str(data))
+        if type(data) is not str:
+            # A TaintedStr is copied to drop its policies.
+            data = str(_as_text(data))
+        self.chunks.append(data)
 
     def _transmit(self, data: Any) -> None:
         self.buffer.write(data)
@@ -60,7 +80,7 @@ class HTTPOutputChannel(Channel):
     def write(self, data: Any) -> int:
         """Write response data; assertions are checked *before* buffering, so
         a violating chunk never reaches the buffer."""
-        return super().write(to_tainted_str(data))
+        return super().write(_as_text(data))
 
     def set_status(self, status: int) -> None:
         self.status = status
@@ -72,7 +92,7 @@ class HTTPOutputChannel(Channel):
         can attach a response-splitting filter that rejects CR-LF sequences
         in header values derived from user input (Section 5.4).
         """
-        value = self.filter.filter_write(to_tainted_str(value))
+        value = self.filter.filter_write(_as_text(value))
         self.headers.append((name, str(value)))
 
     # -- output buffering (Section 5.5) ------------------------------------------------------
@@ -87,8 +107,8 @@ class HTTPOutputChannel(Channel):
         if alternate is not None:
             # The alternate output still crosses the boundary: run it through
             # the filter chain like any other write.
-            alternate = self.filter.filter_write(to_tainted_str(alternate))
-        self.buffer.discard(str(alternate) if alternate is not None else None)
+            alternate = self.filter.filter_write(_as_text(alternate))
+        self.buffer.discard(alternate)
 
     # -- inspection ------------------------------------------------------------------------------
 

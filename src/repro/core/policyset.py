@@ -9,20 +9,31 @@ Policy sets are **hash-consed**: construction interns every set in a
 process-wide weak table keyed by its frozen policy identity, so two sets
 built from equal policies are the *same object*.  Identical provenance is
 therefore pointer equality, which the taint hot path exploits: range-map
-coalescing compares interned sets by identity first, and the merge protocol
-(:mod:`repro.tracking.merge`) memoizes results per ``(left, right)``
-interned pair.  Deserialization rehydrates to the interned instance for the
-same reason.  The table holds only weak references — sets no live value
-points at are collected normally.
+coalescing compares interned sets by identity first, and both
+:meth:`PolicySet.union` and the merge protocol (:mod:`repro.tracking.merge`)
+memoize results per ``(left, right)`` interned pair.  Deserialization
+rehydrates to the interned instance for the same reason.  The table holds
+only weak references — sets no live value points at are collected normally,
+once the bounded memos no longer hold them.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from typing import Iterable, Iterator, Optional, Tuple, Type
+from typing import Dict, Iterable, Iterator, Optional, Tuple, Type
 
 from .policy import Policy, validate_policies
+
+#: Upper bound on memoized unions (:meth:`PolicySet.union`); the memo is
+#: cleared when full.  Its keys and values are strong references, so the
+#: bound also bounds how many interned sets it keeps alive.  The memo lives
+#: here, not on a policy or a set, so pickling either never carries it.
+UNION_MEMO_SIZE = 1024
+
+_union_memo: "Dict[Tuple[PolicySet, PolicySet], PolicySet]" = {}
+#: Taken to insert, so that the bound holds under threads; lookups take none.
+_union_lock = threading.Lock()
 
 
 def _sort_key(policy: Policy) -> Tuple[str, str]:
@@ -112,23 +123,31 @@ class PolicySet:
         return PolicySet(p for p in self._policies if p != policy)
 
     def union(self, other: Iterable[Policy]) -> "PolicySet":
+        """The set of this set's policies and ``other``'s.  The union of two
+        non-empty interned sets is memoized per ``(self, other)`` pair."""
         if other is self:
             return self
-        if isinstance(other, PolicySet):
-            extra = other._policies
-            if not extra:
-                return self
-            if not self._policies:
-                return other
-        else:
+        if not isinstance(other, PolicySet):
             extra = tuple(other)
-            if not extra:
-                return self
+            return self._with(extra) if extra else self
+        if not other._policies:
+            return self
+        if not self._policies:
+            return other
+        key = (self, other)
+        result = _union_memo.get(key)
+        if result is None:
+            result = self._with(other._policies)
+            with _union_lock:
+                if len(_union_memo) >= UNION_MEMO_SIZE:
+                    _union_memo.clear()
+                _union_memo[key] = result
+        return result
+
+    def _with(self, extra: Tuple[Policy, ...]) -> "PolicySet":
         mine = self._policies
         fresh = tuple(p for p in extra if p not in mine)
-        if not fresh:
-            return self
-        return PolicySet(mine + fresh)
+        return PolicySet(mine + fresh) if fresh else self
 
     def intersection(self, other: Iterable[Policy]) -> "PolicySet":
         other_set = set(other)

@@ -28,8 +28,16 @@ __all__ = [
 ]
 
 
+_EMPTY = PolicySet.empty()
+
+#: Builtin types whose values never carry a policy.
+_PLAIN_TYPES = frozenset((str, bytes, int, float, bool, type(None)))
+
+
 def policies_of(value: Any) -> PolicySet:
     """Union of all policies carried by ``value`` (any type)."""
+    if type(value) in _PLAIN_TYPES:
+        return _EMPTY
     if isinstance(value, TaintedStr):
         return value.policies()
     if isinstance(value, TaintedBytes):
@@ -37,16 +45,16 @@ def policies_of(value: Any) -> PolicySet:
     if isinstance(value, (TaintedInt, TaintedFloat)):
         return value.policies()
     if isinstance(value, (list, tuple, set, frozenset)):
-        result = PolicySet.empty()
+        result = _EMPTY
         for item in value:
             result = result.union(policies_of(item))
         return result
     if isinstance(value, dict):
-        result = PolicySet.empty()
+        result = _EMPTY
         for key, item in value.items():
             result = result.union(policies_of(key)).union(policies_of(item))
         return result
-    return PolicySet.empty()
+    return _EMPTY
 
 
 def to_tainted_str(value: Any) -> TaintedStr:

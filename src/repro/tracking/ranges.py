@@ -504,12 +504,18 @@ class RangeMap:
     ) -> "RangeMap":
         """Attach ``policy`` to positions ``[start, stop)`` (whole string by
         default)."""
+        return self.add_policies(PolicySet.of(policy), start, stop)
+
+    def add_policies(
+        self, policies, start: int = 0, stop: Optional[int] = None
+    ) -> "RangeMap":
+        """Attach every policy of ``policies`` to positions ``[start, stop)``
+        (whole string by default).  A caller that attaches the same policy
+        on every call passes one constant set, and builds none per call."""
         if stop is None:
             stop = self.length
-        new_range = PolicyRange(
-            max(0, start), min(self.length, stop), PolicySet.of(policy)
-        )
-        if len(new_range) == 0:
+        new_range = PolicyRange(max(0, start), min(self.length, stop), policies)
+        if len(new_range) == 0 or not new_range.policies:
             return self
         ranges = self._materialize()
         if not ranges:

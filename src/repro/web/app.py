@@ -12,9 +12,10 @@ rather than served raw.
 
 Handlers take ``(request, response, **route_params)`` and either write to
 the response channel directly or return a value — ``None`` (already
-written), a string (written through the channel), or a
+written), a string or bytes (written through the channel), or a
 :class:`~repro.web.response.Response` (status + headers + body, applied
-through the channel).  ``async def`` handlers are first-class:
+through the channel).  The channel takes plain text as the ``str`` it is,
+without wrapping it in a ``TaintedStr``, and decodes bytes as UTF-8.  ``async def`` handlers are first-class:
 :class:`~repro.server.async_dispatcher.AsyncDispatcher` awaits them
 natively on its own loop via :meth:`WebApplication.handle_async` — no
 executor hop — while the thread front end runs them to completion on a
@@ -291,7 +292,8 @@ class WebApplication:
         """Emit a handler/middleware result through the channel.
 
         ``Response`` objects are applied; strings and bytes are written
-        (policies intact, so the boundary check still runs).  Anything else
+        (policies intact, so the boundary check still runs; plain text stays
+        a ``str`` and bytes are decoded as UTF-8).  Anything else
         means "the handler wrote to the channel itself" and is ignored —
         which is also what keeps legacy handlers that ``return
         response.write(...)`` (an int) working.

@@ -9,6 +9,10 @@ of the result.
 Note that the ``UntrustedData`` policy is deliberately *not* removed: keeping
 it lets an assertion distinguish data sanitized for SQL from data sanitized
 for HTML (using the wrong sanitizer still trips the assertion).
+
+Each marker is attached through a one-policy set built at import, so a call
+builds no policy set, and a call on plain text (a ``str`` carrying no
+policy) escapes it as plain text and builds one ``TaintedStr``: the result.
 """
 
 from __future__ import annotations
@@ -16,22 +20,27 @@ from __future__ import annotations
 import json
 import re
 
+from ..core.policyset import PolicySet
 from ..policies.untrusted import HTMLSanitized, JSONSanitized, SQLSanitized
-from ..tracking.propagation import spread_policies, to_tainted_str
+from ..tracking.propagation import policies_of, spread_policies, to_tainted_str
+from ..tracking.ranges import RangeMap
 from ..tracking.tainted_str import TaintedStr
 
 __all__ = ["sql_quote", "html_escape", "json_encode"]
 
 
-def _escape_chars(text: TaintedStr, replacements, metachars) -> TaintedStr:
+def _escape_chars(text: str, replacements, metachars) -> str:
     """Replace metacharacters, keeping each replacement's characters tagged
     with the policies of the character they were derived from (so an escaped
     ``'`` that came from user input is still ``UntrustedData``).
 
-    ``metachars`` matches one key of ``replacements``.  The result is built
-    from one slice per run of unchanged characters, joined once; without a
-    metacharacter the input itself is returned.
+    ``metachars`` matches one key of ``replacements``.  Plain text is
+    replaced in one ``sub``.  A ``TaintedStr`` is rebuilt from one slice
+    per run of unchanged characters, joined once; without a metacharacter
+    the input itself is returned.
     """
+    if not isinstance(text, TaintedStr):
+        return metachars.sub(lambda match: replacements[match.group()], text)
     pieces = []
     cursor = 0
     for match in metachars.finditer(text):
@@ -49,11 +58,20 @@ def _escape_chars(text: TaintedStr, replacements, metachars) -> TaintedStr:
     return TaintedStr("").join(pieces)
 
 
-#: The markers the sanitizers attach, built at import: a policy is a value
-#: object, so one instance serves every call and hashes its identity once.
-_SQL_QUOTED = SQLSanitized("sql_quote")
-_HTML_ESCAPED = HTMLSanitized("html_escape")
-_JSON_ENCODED = JSONSanitized("json_encode")
+def _marked(text: str, markers: PolicySet) -> TaintedStr:
+    """``text`` with ``markers`` on every character, beside the policies it
+    already carries."""
+    if isinstance(text, TaintedStr):
+        return TaintedStr(text, text.rangemap.add_policies(markers))
+    return TaintedStr(text, RangeMap.uniform(len(text), markers))
+
+
+#: The markers the sanitizers attach, each a one-policy set built at import:
+#: a policy is a value object and a set is interned, so one set serves every
+#: call and hashes its policy's identity once.
+_SQL_QUOTED = PolicySet.of(SQLSanitized("sql_quote"))
+_HTML_ESCAPED = PolicySet.of(HTMLSanitized("html_escape"))
+_JSON_ENCODED = PolicySet.of(JSONSanitized("json_encode"))
 
 _SQL_REPLACEMENTS = {"'": "''"}
 _SQL_METACHARS = re.compile("'")
@@ -62,10 +80,10 @@ _SQL_METACHARS = re.compile("'")
 def sql_quote(value) -> TaintedStr:
     """Escape a value for inclusion inside a single-quoted SQL literal and
     mark it ``SQLSanitized``."""
-    text = to_tainted_str(value)
+    text = value if isinstance(value, str) else to_tainted_str(value)
     if "'" in text:
         text = _escape_chars(text, _SQL_REPLACEMENTS, _SQL_METACHARS)
-    return text.with_policy(_SQL_QUOTED) if text else text
+    return _marked(text, _SQL_QUOTED)
 
 
 _HTML_REPLACEMENTS = {
@@ -80,21 +98,18 @@ _HTML_METACHARS = re.compile("[&<>\"']")
 
 def html_escape(value) -> TaintedStr:
     """Escape HTML metacharacters and mark the result ``HTMLSanitized``."""
-    text = to_tainted_str(value)
+    text = value if isinstance(value, str) else to_tainted_str(value)
     text = _escape_chars(text, _HTML_REPLACEMENTS, _HTML_METACHARS)
-    if not text:
-        return text
-    return text.with_policy(_HTML_ESCAPED)
+    return _marked(text, _HTML_ESCAPED)
 
 
 def json_encode(value) -> TaintedStr:
     """Encode a value as a JSON string literal and mark it ``JSONSanitized``
     (Section 5.4: JSON output has the same structure-injection problem as
     SQL)."""
-    text = to_tainted_str(value)
-    encoded = TaintedStr(json.dumps(str(text)))
+    text = value if isinstance(value, str) else to_tainted_str(value)
+    encoded = json.dumps(str(text))
     # json.dumps goes through C code and drops the taint; re-attach the
     # original policies plus the sanitized marker so tracking continues.
-    for policy in text.policies():
-        encoded = encoded.with_policy(policy)
-    return encoded.with_policy(_JSON_ENCODED)
+    policies = policies_of(text).union(_JSON_ENCODED)
+    return TaintedStr(encoded, RangeMap.uniform(len(encoded), policies))

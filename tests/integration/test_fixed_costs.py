@@ -10,7 +10,12 @@ check of a query built by ``concat`` leaves its range map unflattened; a
 served page runs no ``import`` statement once
 the site is warm, counted through ``builtins.__import__``, and computes no
 fresh ``Policy._identity``, counted on the base class, both on the RESIN
-and the unmodified site; a keep-alive socket request creates no asyncio Task
+and the unmodified site; a warm page builds a bounded number of
+``TaintedStr`` and no ``PolicySet``, while every write still crosses the
+default filter; the HTTP filters judge a plain ``str`` as they judge a
+policy-free ``TaintedStr`` of the same text; the sanitizers mark plain and
+tainted text as a per-character oracle says; a keep-alive socket request
+creates no asyncio Task
 and no ``concurrent.futures.Future`` and wakes the event loop from another
 thread exactly once, counted on the serving loop; and a refused request
 leaves no more cyclic garbage than a served one, counted by ``gc.collect``.
@@ -23,21 +28,32 @@ import gc
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.apps.hotcrp import HotCRP
 from repro.channels import sqlchan
+from repro.channels.httpout import HTTPOutputChannel
 from repro.core.exceptions import PolicyViolation
+from repro.core.filter import DefaultFilter
 from repro.core.policy import Policy
 from repro.core.policyset import PolicySet
 from repro.environment import Environment
+from repro.policies import HTMLSanitized, SQLSanitized, UntrustedData
+from repro.runtime_api import Resin
+from repro.security.assertions import (HTMLGuardFilter,
+                                       HTMLStructureGuardFilter,
+                                       JSONGuardFilter,
+                                       ResponseSplittingFilter)
 from repro.server.http import HTTPServer
 from repro.sql import parser
 from repro.sql.parser import parse
 from repro.tracking.propagation import concat
+from repro.tracking.ranges import PolicyRange, RangeMap
+from repro.tracking.tainted_str import TaintedStr
 from repro.web.app import WebApplication
 from repro.web.request import Request
 from repro.web.response import Response
-from repro.web.sanitize import sql_quote
+from repro.web.sanitize import html_escape, sql_quote
 
 #: Calls one statement's tokenize-and-parse may make.
 PARSE_CALL_BUDGET = 300
@@ -48,6 +64,18 @@ PARSE_HIT_CALL_BUDGET = 80
 #: Calls one paper-page SELECT's lock, plan and execution may make, with the
 #: policies of every cell it reads attached.
 EXEC_CALL_BUDGET = 250
+
+#: Per warm paper page served to a PC member: ``TaintedStr`` and
+#: ``PolicySet`` constructions may not exceed these; ``filter_write`` is the
+#: number of writes, each of which crosses the default filter.  Plain text
+#: stays a ``str`` on the HTTP channel, and the sanitizers attach constant
+#: marker sets, so the plain site's strings are its two SQL queries' (their
+#: quoted e-mail, ``concat`` and the parser's literal cut), and the RESIN
+#: site adds its database cells.
+PAGE_BUDGETS = {
+    "plain": {"TaintedStr": 6, "PolicySet": 0, "filter_write": 13},
+    "resin": {"TaintedStr": 13, "PolicySet": 0, "filter_write": 14},
+}
 
 PRINCIPALS = ("pc@example.org", "chair@example.org", "author@example.org",
               "outsider@example.org")
@@ -200,6 +228,126 @@ def test_a_served_page_runs_no_import_statement(use_resin, monkeypatch):
         serve_page(site, user)
     monkeypatch.undo()
     assert imports == []
+
+
+@pytest.mark.parametrize("use_resin", [True, False], ids=["resin", "plain"])
+def test_a_warm_page_keeps_plain_text_native_and_checks_every_write(use_resin):
+    site = build_site(use_resin)
+    for user in PRINCIPALS:
+        serve_page(site, user)  # warm-up
+    counted = {TaintedStr.__new__.__code__: "TaintedStr",
+               PolicySet.__new__.__code__: "PolicySet",
+               DefaultFilter.filter_write.__code__: "filter_write"}
+    counts = dict.fromkeys(counted.values(), 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counted:
+            counts[counted[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        channel = serve_page(site, "pc@example.org")
+    finally:
+        sys.setprofile(None)
+    assert "Improving Application Security" in channel.body()
+    budget = PAGE_BUDGETS["resin" if use_resin else "plain"]
+    assert counts["TaintedStr"] <= budget["TaintedStr"]
+    assert counts["PolicySet"] <= budget["PolicySet"]
+    assert counts["filter_write"] == budget["filter_write"]
+
+
+#: Text that exercises each guard's lexer: markup, quotes, CR/LF, a NUL.
+html_text = st.text(alphabet="<>&\"'=/ !-abcehilprstx\r\n\0é", max_size=60)
+
+
+def _verdict(write, data):
+    """What one write does: the text it lets through, or the refusal."""
+    try:
+        return "passed", str(write(data))
+    except PolicyViolation as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(text=html_text)
+def test_each_http_filter_judges_plain_and_policy_free_text_alike(text):
+    """``DefaultFilter``, the ``xss`` assertion's two strategies, the
+    response-splitting guard and the JSON guard give a plain ``str`` the
+    verdict and output text they give a ``TaintedStr`` with no policy: alone,
+    and on a channel where the named assertion is installed."""
+    filters = [DefaultFilter(), HTMLGuardFilter(), HTMLStructureGuardFilter(),
+               ResponseSplittingFilter(), JSONGuardFilter()]
+    for flt in filters:
+        assert (_verdict(flt.filter_write, text)
+                == _verdict(flt.filter_write, TaintedStr(text)))
+    resin = Resin(Environment())
+    for name, options in [("xss", {"strategy": "sanitizer"}),
+                          ("xss", {"strategy": "structure"}),
+                          ("response-splitting", {}), ("json-guard", {})]:
+        channels = []
+        for data in (text, TaintedStr(text)):
+            channel = HTTPOutputChannel(env=resin.env)
+            resin.assertion(name, **options).install(channel)
+            verdict = _verdict(channel.write, data)
+            channels.append((verdict, channel.body(),
+                             _verdict(lambda v: channel.add_header("X", v), data)))
+        assert channels[0] == channels[1]
+
+
+MARKERS = {sql_quote: SQLSanitized("sql_quote"),
+           html_escape: HTMLSanitized("html_escape")}
+ESCAPES = {sql_quote: {"'": "''"},
+           html_escape: {"&": "&amp;", "<": "&lt;", ">": "&gt;",
+                         '"': "&quot;", "'": "&#x27;"}}
+
+
+@st.composite
+def tainted_texts(draw):
+    """Text over quotes and markup, with untrusted ranges of two sources."""
+    text = draw(st.text(alphabet="'<>&\"ab", max_size=16))
+    ranges = []
+    for _ in range(draw(st.integers(0, 3))):
+        if not text:
+            break
+        start = draw(st.integers(0, len(text) - 1))
+        stop = draw(st.integers(start + 1, len(text)))
+        source = draw(st.sampled_from(["form", "cookie"]))
+        ranges.append(PolicyRange(start, stop,
+                                  PolicySet.of(UntrustedData(source))))
+    return TaintedStr(text, RangeMap(len(text), ranges))
+
+
+@pytest.mark.parametrize("sanitize", [sql_quote, html_escape],
+                         ids=["sql_quote", "html_escape"])
+@given(tainted=tainted_texts())
+def test_a_sanitizer_marks_plain_and_tainted_text_per_character(sanitize,
+                                                                 tainted):
+    """Each character of the input becomes its escape (or itself), carrying
+    the input character's policies and the sanitizer's marker; plain text
+    gives what a policy-free ``TaintedStr`` gives."""
+    marker = MARKERS[sanitize]
+    escapes = ESCAPES[sanitize]
+    plain = tainted.plain()
+    pieces, policies = [], []
+    for index, char in enumerate(plain):
+        piece = escapes.get(char, char)
+        pieces.append(piece)
+        marked = tainted.policies_at(index).add(marker)
+        policies.extend([marked] * len(piece))
+    expected = RangeMap(len(policies), [
+        PolicyRange(index, index + 1, pset)
+        for index, pset in enumerate(policies)])
+
+    result = sanitize(tainted)
+    assert isinstance(result, TaintedStr)
+    assert result.plain() == "".join(pieces)
+    assert result.rangemap == expected
+    from_plain = sanitize(plain)
+    from_policy_free = sanitize(TaintedStr(plain))
+    assert isinstance(from_plain, TaintedStr)
+    assert from_plain.plain() == from_policy_free.plain() == "".join(pieces)
+    assert from_plain.rangemap == from_policy_free.rangemap
+    assert from_plain.rangemap == RangeMap.uniform(len(from_plain),
+                                                   PolicySet.of(marker))
 
 
 def build_socket_app():

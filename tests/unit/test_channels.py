@@ -23,8 +23,9 @@ from repro.policies import PasswordPolicy, ReadAccessPolicy, UntrustedData
 from repro.security.assertions import UntrustedInputFilter
 from repro.sql.engine import Engine
 from repro.tracking.propagation import concat
+from repro.tracking.tainted_bytes import taint_bytes
 from repro.tracking.tainted_number import taint_int
-from repro.tracking.tainted_str import taint_str
+from repro.tracking.tainted_str import TaintedStr, taint_str
 
 U = UntrustedData("test")
 PW = PasswordPolicy("owner@example.org")
@@ -139,6 +140,43 @@ class TestHTTPOutputChannel:
         channel = HTTPOutputChannel()
         channel.set_status(404)
         assert channel.status == 404
+
+    def test_bytes_are_decoded_not_written_as_their_repr(self):
+        channel = HTTPOutputChannel()
+        channel.write(b"caf\xc3\xa9 ")
+        channel.write(bytearray(b"\xff!"))
+        channel.add_header("X-Raw", b"raw header")
+        channel.start_buffering()
+        channel.write("hidden")
+        channel.discard_buffer(b"alternate")
+        assert channel.body() == "caf\u00e9 \ufffd!alternate"
+        assert channel.headers == [("X-Raw", "raw header")]
+
+    def test_tainted_bytes_keep_their_policies_across_the_chain(self):
+        channel = HTTPOutputChannel()
+        channel.set_user("mallory")
+        with pytest.raises(DisclosureViolation):
+            channel.write(taint_bytes(b"pw", PW))
+        with pytest.raises(DisclosureViolation):
+            channel.add_header("X-Secret", taint_bytes(b"pw", PW))
+        assert channel.body() == "" and channel.headers == []
+
+    def test_plain_text_crosses_the_chain_unwrapped(self):
+        seen = []
+
+        class Spy(Filter):
+            def filter_write(self, data, offset=0):
+                seen.append(type(data))
+                return data
+
+        channel = HTTPOutputChannel()
+        channel.add_filter(Spy())
+        channel.write("plain")
+        channel.write(taint_str("tainted", U))
+        channel.add_header("X-Plain", "value")
+        assert seen == [str, TaintedStr, str]
+        assert [type(chunk) for chunk in channel.chunks] == [str, str]
+        assert channel.body() == "plaintainted"
 
 
 class TestMailTransport:

@@ -1,7 +1,13 @@
 """Unit tests for PolicySet."""
 
+import copy
+import pickle
+import sys
+import threading
+
 import pytest
 
+from repro.core import policyset
 from repro.core.policyset import PolicySet, as_policyset
 from repro.policies import (HTMLSanitized, PasswordPolicy,
                             SQLSanitized, UntrustedData)
@@ -59,6 +65,70 @@ class TestSetOperations:
         combined = PolicySet.of(UntrustedData()).union(
             PolicySet.of(SQLSanitized()))
         assert len(combined) == 2
+
+    def test_a_memoized_union_is_the_interned_set_of_its_members(self):
+        left = PolicySet.of(UntrustedData("memo-left"))
+        right = PolicySet.of(SQLSanitized(), UntrustedData("memo-right"))
+        policyset._union_memo.clear()
+        first = left.union(right)
+        assert (left, right) in policyset._union_memo
+        assert left.union(right) is first
+        assert first is PolicySet([*right, *left])
+        assert copy.deepcopy(first) is first
+        assert pickle.loads(pickle.dumps(first)) is first
+        # A member the left side already holds builds no new set.
+        assert first.union(left) is first
+
+    def test_the_union_memo_is_cleared_when_full(self):
+        base = PolicySet.of(SQLSanitized())
+        policyset._union_memo.clear()
+        for index in range(policyset.UNION_MEMO_SIZE + 10):
+            other = PolicySet.of(UntrustedData(f"bound-{index}"))
+            assert base.union(other) == {SQLSanitized(),
+                                         UntrustedData(f"bound-{index}")}
+            assert len(policyset._union_memo) <= policyset.UNION_MEMO_SIZE
+        assert len(policyset._union_memo) == 10
+
+    def test_the_union_memo_stays_bounded_under_threads(self, monkeypatch):
+        """Eight threads, a 1 µs switch interval and a memo of 4 pairs:
+        every union is right and no thread ever sees the memo over its
+        bound, which two unlocked inserts after one size check break in
+        most runs."""
+        monkeypatch.setattr(policyset, "UNION_MEMO_SIZE", 4)
+        policyset._union_memo.clear()
+        singles = [PolicySet.of(UntrustedData(f"thread-{i}")) for i in range(24)]
+        failures = []
+
+        def work(offset):
+            for step in range(3000):
+                left = singles[(offset + step) % len(singles)]
+                right = singles[(offset + 3 * step + 1) % len(singles)]
+                if left.union(right) != set(left) | set(right):
+                    failures.append("wrong union")
+                if len(policyset._union_memo) > 4:
+                    failures.append("over the bound")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(offset,))
+                       for offset in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    def test_a_union_with_a_plain_iterable_is_not_memoized(self):
+        base = PolicySet.of(SQLSanitized())
+        policyset._union_memo.clear()
+        assert base.union([UntrustedData("it")]) is PolicySet.of(
+            SQLSanitized(), UntrustedData("it"))
+        assert base.union(()) is base
+        assert not policyset._union_memo
 
     def test_intersection(self):
         left = PolicySet.of(UntrustedData(), SQLSanitized())
