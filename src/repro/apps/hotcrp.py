@@ -22,7 +22,7 @@ assertions.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..channels.httpout import HTTPOutputChannel
 from ..core.exceptions import AccessDenied, PolicyViolation
@@ -136,18 +136,17 @@ class HotCRP:
     def _build_web(self):
         """The site's routed HTTP front end.
 
-        A request-phase middleware resolves the requesting principal the way
-        ``_response_for`` does for direct calls (PC membership and the chair
-        privilege land on the response channel's context, where the paper /
-        author-list policies look for them); the page methods then stream
-        into the routed response.
+        A request-phase middleware looks the principal up once per request,
+        like HotCRP's ``$Me``, as ``_response_for`` does for direct calls: PC
+        membership and the chair privilege land on the response channel's
+        context, where the policies and the page methods look for them; the
+        page methods then stream into the routed response.
         """
         web = self.resin.app("hotcrp")
 
         @web.middleware
         def resolve_principal(request, response):
-            response.set_user(request.user, priv_chair=self.is_chair(request.user))
-            response.context["is_pc"] = self.is_pc_member(request.user)
+            self._response_for(request.user, response)
 
         @web.route("/paper/<int:paper_id>")
         def paper(request, response, paper_id):
@@ -233,13 +232,16 @@ class HotCRP:
         )
         return result.rows[0] if result.rows else None
 
-    def is_pc_member(self, email: Optional[str]) -> bool:
+    def _roles(self, email: Optional[str]) -> Tuple[bool, bool]:
+        """``(is_pc, priv_chair)`` of ``email``'s account, from one lookup."""
         row = self._user(email) if email else None
-        return bool(row and int(row["is_pc"]))
+        return bool(row and int(row["is_pc"])), bool(row and int(row["priv_chair"]))
+
+    def is_pc_member(self, email: Optional[str]) -> bool:
+        return self._roles(email)[0]
 
     def is_chair(self, email: Optional[str]) -> bool:
-        row = self._user(email) if email else None
-        return bool(row and int(row["priv_chair"]))
+        return self._roles(email)[1]
 
     # -- password reminder (the running example) --------------------------------------------
 
@@ -345,9 +347,13 @@ class HotCRP:
             raise HTTPError(404, f"no such paper: {paper_id}")
         return result.rows[0]
 
-    def _response_for(self, user: Optional[str]) -> HTTPOutputChannel:
-        response = self.env.http_channel(user=user, priv_chair=self.is_chair(user))
-        response.context["is_pc"] = self.is_pc_member(user)
+    def _response_for(self, user: Optional[str], response=None) -> HTTPOutputChannel:
+        """``response`` (a fresh channel by default) with ``user`` and their
+        roles on its context, from one users lookup."""
+        response = self.env.http_channel() if response is None else response
+        is_pc, priv_chair = self._roles(user)
+        response.set_user(user, priv_chair=priv_chair)
+        response.context["is_pc"] = is_pc
         return response
 
     def paper_page(
@@ -365,6 +371,10 @@ class HotCRP:
         (Section 5.5).  Without RESIN, the application performs the explicit
         check itself — correctly on this path, which is exactly why the
         paper's point is about the paths programmers forget.
+
+        A ``response`` passed in must come from ``_response_for(user, ...)``
+        or the routed middleware for the same ``user``: the checks read
+        ``user``'s roles from its context.
         """
         if response is None:
             response = self._response_for(user)
@@ -411,7 +421,8 @@ class HotCRP:
         user: Optional[str],
         response: Optional[HTTPOutputChannel] = None,
     ) -> HTTPOutputChannel:
-        """Show the reviews of a paper to ``user``."""
+        """Show the reviews of a paper to ``user``; a ``response`` passed in
+        must be built for ``user`` as ``paper_page`` requires."""
         if response is None:
             response = self._response_for(user)
         reviews = self.env.db.query(
@@ -421,16 +432,13 @@ class HotCRP:
         response.write(f"<h1>Reviews for paper #{paper_id}</h1>\n")
         paper = self._paper(paper_id)
         authors = [a.strip() for a in str(paper["authors"]).split(",")]
+        staff = response.context.get("is_pc") or response.context.get("priv_chair")
         for review in reviews:
             if not self.use_resin:
-                # The (correct) explicit check of the original code: only PC
-                # members and authors of released reviews may see a review.
-                allowed = (
-                    self.is_pc_member(user)
-                    or self.is_chair(user)
-                    or (int(review["released"]) and user in authors)
-                )
-                if not allowed:
+                # The original code's (correct) explicit check, on the roles
+                # resolved with the response: only PC members and authors of
+                # released reviews may see a review.
+                if not (staff or (int(review["released"]) and user in authors)):
                     continue
             response.start_buffering()
             try:

@@ -29,8 +29,6 @@ class CodeChannel(Channel):
     def load(self, source, origin: Optional[str] = None) -> TaintedStr:
         """Run ``source`` through the import boundary and return the code the
         interpreter may execute.  Raises if the channel's filter rejects it."""
-        if isinstance(source, (bytes, bytearray)):
-            source = to_tainted_str(source)
         source = to_tainted_str(source)
         if origin is not None:
             self.context["origin"] = origin

@@ -10,8 +10,8 @@ Body writes, header values and a discarded buffer's alternate output all
 cross the filter chain as text.  A ``str`` crosses as it is, a
 ``TaintedStr`` with its policies; plain text is not wrapped in a
 ``TaintedStr``, since it carries no policy for a filter to find.  Bytes
-are decoded as UTF-8 (``"replace"``), a ``TaintedBytes`` keeping its
-policies.  A delivered chunk is a plain ``str``.
+are decoded as UTF-8 (``"replace"``) by ``to_tainted_str``, a
+``TaintedBytes`` keeping its policies.  A delivered chunk is a plain ``str``.
 """
 
 from __future__ import annotations
@@ -20,19 +20,13 @@ from typing import Any, List, Optional
 
 from ..core.runtime import OutputBuffer
 from ..tracking.propagation import to_tainted_str
-from ..tracking.tainted_bytes import TaintedBytes
 from .base import Channel
 
 
 def _as_text(data: Any) -> Any:
-    """``data`` as the text that crosses the filter chain."""
-    if isinstance(data, str):
-        return data
-    if isinstance(data, TaintedBytes):
-        return data.decode("utf-8", "replace")
-    if isinstance(data, (bytes, bytearray)):
-        return bytes(data).decode("utf-8", "replace")
-    return to_tainted_str(data)
+    """``data`` as the text that crosses the filter chain: a ``str`` as it
+    is, anything else (bytes decoded) as a ``TaintedStr``."""
+    return data if isinstance(data, str) else to_tainted_str(data)
 
 
 class HTTPOutputChannel(Channel):

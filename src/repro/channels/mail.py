@@ -71,12 +71,12 @@ class MailTransport:
         """
         sender = sender or self.default_sender
         channel = EmailChannel(to, env=self.env)
+        subject, body = to_tainted_str(subject), to_tainted_str(body)
         text = concat("From: ", sender, "\r\nTo: ", to,
-                      "\r\nSubject: ", to_tainted_str(subject), "\r\n\r\n",
-                      to_tainted_str(body))
+                      "\r\nSubject: ", subject, "\r\n\r\n", body)
         channel.write(text)
-        message = Message(to=to, subject=str(subject),
-                          body=str(to_tainted_str(body)), sender=sender)
+        message = Message(to=to, subject=str(subject), body=str(body),
+                          sender=sender)
         with self._lock:
             self.outbox.append(message)
         return message

@@ -58,13 +58,18 @@ def policies_of(value: Any) -> PolicySet:
 
 
 def to_tainted_str(value: Any) -> TaintedStr:
-    """Convert ``value`` to a :class:`TaintedStr`, preserving policies."""
+    """Convert ``value`` to a :class:`TaintedStr`, preserving policies.
+
+    Bytes are decoded as UTF-8 with ``"replace"``; a ``TaintedBytes`` keeps
+    its policies."""
     if isinstance(value, TaintedStr):
         return value
     if isinstance(value, str):
         return TaintedStr(value)
     if isinstance(value, TaintedBytes):
         return value.decode("utf-8", "replace")
+    if isinstance(value, (bytes, bytearray)):
+        return TaintedStr(value.decode("utf-8", "replace"))
     text = str(value)
     policies = policies_of(value)
     return TaintedStr(text, RangeMap.uniform(len(text), policies))

@@ -5,8 +5,11 @@ issues (the users and papers SELECTs of a paper page, the reviews INSERT of
 a review) stays within a budget of Python and C calls, counted with
 ``sys.setprofile``, the first time its shape is seen and within a smaller
 one after; so does running each
-paper-page SELECT through the RESIN site's policy cells; the SQL channel's
-check of a query built by ``concat`` leaves its range map unflattened; a
+paper-page SELECT through the RESIN site's policy cells; a warm page looks
+its principal up once (one users and one papers statement, on both sites),
+and a plain review page's statements do not grow with its reviews; the SQL
+channel's check of a query built by ``concat`` leaves its range map
+unflattened; a
 served page runs no ``import`` statement once
 the site is warm, counted through ``builtins.__import__``, and computes no
 fresh ``Policy._identity``, counted on the base class, both on the RESIN
@@ -68,13 +71,13 @@ EXEC_CALL_BUDGET = 250
 #: Per warm paper page served to a PC member: ``TaintedStr`` and
 #: ``PolicySet`` constructions may not exceed these; ``filter_write`` is the
 #: number of writes, each of which crosses the default filter.  Plain text
-#: stays a ``str`` on the HTTP channel, and the sanitizers attach constant
-#: marker sets, so the plain site's strings are its two SQL queries' (their
-#: quoted e-mail, ``concat`` and the parser's literal cut), and the RESIN
-#: site adds its database cells.
+#: stays a ``str`` on the HTTP channel, the sanitizers attach constant
+#: marker sets and the principal is looked up once, so the plain site's
+#: strings are its users query's (the quoted e-mail, ``concat`` and the
+#: parser's literal cut), and the RESIN site adds its database cells.
 PAGE_BUDGETS = {
-    "plain": {"TaintedStr": 6, "PolicySet": 0, "filter_write": 13},
-    "resin": {"TaintedStr": 13, "PolicySet": 0, "filter_write": 14},
+    "plain": {"TaintedStr": 3, "PolicySet": 0, "filter_write": 13},
+    "resin": {"TaintedStr": 8, "PolicySet": 0, "filter_write": 14},
 }
 
 PRINCIPALS = ("pc@example.org", "chair@example.org", "author@example.org",
@@ -101,6 +104,28 @@ def serve_page(site, user):
         return None  # the RESIN site refuses the outsider
 
 
+def statements_of(fn, *args):
+    """The SQL statements ``fn(*args)`` parses, in order."""
+    seen = []
+    original = sqlchan.parse
+
+    def recording(sql):
+        seen.append(sql)
+        return original(sql)
+
+    sqlchan.parse = recording
+    try:
+        fn(*args)
+    finally:
+        sqlchan.parse = original
+    return seen
+
+
+def tables_of(statements):
+    """The table each ``SELECT ... FROM <table>`` statement reads."""
+    return [str(sql).split(" FROM ", 1)[1].split(" ", 1)[0] for sql in statements]
+
+
 def count_calls(fn, *args):
     calls = 0
 
@@ -121,20 +146,12 @@ def count_calls(fn, *args):
 def hotcrp_statements():
     """Every statement the site parses for one paper page and one review."""
     site = build_site(use_resin=True)
-    seen = []
-    original = sqlchan.parse
 
-    def recording(sql):
-        seen.append(sql)
-        return original(sql)
-
-    sqlchan.parse = recording
-    try:
+    def page_and_review():
         serve_page(site, "pc@example.org")
         site.add_review(1, "pc@example.org", "Strong accept.", released=False)
-    finally:
-        sqlchan.parse = original
-    return seen
+
+    return statements_of(page_and_review)
 
 
 @pytest.mark.parametrize("prefix", [
@@ -186,6 +203,34 @@ def test_running_a_paper_page_select_stays_within_its_call_budget(
         assert db.engine.run(statement, db.cells).rows  # warm
         assert (count_calls(db.engine.run, statement, db.cells)
                 <= EXEC_CALL_BUDGET)
+
+
+@pytest.mark.parametrize("user", PRINCIPALS)
+@pytest.mark.parametrize("use_resin", [True, False], ids=["resin", "plain"])
+def test_a_warm_paper_page_looks_its_principal_up_once(use_resin, user):
+    """Like HotCRP's ``$Me``, the requesting user is looked up once per
+    request: a page issues one users statement and one papers statement."""
+    site = build_site(use_resin)
+    serve_page(site, user)  # warm-up
+    assert tables_of(statements_of(serve_page, site, user)) == ["users", "papers"]
+
+
+@pytest.mark.parametrize("user", PRINCIPALS)
+def test_a_plain_review_page_issues_no_statement_per_review(user):
+    """The unmodified site's explicit check reads the roles resolved with the
+    response, so a review page's statements do not grow with its reviews,
+    served or called directly."""
+    site = build_site(use_resin=False)
+    pages = {"served": lambda: site.web.handle(Request("/paper/1/reviews",
+                                                        user=user)),
+             "direct": lambda: site.review_page(1, user)}
+    for reviews in (1, 2, 4):  # build_site adds one; each round doubles them
+        for name, page in pages.items():
+            page()  # warm-up
+            assert tables_of(statements_of(page)) == [
+                "users", "reviews", "papers"], (name, reviews)
+        for _ in range(reviews):
+            site.add_review(1, "pc@example.org", "Weak accept.", released=True)
 
 
 @pytest.mark.parametrize("use_resin", [True, False], ids=["resin", "plain"])

@@ -7,6 +7,7 @@ from repro.core.api import policy_get
 from repro.core.exceptions import DisclosureViolation, HTTPError, PolicyViolation
 from repro.environment import Environment
 from repro.policies import PasswordPolicy
+from repro.web.request import Request
 
 
 @pytest.fixture
@@ -121,3 +122,46 @@ class TestReviews:
         site.add_review(2, "pc@example.org", "Weak accept.", released=True)
         body = site.review_page(2, "open@example.org").body()
         assert "Weak accept." in body
+
+
+class TestLegacyReviews:
+    """The unmodified site's own review check, on the roles resolved once
+    when the response is built: PC members and the chair (here not on the
+    PC) read every review, an author only released ones, an outsider none.
+    A direct call and the routed page agree."""
+
+    PAGES = {
+        "direct": lambda site, user: site.review_page(1, user).body(),
+        "served": lambda site, user: site.web.handle(
+            Request("/paper/1/reviews", user=user)).body(),
+    }
+
+    @pytest.mark.parametrize("page", sorted(PAGES))
+    def test_review_verdicts_before_and_after_release(self, page):
+        site = HotCRP(Environment(), use_resin=False)
+        site.register_user("pc@example.org", "pc-password", is_pc=True)
+        site.register_user("chair@example.org", "chair-password",
+                           priv_chair=True)
+        site.register_user("author@example.org", "author-password")
+        site.submit_paper(1, "RESIN", "Abstract.", ["author@example.org"])
+        site.add_review(1, "pc@example.org", "Accept.", released=False)
+        users = ["pc@example.org", "chair@example.org", "author@example.org",
+                 "outsider@example.org"]
+
+        def shown():
+            verdicts = {}
+            for user in users:
+                body = self.PAGES[page](site, user)
+                verdicts[user] = [text for text in ("Accept.", "Weak accept.")
+                                  if f"<div class='review'>{text}</div>" in body]
+            return verdicts
+
+        assert shown() == {"pc@example.org": ["Accept."],
+                           "chair@example.org": ["Accept."],
+                           "author@example.org": [],
+                           "outsider@example.org": []}
+        site.add_review(1, "pc@example.org", "Weak accept.", released=True)
+        assert shown() == {"pc@example.org": ["Accept.", "Weak accept."],
+                           "chair@example.org": ["Accept.", "Weak accept."],
+                           "author@example.org": ["Weak accept."],
+                           "outsider@example.org": []}
