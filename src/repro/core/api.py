@@ -14,10 +14,9 @@ from typing import Any, Optional
 from .policy import Policy
 from .policyset import PolicySet
 from ..tracking.propagation import policies_of, strip_policies
-from ..tracking.tainted_bytes import TaintedBytes, taint_bytes
-from ..tracking.tainted_number import (TaintedFloat, TaintedInt, taint_float,
-                                       taint_int)
-from ..tracking.tainted_str import TaintedStr, taint_str
+from ..tracking.tainted_bytes import taint_bytes
+from ..tracking.tainted_number import taint_float, taint_int
+from ..tracking.tainted_str import Tainted, taint_str
 
 __all__ = ["policy_add", "policy_remove", "policy_get", "taint", "untaint",
            "has_policy"]
@@ -33,22 +32,16 @@ def policy_add(data: Any, policy: Policy, start: int = 0,
     """
     if not isinstance(policy, Policy):
         raise TypeError(f"expected a Policy, got {type(policy).__name__}")
-    if isinstance(data, TaintedStr):
+    if isinstance(data, Tainted):
         return data.with_policy(policy, start, stop)
     if isinstance(data, str):
         return taint_str(data).with_policy(policy, start, stop)
-    if isinstance(data, TaintedBytes):
-        return data.with_policy(policy, start, stop)
     if isinstance(data, (bytes, bytearray)):
         return taint_bytes(bytes(data)).with_policy(policy, start, stop)
-    if isinstance(data, TaintedInt):
-        return data.with_policy(policy)
     if isinstance(data, bool):
         raise TypeError("policies cannot be attached to booleans")
     if isinstance(data, int):
         return taint_int(data, (policy,))
-    if isinstance(data, TaintedFloat):
-        return data.with_policy(policy)
     if isinstance(data, float):
         return taint_float(data, (policy,))
     if isinstance(data, list):
@@ -64,7 +57,7 @@ def policy_add(data: Any, policy: Policy, start: int = 0,
 
 def policy_remove(data: Any, policy: Policy) -> Any:
     """Remove ``policy`` from ``data``'s policy set and return the result."""
-    if isinstance(data, (TaintedStr, TaintedBytes, TaintedInt, TaintedFloat)):
+    if isinstance(data, Tainted):
         return data.without_policy(policy)
     if isinstance(data, list):
         return [policy_remove(item, policy) for item in data]
@@ -92,8 +85,8 @@ def has_policy(data: Any, policy_type, *, every_char: bool = False) -> bool:
     carries such a policy (the check the script-injection filter needs,
     Figure 6 footnote).
     """
-    if every_char and isinstance(data, (TaintedStr, TaintedBytes)):
-        return data.rangemap.every_position_has(policy_type)
+    if isinstance(data, Tainted):
+        return data.has_policy_type(policy_type, every_char=every_char)
     return policy_get(data).has_type(policy_type)
 
 

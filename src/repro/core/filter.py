@@ -21,6 +21,7 @@ import functools
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Type
 
 from ..tracking.propagation import policies_of
+from ..tracking.tainted_str import Tainted
 from .context import FilterContext, as_context
 from .policy import Policy
 from .exceptions import FilterError, PolicyViolation
@@ -151,10 +152,9 @@ class DeclassifyFilter(Filter):
         self.policy_types = tuple(policy_types)
 
     def _strip(self, data: Any) -> Any:
-        for policy_type in self.policy_types:
-            remover = getattr(data, "without_policy_type", None)
-            if callable(remover):
-                data = remover(policy_type)
+        if isinstance(data, Tainted):
+            for policy_type in self.policy_types:
+                data = data.without_policy_type(policy_type)
         return data
 
     def filter_write(self, data: Any, offset: int = 0) -> Any:

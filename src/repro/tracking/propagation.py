@@ -14,8 +14,7 @@ from ..core.policyset import PolicySet, as_policyset
 from .merge import merge_many
 from .ranges import RangeMap
 from .tainted_bytes import TaintedBytes
-from .tainted_number import TaintedFloat, TaintedInt
-from .tainted_str import TaintedStr, _concat_all
+from .tainted_str import Tainted, TaintedStr, _concat_all, policies_of
 
 __all__ = [
     "policies_of",
@@ -28,49 +27,22 @@ __all__ = [
 ]
 
 
-_EMPTY = PolicySet.empty()
-
-#: Builtin types whose values never carry a policy.
-_PLAIN_TYPES = frozenset((str, bytes, int, float, bool, type(None)))
-
-
-def policies_of(value: Any) -> PolicySet:
-    """Union of all policies carried by ``value`` (any type)."""
-    if type(value) in _PLAIN_TYPES:
-        return _EMPTY
-    if isinstance(value, TaintedStr):
-        return value.policies()
-    if isinstance(value, TaintedBytes):
-        return value.policies()
-    if isinstance(value, (TaintedInt, TaintedFloat)):
-        return value.policies()
-    if isinstance(value, (list, tuple, set, frozenset)):
-        result = _EMPTY
-        for item in value:
-            result = result.union(policies_of(item))
-        return result
-    if isinstance(value, dict):
-        result = _EMPTY
-        for key, item in value.items():
-            result = result.union(policies_of(key)).union(policies_of(item))
-        return result
-    return _EMPTY
-
-
 def to_tainted_str(value: Any) -> TaintedStr:
     """Convert ``value`` to a :class:`TaintedStr`, preserving policies.
 
-    Bytes are decoded as UTF-8 with ``"replace"``; a ``TaintedBytes`` keeps
-    its policies."""
+    Bytes (and a ``memoryview`` of them) are decoded as UTF-8 with
+    ``"replace"``; a ``TaintedBytes`` keeps its policies per character, and
+    a view's text carries the policies of the object it views."""
     if isinstance(value, TaintedStr):
         return value
     if isinstance(value, str):
         return TaintedStr(value)
     if isinstance(value, TaintedBytes):
         return value.decode("utf-8", "replace")
-    if isinstance(value, (bytes, bytearray)):
-        return TaintedStr(value.decode("utf-8", "replace"))
-    text = str(value)
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        text = bytes(value).decode("utf-8", "replace")
+    else:
+        text = str(value)
     policies = policies_of(value)
     return TaintedStr(text, RangeMap.uniform(len(text), policies))
 
@@ -115,14 +87,8 @@ def strip_policies(value: Any) -> Any:
     This is deliberately explicit: only boundary code such as declassifying
     filter objects should ever call it.
     """
-    if isinstance(value, TaintedStr):
+    if isinstance(value, Tainted):
         return value.plain()
-    if isinstance(value, TaintedBytes):
-        return value.plain()
-    if isinstance(value, TaintedInt):
-        return int(value)
-    if isinstance(value, TaintedFloat):
-        return float(value)
     if isinstance(value, list):
         return [strip_policies(v) for v in value]
     if isinstance(value, tuple):

@@ -3,16 +3,18 @@
 File and socket data is tracked at byte granularity (Section 3.4.1): a file's
 policy map covers byte ranges, just as a string's covers character ranges.
 :class:`TaintedBytes` mirrors :class:`~repro.tracking.tainted_str.TaintedStr`
-for the operations the channels and filesystem substrates need.
+for the operations the channels and filesystem substrates need; the policy
+accessors are the ones both share.
 """
 
 from __future__ import annotations
 
+import codecs
 from typing import List, Optional
 
-from ..core.policy import Policy
 from ..core.policyset import PolicySet, as_policyset
 from .ranges import PolicyRange, RangeMap
+from .tainted_str import TaintedStr, _TaintedSequence
 
 __all__ = ["TaintedBytes", "taint_bytes", "rangemap_of_bytes"]
 
@@ -35,8 +37,10 @@ def taint_bytes(
     return TaintedBytes(value, rangemap)
 
 
-class TaintedBytes(bytes):
+class TaintedBytes(_TaintedSequence, bytes):
     """A bytes object carrying per-byte policy sets."""
+
+    _plain_type = bytes
 
     def __new__(cls, value: bytes = b"", rangemap: Optional[RangeMap] = None):
         self = super().__new__(cls, value)
@@ -49,37 +53,6 @@ class TaintedBytes(bytes):
             raise ValueError("rangemap length does not match bytes length")
         self._rangemap = rangemap
         return self
-
-    # -- policy access ---------------------------------------------------------
-
-    @property
-    def rangemap(self) -> RangeMap:
-        return self._rangemap
-
-    def policies(self) -> PolicySet:
-        return self._rangemap.all_policies()
-
-    def policies_at(self, index: int) -> PolicySet:
-        return self._rangemap.policies_at(index)
-
-    def has_policy_type(self, policy_type, *, every_byte: bool = False) -> bool:
-        if every_byte:
-            return self._rangemap.every_position_has(policy_type)
-        return self._rangemap.all_policies().has_type(policy_type)
-
-    def with_policy(
-        self, policy: Policy, start: int = 0, stop: Optional[int] = None
-    ) -> "TaintedBytes":
-        return TaintedBytes(bytes(self), self._rangemap.add_policy(policy, start, stop))
-
-    def without_policy(self, policy: Policy) -> "TaintedBytes":
-        return TaintedBytes(bytes(self), self._rangemap.remove_policy(policy))
-
-    def without_policy_type(self, policy_type) -> "TaintedBytes":
-        return TaintedBytes(bytes(self), self._rangemap.remove_policy_type(policy_type))
-
-    def plain(self) -> bytes:
-        return bytes(self)
 
     # -- operations ---------------------------------------------------------------
 
@@ -115,25 +88,37 @@ class TaintedBytes(bytes):
         return self[start:stop]
 
     def decode(self, encoding: str = "utf-8", errors: str = "strict"):
-        from .tainted_str import TaintedStr
-
         text = bytes.decode(self, encoding, errors)
         if self._rangemap.is_empty():
             return TaintedStr(text)
-        # Map byte ranges to character ranges by decoding incrementally.
+        # Feed the bytes to an incremental decoder one at a time.  Each piece
+        # it yields takes the union of the policies of the bytes it consumed
+        # since the previous piece, less the bytes it still holds (a lead
+        # byte that ended an invalid sequence starts the next piece), so a
+        # character never carries fewer policies than its bytes, whatever a
+        # replaced or ignored byte did.
+        decoder = codecs.getincrementaldecoder(encoding)(errors)
+        decode, held = decoder.decode, decoder.getstate
+        empty = PolicySet.empty()
+        byte_policies = [empty] * len(self)
+        for rng in self._rangemap.ranges:
+            byte_policies[rng.start : rng.stop] = [rng.policies] * len(rng)
+        raw = bytes(self)
+        last = len(raw) - 1
         segments: List[PolicyRange] = []
-        char_index = 0
-        byte_index = 0
-        for char in text:
-            encoded = char.encode(encoding, errors)
-            pset = PolicySet.empty()
-            for offset in range(len(encoded)):
-                if byte_index + offset < len(self):
-                    pset = pset.union(self._rangemap.policies_at(byte_index + offset))
-            if pset:
-                segments.append(PolicyRange(char_index, char_index + 1, pset))
-            byte_index += len(encoded)
-            char_index += 1
+        start = char_index = 0
+        for index in range(len(raw)):
+            piece = decode(raw[index : index + 1], final=index == last)
+            if piece:
+                stop = index + 1 - len(held()[0])
+                policies = empty
+                for byte in byte_policies[start:stop]:
+                    policies = policies.union(byte)
+                if policies:
+                    end = char_index + len(piece)
+                    segments.append(PolicyRange(char_index, end, policies))
+                char_index += len(piece)
+                start = stop
         return TaintedStr(text, RangeMap(len(text), segments))
 
     def join(self, iterable):
@@ -158,9 +143,3 @@ class TaintedBytes(bytes):
             located.append(self[found : found + len(part)])
             cursor = found + len(part)
         return located
-
-    def __repr__(self) -> str:
-        return bytes.__repr__(self)
-
-    def __reduce__(self):
-        return (bytes, (bytes(self),))

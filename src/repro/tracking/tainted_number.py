@@ -15,21 +15,9 @@ from typing import Optional
 from ..core.policy import Policy
 from ..core.policyset import PolicySet, as_policyset
 from .merge import merge_many
+from .tainted_str import Tainted, policies_of
 
-__all__ = [
-    "TaintedInt",
-    "TaintedFloat",
-    "taint_int",
-    "taint_float",
-    "policies_of_number",
-]
-
-
-def policies_of_number(value) -> PolicySet:
-    """Policy set of a numeric value (empty for plain numbers)."""
-    if isinstance(value, (TaintedInt, TaintedFloat)):
-        return value.policies()
-    return PolicySet.empty()
+__all__ = ["TaintedInt", "TaintedFloat", "taint_int", "taint_float"]
 
 
 def taint_int(value: int, policies=None) -> "TaintedInt":
@@ -40,14 +28,6 @@ def taint_float(value: float, policies=None) -> "TaintedFloat":
     return TaintedFloat(value, as_policyset(policies))
 
 
-def _operand_policies(operand) -> PolicySet:
-    if isinstance(operand, str):
-        from .tainted_str import policies_of_str
-
-        return policies_of_str(operand)
-    return policies_of_number(operand)
-
-
 def _result_policies(*operands) -> PolicySet:
     """Merge the policy sets of all operands pairwise.
 
@@ -55,28 +35,34 @@ def _result_policies(*operands) -> PolicySet:
     common all-empty and shared-provenance cases never run the per-policy
     merge protocol.
     """
-    return merge_many(_operand_policies(operand) for operand in operands)
+    return merge_many(policies_of(operand) for operand in operands)
 
 
-class _TaintedNumberMixin:
-    """Shared policy plumbing for tainted numeric types."""
+class _TaintedNumber(Tainted):
+    """The protocol for numbers: one policy set for the whole value.
 
+    ``with_policy`` accepts ``start``/``stop`` and ``has_policy_type``
+    accepts ``every_char`` as strings do, and ignores them: a number has no
+    positions.
+    """
+
+    __slots__ = ()
     _policyset: PolicySet
 
     def policies(self) -> PolicySet:
         return self._policyset
 
-    def with_policy(self, policy: Policy):
-        return type(self)(self._raw(), self._policyset.add(policy))
+    def with_policy(self, policy: Policy, start: int = 0, stop: Optional[int] = None):
+        return type(self)(self, self._policyset.add(policy))
 
     def without_policy(self, policy: Policy):
-        return type(self)(self._raw(), self._policyset.remove(policy))
+        return type(self)(self, self._policyset.remove(policy))
 
-    def has_policy_type(self, policy_type) -> bool:
+    def without_policy_type(self, policy_type):
+        return type(self)(self, self._policyset.without_type(policy_type))
+
+    def has_policy_type(self, policy_type, *, every_char: bool = False) -> bool:
         return self._policyset.has_type(policy_type)
-
-    def _raw(self):
-        raise NotImplementedError
 
     def _rewrap(self, value, *operands):
         """Wrap ``value`` (the raw result of an arithmetic op) with the
@@ -90,8 +76,6 @@ class _TaintedNumberMixin:
             return TaintedInt(value, policies) if policies else value
         if isinstance(value, float):
             return TaintedFloat(value, policies) if policies else value
-        if isinstance(value, complex):
-            return value
         return value
 
 
@@ -165,46 +149,26 @@ _BINARY_METHODS = [
 _UNARY_METHODS = ["__neg__", "__pos__", "__abs__", "__invert__"]
 
 
-class TaintedInt(_TaintedNumberMixin, int):
+class TaintedInt(_TaintedNumber, int):
     """An integer carrying a policy set."""
+
+    _plain_type = int
 
     def __new__(cls, value: int = 0, policies: Optional[PolicySet] = None):
         self = super().__new__(cls, value)
         self._policyset = as_policyset(policies)
         return self
 
-    def _raw(self) -> int:
-        return int(self)
 
-    def __repr__(self) -> str:
-        return int.__repr__(self)
-
-    def __hash__(self) -> int:
-        return int.__hash__(self)
-
-    def __reduce__(self):
-        return (int, (int(self),))
-
-
-class TaintedFloat(_TaintedNumberMixin, float):
+class TaintedFloat(_TaintedNumber, float):
     """A float carrying a policy set."""
+
+    _plain_type = float
 
     def __new__(cls, value: float = 0.0, policies: Optional[PolicySet] = None):
         self = super().__new__(cls, value)
         self._policyset = as_policyset(policies)
         return self
-
-    def _raw(self) -> float:
-        return float(self)
-
-    def __repr__(self) -> str:
-        return float.__repr__(self)
-
-    def __hash__(self) -> int:
-        return float.__hash__(self)
-
-    def __reduce__(self):
-        return (float, (float(self),))
 
 
 for _name in _BINARY_METHODS:

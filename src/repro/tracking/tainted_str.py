@@ -13,7 +13,9 @@ Semantics (Section 3.4):
 * concatenation keeps each operand's policies on its own characters;
 * slicing keeps exactly the policies of the selected characters;
 * interpolation (``format`` / ``%``) keeps the policies of interpolated
-  values on the interpolated characters only;
+  values on the interpolated characters only (the text of an interpolated
+  container carries the union of its items' policies, see
+  :func:`policies_of`);
 * transformations whose per-character mapping is unknown fall back to
   spreading the union of all operand policies over the whole result (the
   conservative choice).
@@ -38,7 +40,7 @@ from ..core.policy import Policy
 from ..core.policyset import PolicySet, as_policyset
 from .ranges import PolicyRange, RangeMap
 
-__all__ = ["TaintedStr", "taint_str", "rangemap_of", "policies_of_str"]
+__all__ = ["TaintedStr", "taint_str", "rangemap_of"]
 
 
 _PERCENT_SPEC = re.compile(
@@ -60,13 +62,6 @@ def rangemap_of(value) -> RangeMap:
     raise TypeError(f"expected str, got {type(value).__name__}")
 
 
-def policies_of_str(value) -> PolicySet:
-    """Union of all policies carried by ``value``."""
-    if isinstance(value, TaintedStr):
-        return value.policies()
-    return PolicySet.empty()
-
-
 def taint_str(
     value: str, policies=None, rangemap: Optional[RangeMap] = None
 ) -> "TaintedStr":
@@ -85,8 +80,113 @@ def taint_str(
     return TaintedStr(value, rangemap)
 
 
-class TaintedStr(str):
+_EMPTY = PolicySet.empty()
+
+#: Builtin types whose values never carry a policy.
+_PLAIN_TYPES = frozenset((str, bytes, int, float, bool, type(None)))
+
+
+class Tainted:
+    """The protocol every tainted value answers, whatever builtin it wraps.
+
+    :class:`TaintedStr`, ``TaintedBytes``, ``TaintedInt`` and
+    ``TaintedFloat`` each subclass one builtin (``_plain_type``) and this
+    class, so code that handles any tainted value tests
+    ``isinstance(value, Tainted)`` once and calls ``policies()``,
+    ``plain()``, ``with_policy``, ``without_policy``,
+    ``without_policy_type`` or ``has_policy_type``.  ``repr`` and pickling
+    see the plain value only: persisting policies is the storage filters'
+    job.
+    """
+
+    __slots__ = ()
+    _plain_type: type
+
+    def plain(self):
+        """The underlying builtin value (policies dropped)."""
+        return self._plain_type(self)
+
+    def __repr__(self):
+        return self._plain_type.__repr__(self)
+
+    def __reduce__(self):
+        return (self._plain_type, (self.plain(),))
+
+
+class _TaintedSequence(Tainted):
+    """The protocol for strings and bytes: a policy set per position, held
+    in a :class:`RangeMap`."""
+
+    __slots__ = ()
+    _rangemap: RangeMap
+
+    @property
+    def rangemap(self) -> RangeMap:
+        return self._rangemap
+
+    def policies(self) -> PolicySet:
+        """Union of the policies of every position."""
+        return self._rangemap.all_policies()
+
+    def policies_at(self, index: int) -> PolicySet:
+        """Policy set of the position at ``index``."""
+        return self._rangemap.policies_at(index)
+
+    def has_policy_type(
+        self, policy_type, *, every_char: bool = False, every_byte: bool = False
+    ) -> bool:
+        """True if some position (or every position, with ``every_char``,
+        which bytes may spell ``every_byte``) carries a policy of
+        ``policy_type``."""
+        if every_char or every_byte:
+            return self._rangemap.every_position_has(policy_type)
+        return self._rangemap.all_policies().has_type(policy_type)
+
+    def with_policy(self, policy: Policy, start: int = 0, stop: Optional[int] = None):
+        """Return a copy with ``policy`` attached to positions
+        ``[start, stop)`` (every position by default)."""
+        return type(self)(self, self._rangemap.add_policy(policy, start, stop))
+
+    def without_policy(self, policy: Policy):
+        """Return a copy with ``policy`` removed from every position."""
+        return type(self)(self, self._rangemap.remove_policy(policy))
+
+    def without_policy_type(self, policy_type):
+        """Return a copy with every policy of ``policy_type`` removed."""
+        return type(self)(self, self._rangemap.remove_policy_type(policy_type))
+
+
+def policies_of(value) -> PolicySet:
+    """Union of all policies carried by ``value`` (any type).
+
+    The one definition of a value's policies: formatting, number merges,
+    export checks and ``policy_get`` all ask it.  A container carries the
+    union of its items' (and a dict's keys') policies, and a ``memoryview``
+    those of the object it views.
+    """
+    if type(value) in _PLAIN_TYPES:
+        return _EMPTY
+    if isinstance(value, Tainted):
+        return value.policies()
+    if isinstance(value, (list, tuple, set, frozenset)):
+        result = _EMPTY
+        for item in value:
+            result = result.union(policies_of(item))
+        return result
+    if isinstance(value, dict):
+        result = _EMPTY
+        for key, item in value.items():
+            result = result.union(policies_of(key)).union(policies_of(item))
+        return result
+    if isinstance(value, memoryview):
+        return policies_of(value.obj)
+    return _EMPTY
+
+
+class TaintedStr(_TaintedSequence, str):
     """A string carrying per-character policy sets."""
+
+    _plain_type = str
 
     def __new__(cls, value: str = "", rangemap: Optional[RangeMap] = None):
         self = super().__new__(cls, value)
@@ -102,46 +202,6 @@ class TaintedStr(str):
             )
         self._rangemap = rangemap
         return self
-
-    # -- policy access -------------------------------------------------------
-
-    @property
-    def rangemap(self) -> RangeMap:
-        return self._rangemap
-
-    def policies(self) -> PolicySet:
-        """Union of the policies of every character."""
-        return self._rangemap.all_policies()
-
-    def policies_at(self, index: int) -> PolicySet:
-        """Policy set of the character at ``index``."""
-        return self._rangemap.policies_at(index)
-
-    def has_policy_type(self, policy_type, *, every_char: bool = False) -> bool:
-        """True if some character (or every character, with
-        ``every_char=True``) carries a policy of ``policy_type``."""
-        if every_char:
-            return self._rangemap.every_position_has(policy_type)
-        return self._rangemap.all_policies().has_type(policy_type)
-
-    def with_policy(
-        self, policy: Policy, start: int = 0, stop: Optional[int] = None
-    ) -> "TaintedStr":
-        """Return a copy with ``policy`` attached to characters
-        ``[start, stop)`` (the whole string by default)."""
-        return TaintedStr(str(self), self._rangemap.add_policy(policy, start, stop))
-
-    def without_policy(self, policy: Policy) -> "TaintedStr":
-        """Return a copy with ``policy`` removed from every character."""
-        return TaintedStr(str(self), self._rangemap.remove_policy(policy))
-
-    def without_policy_type(self, policy_type) -> "TaintedStr":
-        """Return a copy with every policy of ``policy_type`` removed."""
-        return TaintedStr(str(self), self._rangemap.remove_policy_type(policy_type))
-
-    def plain(self) -> str:
-        """The underlying plain string (policies dropped)."""
-        return str.__str__(self)
 
     # -- internal helpers ------------------------------------------------------
 
@@ -389,7 +449,7 @@ class TaintedStr(str):
         return self.format(**dict(mapping))
 
     def __mod__(self, args):
-        if isinstance(args, dict) and not isinstance(args, tuple):
+        if isinstance(args, dict):
             return self._percent_interpolate(args, mapping=True)
         if not isinstance(args, tuple):
             args = (args,)
@@ -410,21 +470,27 @@ class TaintedStr(str):
             else:
                 spec = match.group(0)
                 if mapping:
-                    value = args[match.group("name")]
-                    formatted = str.__mod__(
-                        spec.replace(f"({match.group('name')})", "", 1), (value,)
-                    )
+                    name = match.group("name")
+                    if name is not None:
+                        value = args[name]
+                        spec = spec.replace(f"({name})", "", 1)
+                    elif arg_index:
+                        # As in str, only the first conversion may take the
+                        # whole mapping.
+                        raise TypeError("not enough arguments for format string")
+                    else:
+                        value = args
                 else:
                     value = args[arg_index]
-                    arg_index += 1
-                    formatted = str.__mod__(spec, (value,))
+                arg_index += 1
+                formatted = str.__mod__(spec, (value,))
                 if isinstance(value, str) and conv == "s" and formatted == str(value):
                     pieces.append(_as_tainted(value))
                 else:
                     pieces.append(
                         TaintedStr(
                             formatted,
-                            RangeMap.uniform(len(formatted), policies_of_value(value)),
+                            RangeMap.uniform(len(formatted), policies_of(value)),
                         )
                     )
             cursor = match.end()
@@ -481,14 +547,6 @@ class TaintedStr(str):
             _report_policy_drop(self, spec)
         return result
 
-    def __repr__(self):
-        return str.__repr__(self)
-
-    def __reduce__(self):
-        # Pickling keeps the text but intentionally drops the policy map:
-        # persistence of policies is the job of the storage filters.
-        return (str, (str(self),))
-
 
 def _report_policy_drop(value: "TaintedStr", spec: str) -> None:
     """Make a ``__format__`` policy drop loud: warn, and audit if enabled.
@@ -526,20 +584,6 @@ def _report_policy_drop(value: "TaintedStr", spec: str) -> None:
     )
 
 
-def policies_of_value(value) -> PolicySet:
-    """Best-effort policy set of an arbitrary Python value."""
-    from .tainted_number import TaintedFloat, TaintedInt
-    from .tainted_bytes import TaintedBytes
-
-    if isinstance(value, TaintedStr):
-        return value.policies()
-    if isinstance(value, TaintedBytes):
-        return value.policies()
-    if isinstance(value, (TaintedInt, TaintedFloat)):
-        return value.policies()
-    return PolicySet.empty()
-
-
 def _as_tainted(value) -> TaintedStr:
     if isinstance(value, TaintedStr):
         return value
@@ -563,6 +607,4 @@ def _format_value(obj, spec: str) -> TaintedStr:
         formatted = format(obj, spec)
     if isinstance(obj, str) and formatted == str(obj):
         return _as_tainted(obj)
-    return TaintedStr(
-        formatted, RangeMap.uniform(len(formatted), policies_of_value(obj))
-    )
+    return TaintedStr(formatted, RangeMap.uniform(len(formatted), policies_of(obj)))

@@ -1,7 +1,7 @@
 """Bytes written to the HTTP channel reach the page as decoded text.
 
-A handler may return bytes, write them, put them in a ``Response`` or
-stream them.  The channel decodes them as UTF-8 (invalid sequences become
+A handler may return bytes, write them (or a ``memoryview`` of them), put
+them in a ``Response`` or stream them.  The channel decodes them as UTF-8 (invalid sequences become
 U+FFFD), on the in-process front end and over the socket alike; the page
 never shows their Python repr (``b'...'``).
 """
@@ -23,6 +23,7 @@ EXPECTED = {
     "/chunk": "café chunk",
     "/stream": "one;café;",
     "/astream": "async;café;",
+    "/view": "café view",
 }
 
 
@@ -37,6 +38,10 @@ def build_app():
     def written(request, response):
         response.write(b"raw bytes ")
         response.write(bytearray(b"\xff"))
+
+    @app.route("/view")
+    def view(request, response):
+        response.write(memoryview(b"caf\xc3\xa9 view"))
 
     @app.route("/chunk")
     def chunk(request, response):

@@ -10,11 +10,14 @@ The central invariants of Section 3.4:
    tracked operations that keeps the character in the result.
 """
 
+import functools
 import string
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.policyset import PolicySet
 from repro.policies import HTMLSanitized, SQLSanitized, UntrustedData
+from repro.tracking.tainted_bytes import TaintedBytes
 from repro.tracking.tainted_str import TaintedStr, taint_str
 
 U = UntrustedData("prop")
@@ -123,16 +126,99 @@ class TestPolicyLocality:
         if value:
             assert len(tainted.policies()) == 3
 
-    @given(data=tainted_pieces())
-    @settings(max_examples=50)
-    def test_interpolation_keeps_template_untainted(self, data):
+    @given(data=tainted_pieces(),
+           container=st.sampled_from([None, list, tuple, dict]))
+    @settings(max_examples=200)
+    def test_interpolation_keeps_template_untainted(self, data, container):
         value, flags = data
-        result = TaintedStr("[{x}]").format(x=value)
+        if container is dict:
+            arg = {"k": value}
+        elif container is not None:
+            arg = container([value])
+        else:
+            arg = value
+        result = TaintedStr("[{x}]").format(x=arg)
         assert not result.policies_at(0)
         assert not result.policies_at(len(result) - 1)
-        for index, flagged in enumerate(flags):
-            assert result.policies_at(index + 1).has_type(
-                UntrustedData) == flagged
+        if container is None:
+            for index, flagged in enumerate(flags):
+                assert result.policies_at(index + 1).has_type(
+                    UntrustedData) == flagged
+        else:
+            # A container's text carries the union of its items' policies.
+            for index in range(1, len(result) - 1):
+                assert result.policies_at(index).has_type(
+                    UntrustedData) == any(flags)
+
+
+#: Valid UTF-8, random bytes, and UTF-8 cut inside its last character.
+UTF8_OR_NOT = st.one_of(
+    st.text(max_size=8).map(str.encode),
+    st.binary(max_size=24),
+    st.text(min_size=1, max_size=8).map(lambda text: text.encode()[:-1]),
+)
+
+
+@st.composite
+def tainted_bytes(draw):
+    """A TaintedBytes of valid or invalid UTF-8 with up to three tainted
+    ranges, each carrying its own policy."""
+    raw = draw(UTF8_OR_NOT)
+    value = TaintedBytes(raw)
+    for name in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, len(raw)))
+        stop = draw(st.integers(start, len(raw)))
+        value = value.with_policy(UntrustedData(f"range{name}"), start, stop)
+    return value
+
+
+def tainted_per_byte(raw: bytes) -> TaintedBytes:
+    """``raw`` with a policy of its own on each byte."""
+    value = TaintedBytes(raw)
+    for index in range(len(raw)):
+        value = value.with_policy(UntrustedData(f"byte{index}"), index, index + 1)
+    return value
+
+
+def union(policy_sets):
+    return functools.reduce(PolicySet.union, policy_sets, PolicySet.empty())
+
+
+class TestBytesDecodeProperties:
+    @given(value=tainted_bytes())
+    def test_valid_utf8_chars_carry_exactly_their_bytes_policies(self, value):
+        try:
+            expected_text = bytes(value).decode("utf-8")
+        except UnicodeDecodeError:
+            return
+        text = value.decode("utf-8")
+        assert text == expected_text
+        offset = 0
+        for index, char in enumerate(expected_text):
+            width = len(char.encode("utf-8"))
+            assert text.policies_at(index) == union(
+                value.policies_at(i) for i in range(offset, offset + width))
+            offset += width
+
+    @given(value=tainted_bytes(),
+           tail=st.text(min_size=1, max_size=8).map(str.encode).map(
+               tainted_per_byte))
+    def test_replace_keeps_the_union_of_the_bytes_policies(self, value, tail):
+        joined = value + tail
+        text = joined.decode("utf-8", "replace")
+        assert text == bytes(joined).decode("utf-8", "replace")
+        assert union(text.policies_at(i) for i in range(len(text))) == \
+            joined.policies()
+        # Valid text after any bytes decodes as itself, and each of its
+        # characters keeps at least the policies of its own bytes.
+        tail_text = bytes(tail).decode("utf-8")
+        assert text.endswith(tail_text)
+        offset = 0
+        for index, char in enumerate(tail_text, len(text) - len(tail_text)):
+            width = len(char.encode("utf-8"))
+            own = union(tail.policies_at(i) for i in range(offset, offset + width))
+            assert all(policy in text.policies_at(index) for policy in own)
+            offset += width
 
 
 class TestSerializationProperties:

@@ -1,20 +1,23 @@
 """Plain bytes are text wherever a value becomes a ``TaintedStr``.
 
-``to_tainted_str`` decodes ``bytes`` and ``bytearray`` as UTF-8, an invalid
-sequence becoming U+FFFD, as the HTTP channel does; a ``TaintedBytes`` keeps
-its policies.  Every caller of it (``concat``, the sanitizers, the mail
-transport, the code channel, SQL literals and text functions) therefore
-reads bytes as the text they hold, never as their Python repr (``b'...'``).
+``to_tainted_str`` decodes ``bytes``, ``bytearray`` and a ``memoryview`` of
+them as UTF-8, an invalid sequence becoming U+FFFD, as the HTTP channel
+does; a ``TaintedBytes`` keeps its policies, and a view's text carries
+those of the object it views.  Every caller of it
+(``concat``, the sanitizers, the mail transport, the code channel, SQL
+literals and text functions) therefore reads bytes as the text they hold,
+never as their Python repr (``b'...'``).
 """
 
 import pytest
 
+from repro.core.exceptions import PolicyViolation
 from repro.core.policyset import PolicySet
 from repro.environment import Environment
 from repro.policies import (HTMLSanitized, JSONSanitized, PasswordPolicy,
                             SQLSanitized)
 from repro.sql.nodes import quote_literal
-from repro.tracking.propagation import concat, to_tainted_str
+from repro.tracking.propagation import concat, policies_of, to_tainted_str
 from repro.tracking.tainted_bytes import taint_bytes
 from repro.tracking.tainted_str import TaintedStr
 from repro.web.sanitize import html_escape, json_encode, sql_quote
@@ -26,6 +29,7 @@ PW = PasswordPolicy("owner@example.org")
     (b"caf\xc3\xa9", "café"),
     (bytearray(b"\xff!"), "�!"),
     (b"", ""),
+    (memoryview(b"caf\xc3\xa9"), "café"),
 ])
 def test_to_tainted_str_decodes_plain_bytes(value, text):
     result = to_tainted_str(value)
@@ -42,6 +46,26 @@ def test_to_tainted_str_keeps_the_policies_of_tainted_bytes():
 
 def test_concat_joins_bytes_as_text():
     assert concat("a", b"x", bytearray(b"y")) == "axy"
+
+
+def test_concat_joins_a_memoryview_as_text():
+    assert concat("a", memoryview(b"xy")) == "axy"
+
+
+def test_a_memoryview_carries_the_policies_of_the_bytes_it_views():
+    secret = taint_bytes(b"pw:hunter2", PW)
+    view = memoryview(secret)[3:]
+    assert policies_of(view) == PolicySet.of(PW)
+    for result in (to_tainted_str(view), concat(view)):
+        assert result == "hunter2"
+        assert result.has_policy_type(PasswordPolicy, every_char=True)
+
+
+def test_a_memoryview_of_a_password_written_to_a_page_is_checked(resin):
+    with resin.request(user="eve@x.org") as http:
+        with pytest.raises(PolicyViolation):
+            http.write(memoryview(taint_bytes(b"hunter2", PW)))
+    assert "hunter2" not in http.body()
 
 
 def test_sql_quote_escapes_the_text_of_bytes():

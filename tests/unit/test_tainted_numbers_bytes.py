@@ -117,6 +117,26 @@ class TestTaintedBytes:
         assert text.policies_at(3) == PolicySet.of(U)
         assert text.policies_at(0) == PolicySet.empty()
 
+    @pytest.mark.parametrize("raw, tainted, text, tainted_chars", [
+        # U+FFFD stands for one byte here but re-encodes to three; the
+        # policies of later bytes must still land on their own characters.
+        (b"ab\xff\xc3\xa9z", (2, 5), "ab\ufffd\u00e9z", [2, 4]),
+        # UTF-8 finds the sequence before the tainted lead byte invalid only
+        # when that byte arrives, and holds it: its policy belongs on the
+        # character it starts, not on U+FFFD.
+        (b"\xf0\x9f\x98\xc3\xa9", (3,), "\ufffd\u00e9", [1]),
+        (b"\xc3\xe2\x82\xac", (1,), "\ufffd\u20ac", [1]),
+    ])
+    def test_decode_keeps_policies_after_a_replacement_character(
+            self, raw, tainted, text, tainted_chars):
+        data = TaintedBytes(raw)
+        for index in tainted:
+            data = data.with_policy(U, index, index + 1)
+        decoded = data.decode("utf-8", "replace")
+        assert decoded == text
+        assert [i for i in range(len(decoded)) if decoded.policies_at(i)] == \
+            tainted_chars
+
     def test_join_and_split(self):
         joined = TaintedBytes(b",").join([taint_bytes(b"a", U), b"b"])
         assert joined == b"a,b"
