@@ -3,10 +3,9 @@
 Two questions, each in its own benchmark group:
 
 * **Front-end cost** — requests/sec for the same page workload at 1/4/16
-  concurrency, served by ``AsyncDispatcher`` (event loop + worker threads) vs the
-  thread-pool ``Dispatcher``.  The async front end must stay in the same
-  throughput regime: the loop adds scheduling, not parallelism.  The
-  acceptance bar for the thread pool is >2x req/s at 4 workers vs 1
+  concurrency, served by ``AsyncDispatcher`` (event loop + worker threads).
+  The sync page handler runs on the pool threads, so they overlap its
+  backend wait.  The acceptance bar is >2x req/s at 4 workers vs 1
   (``test_four_workers_double_throughput``, run standalone in CI).
 
 * **Lock granularity** — concurrent write transactions that hold their
@@ -30,7 +29,6 @@ import pytest
 
 from repro.environment import Environment
 from repro.server.async_dispatcher import AsyncDispatcher
-from repro.server.dispatcher import Dispatcher
 from repro.tracking.propagation import concat
 from repro.web.app import WebApplication
 from repro.web.request import Request
@@ -40,7 +38,7 @@ from repro.web.sanitize import html_escape, sql_quote
 BATCH = 32
 
 #: Simulated per-request backend latency for the page workload (lock-free
-#: wait, like a downstream service call) — what both front ends overlap.
+#: wait, like a downstream service call) — what the pool threads overlap.
 BACKEND_WAIT = 0.010
 
 #: Simulated storage latency *inside* a write transaction's critical
@@ -150,35 +148,16 @@ def test_async_dispatch_throughput(benchmark, page_app, concurrency):
         benchmark.extra_info["requests_per_sec"] = round(BATCH / seconds_per_batch, 1)
 
 
-@pytest.mark.parametrize("concurrency", [1, 4, 16])
-def test_thread_dispatch_throughput(benchmark, page_app, concurrency):
-    benchmark.group = f"page-threads-{concurrency}"
-    requests = _page_requests()
-    with Dispatcher(page_app, workers=concurrency) as server:
-
-        def round_trip():
-            responses = server.dispatch_all(requests)
-            assert all("lorem" in r.body() for r in responses)
-
-        benchmark(round_trip)
-
-    benchmark.extra_info["concurrency"] = concurrency
-    if benchmark.enabled:  # no stats under --benchmark-disable
-        seconds_per_batch = benchmark.stats.stats.mean
-        benchmark.extra_info["requests_per_sec"] = round(BATCH / seconds_per_batch, 1)
-
-
 def test_four_workers_double_throughput(page_app):
-    """The thread dispatcher's acceptance bar, standalone (no
-    --benchmark-only needed): 4 workers serve >2x the requests/sec of 1
-    worker."""
+    """The dispatcher's acceptance bar, standalone (no --benchmark-only
+    needed): 4 workers serve >2x the requests/sec of 1 worker."""
     requests = _page_requests()
 
     def requests_per_sec(workers):
-        with Dispatcher(page_app, workers=workers) as server:
-            server.dispatch_all(requests)  # warm the pool
+        with AsyncDispatcher(page_app, workers=workers) as server:
+            server.run(requests)  # warm the pool
             start = time.perf_counter()
-            server.dispatch_all(requests)
+            server.run(requests)
             elapsed = time.perf_counter() - start
         return BATCH / elapsed
 

@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro.environment import Environment
-from repro.server.dispatcher import Dispatcher
+from repro.server.async_dispatcher import AsyncDispatcher
 from repro.web.app import WebApplication
 from repro.web.request import Request
 
@@ -77,10 +77,10 @@ def _write_requests(disjoint):
 def test_fs_write_contention(benchmark, write_app, layout, concurrency):
     benchmark.group = f"fs-writes-{concurrency}-workers-{layout}"
     requests = _write_requests(disjoint=(layout == "disjoint-subtrees"))
-    with Dispatcher(write_app, workers=concurrency) as server:
+    with AsyncDispatcher(write_app, workers=concurrency) as server:
 
         def round_trip():
-            responses = server.dispatch_all(requests)
+            responses = server.run(requests)
             assert all("bumped" in r.body() for r in responses)
 
         benchmark(round_trip)
@@ -101,10 +101,10 @@ def test_disjoint_subtrees_scale_vs_single_lock(write_app):
 
     def requests_per_sec(disjoint):
         requests = _write_requests(disjoint)
-        with Dispatcher(write_app, workers=4) as server:
-            server.dispatch_all(requests)  # warm the pool and lock registry
+        with AsyncDispatcher(write_app, workers=4) as server:
+            server.run(requests)  # warm the pool and lock registry
             start = time.perf_counter()
-            server.dispatch_all(requests)
+            server.run(requests)
             elapsed = time.perf_counter() - start
         return BATCH / elapsed
 

@@ -51,7 +51,7 @@ __all__ = [
     # scoped registry + fluent facade (the supported runtime API)
     "FilterRegistry", "Resin",
     # per-request state + concurrent dispatch
-    "RequestContext", "current_request", "Dispatcher", "AsyncDispatcher",
+    "RequestContext", "current_request", "AsyncDispatcher",
     # exceptions
     "ResinError", "PolicyViolation", "AccessDenied", "DisclosureViolation",
     "InjectionViolation", "ScriptInjectionViolation", "MergeError",
@@ -78,9 +78,6 @@ def __getattr__(name):
     if name == "Resin":
         from .runtime_api import Resin
         return Resin
-    if name == "Dispatcher":
-        from .server.dispatcher import Dispatcher
-        return Dispatcher
     if name == "AsyncDispatcher":
         from .server.async_dispatcher import AsyncDispatcher
         return AsyncDispatcher

@@ -9,7 +9,7 @@ each other's user, filters and output.
 
 ``RequestContext`` gathers that state into one object and carries it in a
 :mod:`contextvars` context variable, so every thread (and every
-:class:`contextvars.Context` copy a dispatcher hands to a worker) sees
+:class:`contextvars.Context` copy the dispatcher hands to a worker) sees
 exactly the request it is serving:
 
 * ``user`` / ``priv_chair`` / ``extra`` — the authenticated principal and
@@ -24,7 +24,7 @@ exactly the request it is serving:
 The substrates consult :func:`current_request` instead of mutating their own
 attributes, which is what makes a shared :class:`~repro.environment.Environment`
 safe to serve from many threads at once (see
-:class:`repro.server.dispatcher.Dispatcher`).
+:class:`repro.server.async_dispatcher.AsyncDispatcher`).
 """
 
 from __future__ import annotations

@@ -60,7 +60,7 @@ class Environment:
         stamps its own) and onto the web ``Request`` itself, so middleware
         log lines, audit events and policy violations all correlate on one
         number.  ``itertools.count`` advances atomically under the GIL, so
-        concurrent dispatchers never hand out duplicates.
+        concurrent requests never get duplicates.
         """
         return next(self._request_ids)
 

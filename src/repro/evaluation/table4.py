@@ -448,19 +448,17 @@ def run_all(use_resin: bool) -> List[RowResult]:
 
 
 def run_all_concurrent(use_resin: bool, workers: int = 16,
-                       front_end: str = "threads") -> List[RowResult]:
+                       front_end: str = "async") -> List[RowResult]:
     """Run every Table 4 scenario concurrently.
 
     Both front ends serve the suite through the same miniature evaluation
     service — a routed :class:`~repro.web.app.WebApplication` where
     ``POST /scenario/<int:index>`` runs row *index* of the table —
-    dispatched either by the thread-pool
-    :class:`~repro.server.dispatcher.Dispatcher` (``front_end="threads"``)
-    or by the event-loop
+    dispatched in process by the
     :class:`~repro.server.async_dispatcher.AsyncDispatcher`
-    (``front_end="async"``; the scenario handler is synchronous, so the
-    dispatcher routes it to its executor), or over real loopback sockets
-    through the HTTP/1.1 front end (``front_end="socket"``: an
+    (``front_end="async"``; the scenario handler is synchronous, so every
+    row runs on one of ``workers`` pool threads), or over real loopback
+    sockets through the HTTP/1.1 front end (``front_end="socket"``: an
     :class:`~repro.server.http.HTTPServer` on a background thread, one
     ``http.client`` POST per scenario from ``workers`` concurrent client
     threads, the evaluator principal carried in an ``X-Resin-User``
@@ -474,25 +472,20 @@ def run_all_concurrent(use_resin: bool, workers: int = 16,
     under real concurrency; results come back in ``SCENARIOS`` order and
     must match :func:`run_all` verdict-for-verdict under either front end.
     """
-    if front_end not in ("threads", "async", "socket"):
+    if front_end not in ("async", "socket"):
         raise ValueError(f"unknown front_end {front_end!r}")
     from ..server.async_dispatcher import AsyncDispatcher
-    from ..server.dispatcher import Dispatcher
     from ..web.request import Request
 
     app, results = _build_harness_app(use_resin)
     if front_end == "socket":
         _run_scenarios_over_socket(app, workers)
-        return [results[index] for index in range(len(SCENARIOS))]
-    requests = [Request(f"/scenario/{index}", method="POST",
-                        user="evaluator")
-                for index in range(len(SCENARIOS))]
-    if front_end == "async":
+    else:
+        requests = [Request(f"/scenario/{index}", method="POST",
+                            user="evaluator")
+                    for index in range(len(SCENARIOS))]
         with AsyncDispatcher(app, workers=workers) as server:
             server.run(requests)
-    else:
-        with Dispatcher(app, workers=workers) as server:
-            server.dispatch_all(requests)
     return [results[index] for index in range(len(SCENARIOS))]
 
 
@@ -500,7 +493,7 @@ def _run_scenarios_over_socket(app, workers: int) -> None:
     """POST every scenario to a live :class:`~repro.server.http.HTTPServer`.
 
     The server trusts the ``X-Resin-User`` header for the principal (the
-    harness plays ``evaluator``, matching the in-process front ends), and
+    harness plays ``evaluator``, matching the in-process front end), and
     the scenario requests are issued from ``workers`` concurrent client
     threads so the suite exercises real keep-alive connections under
     parallel load.  Any non-200 response fails the run loudly rather than

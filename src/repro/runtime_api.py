@@ -551,13 +551,6 @@ class Resin:
         from .web.app import WebApplication
         return WebApplication(self.env, name=name)
 
-    def dispatcher(self, app, workers: int = 4):
-        """A concurrent :class:`~repro.server.dispatcher.Dispatcher` serving
-        ``app`` (a :class:`~repro.web.app.WebApplication`) from this
-        environment with ``workers`` threads."""
-        from .server.dispatcher import Dispatcher
-        return Dispatcher(app, workers=workers)
-
     def async_dispatcher(self, app, workers: int = 4,
                          max_in_flight: Optional[int] = None):
         """An :class:`~repro.server.async_dispatcher.AsyncDispatcher`

@@ -1,14 +1,12 @@
 """Concurrent request serving.
 
-Two front ends over the same per-request machinery:
+:class:`~repro.server.async_dispatcher.AsyncDispatcher` serves a
+:class:`~repro.web.app.WebApplication` from an asyncio event loop (bounded
+in-flight requests, cancellation, graceful shutdown), running sync handlers
+on a pool of worker threads; sync callers serve a batch with its
+:meth:`~repro.server.async_dispatcher.AsyncDispatcher.run`.
 
-* :class:`~repro.server.dispatcher.Dispatcher` runs a
-  :class:`~repro.web.app.WebApplication` on a thread pool;
-* :class:`~repro.server.async_dispatcher.AsyncDispatcher` serves it from an
-  asyncio event loop (bounded in-flight requests, cancellation, graceful
-  shutdown), running sync handlers on a pool of worker threads.
-
-Neither binds anything itself: each hands the request to ``app.handle`` /
+It binds nothing itself: it hands the request to ``app.handle`` /
 ``app.handle_async``, whose entry
 (:func:`~repro.core.request_context.enter_request`) binds the request's own
 :class:`~repro.core.request_context.RequestContext` over the shared
@@ -19,7 +17,6 @@ connection-level backpressure tied to the dispatcher's in-flight semaphore.
 """
 
 from .async_dispatcher import AsyncDispatcher
-from .dispatcher import Dispatcher
 from .http import HTTPServer, ServerHandle
 
-__all__ = ["AsyncDispatcher", "Dispatcher", "HTTPServer", "ServerHandle"]
+__all__ = ["AsyncDispatcher", "HTTPServer", "ServerHandle"]

@@ -1,11 +1,9 @@
 """The asyncio request dispatcher.
 
-``AsyncDispatcher`` is the event-loop twin of
-:class:`~repro.server.dispatcher.Dispatcher`: it serves a
-:class:`~repro.web.app.WebApplication` from a shared
-:class:`~repro.environment.Environment`.  Like the thread dispatcher it
-binds nothing itself — ``app.handle`` / ``app.handle_async`` enter each
-request into its own :class:`~repro.core.request_context.RequestContext`.
+``AsyncDispatcher`` serves a :class:`~repro.web.app.WebApplication` from
+a shared :class:`~repro.environment.Environment`.  It binds nothing itself
+— ``app.handle`` / ``app.handle_async`` enter each request into its own
+:class:`~repro.core.request_context.RequestContext`.
 The execution substrate is chosen **per route**:
 
 * a request that resolves to an ``async def`` handler is served *natively*
@@ -25,7 +23,7 @@ Either way the per-request state (user, HTTP channel, filesystem context,
 database filter overlay) composes with asyncio tasks the same way it does
 with worker threads.
 
-What the event loop adds over the thread-pool front end:
+What the event loop adds:
 
 * **Backpressure** — a bounded semaphore caps the number of requests in
   flight; submissions past the cap queue on the loop without consuming a
@@ -49,6 +47,10 @@ surfaces only through that request's task::
         async with AsyncDispatcher(app, workers=16) as server:
             tasks = [server.submit(req) for req in requests]
             responses = await asyncio.gather(*tasks)
+
+    # or, from sync code with no loop of its own
+    with AsyncDispatcher(app, workers=16) as server:
+        responses = server.run(requests, return_exceptions=True)
 """
 
 from __future__ import annotations

@@ -43,14 +43,9 @@ from .ranges import PolicyRange, RangeMap
 __all__ = ["TaintedStr", "taint_str", "rangemap_of"]
 
 
-_PERCENT_SPEC = re.compile(
-    r"%(?:\((?P<name>[^)]*)\))?"  # optional mapping key
-    r"[-+ #0]*"  # flags
-    r"(?:\*|\d+)?"  # width
-    r"(?:\.(?:\*|\d+))?"  # precision
-    r"[hlL]?"  # length (ignored)
-    r"(?P<conv>[diouxXeEfFgGcrsa%])"
-)
+#: One ``%`` field after its ``%`` and mapping key: flags, width,
+#: precision, an ignored length modifier and the conversion character.
+_PERCENT_FIELD = re.compile(r"[-+ #0]*(?:\*|[0-9]*)(?:\.(?:\*|[0-9]*))?[hlL]?.", re.S)
 
 
 def rangemap_of(value) -> RangeMap:
@@ -214,7 +209,7 @@ class TaintedStr(_TaintedSequence, str):
         policies = self.policies()
         if extra:
             policies = policies.union(extra)
-        return TaintedStr(text, RangeMap.uniform(len(text), policies))
+        return _uniform(text, policies)
 
     # -- concatenation / repetition -------------------------------------------
 
@@ -414,6 +409,20 @@ class TaintedStr(_TaintedSequence, str):
             cursor = found + len(part)
         return located
 
+    def translate(self, table):
+        # translate maps each character on its own, so the text of each
+        # range carries exactly that range's policies.
+        text = str.__str__(self)
+        pieces: List[str] = []
+        cursor = 0
+        for rng in self._rangemap.ranges:
+            pieces.append(str.translate(text[cursor : rng.start], table))
+            piece = str.translate(text[rng.start : rng.stop], table)
+            pieces.append(_uniform(piece, rng.policies))
+            cursor = rng.stop
+        pieces.append(str.translate(text[cursor:], table))
+        return _concat_all(pieces)
+
     def join(self, iterable):
         items = [_as_tainted(item) for item in iterable]
         if not items:
@@ -433,15 +442,20 @@ class TaintedStr(_TaintedSequence, str):
         auto_index = 0
         for literal, field, spec, conversion in formatter.parse(str(self)):
             if literal:
-                pieces.append(self._spread_literal(literal))
+                # Literal text carries the template's own policies (usually
+                # none): templates are typically programmer-authored.
+                pieces.append(self._spread(literal))
             if field is None:
                 continue
             if field == "":
                 field = str(auto_index)
                 auto_index += 1
             obj, _ = formatter.get_field(field, args, kwargs)
-            if conversion:
-                obj = formatter.convert_field(obj, conversion)
+            if conversion and not (conversion == "s" and isinstance(obj, TaintedStr)):
+                # repr() and str() build plain text: it carries the field's
+                # policies (str() of a string is the string itself).
+                text = formatter.convert_field(obj, conversion)
+                obj = _uniform(text, policies_of(obj))
             pieces.append(_format_value(obj, spec or ""))
         return _concat_all(pieces) if pieces else type(self)("")
 
@@ -449,62 +463,64 @@ class TaintedStr(_TaintedSequence, str):
         return self.format(**dict(mapping))
 
     def __mod__(self, args):
-        if isinstance(args, dict):
-            return self._percent_interpolate(args, mapping=True)
-        if not isinstance(args, tuple):
-            args = (args,)
-        return self._percent_interpolate(args, mapping=False)
+        # str formats first, so its checks, exceptions and text apply; the
+        # fields then rebuild that text piece by piece with their policies.
+        text = str.__mod__(self, args)
+        result = _concat_all(self._percent_pieces(args))
+        if result == text:
+            return result
+        # A field the loop misread: str's text, with every policy in play.
+        return _uniform(text, self.policies().union(policies_of(args)))
 
-    def _percent_interpolate(self, args, mapping: bool):
-        pieces: List[TaintedStr] = []
+    def __rmod__(self, template):
+        # ``template % self`` asks this method before str.__mod__, because
+        # TaintedStr subclasses str: format through a tainted template.
+        if not isinstance(template, str):
+            return NotImplemented
+        return TaintedStr(template) % self
+
+    def _percent_pieces(self, args) -> List[str]:
+        """The pieces of ``self % args``, after str accepted the pair.
+
+        Arguments are taken as str takes them: in order from a tuple, else
+        ``args`` once; a mapping key restarts the count on its value.  A
+        ``*`` width or precision takes an argument of its own.
+        """
+        text = str.__str__(self)
+        values = args if isinstance(args, tuple) else (args,)
+        taken = 0
+        pieces: List[str] = []
         cursor = 0
-        arg_index = 0
-        text = str(self)
-        for match in _PERCENT_SPEC.finditer(text):
-            literal = self[cursor : match.start()]
-            if literal:
-                pieces.append(literal)
-            conv = match.group("conv")
-            if conv == "%":
-                pieces.append(TaintedStr("%"))
+        while True:
+            start = text.find("%", cursor)
+            if start < 0:
+                break
+            pieces.append(self[cursor:start])
+            cursor = start + 1
+            if text.startswith("%", cursor):
+                pieces.append(self[start:cursor])
+                cursor += 1
+                continue
+            if text.startswith("(", cursor):
+                depth, key_start = 1, cursor + 1
+                cursor = key_start
+                while depth:
+                    depth += {"(": 1, ")": -1}.get(text[cursor], 0)
+                    cursor += 1
+                values, taken = (args[text[key_start : cursor - 1]],), 0
+            field = _PERCENT_FIELD.match(text, cursor)
+            spec = "%" + field.group()
+            used = values[taken : taken + 1 + spec.count("*")]
+            taken += len(used)
+            formatted = str.__mod__(spec, used)
+            value = used[-1]
+            if spec[-1] == "s" and isinstance(value, str) and formatted == value:
+                pieces.append(value)
             else:
-                spec = match.group(0)
-                if mapping:
-                    name = match.group("name")
-                    if name is not None:
-                        value = args[name]
-                        spec = spec.replace(f"({name})", "", 1)
-                    elif arg_index:
-                        # As in str, only the first conversion may take the
-                        # whole mapping.
-                        raise TypeError("not enough arguments for format string")
-                    else:
-                        value = args
-                else:
-                    value = args[arg_index]
-                arg_index += 1
-                formatted = str.__mod__(spec, (value,))
-                if isinstance(value, str) and conv == "s" and formatted == str(value):
-                    pieces.append(_as_tainted(value))
-                else:
-                    pieces.append(
-                        TaintedStr(
-                            formatted,
-                            RangeMap.uniform(len(formatted), policies_of(value)),
-                        )
-                    )
-            cursor = match.end()
-        tail = self[cursor:]
-        if tail:
-            pieces.append(tail)
-        return _concat_all(pieces) if pieces else type(self)("")
-
-    def _spread_literal(self, literal: str) -> "TaintedStr":
-        # Literal text of a format string carries the template's own policies
-        # (usually none): templates are typically programmer-authored.
-        return TaintedStr(
-            literal, RangeMap.uniform(len(literal), self._rangemap.all_policies())
-        )
+                pieces.append(_uniform(formatted, policies_of(used)))
+            cursor = field.end()
+        pieces.append(self[cursor:])
+        return pieces
 
     # -- conversions -----------------------------------------------------------------
 
@@ -584,6 +600,11 @@ def _report_policy_drop(value: "TaintedStr", spec: str) -> None:
     )
 
 
+def _uniform(text: str, policies: PolicySet) -> TaintedStr:
+    """``text`` with ``policies`` on every character."""
+    return TaintedStr(text, RangeMap.uniform(len(text), policies))
+
+
 def _as_tainted(value) -> TaintedStr:
     if isinstance(value, TaintedStr):
         return value
@@ -607,4 +628,4 @@ def _format_value(obj, spec: str) -> TaintedStr:
         formatted = format(obj, spec)
     if isinstance(obj, str) and formatted == str(obj):
         return _as_tainted(obj)
-    return TaintedStr(formatted, RangeMap.uniform(len(formatted), policies_of(obj)))
+    return _uniform(formatted, policies_of(obj))

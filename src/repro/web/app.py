@@ -18,8 +18,8 @@ through the channel).  The channel takes plain text as the ``str`` it is,
 without wrapping it in a ``TaintedStr``, and decodes bytes as UTF-8.  ``async def`` handlers are first-class:
 :class:`~repro.server.async_dispatcher.AsyncDispatcher` awaits them
 natively on its own loop via :meth:`WebApplication.handle_async` — no
-executor hop — while the thread front end runs them to completion on a
-private event loop.
+executor hop — while a direct :meth:`WebApplication.handle` call runs
+them to completion on a private event loop.
 
 One coroutine, :meth:`WebApplication._serve`, is the whole request
 pipeline: middleware, routing, the handler, applying its result and mapping
@@ -28,8 +28,8 @@ its exceptions.  :meth:`WebApplication.handle_async` awaits it;
 starts no event loop of its own — only a coroutine handler or an ``async``
 generator body reaches one, through :func:`~repro.web.response.settle`.
 Both enter each request through
-:func:`~repro.core.request_context.enter_request`.  The dispatchers call
-them and bind nothing themselves; the socket server enters the request
+:func:`~repro.core.request_context.enter_request`.  The dispatcher calls
+them and binds nothing itself; the socket server enters the request
 before dispatch and the application reuses that
 :class:`~repro.core.request_context.RequestContext`, so every front end
 serves a request under exactly one context.

@@ -122,7 +122,7 @@ class Route:
     ``methods=None`` means "any method" (the behaviour of the old flat
     ``routes`` dict); otherwise the route serves exactly the given methods,
     with ``HEAD`` implied by ``GET``.  ``is_coroutine`` records whether the
-    handler is an ``async def`` — the dispatchers use it to decide between
+    handler is an ``async def`` — the dispatcher uses it to decide between
     awaiting the handler on the event loop and sending it to a worker thread.
     """
 

@@ -2,6 +2,7 @@
 backpressure, graceful shutdown, and the Table 4 suite behind it."""
 
 import asyncio
+import itertools
 import sys
 import threading
 import time
@@ -447,8 +448,27 @@ class TestBackpressureAndShutdown:
 
 class TestTable4AsyncFrontEnd:
     @pytest.mark.parametrize("use_resin", [False, True])
-    def test_async_run_matches_serial_verdicts(self, use_resin):
+    def test_async_run_matches_serial_verdicts(self, use_resin, monkeypatch):
+        """The in-process row is a threaded run: the scenario handler is
+        sync, so the dispatcher spreads the rows over its pool threads."""
         serial = table4.run_all(use_resin)
+        threads = set()
+        run_scenario = table4.run_scenario
+        # The pool hands a job to an idle thread before it starts another,
+        # so rows that finish fast could all run on one.  The first two rows
+        # wait for each other: the pool must run them on two threads at once.
+        first_two = threading.Barrier(2, timeout=10)
+        calls = itertools.count()
+
+        def on_thread(scenario, use_resin):
+            threads.add(threading.get_ident())
+            if next(calls) < 2:
+                first_two.wait()
+            return run_scenario(scenario, use_resin)
+
+        monkeypatch.setattr(table4, "run_scenario", on_thread)
         concurrent = table4.run_all_concurrent(use_resin, workers=16,
                                                front_end="async")
         assert table4.verdicts(concurrent) == table4.verdicts(serial)
+        assert len(threads) > 1
+        assert threading.get_ident() not in threads

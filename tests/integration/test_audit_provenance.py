@@ -15,7 +15,7 @@ from repro.audit.query import provenance_of
 from repro.core.exceptions import DisclosureViolation
 from repro.policies import PasswordPolicy, UntrustedData
 from repro.runtime_api import Resin
-from repro.server.dispatcher import Dispatcher
+from repro.server.async_dispatcher import AsyncDispatcher
 from repro.web import WebApplication
 from repro.web.request import Request
 
@@ -43,7 +43,7 @@ def _build_app(resin):
 
 class TestProvenanceChain:
     def test_dispatched_attempts_are_attributed_by_request_id(self, tmp_path):
-        """Requests served through the thread-pool dispatcher: every
+        """Requests served one by one through the dispatcher: every
         /profile hit tries to export the password (denied — a bare web
         Request carries no priv_chair), /public and /comment never touch
         it.  The audit trail attributes each decision to its request id."""
@@ -58,10 +58,10 @@ class TestProvenanceChain:
             ("/comment", "bob"),      # request 5: other taint, allowed
             ("/public", "carol"),     # request 6: no policies
         ]
-        with Dispatcher(app, workers=1) as server:
+        with AsyncDispatcher(app, workers=1) as server:
             for path, user in plan:
                 try:
-                    server.dispatch(Request(path, user=user))
+                    server.run([Request(path, user=user)])
                 except DisclosureViolation:
                     pass
         denied = list(recorder.events(policy=PasswordPolicy, verdict="deny"))

@@ -3,8 +3,9 @@
 The acceptance bar for the audit subsystem: with a recorder observing
 every scenario environment (registered on each one as ``table4`` builds
 it — the scenarios build their own environments internally), the attack
-verdicts are byte-identical across serial, threaded, async and socket
-front ends, and identical to the no-audit baseline.  Recording observes;
+verdicts are byte-identical across the serial run, the async front end
+(whose pool threads run the sync scenario handler) and the socket front
+end, and identical to the no-audit baseline.  Recording observes;
 it never decides.
 """
 
@@ -57,7 +58,7 @@ class TestAuditedVerdictParity:
                   if e.get("verdict") == "deny"]
         assert denies
 
-    @pytest.mark.parametrize("front_end", ["threads", "async", "socket"])
+    @pytest.mark.parametrize("front_end", ["async", "socket"])
     def test_concurrent_front_ends_match_serial(self, recorder, front_end):
         serial = table4.verdicts(table4.run_all(True))
         workers = 8 if front_end == "socket" else 16

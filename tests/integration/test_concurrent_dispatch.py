@@ -1,9 +1,9 @@
 """Concurrent dispatch over a shared environment.
 
-N worker threads serve N distinct users from one Environment; per-user taint
-and policy state stay isolated, a PolicyViolation in one request never aborts
-another, and the 16-worker Table-4 run reaches the same verdicts as the
-serial run.
+N pool threads of one AsyncDispatcher serve N distinct users from one
+Environment; per-user taint and policy state stay isolated, a
+PolicyViolation in one request never aborts another, and the Table-4 run
+behind the socket server reaches the same verdicts as the serial run.
 """
 
 import threading
@@ -15,7 +15,7 @@ from repro.core.exceptions import AccessDenied, PolicyViolation
 from repro.core.request_context import current_request
 from repro.environment import Environment
 from repro.evaluation import table4
-from repro.server.dispatcher import Dispatcher
+from repro.server.async_dispatcher import AsyncDispatcher
 from repro.web.app import WebApplication
 from repro.web.request import Request
 
@@ -40,10 +40,9 @@ class TestRequestIsolation:
             env.http.write(f"fs={env.fs.request_context.get('user')}")
 
         users = [f"user-{i}@example.org" for i in range(workers)]
-        with Dispatcher(app, workers=workers) as server:
-            futures = [server.submit(Request("/whoami", user=u))
-                       for u in users]
-            bodies = {u: f.result().body() for u, f in zip(users, futures)}
+        with AsyncDispatcher(app, workers=workers) as server:
+            pages = server.run([Request("/whoami", user=u) for u in users])
+        bodies = {u: page.body() for u, page in zip(users, pages)}
         for user in users:
             assert bodies[user] == f"user={user};fs={user}"
 
@@ -76,14 +75,14 @@ class TestRequestIsolation:
                                     user="mallory"))
             requests.append(Request("/printable", params={"id": "11"},
                                     user="mallory"))
-        with Dispatcher(app, workers=16) as server:
-            results = server.dispatch_all(requests, return_exceptions=True)
+        with AsyncDispatcher(app, workers=16) as server:
+            results = server.run(requests, return_exceptions=True)
 
         for request, result in zip(requests, results):
             if request.user == "admin":
                 assert "secret salaries" in result.body()
             elif request.param("id") == "10":
-                # One request's violation is confined to its own future.
+                # One request's violation is confined to its own task.
                 assert isinstance(result, AccessDenied)
             else:
                 assert "hello world" in result.body()
@@ -112,8 +111,8 @@ class TestRequestIsolation:
             site.review_page(1, request.user, response)
 
         users = ["pc@example.org", "out@example.org"] * 8
-        with Dispatcher(app, workers=16) as server:
-            responses = server.dispatch_all(
+        with AsyncDispatcher(app, workers=16) as server:
+            responses = server.run(
                 Request("/review", user=u) for u in users)
 
         for user, response in zip(users, responses):
@@ -139,8 +138,8 @@ class TestRequestIsolation:
 
         requests = [Request("/boom", user="evil")] * 4 + \
                    [Request("/ok", user=f"u{i}") for i in range(12)]
-        with Dispatcher(app, workers=16) as server:
-            results = server.dispatch_all(requests, return_exceptions=True)
+        with AsyncDispatcher(app, workers=16) as server:
+            results = server.run(requests, return_exceptions=True)
         violations = [r for r in results if isinstance(r, PolicyViolation)]
         pages = [r for r in results if not isinstance(r, Exception)]
         assert len(violations) == 4
@@ -152,8 +151,9 @@ class TestRequestIsolation:
 class TestRequestEntry:
     def test_workers_look_up_app_handle_per_request(self, monkeypatch):
         """The dispatcher binds nothing of its own: each request runs
-        ``app.handle``, looked up when the request is submitted, so a method
-        patched onto the class after the pool started (what a tracer does)
+        ``app.handle``, looked up when the request is queued for a pool
+        thread, so a method patched onto the class after the pool started
+        (what a tracer does)
         sees every later request, and the handler runs in the context the
         application's entry bound for that very request."""
         env = Environment()
@@ -172,10 +172,10 @@ class TestRequestEntry:
             seen.append(request.user)
             return original(self, request)
 
-        with Dispatcher(app, workers=2) as server:
-            server.dispatch(Request("/whoami", user="before"))
+        with AsyncDispatcher(app, workers=2) as server:
+            server.run([Request("/whoami", user="before")])
             monkeypatch.setattr(WebApplication, "handle", traced)
-            pages = server.dispatch_all(
+            pages = server.run(
                 [Request("/whoami", user=user) for user in ("a", "b")])
         assert sorted(seen) == ["a", "b"]
         assert [page.body() for page in pages] == [
@@ -183,12 +183,6 @@ class TestRequestEntry:
 
 
 class TestTable4Concurrent:
-    @pytest.mark.parametrize("use_resin", [False, True])
-    def test_16_worker_run_matches_serial_verdicts(self, use_resin):
-        serial = table4.run_all(use_resin)
-        concurrent = table4.run_all_concurrent(use_resin, workers=16)
-        assert table4.verdicts(concurrent) == table4.verdicts(serial)
-
     @pytest.mark.parametrize("use_resin", [False, True])
     def test_socket_front_end_matches_serial_verdicts(self, use_resin):
         """The full Table 4 suite served over real loopback sockets — an
@@ -215,9 +209,9 @@ class TestThroughputScaling:
             response.write(f"served {request.user}")
 
         reqs = [Request("/page", user=f"u{i}") for i in range(8)]
-        with Dispatcher(app, workers=8) as server:
+        with AsyncDispatcher(app, workers=8) as server:
             start = time.perf_counter()
-            responses = server.dispatch_all(reqs)
+            responses = server.run(reqs)
             elapsed = time.perf_counter() - start
         assert all(f"served u{i}" in r.body()
                    for i, r in enumerate(responses))

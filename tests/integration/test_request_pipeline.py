@@ -1,7 +1,7 @@
 """One request pipeline, reached through every entry that serves it.
 
 ``WebApplication.handle`` steps the pipeline inline on the calling thread,
-``handle_async`` awaits it on the running loop, and the dispatchers and the
+``handle_async`` awaits it on the running loop, and the dispatcher and the
 socket server choose one of the two per request.  These tests pin that the
 entries agree on what a request emits: an exception hook's streamed
 response, sync and async stream bodies, coroutine handlers, and a policy
@@ -19,7 +19,6 @@ from repro.core.request_context import current_request
 from repro.environment import Environment
 from repro.policies import PasswordPolicy
 from repro.server.async_dispatcher import AsyncDispatcher
-from repro.server.dispatcher import Dispatcher
 from repro.server.http import HTTPServer, ServerHandle
 from repro.web.app import WebApplication
 from repro.web.request import Request
@@ -37,11 +36,6 @@ def _answer(channel):
 
 def via_handle(app, request):
     return _answer(app.handle(request))
-
-
-def via_dispatcher(app, request):
-    with Dispatcher(app, workers=1) as server:
-        return _answer(server.dispatch(request))
 
 
 def via_async_dispatcher(app, request):
@@ -70,7 +64,6 @@ def via_socket(app, request):
 
 IN_PROCESS = [
     pytest.param(via_handle, id="handle"),
-    pytest.param(via_dispatcher, id="Dispatcher"),
     pytest.param(via_async_dispatcher, id="AsyncDispatcher"),
     pytest.param(via_handle_async, id="handle_async"),
 ]
@@ -112,7 +105,6 @@ def build_hook_app():
 
 @pytest.mark.parametrize("entry, path", [
     pytest.param(via_handle, "/boom", id="handle"),
-    pytest.param(via_dispatcher, "/boom", id="Dispatcher"),
     pytest.param(via_async_dispatcher, "/boom",
                  id="AsyncDispatcher-executor"),
     pytest.param(via_async_dispatcher, "/aboom", id="AsyncDispatcher-loop"),

@@ -439,7 +439,7 @@ class TestRequestIdStamping:
         assert ids == [1, 2, 3]
 
     def test_dispatcher_stamps_request_and_log_line(self, resin):
-        from repro.server.dispatcher import Dispatcher
+        from repro.server.async_dispatcher import AsyncDispatcher
         from repro.web import RequestLogMiddleware, WebApplication
         from repro.web.request import Request
 
@@ -452,8 +452,8 @@ class TestRequestIdStamping:
             response.write(f"id={request.id}")
 
         requests = [Request("/whoami", user=f"u{i}") for i in range(4)]
-        with Dispatcher(app, workers=4) as server:
-            results = server.dispatch_all(requests)
+        with AsyncDispatcher(app, workers=4) as server:
+            results = server.run(requests)
         bodies = sorted(channel.body() for channel in results)
         assert bodies == [f"id={i}" for i in range(1, 5)]
         assert sorted(entry[0] for entry in log.entries) == [1, 2, 3, 4]

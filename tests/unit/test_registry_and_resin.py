@@ -157,6 +157,22 @@ class TestProcessWideRegistry:
             assert not hasattr(module, "strip_tags")
             assert "strip_tags" not in module.__all__
 
+    def test_thread_pool_dispatcher_is_removed(self):
+        # AsyncDispatcher is the one concurrent front end in process.
+        import importlib
+
+        import repro
+        import repro.server
+        from repro.evaluation import table4
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.server.dispatcher")
+        for module in (repro, repro.server):
+            assert not hasattr(module, "Dispatcher")
+            assert "Dispatcher" not in module.__all__
+        assert not hasattr(Resin, "dispatcher")
+        with pytest.raises(ValueError):
+            table4.run_all_concurrent(True, front_end="threads")
+
     def test_environment_override_does_not_leak_to_process(self):
         env = Environment()
         env.registry.set_default_filter_factory("socket", Custom)
