@@ -11,7 +11,11 @@ against both, at 1/4/16 concurrent workers:
 
 A fourth group measures the HotCRP paper page (population 150) with and
 without the schema's indexes — the page-load before/after column for the
-planner.
+planner.  A fifth, ``hotcrp-statements``, times one warm ``db.query`` of
+each of the page's two statements (the principal's users row and the
+paper) on the RESIN and the unmodified site: the cost per statement of the
+prepared path, which binds the statement's literals into the plan its
+engine compiled once.
 
 Acceptance bars (standalone tests, no ``--benchmark-only`` needed):
 
@@ -33,6 +37,8 @@ import pytest
 
 from repro.channels.sqlchan import Database
 from repro.evaluation.hotcrp_perf import HotCRPPageWorkload
+from repro.tracking.propagation import concat
+from repro.web.sanitize import sql_quote
 
 #: Rows in the benchmark table.
 TABLE_ROWS = 4_000
@@ -120,6 +126,33 @@ def test_hotcrp_page_with_plans(benchmark, indexed):
     benchmark.extra_info["mode"] = "indexed" if indexed else "seqscan"
     body = benchmark(workload.generate_page)
     assert "Improving Application Security" in body
+
+
+#: The two statements of a paper page, as the site sends them.
+USERS_SELECT = "SELECT email, password, is_pc, priv_chair FROM users"
+PAPERS_SELECT = "SELECT id, title, abstract, authors, anonymous FROM papers"
+
+
+def hotcrp_statement(name: str):
+    if name == "users":
+        email = sql_quote("pc@example.org")
+        return concat(USERS_SELECT, " WHERE email = '", email, "'")
+    return PAPERS_SELECT + " WHERE id = 1"
+
+
+@pytest.mark.parametrize("statement", ["users", "papers"])
+@pytest.mark.parametrize("use_resin", [True, False], ids=["resin", "plain"])
+def test_hotcrp_statement(benchmark, statement, use_resin):
+    """One warm ``db.query`` of a paper-page statement on the populated
+    site: the channel's check, the statement's preparation and its
+    compiled plan's run."""
+    db = HotCRPPageWorkload(use_resin=use_resin, population=150).site.env.db
+    sql = hotcrp_statement(statement)
+    assert db.query(sql).rows  # warm: the template and the compiled plan
+    benchmark.group = "hotcrp-statements"
+    benchmark.extra_info["site"] = "resin" if use_resin else "plain"
+    rows = benchmark(lambda: db.query(sql).rows)
+    assert len(rows) == 1
 
 
 def _mean_seconds(callable_, rounds: int) -> float:

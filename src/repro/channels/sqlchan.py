@@ -33,8 +33,8 @@ from ..core.serialization import (deserialize_policyset, deserialize_rangemap,
                                   serialize_policyset, serialize_rangemap)
 from ..sql import nodes
 from ..sql.engine import Engine
-from ..sql.executor import Result, StoredCells, stored_value
-from ..sql.parser import param_names, parse
+from ..sql.executor import STORED, Result, StoredCells, stored_value
+from ..sql.parser import param_names, parse, prepare
 from ..sql.planner import bind_parameters, collect_params, walk
 from ..tracking.propagation import policies_of
 from ..tracking.ranges import RangeMap
@@ -135,8 +135,11 @@ class PolicyCells(StoredCells):
 
     Expressions read the cells with those policies attached, and a write
     stores what the evaluated value carries, so every SQL computation
-    propagates policies by the ``tracking`` rules it evaluates with.  The
-    two helpers above are looked up as module globals on every call, so
+    propagates policies by the ``tracking`` rules it evaluates with.  An
+    engine builds the view of a compiled plan once and keeps it with the
+    plan, which it compiles again when the table's columns change; the view
+    reads the database's ``tolerant_policies`` on every row.  The two
+    helpers above are looked up as module globals on every call, so
     instrumentation that replaces them here sees every attach and
     serialize."""
 
@@ -172,10 +175,11 @@ class PolicyCells(StoredCells):
                     attach.append((name, POLICY_COLUMN_PREFIX + name))
         if not attach:
             return None
-        tolerant = self.db.tolerant_policies
+        db = self.db
 
         def view(row):
             viewed = {}
+            tolerant = db.tolerant_policies
             for name, policy in attach:
                 viewed[name] = apply_cell_policies(
                     row[name], row.get(policy), tolerant=tolerant)
@@ -277,10 +281,11 @@ class Database:
 
         Every execution passes the *raw* query text through the channel's
         filter chain (the base filters, then the current request's overlay
-        filters) as a guarded function call before parsing, so stacked
+        filters) as a guarded function call before preparing it, so stacked
         filters see exactly what the application sent (including the
         character-level policies of any interpolated user input);
-        parameters are bound after the chain, into the parsed statement.
+        parameters are bound after the chain, as arguments of the
+        statement's compiled plan.
         """
         return PreparedQuery(self, sql, params)
 
@@ -320,17 +325,17 @@ class Database:
     # -- execution with policy persistence ---------------------------------------------------
 
     def _execute(self, sql, params: Optional[Dict[str, Any]] = None) -> Result:
-        statement = parse(sql) if isinstance(sql, str) else sql
-        if params:
-            statement = bind_parameters(statement, params)
-        # Each statement is one engine run, which holds the statement's
-        # table locks (and, on a durable engine, one durable scope) around
-        # every read, write and lazy policy column it makes.
+        # A prepared statement runs its engine's compiled plan with the slot
+        # values cut from ``sql`` and ``params``.  Each statement is one
+        # engine run, which holds the statement's table locks (and, on a
+        # durable engine, one durable scope) around every read, write and
+        # lazy policy column it makes.
+        statement, values = prepare(sql) if isinstance(sql, str) else (sql, ())
         if not self.persist_policies:
-            return self.engine.run(statement)
+            return self.engine.run(statement, STORED, values, params)
         if isinstance(statement, nodes.CreateTable):
             return self._create(statement)
-        return self.engine.run(statement, self.cells)
+        return self.engine.run(statement, self.cells, values, params)
 
     def _create(self, stmt: nodes.CreateTable) -> Result:
         policy_columns = [nodes.ColumnDef(policy_column(column.name), "TEXT")
@@ -368,7 +373,8 @@ class PreparedQuery:
     * ``run(**params)`` — (re-)execute with additional bindings; each
       execution re-enters the channel's filter chain with the *original*
       query text, so injection filters and request overlays apply every
-      time;
+      time, and re-plans nothing: the engine binds the new values into the
+      plan it compiled for the statement's shape;
     * ``explain()`` — the plan as stable text (one node per line, two-space
       indent per level) without executing; unbound parameters appear as
       ``:name`` in plan predicates.

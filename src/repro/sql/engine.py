@@ -1,26 +1,48 @@
 """In-memory SQL engine.
 
-Executes the AST produced by :mod:`repro.sql.parser` against in-memory
+Executes the statements of :mod:`repro.sql.parser` against in-memory
 tables.  The engine itself is policy-agnostic: by default expressions read
 the stored cells and a write stores the plain value.  :meth:`Engine.run`
 takes the *cells* a statement reads and writes through
 (:class:`~repro.sql.executor.StoredCells`); the SQL channel passes its
 policy cells (:class:`repro.channels.sqlchan.PolicyCells`), which keep the
 paper's policy columns (Figure 4) beside the data.
+
+A SELECT, INSERT, UPDATE or DELETE is planned and compiled once per
+prepared statement (:class:`~repro.sql.parser.Template`) and engine, and
+each execution binds only its slot values and parameters.  The compiled
+plan keeps the catalog stamp of its table (:attr:`Table.stamp`), which
+every change to the table's indexes or columns, and every CREATE TABLE,
+renews: an execution under the statement's table lock compares the
+stamps, and plans again when they differ.  A statement that keeps no
+template, or arrives parsed, is planned and compiled for its one run.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
+import threading
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.exceptions import SQLError
 from ..core.locking import OrderedLockRegistry, durable
 from . import nodes
-from .executor import STORED, Executor, Result, StoredCells, evaluate
+from .executor import STORED, UNBOUND, Compiled, Executor, Result, StoredCells
 from .indexes import SecondaryIndex
-from .parser import parse
-from .planner import Planner
+from .parser import Template, parse, prepare
+from .planner import Planner, bind_parameters
+
+#: Catalog stamps, unique in the process, so a table made by DROP and
+#: CREATE never has the stamp of the table it replaced.
+_STAMPS = itertools.count(1)
+
+#: Bound on an engine's compiled plans, which are cleared, not evicted, when
+#: full (like the parser's template memo).
+_PLAN_LIMIT = 1024
+
+#: The writes an engine compiles a plan for (as it does for SELECT).
+_WRITES = (nodes.Insert, nodes.Update, nodes.Delete)
 
 
 class Table:
@@ -34,6 +56,10 @@ class Table:
         #: Secondary indexes by name, kept current by the appliers below
         #: (inside this table's lock scope on the live path).
         self.indexes: Dict[str, SecondaryIndex] = {}
+        #: The catalog stamp: renewed by every change to the columns or the
+        #: indexes, so a compiled plan can tell it was planned for another
+        #: catalog.
+        self.stamp = next(_STAMPS)
 
     def has_column(self, name: str) -> bool:
         return name in self.column_names
@@ -45,6 +71,7 @@ class Table:
         self.column_names.append(column.name)
         for row in self.rows:
             row.setdefault(column.name, None)
+        self.stamp = next(_STAMPS)
 
     # -- appliers ----------------------------------------------------------------
     # The one way rows and indexes change: the engine's statements and WAL
@@ -83,7 +110,13 @@ class Table:
         index = SecondaryIndex(name, self.name, column, kind)
         index.rebuild(self.rows)
         self.indexes[name] = index
+        self.stamp = next(_STAMPS)
         return index
+
+    def drop_index(self, name: str) -> None:
+        """Forget the index ``name``, if the table has it."""
+        self.indexes.pop(name, None)
+        self.stamp = next(_STAMPS)
 
     # -- WAL records -------------------------------------------------------------
     # Logged by the engine as it mutates, and by a checkpoint for the table.
@@ -159,11 +192,15 @@ class Engine:
         #: creating/dropping a table or materializing a table lock, never
         #: across statement execution.
         self.catalog_lock = self._locking.registry_lock
-        #: The planner/executor pair behind :meth:`run`.  Plans are rebuilt
-        #: per execution (planning is a few conjunct inspections), so index
-        #: and schema changes can never leave a stale plan behind.
+        #: The planner/executor pair behind :meth:`run`.
         self.planner = Planner(self)
         self.executor = Executor(self)
+        #: The compiled plan of each prepared statement run here.  Read
+        #: without a lock and used under the statement's table lock, where
+        #: its stamp is checked; an insert takes ``_plans_lock`` to bound the
+        #: size.  A plan holds no slot value.
+        self._plans: Dict[Template, Compiled] = {}
+        self._plans_lock = threading.Lock()
 
     # -- locking ----------------------------------------------------------------
 
@@ -212,25 +249,66 @@ class Engine:
 
     # -- public API -------------------------------------------------------------
 
-    def run(self, statement, cells: StoredCells = STORED) -> Result:
-        """Execute a SQL string or a parsed statement (plan + execute).
+    def run(self, statement, cells: StoredCells = STORED,
+            values: Sequence[Any] = (),
+            params: Optional[Dict[str, Any]] = None) -> Result:
+        """Execute ``statement``: SQL text, a parsed statement, or a
+        prepared one (a :class:`~repro.sql.parser.Template`) whose slots
+        take ``values``.  ``params`` bind its ``:name`` parameters.
 
         ``cells`` is how expressions read cells and how writes store
         values: by default the stored rows and the plain values."""
         if isinstance(statement, str):
-            statement = parse(statement)
-        if isinstance(statement, nodes.Explain):
-            return self._explain(statement.statement)
-        if isinstance(statement, nodes.Select):
-            with self._locking.locked(*self.statement_tables(statement)):
-                plan = self.planner.plan_select(statement)
-                return self.executor.execute(plan, cells)
-        # Around the table locks _execute_mutation takes (see durable).
+            statement, values = prepare(statement)
+        tree = statement.tree if type(statement) is Template else statement
+        if isinstance(tree, nodes.Select):
+            with self._locking.locked(*self.statement_tables(tree)):
+                return self._execute(statement, tree, cells, values, params)
+        if isinstance(tree, _WRITES):
+            # The durable scope goes around the table lock (see durable).
+            with durable(self.durability), self._locking.locked(tree.table):
+                return self._execute(statement, tree, cells, values, params)
+        if params:
+            tree = bind_parameters(tree, params)
+        if isinstance(tree, nodes.Explain):
+            return self._explain(tree.statement)
         with durable(self.durability):
-            return self._execute_mutation(statement, cells)
+            return self._execute_definition(tree)
+
+    def _execute(self, statement, tree, cells: StoredCells,
+                 values: Sequence[Any], params) -> Result:
+        """Run a SELECT, INSERT, UPDATE or DELETE, its table lock held:
+        through the compiled plan of a prepared ``statement`` (compiled
+        again when its table's stamp changed), or one compiled for this run
+        of a parsed one."""
+        name = tree.table
+        table = None if name is None else self.table(name)
+        if statement is tree:
+            plan = self._compile(tree, table, params or (), 0)
+        else:
+            plan = self._plans.get(statement)
+            stamp = None if table is None else table.stamp
+            if plan is None or plan.stamp != stamp:
+                plan = self._compile(tree, table, sorted(statement.params),
+                                     len(values))
+                with self._plans_lock:
+                    if len(self._plans) >= _PLAN_LIMIT:
+                        self._plans.clear()
+                    self._plans[statement] = plan
+        args = values
+        if plan.params:
+            bound = params or {}
+            args = [*values, *(bound.get(param, UNBOUND) for param in plan.params)]
+        return self.executor.execute(plan, table, args, cells)
+
+    def _compile(self, tree, table, params: Iterable[str], first: int) -> Compiled:
+        """The plan of ``tree`` compiled, with each parameter of ``params``
+        at its argument index, after the ``first`` slots'."""
+        indexes = dict(zip(params, itertools.count(first)))
+        return self.executor.compile(self.planner.plan(tree), table, indexes)
 
     def plan(self, statement):
-        """The plan :meth:`run` would execute for ``statement`` (parsed on
+        """The plan :meth:`run` would compile for ``statement`` (parsed on
         demand; callers wanting a stable snapshot of index choices should
         hold the table's lock, as :meth:`explain_lines` does)."""
         if isinstance(statement, str):
@@ -250,7 +328,8 @@ class Engine:
     def _explain(self, statement) -> Result:
         return Result(["plan"], [[line] for line in self.explain_lines(statement)])
 
-    def _execute_mutation(self, statement, cells: StoredCells) -> Result:
+    def _execute_definition(self, statement) -> Result:
+        """Run a CREATE or DROP of a table or index."""
         if isinstance(statement, nodes.CreateIndex):
             with self._locking.locked(statement.table):
                 return self._create_index(statement)
@@ -262,15 +341,6 @@ class Engine:
         if isinstance(statement, nodes.DropTable):
             with self._locking.locked(statement.table), self.catalog_lock:
                 return self._drop(statement)
-        if isinstance(statement, nodes.Insert):
-            with self._locking.locked(statement.table):
-                return self._insert(statement, cells)
-        if isinstance(statement, nodes.Update):
-            with self._locking.locked(statement.table):
-                return self._update(statement, cells)
-        if isinstance(statement, nodes.Delete):
-            with self._locking.locked(statement.table):
-                return self._delete(statement)
         raise SQLError(f"cannot execute {type(statement).__name__}")
 
     def table(self, name: str) -> Table:
@@ -346,7 +416,7 @@ class Engine:
                 if stmt.if_exists:
                     return Result()
                 raise SQLError(f"no such index: {stmt.name}")
-            del table.indexes[stmt.name]
+            table.drop_index(stmt.name)
             self._log({"op": "sql.drop_index", "table": owner, "index": stmt.name})
         return Result()
 
@@ -355,67 +425,3 @@ class Engine:
             if name in table.indexes:
                 return table.name
         return None
-
-    def _insert(self, stmt: nodes.Insert, cells: StoredCells) -> Result:
-        table = self.table(stmt.table)
-        for column in stmt.columns:
-            if not table.has_column(column):
-                raise SQLError(
-                    f"table {table.name} has no column {column!r}")
-        store = cells.store
-        new_rows: List[Dict[str, Any]] = []
-        for row_exprs in stmt.rows:
-            row = {name: None for name in table.column_names}
-            for column, expr in zip(stmt.columns, row_exprs):
-                store(table, row, column, evaluate(expr, None, table))
-            new_rows.append(row)
-        table.append_rows(new_rows)
-        if new_rows and self.durability is not None:
-            rows = table.encode_rows(new_rows)
-            self._log(table.rows_record("sql.insert", rows=rows))
-        return Result(rowcount=len(new_rows))
-
-    def _update(self, stmt: nodes.Update, cells: StoredCells) -> Result:
-        table = self.table(stmt.table)
-        for column, _ in stmt.assignments:
-            if not table.has_column(column):
-                raise SQLError(
-                    f"table {table.name} has no column {column!r}")
-        # Collect matching positions through the planned (possibly
-        # index-driven) scan, then mutate.  Each row's match depends only
-        # on its own pre-update values, so collect-then-mutate is
-        # equivalent to mutating as the scan goes.
-        source = self.planner.plan(stmt).source
-        matches = list(self.executor.scan(source))
-        view = cells.viewer(table, [expr for _, expr in stmt.assignments])
-        store = cells.store
-        touched: List[int] = []
-        for position, row in matches:
-            # Assignments apply in order: each one reads the values (and
-            # the policies, in a viewed row) the ones before it wrote.
-            viewed = row if view is None else view(row)
-            for column, expr in stmt.assignments:
-                value = evaluate(expr, viewed, table)
-                store(table, row, column, value)
-                if viewed is not row:
-                    viewed[column] = value
-            touched.append(position)
-        if touched:
-            table.rebuild_indexes(column for column, _ in stmt.assignments)
-        if touched and self.durability is not None:
-            # Full row images, not expressions: replay is exact regardless
-            # of what the SET expressions computed from.
-            rows = table.encode_rows(table.rows[index] for index in touched)
-            updates = [[index, row] for index, row in zip(touched, rows)]
-            self._log(table.rows_record("sql.update", updates=updates))
-        return Result(rowcount=len(touched))
-
-    def _delete(self, stmt: nodes.Delete) -> Result:
-        table = self.table(stmt.table)
-        source = self.planner.plan(stmt).source
-        doomed = [position for position, _ in self.executor.scan(source)]
-        if doomed:
-            table.delete_rows(doomed)
-        if doomed and self.durability is not None:
-            self._log(table.rows_record("sql.delete", indices=doomed))
-        return Result(rowcount=len(doomed))

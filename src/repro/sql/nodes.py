@@ -90,9 +90,10 @@ class Param(Expr):
     """A named placeholder (``:name``) bound at execution time.
 
     Parameters survive planning — a prepared plan shows ``:name`` in its
-    EXPLAIN text — and are substituted with :class:`Literal` values (taint
-    and all) by :func:`repro.sql.planner.bind_parameters` just before the
-    statement runs."""
+    EXPLAIN text — and a compiled plan reads each one's value (taint and
+    all) from the arguments of the execution that binds it;
+    :func:`repro.sql.planner.bind_parameters` substitutes :class:`Literal`
+    values into a tree, for EXPLAIN."""
 
     __slots__ = ("name",)
 
@@ -101,6 +102,21 @@ class Param(Expr):
 
     def to_sql(self) -> TaintedStr:
         return TaintedStr(f":{self.name}")
+
+
+class Slot(Expr):
+    """Slot ``index`` of a prepared statement
+    (:class:`repro.sql.parser.Template`): where a statement of the
+    template's shape has a string literal or a number.  An execution binds
+    it to the value cut from its own text."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def to_sql(self) -> TaintedStr:
+        return TaintedStr(f"?{self.index}")
 
 
 class Star(Expr):

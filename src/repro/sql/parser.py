@@ -17,19 +17,26 @@ one list lookup.
 :func:`parse` parses each statement *shape* once.  A process-wide memo
 keeps, by skeleton (:func:`~repro.sql.tokenizer.skeleton`: the text with
 every string literal and number cut out, plus each one's kind), a
-*template*: the first parse's tree with ``None`` where each slot's
-``Literal`` was, and the *spine*, the paths that lead there.  A later
-statement with the same skeleton is not scanned: each slot's value is cut
-from its own text (:func:`~repro.sql.tokenizer.slot_values`) and bound into
-a copy of the template's spine only; the rest of the tree is shared, and
-nothing mutates a parsed tree.  A template is kept only when the scan read
-each slot as one STRING or NUMBER token of the same span, and the parser
-put each such token, unchanged, into exactly one ``Literal`` of the tree.
-Then every text with that skeleton tokenizes and parses the same way, up to
-the slots' values.  A negated number, ``LIMIT``/``OFFSET``, a type width or
-a ``DEFAULT`` does not land in a ``Literal`` unchanged, so its statement is
+:class:`Template`: the first parse's tree with a
+:class:`~repro.sql.nodes.Slot` where each slot's ``Literal`` was, and the
+*spine*, the paths that lead there.  A later statement with the same
+skeleton is not scanned: each slot's value is cut from its own text
+(:func:`~repro.sql.tokenizer.slot_values`) and bound into a copy of the
+template's spine only; the rest of the tree is shared, and nothing mutates
+a parsed tree.  A template is kept only when the scan read each slot as one
+STRING or NUMBER token of the same span, and the parser put each such
+token, unchanged, into exactly one ``Literal`` of the tree.  Then every
+text with that skeleton tokenizes and parses the same way, up to the slots'
+values.  A negated number, ``LIMIT``/``OFFSET``, a type width or a
+``DEFAULT`` does not land in a ``Literal`` unchanged, so its statement is
 parsed every time.  A template holds no value of the statement that made
 it.
+
+A template is also the *prepared statement* of its shape, whose slots and
+``:name`` parameters are its parameters.  :func:`prepare` gives a SELECT,
+INSERT, UPDATE or DELETE as its template and its own slot values, binding
+no tree: an engine compiles the template's plan once and runs it with the
+values (:meth:`repro.sql.engine.Engine.run`).
 """
 
 from __future__ import annotations
@@ -102,7 +109,7 @@ _BRANCHES = frozenset(
 # Statement templates by skeleton.  Process-wide like the blob memo: a
 # template holds only a statement's shape, never a value.  Reads take no
 # lock; an insert takes it to bound the size.  A template is never mutated.
-_templates: Dict[tuple, "_Template"] = {}
+_templates: Dict[tuple, "Template"] = {}
 _templates_lock = threading.Lock()
 
 
@@ -464,16 +471,31 @@ _STATEMENTS = {
 
 def parse(sql) -> nodes.Statement:
     """Parse one SQL statement into an AST (once per statement shape)."""
+    statement, values = prepare(sql)
+    if type(statement) is Template:
+        return statement.bind(values)
+    return statement
+
+
+def prepare(sql) -> tuple:
+    """``(statement, values)``: a SELECT, INSERT, UPDATE or DELETE whose
+    shape keeps a template is that :class:`Template` with the values of
+    its slots in ``sql``; any other statement is its parsed tree with no
+    values."""
     parts = SLOTS.split(sql)
     key = skeleton(parts)
     template = _templates.get(key)
     if template is not None:
-        literals = [nodes.Literal(value) for value in slot_values(sql, parts)]
-        return _rebind(template.tree, template.spine, literals)
+        if not template.prepared:
+            return template.bind(slot_values(sql, parts)), ()
+        return template, slot_values(sql, parts)
     parser = Parser(sql)
     statement = parser.parse()
-    _remember(key, parts, parser, statement)
-    return statement
+    template = _remember(key, parts, parser, statement)
+    if template is None or not template.prepared:
+        return statement, ()
+    # The slots' literals, in slot order: their tokens are the slots.
+    return template, [literal.value for literal in parser.literals.values()]
 
 
 def param_names(sql) -> FrozenSet[str]:
@@ -493,7 +515,8 @@ def param_names(sql) -> FrozenSet[str]:
         statement = parser.parse()
     except SQLError:
         return _params(parser)
-    return _remember(key, parts, parser, statement)
+    _remember(key, parts, parser, statement)
+    return _params(parser)
 
 
 def clear_templates() -> None:
@@ -502,17 +525,32 @@ def clear_templates() -> None:
         _templates.clear()
 
 
-class _Template:
-    """One statement shape: the tree of its first parse with ``None`` where
-    each slot's ``Literal`` was, the spine leading there (see
-    :func:`_rebind`) and the statement's parameter names."""
+#: The statements :func:`prepare` gives as their template: those an engine
+#: compiles a plan for.
+_PREPARED = (nodes.Select, nodes.Insert, nodes.Update, nodes.Delete)
 
-    __slots__ = ("tree", "spine", "params")
+
+class Template:
+    """The prepared statement of one shape: the tree of its first parse
+    with ``Slot(n)`` where the ``Literal`` of slot ``n`` was, the spine
+    leading there (see :func:`_rebind`) and the statement's parameter
+    names.  A template is immutable and holds no value of a statement, so
+    threads and engines share it."""
+
+    __slots__ = ("tree", "spine", "params", "prepared")
 
     def __init__(self, tree, spine: tuple, params: FrozenSet[str]):
         self.tree = tree
         self.spine = spine
         self.params = params
+        #: Whether :func:`prepare` gives the template itself.
+        self.prepared = isinstance(tree, _PREPARED)
+
+    def bind(self, values: list):
+        """The statement with ``values`` in its slots."""
+        return _rebind(
+            self.tree, self.spine, [nodes.Literal(value) for value in values]
+        )
 
 
 def _params(parser: Parser) -> FrozenSet[str]:
@@ -524,12 +562,18 @@ def _params(parser: Parser) -> FrozenSet[str]:
     )
 
 
-def _remember(key: tuple, parts: list, parser: Parser, statement) -> FrozenSet[str]:
-    """Keep the template of ``statement`` under ``key`` when each slot of
-    ``parts`` is one STRING or NUMBER token of ``parser`` that landed
-    unchanged in exactly one ``Literal`` of ``statement``; returns the
-    statement's parameter names."""
-    params = _params(parser)
+def _remember(
+    key: tuple, parts: list, parser: Parser, statement
+) -> Optional[Template]:
+    """Keep and return the template of ``statement`` under ``key`` when
+    each slot of ``parts`` is one STRING or NUMBER token of ``parser`` that
+    landed unchanged in exactly one ``Literal`` of ``statement``."""
+    # Every STRING or NUMBER token became a Literal, and those tokens are
+    # the slots.
+    literals = parser.literals
+    kinds, spans = parser.kinds, parser.spans
+    if kinds.count(STRING) + kinds.count(NUMBER) != len(literals):
+        return None
     slots = []
     offset = 0
     for index, part in enumerate(parts):
@@ -537,26 +581,20 @@ def _remember(key: tuple, parts: list, parser: Parser, statement) -> FrozenSet[s
         if index % 2:
             slots.append((offset, end))
         offset = end
-    # Every STRING or NUMBER token became a Literal, and those tokens are
-    # the slots.
-    literals = parser.literals
-    kinds, spans = parser.kinds, parser.spans
-    if (
-        kinds.count(STRING) + kinds.count(NUMBER) != len(literals)
-        or [spans[index] for index in literals] != slots
-    ):
-        return params
+    if [spans[index] for index in literals] != slots:
+        return None
     holes = {id(literal): slot for slot, literal in enumerate(literals.values())}
     found: List[int] = []
     spine = _spine(statement, holes, found, _MAX_SPINE)
     if len(found) != len(holes) or len(set(found)) != len(holes):
-        return params
-    template = _Template(_rebind(statement, spine, [None] * len(holes)), spine, params)
+        return None
+    tree = _rebind(statement, spine, list(map(nodes.Slot, range(len(holes)))))
+    template = Template(tree, spine, _params(parser))
     with _templates_lock:
         if len(_templates) >= _TEMPLATE_LIMIT:
             _templates.clear()
         _templates[key] = template
-    return params
+    return template
 
 
 def _spine(value, holes: Dict[int, int], found: List[int], depth: int) -> tuple:

@@ -2,10 +2,16 @@
 
 The planner sits between :mod:`repro.sql.parser` and
 :mod:`repro.sql.executor`.  It inspects a statement plus the target table's
-index catalog and produces a tree of plan nodes; the executor walks the
-tree.  Plans are cheap to build (a few conjunct inspections), so the engine
-re-plans on every execution — there is no cached-plan staleness to reason
-about when indexes or schemas change between runs.
+index catalog and produces a tree of plan nodes; the executor compiles the
+tree into closures and runs them.  An engine plans and compiles each
+prepared statement (:class:`repro.sql.parser.Template`) once, and keeps
+the compiled plan with the catalog stamp of its table
+(:attr:`repro.sql.engine.Table.stamp`): every CREATE/DROP INDEX, DROP and
+CREATE TABLE and lazily added column changes the stamp, and an execution
+whose table's stamp differs plans again, under the statement's table lock.
+A statement's slots (:class:`~repro.sql.nodes.Slot`) and parameters are
+constants to the planner, like literals, so one plan serves every
+execution of a shape.
 
 Access-path selection is deliberately conservative: an ``IndexLookup`` or
 ``IndexRange`` node only *narrows* the scan to a candidate superset (see
@@ -281,8 +287,9 @@ class DeletePlan(Plan):
 
 def _is_constant(expr: nodes.Expr) -> bool:
     """Probe expressions an index can be driven by: values known at
-    execution time without a row (literals and bound-later parameters)."""
-    return isinstance(expr, (nodes.Literal, nodes.Param))
+    execution time without a row (literals, and the slots and parameters
+    each execution binds)."""
+    return isinstance(expr, (nodes.Literal, nodes.Param, nodes.Slot))
 
 
 def _conjuncts(expr: Optional[nodes.Expr]) -> List[nodes.Expr]:
@@ -489,12 +496,13 @@ def collect_params(statement: nodes.Node) -> Set[str]:
     return {node.name for node in walk(statement) if isinstance(node, nodes.Param)}
 
 
-def bind_parameters(statement, params: Dict[str, Any]):
+def bind_parameters(statement, params: Dict[Any, Any]):
     """A copy of ``statement`` with each ``:name`` in ``params`` replaced
-    by ``Literal(params[name])`` (taint preserved — bound values flow into
-    policy persistence exactly like inline literals).  Parameters missing
-    from ``params`` survive unchanged, so a partially-bound statement can
-    still be planned and explained; executing it raises ``SQLError``.
+    by ``Literal(params[name])`` (taint preserved, as an execution binds
+    it), and each slot whose index is in ``params`` by
+    ``Literal(params[index])``.  Parameters missing from ``params`` survive
+    unchanged, so a partially-bound statement can still be planned and
+    explained; executing it raises ``SQLError``.
     """
     if not params:
         return statement
@@ -502,9 +510,10 @@ def bind_parameters(statement, params: Dict[str, Any]):
 
 
 def _bind(node, params):
-    if isinstance(node, nodes.Param):
-        if node.name in params:
-            return nodes.Literal(params[node.name])
+    if isinstance(node, (nodes.Param, nodes.Slot)):
+        key = node.name if type(node) is nodes.Param else node.index
+        if key in params:
+            return nodes.Literal(params[key])
         return node
     if isinstance(node, (nodes.Literal, nodes.ColumnRef, nodes.Star)):
         return node

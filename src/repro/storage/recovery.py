@@ -145,7 +145,7 @@ def _sql_create_index(record, engine: Engine, fs, tolerant) -> None:
 def _sql_drop_index(record, engine: Engine, fs, tolerant) -> None:
     table = engine.tables.get(record.get("table", ""))
     if table is not None:
-        table.indexes.pop(record["index"], None)
+        table.drop_index(record["index"])
 
 
 # -- filesystem records -------------------------------------------------------

@@ -437,9 +437,18 @@ class TaintedStr(_TaintedSequence, str):
     # -- interpolation -------------------------------------------------------------
 
     def format(self, *args, **kwargs):
+        pieces, _ = self._format_pieces(args, kwargs, 0, 2)
+        return _concat_all(pieces) if pieces else type(self)("")
+
+    def _format_pieces(self, args, kwargs, auto_index: int, depth: int):
+        """The pieces of this template formatted, its unnamed fields
+        numbered from ``auto_index``, and the number after the last one.  A
+        field's format spec is formatted first, as ``str.format`` does, at
+        most ``depth`` levels deep."""
+        if depth == 0:
+            raise ValueError("Max string recursion exceeded")
         formatter = _string_module.Formatter()
         pieces: List[TaintedStr] = []
-        auto_index = 0
         for literal, field, spec, conversion in formatter.parse(str(self)):
             if literal:
                 # Literal text carries the template's own policies (usually
@@ -456,8 +465,20 @@ class TaintedStr(_TaintedSequence, str):
                 # policies (str() of a string is the string itself).
                 text = formatter.convert_field(obj, conversion)
                 obj = _uniform(text, policies_of(obj))
-            pieces.append(_format_value(obj, spec or ""))
-        return _concat_all(pieces) if pieces else type(self)("")
+            if not spec or "{" not in spec:
+                pieces.append(_format_value(obj, spec or ""))
+                continue
+            nested, auto_index = self._spread(spec)._format_pieces(
+                args, kwargs, auto_index, depth - 1
+            )
+            expanded = _concat_all(nested)
+            piece = _format_value(obj, str(expanded))
+            if expanded.policies():
+                # How the spec shapes the field's text is unknown, so its
+                # policies spread over the whole field.
+                piece = piece._spread(str(piece), expanded.policies())
+            pieces.append(piece)
+        return pieces, auto_index
 
     def format_map(self, mapping):
         return self.format(**dict(mapping))

@@ -1,15 +1,15 @@
 """Deterministic guards on the fixed cost of a served HotCRP page.
 
-Timing tests flake; these count instead.  Parsing each statement the site
+Timing tests flake; these count instead.  Preparing each statement the site
 issues (the users and papers SELECTs of a paper page, the reviews INSERT of
 a review) stays within a budget of Python and C calls, counted with
 ``sys.setprofile``, the first time its shape is seen and within a smaller
-one after; so does running each
-paper-page SELECT through the RESIN site's policy cells; a warm page looks
-its principal up once (one users and one papers statement, on both sites),
-and a plain review page's statements do not grow with its reviews; the SQL
-channel's check of a query built by ``concat`` leaves its range map
-unflattened; a
+one after; so does running each paper-page SELECT's compiled plan through
+the RESIN site's policy cells; a warm page plans nothing, on both sites; a
+warm page looks its principal up once (one users and one papers
+statement, on both sites), and a plain review page's statements do not
+grow with its reviews; the SQL channel's check of a query built by
+``concat`` leaves its range map unflattened; a
 served page runs no ``import`` statement once
 the site is warm, counted through ``builtins.__import__``, and computes no
 fresh ``Policy._identity``, counted on the base class, both on the RESIN
@@ -49,7 +49,8 @@ from repro.security.assertions import (HTMLGuardFilter,
                                        ResponseSplittingFilter)
 from repro.server.http import HTTPServer
 from repro.sql import parser
-from repro.sql.parser import parse
+from repro.sql.parser import prepare
+from repro.sql.planner import Planner
 from repro.tracking.propagation import concat
 from repro.tracking.ranges import PolicyRange, RangeMap
 from repro.tracking.tainted_str import TaintedStr
@@ -58,15 +59,17 @@ from repro.web.request import Request
 from repro.web.response import Response
 from repro.web.sanitize import html_escape, sql_quote
 
-#: Calls one statement's tokenize-and-parse may make.
+#: Calls preparing one statement whose shape is new (its tokenize-and-parse)
+#: may make.
 PARSE_CALL_BUDGET = 300
 
-#: Calls parsing a statement whose shape was parsed before may make.
-PARSE_HIT_CALL_BUDGET = 80
+#: Calls preparing a statement whose shape was prepared before may make: the
+#: cut of its slot values.
+PARSE_HIT_CALL_BUDGET = 60
 
-#: Calls one paper-page SELECT's lock, plan and execution may make, with the
-#: policies of every cell it reads attached.
-EXEC_CALL_BUDGET = 250
+#: Calls one paper-page SELECT's lock, compiled plan and execution may make,
+#: with the policies of every cell it reads attached.
+EXEC_CALL_BUDGET = 120
 
 #: Per warm paper page served to a PC member: ``TaintedStr`` and
 #: ``PolicySet`` constructions may not exceed these; ``filter_write`` is the
@@ -105,19 +108,19 @@ def serve_page(site, user):
 
 
 def statements_of(fn, *args):
-    """The SQL statements ``fn(*args)`` parses, in order."""
+    """The SQL statements ``fn(*args)`` prepares, in order."""
     seen = []
-    original = sqlchan.parse
+    original = sqlchan.prepare
 
     def recording(sql):
         seen.append(sql)
         return original(sql)
 
-    sqlchan.parse = recording
+    sqlchan.prepare = recording
     try:
         fn(*args)
     finally:
-        sqlchan.parse = original
+        sqlchan.prepare = original
     return seen
 
 
@@ -144,7 +147,7 @@ def count_calls(fn, *args):
 
 @pytest.fixture(scope="module")
 def hotcrp_statements():
-    """Every statement the site parses for one paper page and one review."""
+    """Every statement the site prepares for one paper page and one review."""
     site = build_site(use_resin=True)
 
     def page_and_review():
@@ -165,10 +168,10 @@ def test_parsing_a_hotcrp_statement_stays_within_its_call_budget(
                   if str(sql).startswith(prefix)]
     assert statements, f"the site issued no {prefix!r} statement"
     for sql in statements:
-        parse(sql)  # warm
+        prepare(sql)  # warm
         parser.clear_templates()
-        assert count_calls(parse, sql) <= PARSE_CALL_BUDGET
-        assert count_calls(parse, sql) <= PARSE_HIT_CALL_BUDGET
+        assert count_calls(prepare, sql) <= PARSE_CALL_BUDGET
+        assert count_calls(prepare, sql) <= PARSE_HIT_CALL_BUDGET
 
 
 @pytest.mark.parametrize("user", ["pc@example.org", "o'brien@example.org"])
@@ -196,13 +199,38 @@ def test_the_sql_chains_check_leaves_a_concatenated_query_lazy(user):
 def test_running_a_paper_page_select_stays_within_its_call_budget(
         hotcrp_statements, prefix):
     db = build_site(use_resin=True).env.db
-    statements = [parse(sql) for sql in hotcrp_statements
+    statements = [prepare(sql) for sql in hotcrp_statements
                   if str(sql).startswith(prefix)]
     assert statements, f"the site issued no {prefix!r} statement"
-    for statement in statements:
-        assert db.engine.run(statement, db.cells).rows  # warm
-        assert (count_calls(db.engine.run, statement, db.cells)
+    for template, values in statements:
+        assert db.engine.run(template, db.cells, values).rows  # warm
+        assert (count_calls(db.engine.run, template, db.cells, values)
                 <= EXEC_CALL_BUDGET)
+
+
+@pytest.mark.parametrize("use_resin", [True, False], ids=["resin", "plain"])
+def test_a_warm_paper_page_plans_nothing(use_resin, monkeypatch):
+    """Each statement shape is planned and compiled once per engine, so a
+    warm page runs compiled plans and never enters the planner; a shape the
+    engine has not seen is planned once."""
+    site = build_site(use_resin)
+    for user in PRINCIPALS:
+        serve_page(site, user)  # warm-up
+    planned = []
+    for name in ("plan", "plan_select"):
+        original = getattr(Planner, name)
+
+        def counting(self, statement, _original=original, _name=name):
+            planned.append(_name)
+            return _original(self, statement)
+
+        monkeypatch.setattr(Planner, name, counting)
+    for user in PRINCIPALS:
+        serve_page(site, user)
+    assert planned == []
+    site.env.db.query("SELECT title FROM papers WHERE id = 1")
+    site.env.db.query("SELECT title FROM papers WHERE id = 2")
+    assert planned == ["plan", "plan_select"]
 
 
 @pytest.mark.parametrize("user", PRINCIPALS)

@@ -4,7 +4,10 @@
   type, builds that text from its own fields, and keeps each argument's
   policies on that argument's characters;
 * the text that ``format`` conversions, ``translate`` and a plain
-  template's ``%`` build from a password never reaches another user's page.
+  template's ``%`` build from a password never reaches another user's page;
+* ``format`` expands the fields nested in a format spec as ``str.format``
+  does, and the field's text carries its value's and its nested arguments'
+  policies.
 """
 
 import operator
@@ -68,6 +71,40 @@ class TestFormatConversions:
         out = interpolate("{!r}", TaintedInt(42).with_policy(U))
         assert out == "42"
         assert out.policies() == PolicySet.of(U)
+
+
+NESTED_SPECS = [
+    ("{:{w}}", ("a",), {"w": 5}),
+    ("{:{fill}>{w}}", ("a",), {"fill": "*", "w": 5}),
+    ("{0:{1}}", ("a", 5), {}),
+    ("<{:{}}|{}>", ("ab", 4, "z"), {}),
+    ("{:{w}.{p}f}", (3.14159,), {"w": 8, "p": 2}),
+]
+
+
+class TestNestedFormatSpecs:
+    @pytest.mark.parametrize("template, args, kwargs", NESTED_SPECS)
+    def test_nested_fields_format_as_str_does(self, template, args, kwargs):
+        out = TaintedStr(template).format(*args, **kwargs)
+        assert out == template.format(*args, **kwargs)
+        assert out.policies() == EMPTY
+        assert interpolate(template, *args, **kwargs) == out
+
+    def test_too_deep_a_spec_raises_strs_error(self):
+        with pytest.raises(ValueError, match="Max string recursion exceeded"):
+            TaintedStr("{:{:{}}}").format(1, 2, 3)
+        with pytest.raises(ValueError, match="Max string recursion exceeded"):
+            "{:{:{}}}".format(1, 2, 3)
+
+    def test_the_field_carries_its_values_and_nested_arguments_policies(self):
+        out = interpolate("<{:{w}}>", taint_str("ab", U), w=taint_str("4", V))
+        assert out == "<ab  >"
+        assert policy_map(out) == [EMPTY] + [PolicySet.of(U, V)] * 4 + [EMPTY]
+        out = interpolate("<{:{w}}>", taint_str("ab", U), w=4)
+        assert policy_map(out) == [EMPTY] + [PolicySet.of(U)] * 4 + [EMPTY]
+        out = interpolate("<{:{fill}>{w}}>", "a", fill=taint_str("*", V), w=3)
+        assert out == "<**a>"
+        assert policy_map(out) == [EMPTY] + [PolicySet.of(V)] * 3 + [EMPTY]
 
 
 class TestTranslate:

@@ -3,6 +3,7 @@
 import gc
 import sys
 import threading
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from repro.policies import UntrustedData
 from repro.security.assertions import SQLGuardFilter
 from repro.sql import nodes, parse, parser
 from repro.sql.engine import Engine
+from repro.sql.executor import Compiled
 from repro.sql.tokenizer import EOF, IDENT, NUMBER, OPERATORS, PARAM, STRING, scan
 from repro.tracking.propagation import concat
 from repro.tracking.tainted_str import TaintedStr, taint_str
@@ -420,20 +422,75 @@ class TestStatementTemplates:
         assert len(parser._templates) == 2
         values = [literal.value for literal in literals(statement)]
         assert values == ["a@b.org", secret, 987654321]
-        seen = set()
-        pending = [parser._templates]
-        while pending:
-            item = pending.pop()
-            if id(item) in seen or isinstance(item, type):
-                continue
-            seen.add(id(item))
-            assert not any(item is value for value in values)
-            if isinstance(item, str):
-                assert "hunter2" not in item and "a@b.org" not in item
-            elif isinstance(item, int):
-                assert item != 987654321
-            else:
-                pending.extend(gc.get_referents(item))
+        assert_none_retained(parser._templates, values, gc.get_referents)
+
+    def test_no_compiled_plan_keeps_a_literal_of_the_statements_it_ran(
+            self, no_templates):
+        secret = taint_str("hunter2-secret", U)
+        db = Database(Engine())
+        db.execute_unchecked(
+            "CREATE TABLE users (email TEXT, password TEXT, n INTEGER)")
+        db.execute_unchecked("CREATE TABLE t (a TEXT, b TEXT)")
+        db.create_index("users", "email")
+        select = ("SELECT password, upper('a@b.org') FROM users "
+                  "WHERE email = 'a@b.org' AND n = 987654321")
+        for _ in range(2):  # compiled, then run from the engine's cache
+            db.query(concat(
+                "INSERT INTO users (email, password, n) VALUES ('a@b.org', '",
+                secret, "', 987654321)"))
+            db.query(concat("UPDATE t SET a = '", secret,
+                            "' WHERE b IN (987654321, 'c')"))
+            row = db.query(select).rows[0]
+        assert row.values_list() == [secret, "A@B.ORG"]
+        assert row.columns == ["password", "UPPER('a@b.org')"]
+        plans = db.engine._plans
+        assert len(plans) == 3
+        seen = assert_none_retained(plans, [secret, row[0], row[1]],
+                                    plan_referents)
+        assert any(isinstance(item, types.FunctionType) for item in seen)
+
+
+def assert_none_retained(root, values, referents):
+    """Walk what ``referents`` reaches from ``root`` and fail on any of
+    ``values``, or on text or a number of the statements that made them;
+    returns every object visited."""
+    seen = {}
+    pending = [root]
+    while pending:
+        item = pending.pop()
+        if id(item) in seen or isinstance(item, type):
+            continue
+        seen[id(item)] = item
+        assert not any(item is value for value in values)
+        if isinstance(item, str):
+            assert "hunter2" not in item and "a@b.org" not in item
+        elif isinstance(item, int):
+            assert item != 987654321
+        else:
+            pending.extend(referents(item))
+    return seen.values()
+
+
+def plan_referents(item):
+    """What a compiled plan holds: the cells and defaults of its closures,
+    containers, statement nodes, templates and compiled plans.  Any other
+    object is a handle the plan names (its cells, a helper), not a value it
+    keeps."""
+    if isinstance(item, types.FunctionType):
+        held = list(item.__defaults__ or ())
+        for cell in item.__closure__ or ():
+            try:
+                held.append(cell.cell_contents)
+            except ValueError:  # an empty cell
+                pass
+        return held
+    if isinstance(item, (list, tuple, set, frozenset)):
+        return list(item)
+    if isinstance(item, dict):
+        return [*item.keys(), *item.values()]
+    if isinstance(item, (nodes.Node, parser.Template, Compiled)):
+        return [getattr(item, name) for name in type(item).__slots__]
+    return []
 
 
 class TestEngine:
@@ -601,3 +658,37 @@ class TestEngine:
         engine.run("INSERT INTO users (id, name) VALUES (9, 'nil')")
         assert len(engine.run(
             "SELECT id FROM users WHERE age = 30 AND name = 'nil'")) == 0
+
+
+class TestTwoValuedNullLogic:
+    """The engine's NULL logic is two-valued (docs/API.md, *NULL logic*): a
+    comparison with NULL is false, and ``!=``, ``NOT`` and ``NOT IN`` negate
+    that false, so they keep rows that SQL's three-valued logic drops.  These
+    pin today's rows on an unindexed and an indexed table, run cold and then
+    through the compiled plan, directly and through a database's policy
+    cells."""
+
+    CASES = [
+        ("SELECT c FROM t WHERE a != 1", [20, 30]),
+        ("SELECT c FROM t WHERE NOT a = 1", [20, 30]),
+        ("SELECT c FROM t WHERE a NOT IN (1, NULL)", [20, 30]),
+        ("SELECT count(*) FROM t WHERE NOT (a < 2)", 2),
+        ("SELECT c FROM t WHERE NOT (a = 1 AND c = 20)", [10, 20, 30]),
+    ]
+
+    @pytest.mark.parametrize("indexed", [False, True],
+                             ids=["unindexed", "indexed"])
+    @pytest.mark.parametrize("sql, expected", CASES)
+    def test_rows_are_pinned(self, sql, expected, indexed):
+        db = Database(Engine())
+        db.execute_unchecked("CREATE TABLE t (a INTEGER, c INTEGER)")
+        if indexed:
+            db.create_index("t", "a")
+            db.create_index("t", "c")
+        db.query("INSERT INTO t (a, c) VALUES (1, 10), (NULL, 20), (2, 30)")
+        for run in (db.engine.run, db.query) * 2:
+            result = run(sql)
+            if isinstance(expected, int):
+                assert result.scalar() == expected, sql
+            else:
+                assert [row["c"] for row in result] == expected, sql
