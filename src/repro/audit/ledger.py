@@ -9,6 +9,17 @@ tail of the current ``seg-<id>.audit`` segment.  When a segment grows past
 data ages out instead of growing without bound (the retention contract is
 documented in ``docs/API.md``).
 
+Policy blobs are written once per segment.  The first event in a segment
+to cite a blob is preceded, in the same write, by a *policy record*
+``{"key": k, "policy": blob}`` (it takes no ``seq``), and every event
+cites its blobs by those small integer keys.  Keys are scoped to their
+segment: a rotated segment and a reopened ledger define again what they
+cite, so a segment never depends on another one — retention may purge
+any sealed segment — and a torn tail never leaves a key without its
+record.  :meth:`AuditLedger.iter_events` resolves the keys, so readers
+get the blobs back; a segment written with blobs inline in its events
+reads the same.
+
 Crash story, inherited from the framing: a torn final record is truncated
 on open and iteration stops at the first invalid frame, so after any crash
 the ledger contains an exact *prefix* of the events that were appended.
@@ -29,7 +40,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..storage import framing
 
@@ -44,6 +55,16 @@ DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 #: Default retention: keep at most this many *sealed* segments (the active
 #: one is never purged), oldest-first purge beyond it.
 DEFAULT_RETAIN_SEGMENTS = 8
+
+#: Bound on the writer's key table (cleared, not evicted, when a write
+#: leaves it past the bound; rotation clears it too).  It is keyed by blob
+#: identity, so it only outgrows the recorder's policy memo when blobs
+#: churn: the memo was cleared, or a policy is serialized per event.
+_KEY_TABLE_LIMIT = 4096
+
+
+def _is_policy_record(record: Dict[str, Any]) -> bool:
+    return "seq" not in record and isinstance(record.get("key"), int)
 
 
 class AuditLedger:
@@ -76,7 +97,11 @@ class AuditLedger:
 
         existing = self.segment_ids()
         self._segment_id = existing[-1] if existing else 1
-        self._next_seq = self._recover_next_seq(existing)
+        # The blobs defined in the active segment by this process:
+        # id(blob) -> (key, blob), the blob pinned so its id stays unique.
+        self._keys: Dict[int, Tuple[int, Any]] = {}
+        self._next_key = 0
+        self._next_seq = self._recover(existing)
         self._file = framing.open_segment(self.segment_path(self._segment_id))
 
     # -- segments -----------------------------------------------------------
@@ -97,32 +122,33 @@ class AuditLedger:
             return []
         return records
 
-    def _recover_next_seq(self, existing: List[int]) -> int:
-        """Continue the sequence after the highest surviving event.
+    def _recover(self, existing: List[int]) -> int:
+        """The next seq, after the highest surviving event; the next key,
+        after the highest one the active segment defines.
 
         Only valid (CRC-checked) records count: a torn tail never advances
         the sequence, so a reopened ledger hands out exactly the numbers
         the lost suffix would have used.
         """
-        highest = 0
         for segment_id in reversed(existing):
             records = self._read_segment(segment_id)
-            if records:
-                highest = max(
-                    (
-                        record.get("seq", 0)
-                        for record in records
-                        if isinstance(record.get("seq"), int)
-                    ),
-                    default=0,
+            if segment_id == self._segment_id:
+                self._next_key = 1 + max(
+                    (r["key"] for r in records if _is_policy_record(r)), default=-1
                 )
-                if highest:
-                    break
-        return highest + 1
+            highest = max(
+                (r["seq"] for r in records if isinstance(r.get("seq"), int)),
+                default=0,
+            )
+            if highest:
+                return highest + 1
+        return 1
 
     def _rotate_locked(self) -> None:
         self._file.close()
         self._segment_id += 1
+        self._keys.clear()
+        self._next_key = 0
         self._file = framing.open_segment(self.segment_path(self._segment_id))
         self._purge_locked()
 
@@ -181,21 +207,51 @@ class AuditLedger:
             raise RuntimeError("append() on a closed audit ledger")
 
     def _frame_locked(self, event: Dict[str, Any]) -> bytes:
-        """Stamp ``event`` with the next seq and frame it; a failed encode
-        leaves neither the seq on the event nor a gap in the sequence."""
-        event["seq"] = self._next_seq
+        """Stamp ``event`` with the next seq and frame it, after a policy
+        record for each blob it is the first in this segment to cite.  The
+        frame cites blobs by key; ``event`` itself keeps its blobs.  A
+        failed encode leaves neither the seq on the event, a gap in the
+        sequence nor a key in the table."""
+        record = dict(event, seq=self._next_seq)
+        frames: List[bytes] = []
+        policies = event.get("policies")
         try:
-            frame = framing.encode_record(event)
+            if isinstance(policies, list):
+                record["policies"] = [self._key_locked(b, frames) for b in policies]
+            frames.append(framing.encode_record(record))
         except BaseException:
-            del event["seq"]
+            # The policy records it framed are dropped with the event: no
+            # key may outlive them, and forgetting the rest only costs their
+            # blobs another record.
+            self._keys.clear()
             raise
+        event["seq"] = self._next_seq
         self._next_seq += 1
-        return frame
+        return b"".join(frames)
+
+    def _key_locked(self, blob: Any, frames: List[bytes]) -> int:
+        """``blob``'s key in the active segment, framing its policy record
+        into ``frames`` the first time."""
+        entry = self._keys.get(id(blob))
+        if entry is None:
+            key = self._next_key
+            frames.append(framing.encode_record({"key": key, "policy": blob}))
+            self._next_key = key + 1
+            entry = self._keys[id(blob)] = (key, blob)
+        return entry[0]
 
     def _write_locked(self, frames: bytes, count: int) -> None:
-        self._file.write(frames)
-        framing.sync_file(self._file, self.sync)
+        try:
+            self._file.write(frames)
+            framing.sync_file(self._file, self.sync)
+        except BaseException:
+            # The policy records may not have landed: define blobs again.
+            self._keys.clear()
+            raise
         self.events_written += count
+        if len(self._keys) > _KEY_TABLE_LIMIT:
+            # Forgetting a key only costs its blob another policy record.
+            self._keys.clear()
         if self._file.tell() >= self.segment_bytes:
             self._rotate_locked()
 
@@ -210,15 +266,28 @@ class AuditLedger:
     # -- read ---------------------------------------------------------------
 
     def iter_events(self, *, since_seq: int = 0) -> Iterator[Dict[str, Any]]:
-        """Yield surviving events in order, one segment at a time.
+        """Yield surviving events in order, one segment at a time, their
+        policy keys resolved to blobs.
 
         Streams segment-by-segment — the whole ledger is never resident —
-        and stops a segment at its first invalid frame (prefix semantics).
-        Safe to run concurrently with appends: an in-flight final frame
-        simply doesn't decode yet.
+        and stops a segment at its first invalid frame (prefix semantics),
+        or at an event citing a key the segment never defined.  Safe to run
+        concurrently with appends: an in-flight final frame simply doesn't
+        decode yet.  The events of one segment share their blob dicts, so
+        callers must treat them as read-only.
         """
         for segment_id in self.segment_ids():
+            blobs: Dict[int, Any] = {}
             for record in self._read_segment(segment_id):
+                if _is_policy_record(record):
+                    blobs[record["key"]] = record.get("policy")
+                    continue
+                policies = record.get("policies")
+                if policies and type(policies) is list and type(policies[0]) is int:
+                    try:
+                        record["policies"] = [blobs[key] for key in policies]
+                    except (KeyError, TypeError):
+                        break
                 if record.get("seq", 0) > since_seq:
                     yield record
 

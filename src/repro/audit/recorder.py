@@ -12,10 +12,8 @@ range-map serialization, framing, disk I/O) happens on a single background
 writer thread, so the calling thread pays only a queue append.  The
 *process* still pays for the writer: under the GIL its CPU time is taken
 from the request threads, and on a single core it lands in request
-latency (on the socket benchmark's review-submit workload on a 2-vCPU
-Xeon VM, ~220 µs of writer CPU per request against a ~1.2 ms p50;
-``docs/API.md`` has the split).  So the writer keeps its cost per event
-small:
+latency (``docs/API.md`` has the split on the socket benchmark's
+review-submit workload).  So the writer keeps its cost per event small:
 
 * **One serialization per distinct policy.**  A bounded memo, touched only
   by the writer thread, maps each policy value (class plus fields, the
@@ -25,6 +23,14 @@ small:
   ``True``).  Events share those blob dicts; ledger readers must treat
   them as read-only.  Unhashable or non-``Policy`` objects are serialized
   per event.
+* **One build per crossing.**  A second bounded memo maps the identities
+  of the immutable ``PolicySet`` and ``RangeMap`` a crossing hands over
+  to the event's blob list and provenance, so a value exported again
+  reuses them, and its events share those lists too.  Policies handed
+  over as a plain list are built per event.
+* **One encoding per blob and segment.**  An
+  :class:`~repro.audit.ledger.AuditLedger` writes each blob once per
+  segment and its events cite it by key.
 * **One write and one sync per drained batch**
   (:meth:`~repro.audit.ledger.AuditLedger.append_batch`).  An event that
   fails to build or frame is counted in ``record_errors``; the rest of its
@@ -58,9 +64,11 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..core.policy import Policy
+from ..core.policyset import PolicySet
 from ..core.request_context import current_request
 from ..core.serialization import serialize_policy
 from ..core.services import AUDIT_SERVICE as SERVICE_NAME, recorder_for
+from ..tracking.ranges import RangeMap
 from .ledger import AuditLedger, MemoryLedger
 
 __all__ = [
@@ -82,17 +90,20 @@ MAX_PROVENANCE_SEGMENTS = 64
 #: 1202 distinct policies 98% of lookups hit, with 2402, 84%.
 _POLICY_MEMO_LIMIT = 1024
 
+#: Bound on the writer's build memo (cleared, not evicted, when full).  On
+#: the review-submit site a stream crosses ~1200 distinct (policy set,
+#: range map) pairs: ~600 page fields and ~600 principal lookups.  The
+#: memo pins the range maps it keys, which the site's decoded-cell cache
+#: mostly holds anyway.
+_BUILD_MEMO_LIMIT = 2048
 
-def _context_field(context: Any, key: str) -> Any:
-    if context is None:
-        return None
-    getter = getattr(context, "get", None)
-    if callable(getter):
-        try:
-            return getter(key)
-        except Exception:
-            return None
-    return getattr(context, key, None)
+#: Filter-context keys naming a crossing's destination, first match wins.
+_WHERE_KEYS = ("path", "addr", "recipient", "table")
+
+#: The ``policies`` and ``rangemap`` types a build is memoized on: immutable
+#: value objects, so their identity fixes what the build returns.
+_MEMO_POLICIES = (PolicySet, type(None))
+_MEMO_RANGEMAPS = (RangeMap, type(None))
 
 
 class AuditRecorder:
@@ -110,6 +121,10 @@ class AuditRecorder:
         self._busy = False
         # Policy value -> (blob, content key); the writer thread's alone.
         self._policy_memo: Dict[Any, Tuple[Dict[str, Any], str]] = {}
+        # (id(policies), id(rangemap)) -> ((blobs, provenance, truncated),
+        # policies, rangemap); the writer thread's alone.  Each entry holds
+        # its two keyed objects, so their ids stay unique while it lives.
+        self._build_memo: Dict[Tuple[int, int], Tuple[Any, Any, Any]] = {}
         self._closed = False
         #: Pending events dropped (oldest-first) because the queue was full.
         self.dropped_events = 0
@@ -170,34 +185,38 @@ class AuditRecorder:
 
         ``policies``/``rangemap`` are captured by reference — both are
         immutable value objects — and serialized on the writer thread.
-        Request attribution is resolved here, on the caller's thread.
+        Request attribution is resolved here, on the caller's thread;
+        ``context`` is the filter context (a mapping) or ``None``.
         """
         try:
-            rctx = current_request()
+            principal = where = None
+            if context is not None:
+                get = context.get
+                principal = get("user")
+                if channel is None:
+                    channel = get("type")
+                for key in _WHERE_KEYS:
+                    value = get(key)
+                    if value is not None:
+                        where = str(value)
+                        break
             entry: Dict[str, Any] = {
                 "ts": time.time(),
                 "kind": kind,
                 "verdict": verdict,
                 "request": None,
-                "principal": _context_field(context, "user"),
+                "principal": principal,
                 "route": None,
-                "channel": (
-                    channel if channel is not None else _context_field(context, "type")
-                ),
+                "channel": channel,
                 "_policies": policies,
                 "_rangemap": rangemap,
             }
-            where = None
-            for key in ("path", "addr", "recipient", "table"):
-                value = _context_field(context, key)
-                if value is not None:
-                    where = str(value)
-                    break
             if where is not None:
                 entry["where"] = where
+            rctx = current_request()
             if rctx is not None:
                 entry["request"] = getattr(rctx, "request_id", None)
-                if entry["principal"] is None:
+                if principal is None:
                     entry["principal"] = rctx.user
                 entry["route"] = rctx.route or (
                     getattr(rctx.request, "path", None)
@@ -293,9 +312,35 @@ class AuditRecorder:
         return blob, key
 
     def _build_event(self, entry: Dict[str, Any]) -> Dict[str, Any]:
-        """Serialize the captured references into the JSON event."""
+        """Serialize the captured references into the JSON event, once per
+        crossing when they are a ``PolicySet`` (or none) and a ``RangeMap``
+        (or none)."""
         policies = entry.pop("_policies", None)
         rangemap = entry.pop("_rangemap", None)
+        if isinstance(policies, _MEMO_POLICIES) and isinstance(
+            rangemap, _MEMO_RANGEMAPS
+        ):
+            key = (id(policies), id(rangemap))
+            memoized = self._build_memo.get(key)
+            if memoized is None:
+                if len(self._build_memo) >= _BUILD_MEMO_LIMIT:
+                    self._build_memo.clear()
+                built = self._build(policies, rangemap)
+                memoized = self._build_memo[key] = (built, policies, rangemap)
+            blobs, provenance, truncated = memoized[0]
+        else:
+            blobs, provenance, truncated = self._build(policies, rangemap)
+        entry["policies"] = blobs
+        if provenance:
+            entry["provenance"] = provenance
+            if truncated:
+                entry["provenance_truncated"] = truncated
+        return entry
+
+    def _build(self, policies: Any, rangemap: Any) -> Tuple[list, list, int]:
+        """The deduplicated blobs of ``policies`` (and of ``rangemap``'s
+        segments), the tainted segments indexing into them, and the true
+        segment count when the chain was cut at the cap (else 0)."""
         blobs: List[Dict[str, Any]] = []
         index_of: Dict[str, int] = {}
         # Policies are interned value objects: the same instance recurs
@@ -334,12 +379,8 @@ class AuditRecorder:
                     provenance.append(
                         [start, stop, sorted(blob_index(p) for p in segment_policies)]
                     )
-        entry["policies"] = blobs
-        if provenance:
-            entry["provenance"] = provenance
-            if tainted_segments > len(provenance):
-                entry["provenance_truncated"] = tainted_segments
-        return entry
+        truncated = tainted_segments if tainted_segments > len(provenance) else 0
+        return blobs, provenance, truncated
 
     # -- draining / queries ---------------------------------------------------
 

@@ -83,16 +83,17 @@ class DefaultFilter(Filter):
     def filter_func(self, func: Callable, args: tuple, kwargs: dict) -> Any:
         """Check every tainted argument: a violation records one deny for
         the failing argument, a pass one allow listing every checked
-        policy."""
+        policy (the lone tainted argument's own policy set, so the
+        recorder builds that crossing once)."""
         context = self.context
         recorder = recorder_for(getattr(context, "env", None))
-        checked: list = []
+        checked = None
         for value in (*args, *kwargs.values()):
             policies = policies_of(value)
             if policies:
                 _export_checks(policies, context, recorder, value)
-                checked.extend(policies)
-        if recorder is not None and checked:
+                checked = policies if checked is None else [*checked, *policies]
+        if recorder is not None and checked is not None:
             recorder.record("export", verdict="allow", context=context,
                             policies=checked)
         return func(*args, **kwargs)

@@ -66,10 +66,28 @@ MAX_RECORD_BYTES = 64 * 1024 * 1024
 #: Sentinel meaning "use the module's MAX_RECORD_BYTES at call time".
 _DEFAULT_LIMIT = object()
 
-#: The one canonical-JSON encoder every frame shares.  ``json.dumps`` with
-#: ``separators`` or ``sort_keys`` builds a new encoder per call; this one
-#: holds only its settings, so any thread may use it.
+#: The one canonical-JSON encoder every frame shares: the bytes of
+#: ``json.dumps(record, separators=(",", ":"), sort_keys=True)``.
+#: ``JSONEncoder.encode`` builds its C encoder on every call; this one is
+#: built once, without the per-call circular-reference table (a cycle
+#: raises ``RecursionError`` instead of ``ValueError``), so it holds no
+#: state between calls and any thread may use it.  Called as
+#: ``_encode_chunks(record, 0)``, it returns the text in chunks.
 _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+if json.encoder.c_make_encoder is not None:
+    _encode_chunks = json.encoder.c_make_encoder(
+        None,  # markers: no circular-reference table
+        _ENCODER.default,
+        json.encoder.encode_basestring_ascii,
+        None,  # indent
+        _ENCODER.key_separator,
+        _ENCODER.item_separator,
+        _ENCODER.sort_keys,
+        _ENCODER.skipkeys,
+        _ENCODER.allow_nan,
+    )
+else:  # pragma: no cover - interpreters without the C accelerator
+    _encode_chunks = _ENCODER.iterencode
 
 
 def encode_value(value: Any) -> Any:
@@ -103,7 +121,7 @@ def encode_record(record: Dict[str, Any], *, max_bytes=_DEFAULT_LIMIT) -> bytes:
     so the writer must fail loudly instead.  ``max_bytes=None`` disables the
     check (snapshot frames, which get no reader-side limit either).
     """
-    payload = _ENCODER.encode(record).encode("utf-8")
+    payload = "".join(_encode_chunks(record, 0)).encode("utf-8")
     limit = MAX_RECORD_BYTES if max_bytes is _DEFAULT_LIMIT else max_bytes
     if limit is not None and len(payload) > limit:
         raise SerializationError(

@@ -32,6 +32,7 @@ at the channel boundary.
 
 from __future__ import annotations
 
+import _string
 import re
 import string as _string_module
 from typing import Iterable, Iterator, List, Optional
@@ -440,11 +441,13 @@ class TaintedStr(_TaintedSequence, str):
         pieces, _ = self._format_pieces(args, kwargs, 0, 2)
         return _concat_all(pieces) if pieces else type(self)("")
 
-    def _format_pieces(self, args, kwargs, auto_index: int, depth: int):
-        """The pieces of this template formatted, its unnamed fields
-        numbered from ``auto_index``, and the number after the last one.  A
-        field's format spec is formatted first, as ``str.format`` does, at
-        most ``depth`` levels deep."""
+    def _format_pieces(self, args, kwargs, auto_index, depth: int):
+        """The pieces of this template formatted, and the numbering state
+        after them.  ``auto_index`` is the number of the next unnamed field,
+        or ``False`` once a field was numbered by hand: as in
+        ``str.format``, a template (nested specs included) numbers all its
+        positional fields one way.  A field's format spec is formatted
+        first, as ``str.format`` does, at most ``depth`` levels deep."""
         if depth == 0:
             raise ValueError("Max string recursion exceeded")
         formatter = _string_module.Formatter()
@@ -456,9 +459,22 @@ class TaintedStr(_TaintedSequence, str):
                 pieces.append(self._spread(literal))
             if field is None:
                 continue
-            if field == "":
-                field = str(auto_index)
+            first, _ = _string.formatter_field_name_split(field)
+            if first == "":
+                if auto_index is False:
+                    raise ValueError(
+                        "cannot switch from manual field specification to "
+                        "automatic field numbering"
+                    )
+                field = str(auto_index) + field
                 auto_index += 1
+            elif isinstance(first, int):
+                if auto_index:
+                    raise ValueError(
+                        "cannot switch from automatic field numbering to "
+                        "manual field specification"
+                    )
+                auto_index = False
             obj, _ = formatter.get_field(field, args, kwargs)
             if conversion and not (conversion == "s" and isinstance(obj, TaintedStr)):
                 # repr() and str() build plain text: it carries the field's

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import json
 import re
+from typing import List
 
 from ..core.policyset import PolicySet
 from ..policies.untrusted import HTMLSanitized, JSONSanitized, SQLSanitized
-from ..tracking.propagation import policies_of, spread_policies, to_tainted_str
-from ..tracking.ranges import RangeMap
+from ..tracking.propagation import policies_of, to_tainted_str
+from ..tracking.ranges import PolicyRange, RangeMap
 from ..tracking.tainted_str import TaintedStr
 
 __all__ = ["sql_quote", "html_escape", "json_encode"]
@@ -35,27 +36,37 @@ def _escape_chars(text: str, replacements, metachars) -> str:
     ``'`` that came from user input is still ``UntrustedData``).
 
     ``metachars`` matches one key of ``replacements``.  Plain text is
-    replaced in one ``sub``.  A ``TaintedStr`` is rebuilt from one slice
-    per run of unchanged characters, joined once; without a metacharacter
-    the input itself is returned.
+    replaced in one ``sub``.  A ``TaintedStr`` is replaced one run of equal
+    policies at a time: each run in one ``sub``, its escaped text given one
+    range.  Without a metacharacter the input itself is returned.
     """
+
+    def replace(match) -> str:
+        return replacements[match.group()]
+
     if not isinstance(text, TaintedStr):
-        return metachars.sub(lambda match: replacements[match.group()], text)
-    pieces = []
-    cursor = 0
-    for match in metachars.finditer(text):
-        index = match.start()
-        if cursor < index:
-            pieces.append(text[cursor:index])
-        pieces.append(
-            spread_policies(replacements[match.group()], text.policies_at(index))
-        )
-        cursor = index + 1
-    if not pieces:
+        return metachars.sub(replace, text)
+    if metachars.search(text) is None:
         return text
-    if cursor < len(text):
-        pieces.append(text[cursor:])
-    return TaintedStr("").join(pieces)
+    plain = str.__str__(text)
+    # (start, stop, policies) per run, policy-free gaps as ``None``.
+    runs = []
+    cursor = 0
+    for rng in text.rangemap.ranges:
+        runs.append((cursor, rng.start, None))
+        runs.append((rng.start, rng.stop, rng.policies))
+        cursor = rng.stop
+    runs.append((cursor, len(plain), None))
+    pieces: List[str] = []
+    ranges: List[PolicyRange] = []
+    length = 0
+    for start, stop, policies in runs:
+        piece = metachars.sub(replace, plain[start:stop])
+        if policies is not None:
+            ranges.append(PolicyRange(length, length + len(piece), policies))
+        pieces.append(piece)
+        length += len(piece)
+    return TaintedStr("".join(pieces), RangeMap(length, ranges))
 
 
 def _marked(text: str, markers: PolicySet) -> TaintedStr:

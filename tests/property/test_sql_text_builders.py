@@ -23,6 +23,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.exceptions import InjectionViolation, SQLError
+from repro.core.policyset import PolicySet
 from repro.policies import HTMLSanitized, SQLSanitized, UntrustedData
 from repro.security.assertions import AutoSanitizingSQLFilter, SQLGuardFilter
 from repro.sql.tokenizer import EOF, IDENT, KEYWORDS, NUMBER, PARAM, STRING, scan
@@ -297,6 +298,19 @@ valid_sql = st.lists(st.one_of(structure_tokens, literals), max_size=8).map(
 sql_texts = st.one_of(mixed_taint(SQL_FRAGMENTS), valid_sql)
 html_texts = mixed_taint(HTML_FRAGMENTS)
 
+# Several runs of distinct policies, each with metacharacters at its edges.
+_EDGES = st.sampled_from(["", "'", "''", "&", "<", '"'])
+policy_runs = st.lists(
+    st.tuples(
+        st.tuples(_EDGES, st.text(alphabet="ab '<&", max_size=4), _EDGES).map(
+            "".join
+        ),
+        st.sampled_from(POLICY_CHOICES),
+    ),
+    min_size=2,
+    max_size=6,
+)
+
 
 def assert_same_str(actual, expected):
     assert isinstance(actual, TaintedStr)
@@ -328,6 +342,29 @@ class TestSanitizers:
     @given(text=html_texts)
     def test_html_escape_matches_reference(self, text):
         assert_same_str(html_escape(text), html_escape_reference(text))
+
+    @settings(max_examples=300)
+    @given(runs=policy_runs)
+    def test_each_character_keeps_its_policies(self, runs):
+        """Per character: the text ``str`` escaping gives, and each output
+        character tagged with its input character's policies plus the
+        marker.  Metacharacters sit at the edges of runs."""
+        text = _tainted(runs)
+        for sanitize, replacements, marker in (
+            (sql_quote, {"'": "''"}, SQLSanitized("sql_quote")),
+            (html_escape, _HTML_REPLACEMENTS, HTMLSanitized("html_escape")),
+        ):
+            expected_text, expected_policies = [], []
+            for index, char in enumerate(str(text)):
+                out = replacements.get(char, char)
+                expected_text.append(out)
+                policies = text.policies_at(index).union(PolicySet.of(marker))
+                expected_policies.extend([policies] * len(out))
+            result = sanitize(text)
+            assert str(result) == "".join(expected_text)
+            assert [
+                result.policies_at(index) for index in range(len(result))
+            ] == expected_policies
 
     def test_plain_input_without_metacharacters_is_returned_as_is(self):
         text = taint_str("no metacharacters here", U1)

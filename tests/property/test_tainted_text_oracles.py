@@ -7,7 +7,10 @@
   template's ``%`` build from a password never reaches another user's page;
 * ``format`` expands the fields nested in a format spec as ``str.format``
   does, and the field's text carries its value's and its nested arguments'
-  policies.
+  policies;
+* ``format`` numbers a template's positional fields one way, by hand or
+  automatically, and raises ``str.format``'s error on a template that
+  mixes the two.
 """
 
 import operator
@@ -82,6 +85,28 @@ NESTED_SPECS = [
 ]
 
 
+#: Templates that number positional fields both by hand and automatically,
+#: across fields and into nested specs: ``str.format`` refuses each.
+MIXED_NUMBERING = [
+    ("{0}{}", ("a", "b")),
+    ("{}{0}", ("a", "b")),
+    ("{0:{}}", (1, 2)),
+    ("{:{0}}", (1, 2)),
+    ("{:{}}{0}", (1, 2)),
+    ("{0.real}{}", (1, 2)),
+    ("{[0]}{0}", ([5],)),
+]
+
+#: Templates that keep to one numbering, named fields beside either.
+ONE_NUMBERING = [
+    ("{0}{0}{1}", ("a", "b"), {}),
+    ("{x}{}{x}", (1,), {"x": 2}),
+    ("{x}{0}", (1,), {"x": 2}),
+    ("{[0]}{}", ([5], 6), {}),
+    ("{}{[1]}", (5, [6, 7]), {}),
+]
+
+
 class TestNestedFormatSpecs:
     @pytest.mark.parametrize("template, args, kwargs", NESTED_SPECS)
     def test_nested_fields_format_as_str_does(self, template, args, kwargs):
@@ -89,6 +114,21 @@ class TestNestedFormatSpecs:
         assert out == template.format(*args, **kwargs)
         assert out.policies() == EMPTY
         assert interpolate(template, *args, **kwargs) == out
+
+    @pytest.mark.parametrize("template, args", MIXED_NUMBERING)
+    def test_mixed_field_numbering_raises_strs_error(self, template, args):
+        with pytest.raises(ValueError) as expected:
+            template.format(*args)
+        with pytest.raises(ValueError) as raised:
+            TaintedStr(template).format(*args)
+        assert str(raised.value) == str(expected.value)
+        with pytest.raises(ValueError, match="cannot switch from"):
+            interpolate(template, *args)
+
+    @pytest.mark.parametrize("template, args, kwargs", ONE_NUMBERING)
+    def test_one_numbering_formats_as_str_does(self, template, args, kwargs):
+        assert TaintedStr(template).format(*args, **kwargs) == template.format(
+            *args, **kwargs)
 
     def test_too_deep_a_spec_raises_strs_error(self):
         with pytest.raises(ValueError, match="Max string recursion exceeded"):

@@ -16,6 +16,7 @@ from repro.audit import recorder as recorder_module
 from repro.audit.ledger import AuditLedger, MemoryLedger
 from repro.audit.recorder import AuditRecorder, recorder_for
 from repro.core import Filter, check_export
+from repro.core.filter import DefaultFilter
 from repro.core.exceptions import DisclosureViolation, ResinWarning
 from repro.core.policy import Policy
 from repro.core.serialization import serialize_policy
@@ -335,6 +336,55 @@ class TestWriterPath:
             ]
         recorder.close()
 
+    def test_a_crossing_is_built_once(self, monkeypatch):
+        builds = []
+        build = AuditRecorder._build
+
+        def counting_build(self, policies, rangemap):
+            builds.append((policies, rangemap))
+            return build(self, policies, rangemap)
+
+        monkeypatch.setattr(AuditRecorder, "_build", counting_build)
+        exports = _exports()
+        recorder = AuditRecorder(MemoryLedger())
+        _record_batch(
+            recorder,
+            [{"policies": p, "rangemap": r} for p, r in exports * 3],
+        )
+        assert builds == exports
+        events = list(recorder.ledger.iter_events())
+        for first, again in zip(events, events[len(exports) :]):
+            assert again["policies"] is first["policies"]
+            assert again["provenance"] is first["provenance"]
+        recorder.close()
+
+    def test_a_list_of_policies_is_built_per_event(self):
+        recorder = AuditRecorder(MemoryLedger())
+        policies = [PasswordPolicy("a@b.c")]
+        _record_batch(recorder, [{"policies": policies}] * 2)
+        one, two = recorder.ledger.iter_events()
+        assert one["policies"] == two["policies"]
+        assert one["policies"] is not two["policies"]
+        assert recorder._build_memo == {}
+        recorder.close()
+
+    def test_build_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(recorder_module, "_BUILD_MEMO_LIMIT", 4)
+        values = [
+            taint_str(f"v{n}", UntrustedData(f"source-{n % 6}")) for n in range(10)
+        ]
+        recorder = AuditRecorder(MemoryLedger())
+        _record_batch(
+            recorder,
+            [{"policies": v.policies(), "rangemap": v.rangemap} for v in values],
+        )
+        assert 0 < len(recorder._build_memo) <= 4
+        for event, value in zip(recorder.ledger.iter_events(), values):
+            [policy] = value.policies()
+            assert event["policies"] == [serialize_policy(policy)]
+            assert event["provenance"] == [[0, len(value), [0]]]
+        recorder.close()
+
     def test_unhashable_policies_still_record(self):
         class Tagged(Policy):
             def __init__(self, tags):
@@ -356,6 +406,46 @@ class TestWriterPath:
         ]
         assert list(recorder._policy_memo) == [Tagged(["a", "b"])]
         recorder.close()
+
+
+class TestGuardedCallEvents:
+    """A guarded call records one allow for its tainted arguments."""
+
+    def _recorded_policies(self, resin, recorder, monkeypatch, args):
+        seen = []
+        record = recorder.record
+
+        def spy(kind, **fields):
+            seen.append(fields["policies"])
+            record(kind, **fields)
+
+        monkeypatch.setattr(recorder, "record", spy)
+        flt = DefaultFilter({"type": "sql"})
+        flt.context.env = resin.env
+        assert flt.filter_func(lambda *a: "ok", args, {}) == "ok"
+        [policies] = seen
+        return policies
+
+    def test_a_lone_tainted_argument_hands_over_its_policy_set(
+        self, resin, recorder, monkeypatch
+    ):
+        email = sql_quote(taint_str("o'brien", UntrustedData("form")))
+        policies = self._recorded_policies(
+            resin, recorder, monkeypatch, ("plain", email)
+        )
+        assert policies is email.policies()
+        event = _one(recorder.events(kind="export"))
+        assert event["policies"] == [serialize_policy(p) for p in email.policies()]
+
+    def test_several_tainted_arguments_list_every_policy(
+        self, resin, recorder, monkeypatch
+    ):
+        first = taint_str("a", UntrustedData("form"))
+        second = taint_str("b", PasswordPolicy("a@b.c"))
+        policies = self._recorded_policies(
+            resin, recorder, monkeypatch, (first, second)
+        )
+        assert policies == [*first.policies(), *second.policies()]
 
 
 class TestServiceWiring:

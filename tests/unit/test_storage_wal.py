@@ -5,11 +5,13 @@ leader/follower group commit, segment rotation/retirement, and the
 shared/exclusive gate the durability service builds checkpoints on.
 """
 
+import json
 import os
 import threading
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.exceptions import SerializationError
 from repro.core.locking import SharedExclusiveGate
@@ -22,7 +24,30 @@ from repro.storage.framing import (
 from repro.storage.wal import WriteAheadLog
 
 
+#: JSON documents as records hold them: nested objects and arrays of text
+#: (beyond ASCII too), integers, floats (infinities and NaN too) and
+#: literals.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(alphabet=st.characters(codec="utf-8")),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+
+
 class TestFrameCodec:
+    @given(record=st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=5))
+    def test_payload_is_canonical_json_dumps(self, record):
+        """The shared encoder writes exactly the bytes of ``json.dumps`` with
+        the canonical settings."""
+        payload = encode_record(record)[8:]
+        expected = json.dumps(record, separators=(",", ":"), sort_keys=True)
+        assert payload == expected.encode("utf-8")
+
     def test_roundtrip(self):
         records = [{"op": "a", "n": 1}, {"op": "b", "s": "x"}]
         data = b"".join(encode_record(r) for r in records)
